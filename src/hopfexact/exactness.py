@@ -23,7 +23,7 @@ from typing import Optional
 
 from .algebra import generated_operator_algebra
 from .comodule import ComoduleAlgebra, coaction_slice, coinvariants
-from .errors import HopfExactError
+from .errors import BadWitness, HopfExactError
 from .linalg import Mat, Subspace, Vec, basis_vector, is_zero_vec, kernel, spin
 
 
@@ -59,7 +59,9 @@ def _witness_search(a: ComoduleAlgebra, ops: list[Mat]) -> Optional[Subspace]:
             continue
         spun = spin(ctx, n, [seed], ops)
         if 0 < spun.dim < n:
-            assert _is_costable(a, spun, ops)
+            if not _is_costable(a, spun, ops):
+                raise BadWitness(
+                    f"spun subspace of dimension {spun.dim} is not costable")
             return spun
     return None
 

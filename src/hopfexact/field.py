@@ -26,6 +26,7 @@ from .errors import (
     AlreadyExtended,
     DivisionByZero,
     FieldMismatch,
+    HopfExactError,
     NeedsFieldExtension,
     ZeroDiscriminant,
 )
@@ -55,7 +56,8 @@ def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
         if c:
             for j, dj in enumerate(den):
                 num[k + j] -= c * dj
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    if any(num):
+        raise HopfExactError("non-exact polynomial division")
     return q
 
 
@@ -146,6 +148,8 @@ class FieldContext:
         return (self.order, self._disc_coeffs)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, FieldContext) and self._key() == other._key()
 
     def __hash__(self):
@@ -281,7 +285,7 @@ class FieldElement:
         return FieldElement(self.ctx.base_context(), b)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -323,7 +327,7 @@ class FieldElement:
             other = self.ctx.scalar(other)
         if not isinstance(other, FieldElement):
             raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.ctx == self.ctx:
+        if other.ctx is self.ctx or other.ctx == self.ctx:
             return self, other
         try:
             return self.coerce(other.ctx), other
@@ -608,7 +612,8 @@ def _divide_linear(cs: list["FieldElement"], root: "FieldElement") -> list["Fiel
     for k in range(len(cs) - 2, -1, -1):
         out[k] = carry
         carry = cs[k] + carry * root
-    assert carry.is_zero(), "not a root"
+    if not carry.is_zero():
+        raise HopfExactError(f"not a root: {root}")
     return out
 
 

@@ -5,6 +5,12 @@ Everything is computed by fraction-exact Gaussian elimination — no floating
 point anywhere.  Subspaces carry a canonical reduced-row-echelon basis so
 that equality of subspaces is literal equality of their stored bases.
 
+Matrices are stored dense, but the kernels (``@``, ``apply``, ``kron`` and
+elimination) skip structural zeros: a product with a zero factor is never
+formed, and a pivot row eliminates only on its nonzero columns.  Exact
+arithmetic makes the results identical to dense elimination, entry for
+entry, pivots and basis order included.
+
 Conventions used throughout the package:
 
 * matrices are stored row-major; ``kron(a, b)`` places the left factor on
@@ -136,16 +142,28 @@ class Mat:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
-        ocols = [other.col(j) for j in range(other.ncols)]
+        n = other.ncols
+        zero = self.ctx.zero()
+        other_terms = [_terms(r) for r in other.rows]
         out = []
         for r in self.rows:
-            out.append([_dot(r, c) for c in ocols])
+            acc: list[Optional[FieldElement]] = [None] * n
+            for a, terms in zip(r, other_terms):
+                if not terms or a.is_zero():
+                    continue
+                for j, b in terms:
+                    t = a * b
+                    acc[j] = t if acc[j] is None else acc[j] + t
+            out.append([zero if e is None else e for e in acc])
         return Mat(self.ctx, out)
 
     def apply(self, v: Sequence[FieldElement]) -> Vec:
         if self.ncols != len(v):
             raise DimensionMismatch(f"matrix has {self.ncols} columns, vector {len(v)}")
-        return tuple(_dot(r, v) for r in self.rows)
+        if self.rows and not v:
+            raise DimensionMismatch("empty dot product")
+        terms = _terms(v)
+        return tuple(_dot(r, terms, self.ctx) for r in self.rows)
 
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.rows)
@@ -176,37 +194,43 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols}: {body})"
 
 
-def _dot(a: Sequence[FieldElement], b: Sequence[FieldElement]) -> FieldElement:
+def _terms(v: Sequence[FieldElement]) -> list[tuple[int, FieldElement]]:
+    """The nonzero entries of ``v`` with their positions."""
+    return [(j, e) for j, e in enumerate(v) if not e.is_zero()]
+
+
+def _support(row: Sequence[FieldElement], start: int) -> list[int]:
+    """Positions of the nonzero entries of ``row`` from ``start`` on."""
+    return [j for j in range(start, len(row)) if not row[j].is_zero()]
+
+
+def _dot(a: Sequence[FieldElement], terms: list[tuple[int, FieldElement]],
+         ctx: FieldContext) -> FieldElement:
+    """``sum a[k] * y`` over the nonzero ``(k, y)`` of the other factor."""
     acc = None
-    for x, y in zip(a, b, strict=True):
-        term = x * y
-        acc = term if acc is None else acc + term
-    if acc is None:
-        raise DimensionMismatch("empty dot product")
-    return acc
+    for k, y in terms:
+        x = a[k]
+        if not x.is_zero():
+            term = x * y
+            acc = term if acc is None else acc + term
+    return ctx.zero() if acc is None else acc
 
 
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product with the left factor on the coarse index."""
+    zero = a.ctx.zero()
     rows = []
     for i in range(a.nrows):
         for k in range(b.nrows):
             row = []
             for j in range(a.ncols):
                 aij = a[i, j]
-                row.extend(aij * b[k, l] for l in range(b.ncols))
+                if aij.is_zero():
+                    row.extend([zero] * b.ncols)
+                else:
+                    row.extend(aij * b[k, l] for l in range(b.ncols))
             rows.append(row)
     return Mat(a.ctx, rows)
-
-
-def swap_matrix(ctx: FieldContext, m: int, n: int) -> Mat:
-    """The flip ``x (x) y -> y (x) x`` for x of dimension m, y of dimension n."""
-    rows = [[ctx.zero()] * (m * n) for _ in range(m * n)]
-    one = ctx.one()
-    for i in range(m):
-        for j in range(n):
-            rows[j * m + i][i * n + j] = one
-    return Mat(ctx, rows)
 
 
 def slice_left(mat: Mat, dim_left: int, dim_right: int, h: int) -> Mat:
@@ -291,12 +315,17 @@ def _rref_rows(ctx: FieldContext, rows: list[list[FieldElement]]) -> tuple[list[
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        for k in range(len(rows)):
-            if k != r and not rows[k][c].is_zero():
-                f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+        prow = rows[r]
+        inv = prow[c].inverse()
+        # rows from r on vanish left of column c, so the pivot row does too
+        support = _support(prow, c)
+        for j in support:
+            prow[j] = prow[j] * inv
+        for k, row in enumerate(rows):
+            f = row[c]
+            if k != r and not f.is_zero():
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -471,7 +500,7 @@ def _reduce_against(v: list[FieldElement], rows: Sequence[Vec]) -> list[FieldEle
         lead = next(j for j, e in enumerate(row) if not e.is_zero())
         c = v[lead]
         if not c.is_zero():
-            for j in range(lead, len(v)):
+            for j in _support(row, lead):
                 v[j] = v[j] - c * row[j]
     return v
 
@@ -500,12 +529,18 @@ class RrefAccumulator:
         if lead is None:
             return False
         inv = red[lead].inverse()
-        newrow = tuple(e * inv for e in red)
+        support = _support(red, lead)
+        for j in support:
+            red[j] = red[j] * inv
+        newrow = tuple(red)
         # back-substitute into the existing rows, then insert in pivot order
         for i, row in enumerate(self._rows):
             c = row[lead]
             if not c.is_zero():
-                self._rows[i] = tuple(a - c * b for a, b in zip(row, newrow))
+                row = list(row)
+                for j in support:
+                    row[j] = row[j] - c * newrow[j]
+                self._rows[i] = tuple(row)
         pos = next((i for i, p in enumerate(self._pivots) if p > lead),
                    len(self._pivots))
         self._rows.insert(pos, newrow)

@@ -508,11 +508,14 @@ def colinear_iso_search(a: ComoduleAlgebra, b: ComoduleAlgebra
                         ) -> Optional[Mat]:
     """An invertible unital algebra map commuting with the coactions, or None.
 
-    The search is complete: every candidate lives in the (finite-dimensional)
-    space of colinear maps, the unit condition cuts out an affine subspace,
-    and the remaining multiplicativity constraints form a polynomial system
-    whose solutions are enumerated exactly.  ``None`` therefore means no such
-    isomorphism exists over the current field.
+    Every candidate lives in the (finite-dimensional) space of colinear maps,
+    the unit condition cuts out an affine subspace, and the remaining
+    multiplicativity constraints form a polynomial system whose solutions
+    are enumerated exactly by :func:`~hopfexact.poly.concrete_solutions`.
+    ``None`` therefore means no such isomorphism exists over the current
+    field.  A system outside the supported reduction rules (linear isolation
+    and univariate roots) is refused with a typed :class:`HopfExactError`
+    rather than answered; ``(kp, kp)`` is such a case.
     """
     if a.dim != b.dim:
         return None

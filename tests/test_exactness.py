@@ -1,13 +1,16 @@
 import pytest
 
+from hopfexact import exactness
 from hopfexact.comodule import coinvariants
 from hopfexact.constructions import (
     build_matrix2_trivial,
     catalog,
     comodule_direct_sum,
 )
+from hopfexact.errors import BadWitness
 from hopfexact.exactness import check_exactness, costable_operators
 from hopfexact.field import FieldContext
+from hopfexact.linalg import Subspace
 
 QI = FieldContext(4)
 CATALOG = catalog(QI)
@@ -54,3 +57,15 @@ def test_coinvariant_dimensions_match_verdicts():
     assert coinvariants(a).dim == 2
     verdict = check_exactness(a)
     assert verdict.coinvariants_dim == 2 and not verdict.am_exact
+
+
+def test_non_costable_spin_is_refused(monkeypatch):
+    a = comodule_direct_sum(CATALOG["ga_k"], CATALOG["ga_k"])
+
+    def seed_line(ctx, ambient, seeds, operators):
+        # the seed's line alone: proper, nonzero, not closed under the operators
+        return Subspace.from_vectors(ctx, ambient, seeds)
+
+    monkeypatch.setattr(exactness, "spin", seed_line)
+    with pytest.raises(BadWitness):
+        check_exactness(a)

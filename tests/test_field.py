@@ -9,11 +9,14 @@ from hopfexact.errors import (
     AlreadyExtended,
     DivisionByZero,
     FieldMismatch,
+    HopfExactError,
     NeedsFieldExtension,
     ZeroDiscriminant,
 )
 from hopfexact.field import (
     FieldContext,
+    _divide_linear,
+    _poly_divmod,
     adjoin_sqrt,
     cyclotomic_polynomial,
     euler_phi,
@@ -99,6 +102,15 @@ def test_division_by_zero_raises():
         QI.zero().inverse()
     with pytest.raises(DivisionByZero):
         QI.one() / QI.zero()
+
+
+def test_inexact_divisions_raise_typed_errors():
+    # t**2 + 1 is not a multiple of t - 1, and 2 is not a root of t - 1
+    with pytest.raises(HopfExactError):
+        _poly_divmod([F(1), F(0), F(1)], [F(-1), F(1)])
+    with pytest.raises(HopfExactError):
+        _divide_linear([Q.scalar(-1), Q.one()], Q.scalar(2))
+    assert _poly_divmod([F(-1), F(0), F(1)], [F(-1), F(1)]) == [F(1), F(1)]
 
 
 # -- coercion ---------------------------------------------------------------

@@ -181,7 +181,7 @@ def test_kappa_is_an_embedding_on_exact_instances(algebra):
 
 def test_kappa_stays_injective_without_exactness():
     # a costable ideal (the witness below) does not have to meet the kernel
-    # of kappa, so non-exact inputs still embed; see the decisions ledger.
+    # of kappa, so non-exact inputs still embed.
     doubled = comodule_direct_sum(LINE.algebra, LINE.algebra)
     verdict = check_exactness(doubled)
     assert not verdict.am_exact

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from hopfexact.errors import DimensionMismatch
-from hopfexact.field import FieldContext
+from hopfexact.errors import DimensionMismatch, HopfExactError
+from hopfexact.field import FieldContext, FieldElement, adjoin_sqrt
 from hopfexact.linalg import (
     Mat,
     RrefAccumulator,
@@ -184,3 +184,171 @@ def test_complement_in_extends_pivotwise():
     assert total == outer
     with pytest.raises(DimensionMismatch):
         complement_in(outer, inner)
+
+
+# -- differential check against a naive dense reference ----------------------
+#
+# The kernels skip structural zeros; the reference below multiplies and adds
+# every entry.  Results must agree element for element (same context, same
+# coefficients), including the RREF rows, the pivots and the kernel order.
+
+QS4 = adjoin_sqrt(Q, 4)   # s**2 == 4: (2 - s)(2 + s) == 0, so zero divisors
+
+
+def _exact(x):
+    if isinstance(x, FieldElement):
+        return (x.ctx, x.coeffs)
+    if isinstance(x, (int, type(None))):
+        return x
+    if isinstance(x, Mat):
+        x = x.rows
+    return tuple(_exact(e) for e in x)
+
+
+def _random_element(rng, ctx):
+    while True:
+        cs = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+              for _ in range(ctx.dim)]
+        if any(cs):
+            return ctx.element(cs)
+
+
+def _random_rows(rng, ctx, m, n, density, zero_rows=(), zero_cols=()):
+    return [[ctx.zero() if i in zero_rows or j in zero_cols
+             or rng.random() >= density else _random_element(rng, ctx)
+             for j in range(n)] for i in range(m)]
+
+
+def _random_cases(seed, ctx):
+    """Dense, about 5 % dense, and dense with all-zero rows and columns."""
+    rng = random.Random(seed)
+    for _ in range(4):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        yield rng, _random_rows(rng, ctx, m, n, 1.0)
+    for _ in range(4):
+        m, n = rng.randint(8, 14), rng.randint(8, 14)
+        yield rng, _random_rows(rng, ctx, m, n, 0.05)
+    for _ in range(4):
+        m, n = rng.randint(3, 6), rng.randint(3, 6)
+        yield rng, _random_rows(rng, ctx, m, n, 0.8,
+                                zero_rows={rng.randrange(m)},
+                                zero_cols={rng.randrange(n), rng.randrange(n)})
+
+
+def _ref_dot(ctx, a, b):
+    acc = ctx.zero()
+    for x, y in zip(a, b, strict=True):
+        acc = acc + x * y
+    return acc
+
+
+def _ref_matmul(ctx, a, b):
+    return [[_ref_dot(ctx, r, [row[j] for row in b]) for j in range(len(b[0]))]
+            for r in a]
+
+
+def _ref_kron(a, b):
+    return [[a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(len(b[0]))]
+            for i in range(len(a)) for k in range(len(b))]
+
+
+def _ref_rref(rows):
+    rows = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(rows[0])):
+        piv = next((k for k in range(r, len(rows)) if not rows[k][c].is_zero()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [e * inv for e in rows[r]]
+        for k in range(len(rows)):
+            if k != r:
+                f = rows[k][c]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _ref_kernel(ctx, rows):
+    red, pivots = _ref_rref(rows)
+    out = []
+    for j in (j for j in range(len(rows[0])) if j not in pivots):
+        v = [ctx.zero()] * len(rows[0])
+        v[j] = ctx.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][j]
+        out.append(tuple(v))
+    return out
+
+
+def _same_or_same_error(ours, reference):
+    """Both raise the same error type, or both return identical results."""
+    try:
+        want = reference()
+    except HopfExactError as exc:
+        with pytest.raises(type(exc)):
+            ours()
+        return
+    assert _exact(ours()) == _exact(want)
+
+
+@pytest.mark.parametrize("ctx", [Q, QI, QS4], ids=["Q", "Q(i)", "Q[s], s^2=4"])
+def test_kernels_match_dense_reference(ctx):
+    for rng, rows in _random_cases(23, ctx):
+        m, n = len(rows), len(rows[0])
+        a = Mat(ctx, rows)
+        other = _random_rows(rng, ctx, n, rng.randint(1, 6), rng.choice((1.0, 0.3, 0.05)))
+        assert _exact(a @ Mat(ctx, other)) == _exact(_ref_matmul(ctx, rows, other))
+        v = [row[0] for row in other]
+        assert _exact(a.apply(v)) == _exact([_ref_dot(ctx, r, v) for r in rows])
+        small = _random_rows(rng, ctx, 2, 3, 0.5)
+        assert _exact(kron(a, Mat(ctx, small))) == _exact(_ref_kron(rows, small))
+        assert _exact(kron(Mat(ctx, small), a)) == _exact(_ref_kron(small, rows))
+
+        def ref_rref():
+            red, pivots = _ref_rref(rows)
+            return Mat(ctx, red), tuple(pivots)
+
+        _same_or_same_error(lambda: rref(a), ref_rref)
+        _same_or_same_error(lambda: kernel(a), lambda: _ref_kernel(ctx, rows))
+        for rhs in (a.apply(v), _random_rows(rng, ctx, 1, m, 0.5)[0]):
+
+            def ref_solve():
+                red, pivots = _ref_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+                if n in pivots:
+                    return None
+                x = [ctx.zero()] * n
+                for r, pc in enumerate(pivots):
+                    x[pc] = red[r][n]
+                return tuple(x)
+
+            _same_or_same_error(lambda: solve(a, rhs), ref_solve)
+        if m == n:
+
+            def ref_inverse():
+                ident = Mat.identity(ctx, n).rows
+                red, pivots = _ref_rref([list(r) + list(ident[i])
+                                         for i, r in enumerate(rows)])
+                if pivots != list(range(n)):
+                    raise DimensionMismatch("matrix is singular")
+                return [r[n:] for r in red]
+
+            _same_or_same_error(lambda: inverse(a), ref_inverse)
+        if ctx is not QS4:
+            # over a field the accumulated basis is the nonzero part of the RREF
+            red, _ = _ref_rref(rows)
+            nonzero = [r for r in red if not all(e.is_zero() for e in r)]
+            space = Subspace.from_vectors(ctx, n, rows)
+            assert _exact(space.basis()) == _exact(nonzero)
+            assert all(space.contains(r) for r in rows)
+
+
+def test_empty_inner_dimension_is_refused():
+    with pytest.raises(DimensionMismatch):
+        Mat(Q, [[], []]).apply(())
+    with pytest.raises(DimensionMismatch):
+        M(Q, [[1, 2]]) @ M(Q, [[1, 2]])

@@ -20,6 +20,7 @@ from hopfexact.constructions import (
 )
 from hopfexact.errors import (
     CoactionUnsolvable,
+    HopfExactError,
     NeedsFieldExtension,
     NotSemisimple,
 )
@@ -279,6 +280,17 @@ def test_iso_search_negatives():
     assert colinear_iso_search(CATALOG["ga_k"], CATALOG["a_i_xy"]) is None
     # different dimensions short-circuit
     assert colinear_iso_search(CATALOG["k"], CATALOG["ga_x"]) is None
+
+
+@pytest.mark.xfail(strict=True, raises=HopfExactError,
+                   reason="the polynomial system for (kp, kp) is outside the "
+                          "supported reduction rules")
+def test_iso_search_finds_a_kp_automorphism():
+    kp = CATALOG["kp"]
+    t = colinear_iso_search(kp, kp)
+    assert t is not None
+    assert is_algebra_isomorphism(kp, kp, t)
+    assert _is_colinear(kp, kp, t)
 
 
 def test_ga_x_and_ga_y_have_no_colinear_maps_at_all():
