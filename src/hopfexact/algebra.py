@@ -107,17 +107,6 @@ class Algebra:
         cols = [self.multiply(self.basis_element(j), x) for j in range(self.dim)]
         return Mat.from_columns(self.ctx, cols)
 
-    def render(self, v: Sequence[FieldElement]) -> str:
-        terms = []
-        for lab, c in zip(self.labels, v):
-            if c.is_zero():
-                continue
-            if c == self.ctx.one():
-                terms.append(lab)
-            else:
-                terms.append(f"({c!r})*{lab}")
-        return " + ".join(terms) if terms else "0"
-
     def __repr__(self):
         return f"Algebra(dim={self.dim}, labels={list(self.labels)})"
 
@@ -147,13 +136,6 @@ def check_algebra(alg: Algebra) -> list[str]:
     if not assoc_ok:
         problems.append("multiplication is not associative")
     return problems
-
-
-def require_algebra(alg: Algebra) -> Algebra:
-    problems = check_algebra(alg)
-    if problems:
-        raise NotAnAlgebra("; ".join(problems))
-    return alg
 
 
 def trace(mat: Mat) -> FieldElement:
@@ -264,19 +246,6 @@ def is_algebra_isomorphism(src: Algebra, dst: Algebra, phi: Mat) -> bool:
     from .linalg import rank
     return (src.dim == dst.dim and is_algebra_morphism(src, dst, phi)
             and rank(phi) == src.dim)
-
-
-def algebra_from_products(ctx: FieldContext, labels: Sequence[str],
-                          unit: Sequence[Scalar],
-                          product) -> Algebra:
-    """Build the table by calling ``product(i, j) -> coordinate vector``."""
-    n = len(labels)
-    table = [[product(i, j) for j in range(n)] for i in range(n)]
-    return Algebra(ctx, labels, unit, table)
-
-
-def span_of_elements(alg: Algebra, elements: Iterable[Vec]) -> Subspace:
-    return Subspace.from_vectors(alg.ctx, alg.dim, elements)
 
 
 def subalgebra_closure(alg: Algebra, seeds: Iterable[Vec],

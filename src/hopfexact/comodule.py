@@ -16,7 +16,7 @@ units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .algebra import Algebra, check_algebra
 from .errors import (
@@ -86,7 +86,7 @@ class ComoduleAlgebra(Algebra):
                 f"over Hopf dim={self.hopf.dim})")
 
 
-ComoduleLike = Union[Comodule, ComoduleAlgebra]
+ComoduleLike = Comodule | ComoduleAlgebra
 
 
 def coaction_slice(c: ComoduleLike, h_index: int) -> Mat:

@@ -9,18 +9,27 @@ perfect square is allowed and produces a ring with zero divisors; division
 raises :class:`DivisionByZero` when the conjugate-norm trick divides by zero
 instead of pretending ``s`` simplifies.
 
-Elements are immutable coefficient tuples of :class:`fractions.Fraction` over
-the power basis ``1, zeta, ..., zeta**(phi(n)-1)`` (doubled when a layer is
-present).  Reduction uses the n-th cyclotomic polynomial, computed by the
-classic recursive exact division ``Phi_n = (x**n - 1) / prod Phi_d``.
+Coordinates are taken over the power basis ``1, zeta, ..., zeta**(phi(n)-1)``
+(doubled when a layer is present: the base part, then the coefficient of
+``s``).  An element is stored packed, as a tuple of integer numerators ``num``
+over one shared integer denominator ``den``, always in canonical form:
+``den > 0`` and ``gcd(den, *num) == 1``, so zero is ``(0, ..., 0) / 1``.
+Equal values therefore have equal ``(num, den)``, which is what ``==`` and
+``hash`` compare.  Arithmetic works on the integers alone and reduces once per
+result with :func:`math.gcd`; :class:`fractions.Fraction` appears only where
+values come in or go out (``element``, ``scalar``, ``coeffs``, literals and
+the square-root helpers).  Reduction uses the n-th cyclotomic polynomial,
+computed by the classic recursive exact division
+``Phi_n = (x**n - 1) / prod Phi_d``; it is monic with integer coefficients,
+so the reduction table for ``zeta**k`` holds plain integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
-from typing import Iterable, Optional, Sequence, Union
+from math import gcd, isqrt, lcm
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     AlreadyExtended,
@@ -31,7 +40,7 @@ from .errors import (
     ZeroDiscriminant,
 )
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 
 
 def divisors(n: int) -> list[int]:
@@ -100,7 +109,11 @@ class FieldContext:
             raise ValueError("cyclotomic order must be >= 1")
         self.order = cyclotomic_order
         self.base_dim = euler_phi(cyclotomic_order)
+        # the discriminant as Fractions (the context's key) and packed as
+        # (numerators, denominator) for arithmetic
         self._disc_coeffs: Optional[tuple[Fraction, ...]] = None
+        self._disc: Optional[tuple[tuple[int, ...], int]] = None
+        self._base = self
         if discriminant is not None:
             if discriminant.ctx.has_layer:
                 raise AlreadyExtended("discriminant must come from the base field")
@@ -109,40 +122,47 @@ class FieldContext:
             if discriminant.is_zero():
                 raise ZeroDiscriminant("discriminant is zero")
             self._disc_coeffs = discriminant.coeffs
+            self._disc = (discriminant.num, discriminant.den)
+            self._base = FieldContext(cyclotomic_order)
         self.dim = self.base_dim * (2 if self.has_layer else 1)
-        # Power table zeta**k long enough both for reducing products of two
-        # reduced polynomials (2*base_dim - 1) and for direct zeta(k) lookups
-        # (k < order).
+        self._hash = hash(self._key())
+        # Integer power table zeta**k long enough both for reducing products
+        # of two reduced polynomials (2*base_dim - 1) and for direct zeta(k)
+        # lookups (k < order).  Phi_n is monic and integral, so every entry
+        # is an int.
         m = self.base_dim
-        phi = cyclotomic_polynomial(cyclotomic_order)
-        powers: list[tuple[Fraction, ...]] = []
+        phi = [int(c) for c in cyclotomic_polynomial(cyclotomic_order)]
+        powers: list[tuple[int, ...]] = []
         for k in range(max(2 * m - 1, cyclotomic_order)):
             if k == 0:
-                powers.append(tuple([Fraction(1)] + [Fraction(0)] * (m - 1)))
+                powers.append((1,) + (0,) * (m - 1))
                 continue
             prev = powers[k - 1]
-            shifted = [Fraction(0)] + list(prev[: m - 1])
+            shifted = [0] + list(prev[: m - 1])
             top = prev[m - 1]
             if top:
                 for j in range(m):
                     shifted[j] -= top * phi[j]
             powers.append(tuple(shifted))
         self._zeta_powers = powers
+        # for each k < 2*base_dim - 1, the nonzero (j, c) entries of zeta**k
+        self._reduction = [[(j, c) for j, c in enumerate(powers[k]) if c]
+                           for k in range(2 * m - 1)]
+        self._zero = _packed(self, (0,) * self.dim, 1)
+        self._one = _packed(self, (1,) + (0,) * (self.dim - 1), 1)
 
     @property
     def has_layer(self) -> bool:
-        return self._disc_coeffs is not None
+        return self._disc is not None
 
     @property
     def discriminant(self) -> Optional["FieldElement"]:
-        if self._disc_coeffs is None:
+        if self._disc is None:
             return None
-        return FieldElement(self.base_context(), self._disc_coeffs)
+        return _packed(self._base, *self._disc)
 
     def base_context(self) -> "FieldContext":
-        if not self.has_layer:
-            return self
-        return FieldContext(self.order)
+        return self._base
 
     def _key(self):
         return (self.order, self._disc_coeffs)
@@ -153,7 +173,7 @@ class FieldContext:
         return isinstance(other, FieldContext) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         if self.has_layer:
@@ -164,31 +184,30 @@ class FieldContext:
     # -- element constructors --------------------------------------------
 
     def element(self, coeffs: Iterable[Rat]) -> "FieldElement":
-        cs = tuple(_as_fraction(c) for c in coeffs)
+        cs = [_as_fraction(c) for c in coeffs]
         if len(cs) == self.dim:
             return FieldElement(self, cs)
         if self.has_layer and len(cs) == self.base_dim:
-            return FieldElement(self, cs + (Fraction(0),) * self.base_dim)
+            return FieldElement(self, cs + [0] * self.base_dim)
         raise FieldMismatch(f"expected {self.dim} coefficients, got {len(cs)}")
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (Fraction(0),) * self.dim)
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return self.scalar(1)
+        return self._one
 
     def scalar(self, x: Rat) -> "FieldElement":
-        cs = [Fraction(0)] * self.dim
-        cs[0] = _as_fraction(x)
-        return FieldElement(self, tuple(cs))
+        x = _as_fraction(x)
+        return _packed(self, (x.numerator,) + (0,) * (self.dim - 1),
+                       x.denominator)
 
     def zeta(self, power: int = 1) -> "FieldElement":
         """zeta_n**power as an element of this context."""
-        k = power % self.order
-        base = list(self._zeta_powers[k])
+        base = self._zeta_powers[power % self.order]
         if self.has_layer:
-            base = base + [Fraction(0)] * self.base_dim
-        return FieldElement(self, tuple(base))
+            base = base + (0,) * self.base_dim
+        return _packed(self, base, 1)
 
     def i(self) -> "FieldElement":
         """The imaginary unit, available whenever 4 divides the order."""
@@ -199,128 +218,160 @@ class FieldContext:
     def sqrt_symbol(self) -> "FieldElement":
         if not self.has_layer:
             raise FieldMismatch("context has no quadratic layer")
-        cs = [Fraction(0)] * self.dim
-        cs[self.base_dim] = Fraction(1)
-        return FieldElement(self, tuple(cs))
+        num = [0] * self.dim
+        num[self.base_dim] = 1
+        return _packed(self, tuple(num), 1)
 
-    # -- base-field arithmetic on raw coefficient tuples -------------------
+    # -- base-field arithmetic on integer coefficient vectors --------------
 
-    def _mul_base(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def _mul_base(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        """The product of two base-field integer vectors, reduced modulo
+        Phi_n (the denominators are the caller's)."""
         m = self.base_dim
         if m == 1:
-            return (a[0] * b[0],)
-        prod = [Fraction(0)] * (2 * m - 1)
+            return [a[0] * b[0]]
+        prod = [0] * (2 * m - 1)
         for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
-        out = [Fraction(0)] * m
-        for k, c in enumerate(prod):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        prod[i + j] += ai * bj
+        out = prod[:m]
+        reduction = self._reduction
+        for k in range(m, 2 * m - 1):
+            c = prod[k]
             if c:
-                pw = self._zeta_powers[k]
-                for j in range(m):
-                    out[j] += c * pw[j]
-        return tuple(out)
+                for j, t in reduction[k]:
+                    out[j] += c * t
+        return out
 
-    def _inv_base(self, a: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def _inv_base(self, a: Sequence[int]) -> tuple[list[int], int]:
+        """``(num, den)`` with ``a * num / den == 1``, for a nonzero integer
+        vector ``a``; the pair is not yet in canonical form."""
         m = self.base_dim
-        if all(c == 0 for c in a):
+        if not any(a):
             raise DivisionByZero("division by zero")
         if m == 1:
-            return (1 / a[0],)
-        # Solve (multiplication-by-a matrix) x = e0 by Gaussian elimination.
-        cols = []
-        for j in range(m):
-            e = [Fraction(0)] * m
-            e[j] = Fraction(1)
-            cols.append(self._mul_base(a, e))
-        aug = [[cols[j][i] for j in range(m)] + [Fraction(1 if i == 0 else 0)]
+            return [1], a[0]
+        # Solve (multiplication-by-a matrix) x = e0 by fraction-free
+        # Gauss-Jordan elimination: cross-multiply, then divide each row by
+        # the gcd of its entries.  The result is diagonal, d_i * x_i = r_i.
+        cols = [self._mul_base(a, self._zeta_powers[j]) for j in range(m)]
+        aug = [[cols[j][i] for j in range(m)] + [1 if i == 0 else 0]
                for i in range(m)]
-        row = 0
         for col in range(m):
-            piv = next((r for r in range(row, m) if aug[r][col] != 0), None)
+            piv = next((r for r in range(col, m) if aug[r][col]), None)
             if piv is None:
                 raise DivisionByZero("non-invertible element")
-            aug[row], aug[piv] = aug[piv], aug[row]
-            inv = 1 / aug[row][col]
-            aug[row] = [c * inv for c in aug[row]]
+            aug[col], aug[piv] = aug[piv], aug[col]
+            prow = aug[col]
+            p = prow[col]
             for r in range(m):
-                if r != row and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [cr - f * cp for cr, cp in zip(aug[r], aug[row])]
-            row += 1
-        return tuple(aug[i][m] for i in range(m))
+                f = aug[r][col]
+                if r != col and f:
+                    row = [p * x - f * y for x, y in zip(aug[r], prow)]
+                    g = gcd(*row)
+                    aug[r] = [x // g for x in row] if g > 1 else row
+        den = lcm(*(aug[i][i] for i in range(m)))
+        return [aug[i][m] * (den // aug[i][i]) for i in range(m)], den
+
+
+def _packed(ctx: FieldContext, num: tuple[int, ...], den: int) -> "FieldElement":
+    """An element from numerators and denominator already in canonical form."""
+    x = _new_element(FieldElement)
+    _set_ctx(x, ctx)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+def _canon(ctx: FieldContext, num: list[int], den: int) -> "FieldElement":
+    """An element from any numerators over a nonzero denominator: divide out
+    the common gcd and make the denominator positive."""
+    if den != 1:
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _packed(ctx, tuple(num), den)
 
 
 class FieldElement:
-    """An element of a :class:`FieldContext`; immutable and hashable."""
+    """An element of a :class:`FieldContext`; immutable and hashable.
 
-    __slots__ = ("ctx", "coeffs")
+    ``num`` and ``den`` hold the canonical packed form described in the
+    module docstring; ``coeffs`` gives the same value as a tuple of
+    :class:`~fractions.Fraction`.
+    """
 
-    def __init__(self, ctx: FieldContext, coeffs: tuple[Fraction, ...]):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", coeffs)
+    __slots__ = ("ctx", "num", "den")
+
+    def __init__(self, ctx: FieldContext, coeffs: Sequence[Rat]):
+        # each Fraction is in lowest terms, so over the lcm of their
+        # denominators the numerators already have gcd 1 with it
+        den = lcm(*(c.denominator for c in coeffs))
+        _set_ctx(self, ctx)
+        _set_num(self, tuple(c.numerator * (den // c.denominator) for c in coeffs))
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
-    # -- parts -------------------------------------------------------------
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
-    def _parts(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        m = self.ctx.base_dim
-        if self.ctx.has_layer:
-            return self.coeffs[:m], self.coeffs[m:]
-        return self.coeffs, (Fraction(0),) * m
+    # -- parts -------------------------------------------------------------
 
     def base_part(self) -> "FieldElement":
         """The s-free part, as an element of the base context."""
-        a, _ = self._parts()
-        return FieldElement(self.ctx.base_context(), a)
+        ctx = self.ctx
+        return _canon(ctx.base_context(), self.num[:ctx.base_dim], self.den)
 
     def layer_part(self) -> "FieldElement":
         """The coefficient of s, as an element of the base context."""
-        _, b = self._parts()
-        return FieldElement(self.ctx.base_context(), b)
+        ctx = self.ctx
+        if not ctx.has_layer:
+            return ctx.zero()
+        return _canon(ctx.base_context(), self.num[ctx.base_dim:], self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise FieldMismatch(f"not a rational number: {self}")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- coercion ------------------------------------------------------------
 
     def coerce(self, target: FieldContext) -> "FieldElement":
         """Embed into ``target`` if a canonical embedding exists."""
-        if target == self.ctx:
+        ctx = self.ctx
+        if target is ctx or target == ctx:
             return self
-        a, b = self._parts()
-        if self.ctx.has_layer:
-            if any(c != 0 for c in b):
-                if target.has_layer and target.order % self.ctx.order == 0:
-                    disc_t = self.ctx.discriminant.coerce(target.base_context())
-                    if disc_t == target.discriminant:
-                        base = FieldElement(self.ctx.base_context(), a).coerce(target)
-                        layer = FieldElement(self.ctx.base_context(), b).coerce(target)
-                        return base + layer * target.sqrt_symbol()
-                raise FieldMismatch(f"cannot embed {self.ctx} into {target}")
-            return FieldElement(self.ctx.base_context(), a).coerce(target)
-        if target.order % self.ctx.order != 0:
+        m = ctx.base_dim
+        a, b = self.num[:m], self.num[m:]
+        if any(b):
+            if target.has_layer and target.order % ctx.order == 0:
+                disc_t = ctx.discriminant.coerce(target.base_context())
+                if disc_t == target.discriminant:
+                    return _canon(target, _embed(ctx, target, a)
+                                  + _embed(ctx, target, b), self.den)
+            raise FieldMismatch(f"cannot embed {ctx} into {target}")
+        if target.order % ctx.order != 0:
             raise FieldMismatch(
-                f"no embedding of order {self.ctx.order} into order {target.order}")
-        step = target.order // self.ctx.order
-        out = target.zero()
-        for j, c in enumerate(a):
-            if c:
-                out = out + target.zeta(j * step) * target.scalar(c)
-        return out
+                f"no embedding of order {ctx.order} into order {target.order}")
+        out = _embed(ctx, target, a)
+        if target.has_layer:
+            out += [0] * target.base_dim
+        return _canon(target, out, self.den)
 
     def _pair_with(self, other) -> tuple["FieldElement", "FieldElement"]:
         if isinstance(other, (int, Fraction)):
@@ -341,36 +392,54 @@ class FieldElement:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
-        a, b = self._pair_with(other)
-        return FieldElement(a.ctx, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if other.__class__ is FieldElement and other.ctx is self.ctx:
+            x, y = self, other
+        else:
+            x, y = self._pair_with(other)
+        dx, dy = x.den, y.den
+        if dx == dy:
+            return _canon(x.ctx, [p + q for p, q in zip(x.num, y.num)], dx)
+        return _canon(x.ctx, [p * dy + q * dx for p, q in zip(x.num, y.num)],
+                      dx * dy)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.ctx, tuple(-c for c in self.coeffs))
+        return _packed(self.ctx, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        a, b = self._pair_with(other)
-        return FieldElement(a.ctx, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        if other.__class__ is FieldElement and other.ctx is self.ctx:
+            x, y = self, other
+        else:
+            x, y = self._pair_with(other)
+        dx, dy = x.den, y.den
+        if dx == dy:
+            return _canon(x.ctx, [p - q for p, q in zip(x.num, y.num)], dx)
+        return _canon(x.ctx, [p * dy - q * dx for p, q in zip(x.num, y.num)],
+                      dx * dy)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        x, y = self._pair_with(other)
+        if other.__class__ is FieldElement and other.ctx is self.ctx:
+            x, y = self, other
+        else:
+            x, y = self._pair_with(other)
         ctx = x.ctx
-        if not ctx.has_layer:
-            return FieldElement(ctx, ctx._mul_base(x.coeffs, y.coeffs))
-        a1, b1 = x._parts()
-        a2, b2 = y._parts()
-        d = ctx._disc_coeffs
-        aa = ctx._mul_base(a1, a2)
-        bb = ctx._mul_base(b1, b2)
-        real = tuple(p + q for p, q in zip(aa, ctx._mul_base(bb, d)))
-        ab = ctx._mul_base(a1, b2)
-        ba = ctx._mul_base(b1, a2)
-        layer = tuple(p + q for p, q in zip(ab, ba))
-        return FieldElement(ctx, real + layer)
+        mul = ctx._mul_base
+        if ctx._disc is None:
+            return _canon(ctx, mul(x.num, y.num), x.den * y.den)
+        # (a1 + b1 s)(a2 + b2 s) = a1 a2 + b1 b2 d + (a1 b2 + b1 a2) s, with
+        # d = dn / dd brought over the common denominator dd
+        m = ctx.base_dim
+        a1, b1 = x.num[:m], x.num[m:]
+        a2, b2 = y.num[:m], y.num[m:]
+        dn, dd = ctx._disc
+        bbd = mul(mul(b1, b2), dn)
+        real = [dd * p + q for p, q in zip(mul(a1, a2), bbd)]
+        layer = [dd * (p + q) for p, q in zip(mul(a1, b2), mul(b1, a2))]
+        return _canon(ctx, real + layer, x.den * y.den * dd)
 
     __rmul__ = __mul__
 
@@ -378,17 +447,22 @@ class FieldElement:
         ctx = self.ctx
         if self.is_zero():
             raise DivisionByZero("division by zero")
-        if not ctx.has_layer:
-            return FieldElement(ctx, ctx._inv_base(self.coeffs))
-        a, b = self._parts()
-        d = ctx._disc_coeffs
-        norm = tuple(p - q for p, q in zip(ctx._mul_base(a, a),
-                                           ctx._mul_base(ctx._mul_base(b, b), d)))
-        if all(c == 0 for c in norm):
+        if ctx._disc is None:
+            num, den = ctx._inv_base(self.num)
+            d = self.den
+            return _canon(ctx, [c * d for c in num], den)
+        # 1 / (a + b s) = (a - b s) / (a**2 - d b**2), with d = dn / dd
+        m = ctx.base_dim
+        a, b = self.num[:m], self.num[m:]
+        dn, dd = ctx._disc
+        mul = ctx._mul_base
+        norm = [dd * p - q for p, q in zip(mul(a, a), mul(mul(b, b), dn))]
+        if not any(norm):
             raise DivisionByZero(f"zero divisor in quadratic layer: {self}")
-        ninv = ctx._inv_base(norm)
-        return FieldElement(ctx, ctx._mul_base(a, ninv)
-                            + tuple(-c for c in ctx._mul_base(b, ninv)))
+        u, w = ctx._inv_base(norm)
+        k = self.den * dd
+        return _canon(ctx, [k * c for c in mul(a, u)]
+                      + [-k * c for c in mul(b, u)], w)
 
     def __truediv__(self, other):
         a, b = self._pair_with(other)
@@ -410,6 +484,8 @@ class FieldElement:
         return acc
 
     def __eq__(self, other):
+        if other.__class__ is FieldElement and other.ctx is self.ctx:
+            return self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
             other = self.ctx.scalar(other)
         if not isinstance(other, FieldElement):
@@ -418,16 +494,35 @@ class FieldElement:
             a, b = self._pair_with(other)
         except FieldMismatch:
             return False
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
-        return hash((self.ctx, self.coeffs))
+        return hash((self.ctx, self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __repr__(self):
         return render_literal(self)
+
+
+_new_element = object.__new__
+_set_ctx = FieldElement.ctx.__set__
+_set_num = FieldElement.num.__set__
+_set_den = FieldElement.den.__set__
+
+
+def _embed(src: FieldContext, target: FieldContext, a: Sequence[int]) -> list[int]:
+    """Base-field numerators of ``src`` mapped into the base field of
+    ``target``, where ``src.order`` divides ``target.order``:
+    zeta_src**j goes to zeta_target**(j*step)."""
+    step = target.order // src.order
+    out = [0] * target.base_dim
+    for j, c in enumerate(a):
+        if c:
+            for i, t in enumerate(target._zeta_powers[j * step]):
+                out[i] += c * t
+    return out
 
 
 # -- literals -------------------------------------------------------------
@@ -450,7 +545,8 @@ def render_literal(x: FieldElement) -> str:
         else:
             terms.append(f"{c}*{sym}")
 
-    a, b = x._parts()
+    cs = x.coeffs
+    a, b = cs[:ctx.base_dim], cs[ctx.base_dim:]
     n = ctx.order
     for j, c in enumerate(a):
         emit(c, "" if j == 0 else _power_symbol(n, j))
@@ -572,7 +668,7 @@ class _Parser:
         raise ValueError(f"unexpected character {ch!r} at {self.pos} in {self.text!r}")
 
 
-def scal(ctx: FieldContext, value: Union[str, int, Fraction, FieldElement]) -> FieldElement:
+def scal(ctx: FieldContext, value: str | int | Fraction | FieldElement) -> FieldElement:
     """Parse a scalar literal (or coerce an already-scalar value) into ctx."""
     if isinstance(value, FieldElement):
         return value.coerce(ctx)
@@ -581,7 +677,7 @@ def scal(ctx: FieldContext, value: Union[str, int, Fraction, FieldElement]) -> F
     return _Parser(ctx, value).parse()
 
 
-def adjoin_sqrt(ctx: FieldContext, d: Union[str, int, Fraction, FieldElement]) -> FieldContext:
+def adjoin_sqrt(ctx: FieldContext, d: str | int | Fraction | FieldElement) -> FieldContext:
     """Extend ``ctx`` by a formal square root of ``d``.
 
     The extension is purely formal: no attempt is made to detect that ``d``
@@ -617,7 +713,7 @@ def _divide_linear(cs: list["FieldElement"], root: "FieldElement") -> list["Fiel
     return out
 
 
-def polynomial_roots(ctx: FieldContext, coeffs: Sequence[Union[Rat, "FieldElement"]]
+def polynomial_roots(ctx: FieldContext, coeffs: Sequence[Rat | FieldElement]
                      ) -> Optional[list["FieldElement"]]:
     """All distinct roots in ``ctx``, or None if completeness is uncertain.
 

@@ -59,17 +59,11 @@ class Hopf(Algebra):
         self.counit: Vec = tuple(scal(ctx, c) for c in counit)
         self.antipode = antipode
 
-    def counit_row(self) -> Mat:
-        return Mat(self.ctx, [self.counit])
-
     def counit_value(self, v: Sequence[FieldElement]) -> FieldElement:
         acc = self.ctx.zero()
         for c, x in zip(self.counit, v):
             acc = acc + c * x
         return acc
-
-    def comult_vec(self, v: Sequence[FieldElement]) -> Vec:
-        return self.comult.apply(v)
 
     def __repr__(self):
         return f"Hopf(dim={self.dim}, labels={list(self.labels)})"

@@ -22,13 +22,13 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch
 from .field import FieldContext, FieldElement, scal
 
 Vec = tuple[FieldElement, ...]
-Scalar = Union[int, Fraction, str, FieldElement]
+Scalar = int | Fraction | str | FieldElement
 
 
 def vzero(ctx: FieldContext, n: int) -> Vec:
@@ -67,9 +67,12 @@ class Mat:
     __slots__ = ("ctx", "rows")
 
     def __init__(self, ctx: FieldContext, rows: Iterable[Iterable[Scalar]]):
-        normalized = []
-        for row in rows:
-            normalized.append(tuple(scal(ctx, e) for e in row))
+        # entries already in ``ctx`` (results of ``@``, ``kron``, ``rref``)
+        # are taken as they are; anything else is parsed or coerced
+        normalized = [
+            tuple(e if e.__class__ is FieldElement and e.ctx is ctx
+                  else scal(ctx, e) for e in row)
+            for row in rows]
         if normalized and any(len(r) != len(normalized[0]) for r in normalized):
             raise DimensionMismatch("ragged rows")
         object.__setattr__(self, "ctx", ctx)

@@ -14,7 +14,7 @@ returning a partial answer.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import HopfExactError
 from .field import FieldContext, FieldElement, polynomial_roots
@@ -81,9 +81,6 @@ class MultiPoly:
                 if v == name:
                     deg = max(deg, e)
         return deg
-
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in mono) for mono in self.terms), default=0)
 
     def coefficient_of(self, name: str, power: int) -> "MultiPoly":
         """The polynomial coefficient of name**power (name removed)."""
@@ -211,14 +208,6 @@ class MultiPoly:
             coeff = repr(c)
             parts.append(f"({coeff})*{body}" if body else f"({coeff})")
         return " + ".join(parts)
-
-
-def poly_vec(ctx: FieldContext, values: Iterable) -> list[MultiPoly]:
-    """Lift a vector of scalars (or polynomials) to polynomials."""
-    out = []
-    for v in values:
-        out.append(v if isinstance(v, MultiPoly) else MultiPoly.const(ctx, v))
-    return out
 
 
 # -- exact enumeration of zero-dimensional systems -----------------------------

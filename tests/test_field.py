@@ -1,6 +1,7 @@
 """Exact-arithmetic kernel: cyclotomic contexts, literals, square roots."""
 
 from fractions import Fraction
+from math import gcd
 import random
 
 import pytest
@@ -307,3 +308,184 @@ def test_sqrt_round_trip_seeded():
             y = x * x
             r = sqrt_in_context(y)
             assert r * r == y
+
+
+# -- packed arithmetic against a Fraction-tuple reference ------------------------
+#
+# The reference keeps every element as a tuple of Fractions over the power
+# basis (base part, then the coefficient of s) and reduces products modulo
+# cyclotomic_polynomial(n) directly; inverses solve the multiplication matrix
+# by plain Gaussian elimination, so a zero divisor shows as a singular matrix.
+
+def _ref_mul_base(a, b, n):
+    phi = cyclotomic_polynomial(n)
+    m = len(phi) - 1
+    prod = [F(0)] * (2 * m - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    for k in range(2 * m - 2, m - 1, -1):
+        c = prod[k]
+        if c:
+            for j in range(m + 1):
+                prod[k - m + j] -= c * phi[j]
+    return tuple(prod[:m])
+
+
+def _ref_mul(x, y, n, disc):
+    if disc is None:
+        return _ref_mul_base(x, y, n)
+    m = len(x) // 2
+    a1, b1, a2, b2 = x[:m], x[m:], y[:m], y[m:]
+    bbd = _ref_mul_base(_ref_mul_base(b1, b2, n), disc, n)
+    real = tuple(p + q for p, q in zip(_ref_mul_base(a1, a2, n), bbd))
+    layer = tuple(p + q for p, q in zip(_ref_mul_base(a1, b2, n),
+                                         _ref_mul_base(b1, a2, n)))
+    return real + layer
+
+
+def _ref_inverse(x, n, disc):
+    """The inverse as a Fraction tuple, or None for a zero divisor."""
+    dim = len(x)
+    unit = [tuple(F(int(i == j)) for i in range(dim)) for j in range(dim)]
+    cols = [_ref_mul(x, e, n, disc) for e in unit]
+    aug = [[cols[j][i] for j in range(dim)] + [F(int(i == 0))]
+           for i in range(dim)]
+    for c in range(dim):
+        piv = next((r for r in range(c, dim) if aug[r][c]), None)
+        if piv is None:
+            return None
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(dim):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
+    return tuple(aug[i][dim] for i in range(dim))
+
+
+def _ref_zeta(n, k, dim):
+    phi = cyclotomic_polynomial(n)
+    m = len(phi) - 1
+    x = (F(1),) + (F(0),) * (m - 1)
+    z = (-phi[0],) if m == 1 else (F(0), F(1)) + (F(0),) * (m - 2)
+    for _ in range(k % n):
+        x = _ref_mul_base(x, z, n)
+    return x + (F(0),) * (dim - m)
+
+
+def _assert_canonical(x):
+    assert type(x.den) is int and x.den > 0
+    assert len(x.num) == x.ctx.dim and all(type(c) is int for c in x.num)
+    assert gcd(x.den, *x.num) == 1
+    assert x.coeffs == tuple(F(c, x.den) for c in x.num)
+    again = x.ctx.element(x.coeffs)
+    assert again == x and hash(again) == hash(x)
+    assert (again.num, again.den) == (x.num, x.den)
+
+
+def _random_coeffs(dim, rng):
+    shape = rng.randrange(4)
+    if shape == 0:      # sparse
+        cs = [F(0)] * dim
+        cs[rng.randrange(dim)] = F(rng.randint(-9, 9), rng.randint(1, 6))
+        return cs
+    if shape == 1:      # a common factor to divide out
+        k = rng.choice([2, 3, 6])
+        return [F(k * rng.randint(-4, 4), 6) for _ in range(dim)]
+    if shape == 2:      # large numerators and denominators
+        return [F(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))
+                for _ in range(dim)]
+    return [F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(dim)]
+
+
+_DIFF_FIELDS = [
+    (1, None), (1, "2"), (1, "4"),
+    (3, None), (3, "z(3,1)"),
+    (4, None), (4, "1+i"),
+    (5, None), (5, "2 + z(5,1)"),
+    (8, None), (8, "1+i"),
+    (12, None), (12, "3 - z(12,1)"),
+]
+
+
+@pytest.mark.parametrize("order,disc", _DIFF_FIELDS,
+                         ids=[f"{n}[{d}]" for n, d in _DIFF_FIELDS])
+def test_packed_arithmetic_matches_fraction_reference(order, disc):
+    base = FieldContext(order)
+    ctx = base if disc is None else adjoin_sqrt(base, disc)
+    ref_disc = None if disc is None else scal(base, disc).coeffs
+    n, dim = order, ctx.dim
+
+    def mul(x, y):
+        return _ref_mul(x, y, n, ref_disc)
+
+    rng = random.Random(f"packed:{order}:{disc}")
+    pool = [ctx.zero(), ctx.one(), ctx.scalar(F(-7, 3))]
+    pool += [ctx.element(_random_coeffs(dim, rng)) for _ in range(12)]
+    if disc is not None:
+        pool.append(ctx.sqrt_symbol())
+    for x in pool:
+        _assert_canonical(x)
+    for _ in range(60):
+        x, y = rng.choice(pool), rng.choice(pool)
+        rx, ry = x.coeffs, y.coeffs
+        for got, want in [
+            (x + y, tuple(p + q for p, q in zip(rx, ry))),
+            (x - y, tuple(p - q for p, q in zip(rx, ry))),
+            (-x, tuple(-p for p in rx)),
+            (x * y, mul(rx, ry)),
+        ]:
+            _assert_canonical(got)
+            assert got.coeffs == want
+        assert (x == y) == (rx == ry)
+        assert x * y == y * x and hash(x * y) == hash(y * x)
+        assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+        if x.is_zero():
+            with pytest.raises(DivisionByZero):
+                x.inverse()
+            continue
+        want = _ref_inverse(rx, n, ref_disc)
+        if want is None:
+            with pytest.raises(DivisionByZero):
+                x.inverse()
+            continue
+        inv = x.inverse()
+        _assert_canonical(inv)
+        assert inv.coeffs == want
+        assert x * inv == ctx.one() and hash(x * inv) == hash(ctx.one())
+        k = rng.randint(-3, 4)
+        power = x ** k
+        _assert_canonical(power)
+        want_pow = (F(1),) + (F(0),) * (dim - 1)
+        for _ in range(abs(k)):
+            want_pow = mul(want_pow, rx if k > 0 else want)
+        assert power.coeffs == want_pow
+
+    # equal values built by different routes
+    for k in range(-order, 2 * order + 1):
+        z = ctx.zeta(k)
+        _assert_canonical(z)
+        assert z.coeffs == _ref_zeta(n, k, dim)
+        assert z == ctx.zeta(1) ** (k % order) == ctx.element(z.coeffs)
+        assert hash(z) == hash(ctx.zeta(1) ** (k % order))
+    for q in (F(0), F(1), F(-5, 4), F(12, 8)):
+        s = ctx.scalar(q)
+        _assert_canonical(s)
+        routes = [ctx.element([q] + [0] * (dim - 1)), ctx.one() * q,
+                  q * ctx.one(), ctx.zero() + q, FieldContext(1).scalar(q)]
+        for r in routes:
+            assert r == s and hash(r.coerce(ctx)) == hash(s)
+
+
+def test_perfect_square_layer_has_zero_divisors_everywhere():
+    # zeta_3 = (zeta_3**2)**2, so s - zeta_3**2 is a zero divisor over Q(zeta_3)
+    ext = adjoin_sqrt(FieldContext(3), "z(3,1)")
+    s, z2 = ext.sqrt_symbol(), ext.zeta(2)
+    assert ((s - z2) * (s + z2)).is_zero()
+    for x in (s - z2, (s + z2) * ext.scalar(F(5, 3))):
+        with pytest.raises(DivisionByZero):
+            x.inverse()
+        with pytest.raises(DivisionByZero):
+            ext.one() / x
