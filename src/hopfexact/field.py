@@ -251,8 +251,9 @@ class FieldContext:
         m = self.base_dim
         if not any(a):
             raise DivisionByZero("division by zero")
-        if m == 1:
-            return [1], a[0]
+        if not any(a[1:]):
+            # a rational number: 1 / a[0]
+            return [1] + [0] * (m - 1), a[0]
         # Solve (multiplication-by-a matrix) x = e0 by fraction-free
         # Gauss-Jordan elimination: cross-multiply, then divide each row by
         # the gcd of its entries.  The result is diagonal, d_i * x_i = r_i.

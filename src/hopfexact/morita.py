@@ -56,7 +56,7 @@ from .linalg import (
     solve,
     vstack,
 )
-from .poly import MultiPoly, concrete_solutions
+from .poly import MultiPoly, _addmul, _poly, concrete_solutions
 
 
 # -- modules in the category of comodules --------------------------------------
@@ -477,31 +477,45 @@ def loewy_graded_end(v: RightComodModule, b_grading: Sequence[Subspace],
 # -- colinear isomorphism search ------------------------------------------------
 
 
-def colinear_maps(a: ComoduleAlgebra, b: ComoduleAlgebra) -> list[Mat]:
-    """Basis of the space of linear maps T with lambda_b T = (id (x) T) lambda_a."""
+def _colinear_system(a: ComoduleAlgebra, b: ComoduleAlgebra) -> Mat:
+    """The matrix of vec(T) -> lambda_b T - (id (x) T) lambda_a.
+
+    Row ``(h*nb + m)*na + j`` holds ``+b.coaction[h*nb + m, m']`` at column
+    ``m'*na + j`` and ``-a.coaction[h*na + k, j]`` at column ``m*na + k``:
+    the rows of ``kron(b.coaction, I) - (blocks of a.coaction)``, written
+    from the nonzero coaction entries alone.
+    """
     if a.hopf.table != b.hopf.table or a.hopf.comult != b.hopf.comult:
         raise DimensionMismatch("the two algebras live over different Hopf "
                                 "algebras")
     ctx = a.ctx
     na, nb, nh = a.dim, b.dim, a.hopf.dim
-    lhs = kron(b.coaction, Mat.identity(ctx, na))
-    rows = []
-    for h in range(nh):
-        for m in range(nb):
-            for j in range(na):
-                row = [ctx.zero()] * (nb * na)
-                for k in range(na):
-                    row[m * na + k] = a.coaction[h * na + k, j]
-                rows.append(row)
-    rhs = Mat(ctx, rows)
+    zero = ctx.zero()
+    ca, cb = a.coaction, b.coaction
+    b_rows = [[(mp, x) for mp, x in enumerate(cb.row(r)) if not x.is_zero()]
+              for r in range(nh * nb)]
+    a_cols = [[[(k, x) for k in range(na)
+                if not (x := ca[h * na + k, j]).is_zero()]
+               for j in range(na)] for h in range(nh)]
     diff_rows = []
     for h in range(nh):
         for m in range(nb):
+            b_row = b_rows[h * nb + m]
             for j in range(na):
-                r = (h * nb + m) * na + j
-                diff_rows.append(tuple(
-                    lhs[r, c] - rhs[r, c] for c in range(nb * na)))
-    return [Mat.unvec(ctx, t, nb, na) for t in kernel(Mat(ctx, diff_rows))]
+                row = [zero] * (nb * na)
+                for mp, x in b_row:
+                    row[mp * na + j] = x
+                for k, x in a_cols[h][j]:
+                    c = m * na + k
+                    row[c] = row[c] - x
+                diff_rows.append(row)
+    return Mat(ctx, diff_rows)
+
+
+def colinear_maps(a: ComoduleAlgebra, b: ComoduleAlgebra) -> list[Mat]:
+    """Basis of the space of linear maps T with lambda_b T = (id (x) T) lambda_a."""
+    return [Mat.unvec(a.ctx, t, b.dim, a.dim)
+            for t in kernel(_colinear_system(a, b))]
 
 
 def colinear_iso_search(a: ComoduleAlgebra, b: ComoduleAlgebra
@@ -551,12 +565,22 @@ def colinear_iso_search(a: ComoduleAlgebra, b: ComoduleAlgebra
             p = p + MultiPoly.var(ctx, name) * d[i, j]
         return p
 
-    symbolic = [[entry_poly(i, j) for j in range(n)] for i in range(n)]
+    symbolic = [[entry_poly(i, j).terms for j in range(n)] for i in range(n)]
 
-    def apply_symbolic(vec: Vec) -> list[MultiPoly]:
-        return [sum((row[k] * vec[k] for k in range(n)),
-                    MultiPoly.const(ctx, 0)) for row in symbolic]
+    def apply_symbolic(vec: Vec) -> list[dict]:
+        # the image of vec, one term dict per coordinate
+        out = []
+        for row in symbolic:
+            acc: dict = {}
+            for k, x in enumerate(vec):
+                if not x.is_zero():
+                    _addmul(acc, row[k], {(): x})
+            out.append(acc)
+        return out
 
+    # the nonzero structure constants of b, per pair of basis elements
+    b_table = [[[(m, c) for m, c in enumerate(b.table[p][q]) if not c.is_zero()]
+                for q in range(n)] for p in range(n)]
     eqs = []
     for i in range(n):
         ti = apply_symbolic(a.basis_element(i))
@@ -564,15 +588,18 @@ def colinear_iso_search(a: ComoduleAlgebra, b: ComoduleAlgebra
             tj = apply_symbolic(a.basis_element(j))
             lhs = apply_symbolic(a.table[i][j])
             # product of the two symbolic images inside b
-            rhs = [MultiPoly.const(ctx, 0) for _ in range(n)]
+            rhs: list[dict] = [{} for _ in range(n)]
             for p in range(n):
                 for q in range(n):
-                    coeffs = b.table[p][q]
-                    factor = ti[p] * tj[q]
-                    for m in range(n):
-                        if not coeffs[m].is_zero():
-                            rhs[m] = rhs[m] + factor * coeffs[m]
-            eqs.extend(lhs[m] - rhs[m] for m in range(n))
+                    if not b_table[p][q]:
+                        continue
+                    factor: dict = {}
+                    _addmul(factor, ti[p], tj[q])
+                    for m, c in b_table[p][q]:
+                        _addmul(rhs[m], factor, {(): c})
+            for m in range(n):
+                _addmul(lhs[m], rhs[m], None, negate=True)
+                eqs.append(_poly(ctx, lhs[m]))
     solutions = concrete_solutions(eqs, ctx)
     for sol in solutions:
         t = t0

@@ -5,6 +5,24 @@ Variables are plain strings; a monomial is a sorted tuple of (name, exponent)
 pairs.  Coefficients are :class:`~hopfexact.field.FieldElement` values, so the
 arithmetic stays exact whatever the base field looks like.
 
+A polynomial is a *term dict* mapping monomials to coefficients, and the
+invariant is that no stored coefficient is ever zero.  The public
+constructor ``MultiPoly(ctx, terms)`` filters zeros out of whatever it is
+given; the internal constructor :func:`_poly` takes a fresh dict that already
+holds no zero coefficient and wraps it without copying or filtering, so it
+must only ever see a dict that nothing else will mutate.
+
+The ring operations run through one fused kernel, :func:`_addmul`, which
+adds ``+-a*b`` into a term dict in place (the sparse-polynomial accumulation
+of Monagan and Pearce, without intermediate sums): a monomial whose sum
+cancels is deleted, and a product that is zero is never stored -- a
+perfect-square quadratic layer has zero divisors, so two nonzero
+coefficients can multiply to zero.  ``+``, ``-``, negation, ``*`` and
+:meth:`MultiPoly.substitute` are thin wrappers around it, and callers that
+build many sums of products (the associativity constraints of
+:mod:`~hopfexact.replay`, the isomorphism search of
+:mod:`~hopfexact.morita`) accumulate into term dicts with it directly.
+
 The solver enumerates *all* solutions of a polynomial system by repeatedly
 eliminating a variable: isolating one that occurs linearly with an invertible
 constant coefficient, or branching over the complete root list of a univariate
@@ -20,6 +38,7 @@ from .errors import HopfExactError
 from .field import FieldContext, FieldElement, polynomial_roots
 
 Monomial = tuple[tuple[str, int], ...]
+Terms = dict[Monomial, FieldElement]
 
 _ONE: Monomial = ()
 
@@ -35,15 +54,66 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(out.items()))
 
 
+def _addmul(out: Terms, a: Mapping[Monomial, FieldElement],
+            b: Optional[Mapping[Monomial, FieldElement]],
+            negate: bool = False) -> None:
+    """``out += a*b`` (``out -= a*b`` when ``negate``), in place.
+
+    ``out`` is a term dict; ``a`` and ``b`` hold no zero coefficient, and
+    ``b=None`` stands for the constant polynomial 1 (plain ``out += a``, no
+    multiplications).  A monomial whose sum cancels is deleted and a zero
+    product is never stored, so ``out`` keeps the no-zero invariant.
+    ``out`` must not be ``a`` or ``b``.
+    """
+    if b is None:
+        for mono, c in a.items():
+            if negate:
+                c = -c
+            old = out.get(mono)
+            if old is None:
+                out[mono] = c
+            else:
+                total = old + c
+                if not any(total.num):
+                    del out[mono]
+                else:
+                    out[mono] = total
+        return
+    for m1, c1 in a.items():
+        if negate:
+            c1 = -c1
+        for m2, c2 in b.items():
+            mono = _mono_mul(m1, m2)
+            prod = c1 * c2
+            old = out.get(mono)
+            if old is None:
+                if any(prod.num):
+                    out[mono] = prod
+            else:
+                total = old + prod
+                if not any(total.num):
+                    del out[mono]
+                else:
+                    out[mono] = total
+
+
+def _poly(ctx: FieldContext, terms: Terms) -> "MultiPoly":
+    """Wrap a fresh term dict that holds no zero coefficient (not copied)."""
+    p = _new_poly(MultiPoly)
+    _set_ctx(p, ctx)
+    _set_terms(p, terms)
+    return p
+
+
 class MultiPoly:
-    """Immutable sparse polynomial; ``terms`` maps monomials to coefficients."""
+    """Immutable sparse polynomial; ``terms`` maps monomials to nonzero
+    coefficients."""
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: FieldContext, terms: Mapping[Monomial, FieldElement]):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms",
-                           {m: c for m, c in terms.items() if not c.is_zero()})
+        _set_ctx(self, ctx)
+        _set_terms(self, {m: c for m, c in terms.items() if not c.is_zero()})
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -53,11 +123,11 @@ class MultiPoly:
     @classmethod
     def const(cls, ctx: FieldContext, value) -> "MultiPoly":
         c = value if isinstance(value, FieldElement) else ctx.scalar(value)
-        return cls(ctx, {_ONE: c})
+        return _poly(ctx, {} if c.is_zero() else {_ONE: c})
 
     @classmethod
     def var(cls, ctx: FieldContext, name: str) -> "MultiPoly":
-        return cls(ctx, {((name, 1),): ctx.one()})
+        return _poly(ctx, {((name, 1),): ctx.one()})
 
     # -- structure ------------------------------------------------------------
 
@@ -114,35 +184,31 @@ class MultiPoly:
         return MultiPoly.const(self.ctx, other)
 
     def __add__(self, other) -> "MultiPoly":
-        other = self._lift(other)
         out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, self.ctx.zero()) + c
-        return MultiPoly(self.ctx, out)
+        _addmul(out, self._lift(other).terms, None)
+        return _poly(self.ctx, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.ctx, {m: -c for m, c in self.terms.items()})
+        out: Terms = {}
+        _addmul(out, self.terms, None, negate=True)
+        return _poly(self.ctx, out)
 
     def __sub__(self, other) -> "MultiPoly":
-        return self + (-self._lift(other))
+        out = dict(self.terms)
+        _addmul(out, self._lift(other).terms, None, negate=True)
+        return _poly(self.ctx, out)
 
     def __rsub__(self, other) -> "MultiPoly":
-        return self._lift(other) + (-self)
+        out = dict(self._lift(other).terms)
+        _addmul(out, self.terms, None, negate=True)
+        return _poly(self.ctx, out)
 
     def __mul__(self, other) -> "MultiPoly":
-        other = self._lift(other)
-        out: dict[Monomial, FieldElement] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                prod = c1 * c2
-                if mono in out:
-                    out[mono] = out[mono] + prod
-                else:
-                    out[mono] = prod
-        return MultiPoly(self.ctx, out)
+        out: Terms = {}
+        _addmul(out, self.terms, self._lift(other).terms)
+        return _poly(self.ctx, out)
 
     __rmul__ = __mul__
 
@@ -169,21 +235,35 @@ class MultiPoly:
 
     def substitute(self, assignment: Mapping[str, Union[FieldElement, "MultiPoly"]]
                    ) -> "MultiPoly":
+        """Replace variables by constants or polynomials.
+
+        A constant value is folded into each term's coefficient
+        (``c * value**exp``); polynomial values are multiplied in through
+        :func:`_addmul`.
+        """
         if not assignment:
             return self
-        result = MultiPoly(self.ctx, {})
+        out: Terms = {}
         for mono, c in self.terms.items():
-            term = MultiPoly.const(self.ctx, c)
+            kept = []
+            factors = []
             for name, exp in mono:
-                if name in assignment:
-                    value = assignment[name]
-                    if isinstance(value, FieldElement):
-                        value = MultiPoly.const(self.ctx, value)
-                    term = term * value ** exp
+                value = assignment.get(name)
+                if value is None:
+                    kept.append((name, exp))
+                elif isinstance(value, MultiPoly):
+                    factors.append(value ** exp)
                 else:
-                    term = term * MultiPoly.var(self.ctx, name) ** exp
-            result = result + term
-        return result
+                    c = c * value ** exp
+            if c.is_zero():
+                continue
+            term = {tuple(kept): c}
+            for f in factors:
+                prod: Terms = {}
+                _addmul(prod, term, f.terms)
+                term = prod
+            _addmul(out, term, None)
+        return _poly(self.ctx, out)
 
     def divide_out(self, name: str) -> Optional["MultiPoly"]:
         """Divide by the variable ``name`` if every monomial contains it."""
@@ -196,7 +276,7 @@ class MultiPoly:
             if d[name] == 0:
                 del d[name]
             out[tuple(sorted(d.items()))] = c
-        return MultiPoly(self.ctx, out)
+        return _poly(self.ctx, out)
 
     def __repr__(self):
         if not self.terms:
@@ -208,6 +288,11 @@ class MultiPoly:
             coeff = repr(c)
             parts.append(f"({coeff})*{body}" if body else f"({coeff})")
         return " + ".join(parts)
+
+
+_new_poly = object.__new__
+_set_ctx = MultiPoly.ctx.__set__
+_set_terms = MultiPoly.terms.__set__
 
 
 # -- exact enumeration of zero-dimensional systems -----------------------------

@@ -41,7 +41,7 @@ from .exactness import check_exactness
 from .field import FieldContext, FieldElement
 from .linalg import Mat, basis_vector, tensor_vec, vadd, vscale, vsub
 from .morita import colinear_iso_search
-from .poly import MultiPoly, concrete_solutions
+from .poly import MultiPoly, _addmul, _poly, concrete_solutions
 
 KINDS = ("trivial", "ga_x", "ga_y", "ga_xy", "ga_K", "kpsi")
 
@@ -362,47 +362,48 @@ def generic_extension(kind: str, n2: int,
 
 
 def _normalize(poly: MultiPoly) -> MultiPoly:
-    lead = min(poly.terms)
-    c = poly.terms[lead]
+    """Scale so that the coefficient of the least monomial is one."""
+    terms = poly.terms
+    c = terms[min(terms)]
     if c == poly.ctx.one():
         return poly
-    return poly * c.inverse()
+    inv = c.inverse()
+    # a nonzero coefficient times a unit is nonzero, even with zero divisors
+    return _poly(poly.ctx, {m: v * inv for m, v in terms.items()})
 
 
 def associativity_constraints(g: GenericExtension) -> list[MultiPoly]:
     """Constraint polynomials: both association orders of every basis triple.
 
     Each returned polynomial is required to vanish; the list is deduplicated
-    up to scalar multiples and ordered by first occurrence.
+    up to scalar multiples and ordered by first occurrence.  The two products
+    of a triple accumulate into one term dict per output coordinate.
     """
     dim = g.dim
-    table = g.table
-    zero = MultiPoly(g.ctx, {})
+    ctx = g.ctx
     out: list[MultiPoly] = []
     seen: set = set()
-    supports = [[tuple(m for m, p in enumerate(vec) if p.terms)
-                 for vec in row] for row in table]
+    # table entries as term dicts, restricted to their nonzero coordinates,
+    # and the same entries negated for the subtracted association order
+    sparse = [[[(m, p.terms) for m, p in enumerate(vec) if p.terms]
+               for vec in row] for row in g.table]
+    negated = [[[(m, (-p).terms) for m, p in enumerate(vec) if p.terms]
+                for vec in row] for row in g.table]
     for i in range(dim):
         for j in range(dim):
-            tij = table[i][j]
-            sup_ij = supports[i][j]
+            tij = sparse[i][j]
             for k in range(dim):
-                acc = [zero] * dim
-                for m in sup_ij:
-                    c = tij[m]
-                    row = table[m][k]
-                    for t in supports[m][k]:
-                        acc[t] = acc[t] + c * row[t]
-                tjk = table[j][k]
-                for m in supports[j][k]:
-                    c = tjk[m]
-                    row = table[i][m]
-                    for t in supports[i][m]:
-                        acc[t] = acc[t] - c * row[t]
-                for poly in acc:
-                    if not poly.terms:
+                acc: list[dict] = [{} for _ in range(dim)]
+                for m, c in tij:
+                    for t, p in sparse[m][k]:
+                        _addmul(acc[t], c, p)
+                for m, c in negated[j][k]:
+                    for t, p in sparse[i][m]:
+                        _addmul(acc[t], c, p)
+                for terms in acc:
+                    if not terms:
                         continue
-                    norm = _normalize(poly)
+                    norm = _normalize(_poly(ctx, terms))
                     key = tuple(sorted(norm.terms.items()))
                     if key not in seen:
                         seen.add(key)

@@ -25,9 +25,11 @@ from hopfexact.errors import (
     NotSemisimple,
 )
 from hopfexact.field import FieldContext, adjoin_sqrt
-from hopfexact.linalg import Mat, basis_vector, kron, tensor_vec, vadd, vscale
+from hopfexact.linalg import (Mat, basis_vector, kernel, kron, tensor_vec, vadd,
+                              vscale)
 from hopfexact.morita import (
     RightComodModule,
+    _colinear_system,
     check_module_comodule,
     colinear_iso_search,
     colinear_maps,
@@ -297,6 +299,35 @@ def test_ga_x_and_ga_y_have_no_colinear_maps_at_all():
     maps = colinear_maps(CATALOG["ga_x"], CATALOG["ga_y"])
     # gradings sit over different grouplikes, so only the unit lines match
     assert len(maps) == 1
+
+
+def _kron_colinear_system(a, b) -> Mat:
+    """kron(lambda_b, I) minus the blocks of lambda_a, entry by entry."""
+    ctx = a.ctx
+    na, nb, nh = a.dim, b.dim, a.hopf.dim
+    lhs = kron(b.coaction, Mat.identity(ctx, na))
+    rows = []
+    for h in range(nh):
+        for m in range(nb):
+            for j in range(na):
+                r = (h * nb + m) * na + j
+                rhs = [ctx.zero()] * (nb * na)
+                for k in range(na):
+                    rhs[m * na + k] = a.coaction[h * na + k, j]
+                rows.append([lhs[r, c] - rhs[c] for c in range(nb * na)])
+    return Mat(ctx, rows)
+
+
+@pytest.mark.parametrize("src,dst", [("kp", "kp"), ("ga_k", "kpsi"),
+                                     ("ga_x", "ga_y"), ("a_i_xy", "ga_k")])
+def test_colinear_system_matches_the_kron_formulation(src, dst):
+    a, b = CATALOG[src], CATALOG[dst]
+    reference = _kron_colinear_system(a, b)
+    assert _colinear_system(a, b) == reference
+    want = [Mat.unvec(QI, t, b.dim, a.dim) for t in kernel(reference)]
+    maps = colinear_maps(a, b)
+    assert maps == want
+    assert maps and all(_is_colinear(a, b, t) for t in maps)
 
 
 def test_cohomologous_cocycles_give_isomorphic_twists():

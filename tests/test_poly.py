@@ -1,7 +1,10 @@
+from fractions import Fraction
+import random
+
 import pytest
 
 from hopfexact.errors import HopfExactError
-from hopfexact.field import FieldContext
+from hopfexact.field import FieldContext, adjoin_sqrt
 from hopfexact.poly import MultiPoly, concrete_solutions
 
 Q = FieldContext(1)
@@ -65,3 +68,125 @@ def test_underdetermined_systems_are_refused():
     x, y = _xy(Q)
     with pytest.raises(HopfExactError):
         concrete_solutions([x * y - 1], Q)
+
+
+# -- differential test of the fused arithmetic against a naive reference -------
+
+QS4 = adjoin_sqrt(Q, 4)     # s^2 = 4: (2 + s) * (2 - s) == 0
+_NAMES = ("x", "y", "z")
+
+
+def _ref_mono_mul(m1, m2):
+    d = dict(m1)
+    for v, e in m2:
+        d[v] = d.get(v, 0) + e
+    return tuple(sorted(d.items()))
+
+
+def _ref_nonzero(terms):
+    return {m: c for m, c in terms.items() if not c.is_zero()}
+
+
+def _ref_add(a, b, sign, zero):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, zero) + (c if sign > 0 else -c)
+    return _ref_nonzero(out)
+
+
+def _ref_mul(a, b, zero):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = _ref_mono_mul(m1, m2)
+            out[m] = out.get(m, zero) + c1 * c2
+    return _ref_nonzero(out)
+
+
+def _ref_pow(a, k, ctx):
+    out = {(): ctx.one()}
+    for _ in range(k):
+        out = _ref_mul(out, a, ctx.zero())
+    return out
+
+
+def _ref_substitute(a, assignment, ctx):
+    out = {}
+    for mono, c in a.items():
+        term = {(): c}
+        for v, e in mono:
+            value = assignment.get(v)
+            if value is None:
+                factor = {((v, e),): ctx.one()}
+            elif isinstance(value, MultiPoly):
+                factor = _ref_pow(value.terms, e, ctx)
+            else:
+                factor = _ref_nonzero({(): value ** e})
+            term = _ref_mul(term, factor, ctx.zero())
+        out = _ref_add(out, term, 1, ctx.zero())
+    return out
+
+
+def _coefficient_pool(ctx):
+    pool = [ctx.zero(), ctx.one(), -ctx.one(), ctx.scalar(Fraction(-3, 2)),
+            ctx.scalar(7)]
+    if ctx.order % 4 == 0:
+        i = ctx.i()
+        pool += [i, 1 - i, i * Fraction(2, 5)]
+    if ctx.has_layer:
+        s = ctx.sqrt_symbol()
+        pool += [s, 2 + s, 2 - s, (2 - s) * Fraction(1, 3)]
+    return pool
+
+
+def _random_poly(ctx, rng, pool):
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        mono = tuple((v, e) for v in _NAMES if (e := rng.randint(0, 2)))
+        terms[mono] = rng.choice(pool)
+    return MultiPoly(ctx, terms)
+
+
+def _assert_no_zero(p):
+    assert all(not c.is_zero() for c in p.terms.values())
+
+
+@pytest.mark.parametrize("ctx,seed", [(Q, 5101), (QI, 5102), (QS4, 5103)],
+                         ids=["Q", "Q(i)", "Q[s^2=4]"])
+def test_arithmetic_matches_naive_reference(ctx, seed):
+    rng = random.Random(seed)
+    pool = _coefficient_pool(ctx)
+    zero = ctx.zero()
+    for _ in range(150):
+        p, q = _random_poly(ctx, rng, pool), _random_poly(ctx, rng, pool)
+        a, b = p.terms, q.terms
+        results = [
+            (p + q, _ref_add(a, b, 1, zero)),
+            (p - q, _ref_add(a, b, -1, zero)),
+            (-p, _ref_add({}, a, -1, zero)),
+            (p * q, _ref_mul(a, b, zero)),
+            (p - p, {}),
+            (p ** 3, _ref_pow(a, 3, ctx)),
+        ]
+        c = rng.choice(pool)
+        results.append((p.substitute({"x": c, "z": q}),
+                        _ref_substitute(a, {"x": c, "z": q}, ctx)))
+        results.append((p.substitute({"y": c}),
+                        _ref_substitute(a, {"y": c}, ctx)))
+        results.append((p.substitute({"x": q, "y": q - 1}),
+                        _ref_substitute(a, {"x": q, "y": q - 1}, ctx)))
+        for got, want in results:
+            _assert_no_zero(got)
+            assert got.terms == want
+
+
+def test_zero_divisor_products_are_not_stored():
+    x, y = _xy(QS4)
+    s = QS4.sqrt_symbol()
+    p = x * (2 + s) + y
+    q = x * (2 - s)
+    prod = p * q
+    assert prod.terms == {(("x", 1), ("y", 1)): 2 - s}
+    _assert_no_zero(prod)
+    assert (x * (2 + s) * q).is_zero()
+    assert (x * (2 + s)).substitute({"x": 2 - s}).is_zero()
