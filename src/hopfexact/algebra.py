@@ -111,6 +111,39 @@ class Algebra:
         return f"Algebra(dim={self.dim}, labels={list(self.labels)})"
 
 
+def mixed_tensor_product(h: Algebra, a: Algebra, u: Sequence[FieldElement],
+                         v: Sequence[FieldElement]) -> Vec:
+    """Product of two elements of H (x) A (coarse index on the H leg).
+
+    Works sparsely over the nonzero entries, so checking a coproduct or a
+    coaction for multiplicativity basis pair by basis pair stays cheap even
+    though the full matrix of the product would be (nh*na) x (nh*na)**2.
+    With ``a = h`` this is the product of the tensor square H (x) H.
+    """
+    nh, na = h.dim, a.dim
+    ctx = h.ctx
+    out = [ctx.zero()] * (nh * na)
+    for idx1, c1 in enumerate(u):
+        if c1.is_zero():
+            continue
+        h1, a1 = divmod(idx1, na)
+        for idx2, c2 in enumerate(v):
+            if c2.is_zero():
+                continue
+            h2, a2 = divmod(idx2, na)
+            c = c1 * c2
+            left = h.table[h1][h2]
+            right = a.table[a1][a2]
+            for p, lp in enumerate(left):
+                if lp.is_zero():
+                    continue
+                clp = c * lp
+                for q, rq in enumerate(right):
+                    if not rq.is_zero():
+                        out[p * na + q] = out[p * na + q] + clp * rq
+    return tuple(out)
+
+
 def check_algebra(alg: Algebra) -> list[str]:
     """Return the list of violated algebra axioms (empty means all hold).
 
@@ -160,9 +193,9 @@ def generated_operator_algebra(gens: Sequence[Mat],
                                include_identity: bool = True) -> list[Mat]:
     """Basis of the matrix algebra generated by ``gens`` (worklist closure).
 
-    The elimination is done on sparse dict rows: vecced operator matrices are
-    mostly zero and the ambient dimension n**2 gets large quickly, so dense
-    reduction would dominate everything else in the package.
+    A candidate joins the basis when it is independent of the basis so far;
+    the test is :class:`~hopfexact.linalg.RrefAccumulator` on the vecced
+    matrix, whose sparse rows keep the n**2-dimensional ambient cheap.
     """
     if not gens:
         raise DimensionMismatch("need at least one generator")
@@ -170,33 +203,14 @@ def generated_operator_algebra(gens: Sequence[Mat],
     n = gens[0].nrows
     if any(g.nrows != n or g.ncols != n or g.ctx != ctx for g in gens):
         raise DimensionMismatch("generators must be square of equal size")
-    rows: dict[int, dict[int, object]] = {}   # pivot -> normalized sparse row
-
-    def reduce_and_add(mat: Mat) -> bool:
-        d = {i: c for i, c in enumerate(mat.vec()) if not c.is_zero()}
-        while d:
-            p = min(d)
-            row = rows.get(p)
-            if row is None:
-                inv = d[p].inverse()
-                rows[p] = {k: inv * v for k, v in d.items()}
-                return True
-            c = d[p]
-            for k, rv in row.items():
-                nv = d.get(k, ctx.zero()) - c * rv
-                if nv.is_zero():
-                    d.pop(k, None)
-                else:
-                    d[k] = nv
-        return False
-
     # every word in the generators is reachable by right extensions, so
     # closing the span under right multiplication by each generator suffices
+    acc = RrefAccumulator(ctx, n * n)
     basis: list[Mat] = []
     queue: list[Mat] = ([Mat.identity(ctx, n)] if include_identity else []) + list(gens)
     while queue:
         m = queue.pop()
-        if reduce_and_add(m):
+        if acc.add(m.vec()):
             for g in gens:
                 queue.append(m @ g)
             basis.append(m)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import Algebra, check_algebra
+from .algebra import Algebra, check_algebra, mixed_tensor_product
 from .errors import (
     BadWitness,
     DimensionMismatch,
@@ -94,6 +94,22 @@ def coaction_slice(c: ComoduleLike, h_index: int) -> Mat:
     return slice_left(c.coaction, c.hopf.dim, c.dim, h_index)
 
 
+def direct_sum_coaction(nh: int, first: Mat, second: Mat) -> Mat:
+    """The block-diagonal coaction on V (+) W, given the coaction matrices
+    of V and W over a Hopf algebra of dimension ``nh``."""
+    ctx = first.ctx
+    n, m = first.ncols, second.ncols
+    cols = []
+    for coaction, dim, offset in ((first, n, 0), (second, m, n)):
+        for j in range(dim):
+            col = [ctx.zero()] * (nh * (n + m))
+            for idx, c in enumerate(coaction.col(j)):
+                hh, k = divmod(idx, dim)
+                col[hh * (n + m) + offset + k] = c
+            cols.append(tuple(col))
+    return Mat.from_columns(ctx, cols)
+
+
 def check_comodule(c: ComoduleLike) -> list[str]:
     problems = []
     h = c.hopf
@@ -130,33 +146,6 @@ def check_comodule(c: ComoduleLike) -> list[str]:
     if not counit_ok:
         problems.append("coaction fails the counit law")
     return problems
-
-
-def mixed_tensor_product(h: Algebra, a: Algebra, u: Sequence[FieldElement],
-                         v: Sequence[FieldElement]) -> Vec:
-    """Product of two elements of H (x) A (coarse index on the H leg)."""
-    nh, na = h.dim, a.dim
-    ctx = h.ctx
-    out = [ctx.zero()] * (nh * na)
-    for idx1, c1 in enumerate(u):
-        if c1.is_zero():
-            continue
-        h1, a1 = divmod(idx1, na)
-        for idx2, c2 in enumerate(v):
-            if c2.is_zero():
-                continue
-            h2, a2 = divmod(idx2, na)
-            c = c1 * c2
-            left = h.table[h1][h2]
-            right = a.table[a1][a2]
-            for p, lp in enumerate(left):
-                if lp.is_zero():
-                    continue
-                clp = c * lp
-                for q, rq in enumerate(right):
-                    if not rq.is_zero():
-                        out[p * na + q] = out[p * na + q] + clp * rq
-    return tuple(out)
 
 
 def check_comodule_algebra(a: ComoduleAlgebra) -> list[str]:

@@ -24,7 +24,8 @@ from .algebra import Algebra, direct_sum, is_algebra_morphism
 from .comodule import (ComoduleAlgebra, _subalgebra_on_basis,
                        check_comodule_algebra, coideal_generated,
                        comodule_algebra_from_subspace,
-                       degree_zero_projection, kappa_map, loewy_filtration)
+                       degree_zero_projection, direct_sum_coaction,
+                       kappa_map, loewy_filtration)
 from .errors import (DimensionMismatch, GammaNotPrimitiveFourthRoot,
                      HopfExactError, NotACocycle, NotModuleAlgebra,
                      SingularAntipode)
@@ -233,6 +234,22 @@ def build_twisted_group_algebra(psi: Optional[Mapping[tuple[int, int], Scalar]]
                            _graded_coaction(h, 4, lambda j: j))
 
 
+def kp_corep_columns(h: Hopf, v: Vec, w: Vec) -> tuple[Vec, Vec]:
+    """The coaction columns of v and w when they span a copy of the
+    two-dimensional simple corepresentation of kp:
+
+        2 v -> (z + zx) (x) v + (z - zx) (x) w,
+        2 w -> (zy - zxy) (x) v + (zy + zxy) (x) w.
+    """
+    half = h.ctx.scalar(Fraction(1, 2))
+    hz = [h.basis_element(lab) for lab in ("z", "zx", "zy", "zxy")]
+    col_v = vscale(half, vadd(tensor_vec(vadd(hz[0], hz[1]), v),
+                              tensor_vec(vsub(hz[0], hz[1]), w)))
+    col_w = vscale(half, vadd(tensor_vec(vsub(hz[2], hz[3]), v),
+                              tensor_vec(vadd(hz[2], hz[3]), w)))
+    return col_v, col_w
+
+
 def build_a_xy_gamma(gamma: Union[Scalar, FieldElement],
                      ctx: Optional[FieldContext] = None) -> ComoduleAlgebra:
     """The four-dimensional comodule algebra with basis {1, exy, v, w}.
@@ -262,17 +279,10 @@ def build_a_xy_gamma(gamma: Union[Scalar, FieldElement],
         [v, gw, one_plus, one_minus],
         [w, mgv, one_minus, vscale(ctx.scalar(-1), one_plus)],
     ]
-    half = ctx.scalar(Fraction(1, 2))
-    hz = [h.basis_element(lab) for lab in ("z", "zx", "zy", "zxy")]
-    col_v = vscale(half, vadd(tensor_vec(vadd(hz[0], hz[1]), v),
-                              tensor_vec(vsub(hz[0], hz[1]), w)))
-    col_w = vscale(half, vadd(tensor_vec(vsub(hz[2], hz[3]), v),
-                              tensor_vec(vadd(hz[2], hz[3]), w)))
     coaction = Mat.from_columns(ctx, [
         tensor_vec(h.unit, one),
         tensor_vec(h.basis_element("xy"), exy),
-        col_v,
-        col_w,
+        *kp_corep_columns(h, v, w),
     ])
     return ComoduleAlgebra(h, ("1", "exy", "v", "w"), one, table, coaction)
 
@@ -315,26 +325,12 @@ def comodule_direct_sum(a: ComoduleAlgebra, b: ComoduleAlgebra
     if a.hopf is not b.hopf and a.hopf.table != b.hopf.table:
         raise DimensionMismatch("summands live over different Hopf algebras")
     plain = direct_sum(a, b)
-    h = a.hopf
-    ctx = a.ctx
-    n, m = a.dim, b.dim
-    cols = []
-    for j in range(n):
-        col = [ctx.zero()] * (h.dim * (n + m))
-        for idx, c in enumerate(a.coaction.col(j)):
-            hh, k = divmod(idx, n)
-            col[hh * (n + m) + k] = c
-        cols.append(tuple(col))
-    for j in range(m):
-        col = [ctx.zero()] * (h.dim * (n + m))
-        for idx, c in enumerate(b.coaction.col(j)):
-            hh, k = divmod(idx, m)
-            col[hh * (n + m) + n + k] = c
-        cols.append(tuple(col))
-    return ComoduleAlgebra(h, plain.labels, plain.unit,
-                           [[plain.table[i][j] for j in range(n + m)]
-                            for i in range(n + m)],
-                           Mat.from_columns(ctx, cols))
+    n = a.dim + b.dim
+    return ComoduleAlgebra(a.hopf, plain.labels, plain.unit,
+                           [[plain.table[i][j] for j in range(n)]
+                            for i in range(n)],
+                           direct_sum_coaction(a.hopf.dim, a.coaction,
+                                               b.coaction))
 
 
 def build_bimodule_V(target: str, ctx: Optional[FieldContext] = None
@@ -368,13 +364,7 @@ def build_bimodule_V(target: str, ctx: Optional[FieldContext] = None
     # R(ey) after R(ex)
     action = [ident, rx, ry, ry @ rx] if target == "kpsi" else [ident, rx]
     v, w = basis_vector(ctx, 2, 0), basis_vector(ctx, 2, 1)
-    half = ctx.scalar(Fraction(1, 2))
-    hz = [h.basis_element(lab) for lab in ("z", "zx", "zy", "zxy")]
-    col_v = vscale(half, vadd(tensor_vec(vadd(hz[0], hz[1]), v),
-                              tensor_vec(vsub(hz[0], hz[1]), w)))
-    col_w = vscale(half, vadd(tensor_vec(vsub(hz[2], hz[3]), v),
-                              tensor_vec(vadd(hz[2], hz[3]), w)))
-    coaction = Mat.from_columns(ctx, [col_v, col_w])
+    coaction = Mat.from_columns(ctx, kp_corep_columns(h, v, w))
     return RightComodModule(b, 2, coaction, action)
 
 
@@ -720,46 +710,55 @@ def bosonize(inp: SmashInput) -> Hopf:
     return _bosonize_unchecked(inp)
 
 
-def _bosonize_unchecked(inp: SmashInput) -> Hopf:
+def _twisted_product(inp: SmashInput, a: Algebra, a_coaction: Mat
+                     ) -> tuple[list[str], Vec, list[list[Vec]], Mat]:
+    """Labels, unit, product table and coaction of B (x) A for an algebra A
+    with a left H0-coaction ``a_coaction``.
+
+    The product twists through the action of H0 on B,
+    ``(b # a)(b' # a') = b (a(-1) |> b') # a(0) a'``, and the coaction on
+    B (x) A lands in the bosonization B (x) H0.  With A = H0 coacting on
+    itself by its coproduct this is the bosonization's own product and
+    coproduct; with A = A0 it is the smash product."""
     h0, b = inp.hopf0, inp.algebra
     ctx = b.ctx
-    n0, nb = h0.dim, b.dim
-    n = nb * n0
-    labels = [_join_labels(b.labels[i], h0.labels[j])
-              for i in range(nb) for j in range(n0)]
-    unit = tensor_vec(b.unit, h0.unit)
+    n0, nb, na = h0.dim, b.dim, a.dim
+    n = nb * na
+    labels = [_join_labels(b.labels[i], a.labels[k])
+              for i in range(nb) for k in range(na)]
+    unit = tensor_vec(b.unit, a.unit)
     table: list[list[Vec]] = []
     for i in range(nb):
-        for j in range(n0):
+        for k in range(na):
             row = []
             for p in range(nb):
-                for q in range(n0):
+                for q in range(na):
                     out = [ctx.zero()] * n
-                    for idx in range(n0 * n0):
-                        c0 = h0.comult[idx, j]
-                        if c0.is_zero():
+                    for idx in range(n0 * na):
+                        c = a_coaction[idx, k]
+                        if c.is_zero():
                             continue
-                        g1, g2 = divmod(idx, n0)
+                        g, m = divmod(idx, na)
                         left = b.multiply(basis_vector(ctx, nb, i),
-                                          inp.action[g1].col(p))
-                        right = h0.table[g2][q]
-                        for a, ca in enumerate(left):
-                            if ca.is_zero():
+                                          inp.action[g].col(p))
+                        right = a.table[m][q]
+                        for r, cr in enumerate(left):
+                            if cr.is_zero():
                                 continue
-                            w = c0 * ca
-                            for hh, hc in enumerate(right):
-                                if not hc.is_zero():
-                                    out[a * n0 + hh] = (out[a * n0 + hh]
-                                                        + w * hc)
+                            w = c * cr
+                            for aa, cb in enumerate(right):
+                                if not cb.is_zero():
+                                    out[r * na + aa] = (out[r * na + aa]
+                                                        + w * cb)
                     row.append(tuple(out))
             table.append(row)
 
     delta_b = _primitive_coproduct(inp)
-    eps_b = _graded_counit(b, inp.grading)
+    nh = nb * n0
     cols = []
     for i in range(nb):
-        for j in range(n0):
-            out = [ctx.zero()] * (n * n)
+        for k in range(na):
+            out = [ctx.zero()] * (nh * n)
             for idx_d in range(nb * nb):
                 cd = delta_b[idx_d, i]
                 if cd.is_zero():
@@ -770,24 +769,32 @@ def _bosonize_unchecked(inp: SmashInput) -> Hopf:
                     if cc.is_zero():
                         continue
                     f, k2 = divmod(idx_c, nb)
-                    for idx_0 in range(n0 * n0):
-                        c0 = h0.comult[idx_0, j]
-                        if c0.is_zero():
+                    for idx_a in range(n0 * na):
+                        ca = a_coaction[idx_a, k]
+                        if ca.is_zero():
                             continue
-                        g1, g2 = divmod(idx_0, n0)
-                        hvec = h0.table[f][g1]
-                        w = cd * cc * c0
-                        second = k2 * n0 + g2
+                        g, m = divmod(idx_a, na)
+                        hvec = h0.table[f][g]
+                        w = cd * cc * ca
+                        second = k2 * na + m
                         for hh, hc in enumerate(hvec):
                             if not hc.is_zero():
                                 first = r * n0 + hh
                                 out[first * n + second] = (
                                     out[first * n + second] + w * hc)
             cols.append(tuple(out))
-    comult = Mat.from_columns(ctx, cols)
+    return labels, unit, table, Mat.from_columns(ctx, cols)
+
+
+def _bosonize_unchecked(inp: SmashInput) -> Hopf:
+    h0, b = inp.hopf0, inp.algebra
+    ctx = b.ctx
+    n0, nb = h0.dim, b.dim
+    labels, unit, table, comult = _twisted_product(inp, h0, h0.comult)
+    eps_b = _graded_counit(b, inp.grading)
     counit = tuple(eps_b[i] * h0.counit[j]
                    for i in range(nb) for j in range(n0))
-    antipode = _solve_antipode(ctx, n, unit, table, comult, counit)
+    antipode = _solve_antipode(ctx, nb * n0, unit, table, comult, counit)
     out = Hopf(ctx, labels, unit, table, comult, counit, antipode)
     problems = check_hopf(out)
     if problems:
@@ -810,70 +817,10 @@ def smash_product(inp: SmashInput) -> SmashResult:
     diagonal coaction, graded by B-degree, over the bosonization of B."""
     _require_smash_input(inp)
     hopf = _bosonize_unchecked(inp)
-    h0, b, a0 = inp.hopf0, inp.algebra, inp.a0
+    b, a0 = inp.algebra, inp.a0
     ctx = b.ctx
-    n0, nb, na = h0.dim, b.dim, a0.dim
-    n = nb * na
-    labels = [_join_labels(b.labels[i], a0.labels[k])
-              for i in range(nb) for k in range(na)]
-    unit = tensor_vec(b.unit, a0.unit)
-    table: list[list[Vec]] = []
-    for i in range(nb):
-        for k in range(na):
-            row = []
-            for p in range(nb):
-                for q in range(na):
-                    out = [ctx.zero()] * n
-                    for idx in range(n0 * na):
-                        c = a0.coaction[idx, k]
-                        if c.is_zero():
-                            continue
-                        g, m = divmod(idx, na)
-                        left = b.multiply(basis_vector(ctx, nb, i),
-                                          inp.action[g].col(p))
-                        right = a0.table[m][q]
-                        for a, ca in enumerate(left):
-                            if ca.is_zero():
-                                continue
-                            w = c * ca
-                            for aa, cb in enumerate(right):
-                                if not cb.is_zero():
-                                    out[a * na + aa] = (out[a * na + aa]
-                                                        + w * cb)
-                    row.append(tuple(out))
-            table.append(row)
-
-    delta_b = _primitive_coproduct(inp)
-    nh = hopf.dim
-    cols = []
-    for i in range(nb):
-        for k in range(na):
-            out = [ctx.zero()] * (nh * n)
-            for idx_d in range(nb * nb):
-                cd = delta_b[idx_d, i]
-                if cd.is_zero():
-                    continue
-                r, s = divmod(idx_d, nb)
-                for idx_c in range(n0 * nb):
-                    cc = inp.coaction[idx_c, s]
-                    if cc.is_zero():
-                        continue
-                    f, k2 = divmod(idx_c, nb)
-                    for idx_a in range(n0 * na):
-                        ca = a0.coaction[idx_a, k]
-                        if ca.is_zero():
-                            continue
-                        g, m = divmod(idx_a, na)
-                        hvec = h0.table[f][g]
-                        w = cd * cc * ca
-                        second = k2 * na + m
-                        for hh, hc in enumerate(hvec):
-                            if not hc.is_zero():
-                                first = r * n0 + hh
-                                out[first * n + second] = (
-                                    out[first * n + second] + w * hc)
-            cols.append(tuple(out))
-    coaction = Mat.from_columns(ctx, cols)
+    na = a0.dim
+    labels, unit, table, coaction = _twisted_product(inp, a0, a0.coaction)
     out = ComoduleAlgebra(hopf, labels, unit, table, coaction)
     problems = check_comodule_algebra(out)
     if problems:
@@ -883,7 +830,7 @@ def smash_product(inp: SmashInput) -> SmashResult:
     for layer in inp.grading:
         vecs = [tensor_vec(v, basis_vector(ctx, na, k))
                 for v in layer.basis() for k in range(na)]
-        grading.append(Subspace.from_vectors(ctx, n, vecs))
+        grading.append(Subspace.from_vectors(ctx, b.dim * na, vecs))
     return SmashResult(out, grading, hopf)
 
 

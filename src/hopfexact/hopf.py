@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .algebra import Algebra, check_algebra, trace_radical
+from .algebra import (Algebra, check_algebra, mixed_tensor_product,
+                      trace_radical)
 from .errors import (
     DimensionMismatch,
     FiltrationNotExhaustive,
@@ -69,37 +70,6 @@ class Hopf(Algebra):
         return f"Hopf(dim={self.dim}, labels={list(self.labels)})"
 
 
-def tensor_square_product(h: Algebra, u: Sequence[FieldElement],
-                          v: Sequence[FieldElement]) -> Vec:
-    """Product of two elements of H (x) H, written in coarse-left coordinates.
-
-    Works sparsely over the nonzero entries, so checking bialgebra axioms
-    basis pair by basis pair stays cheap even though the full matrix of the
-    tensor-square multiplication would be dim**2 x dim**4.
-    """
-    n = h.dim
-    out = [h.ctx.zero()] * (n * n)
-    for idx1, c1 in enumerate(u):
-        if c1.is_zero():
-            continue
-        h1, k1 = divmod(idx1, n)
-        for idx2, c2 in enumerate(v):
-            if c2.is_zero():
-                continue
-            h2, k2 = divmod(idx2, n)
-            c = c1 * c2
-            left = h.table[h1][h2]
-            right = h.table[k1][k2]
-            for a, la in enumerate(left):
-                if la.is_zero():
-                    continue
-                cla = c * la
-                for b, rb in enumerate(right):
-                    if not rb.is_zero():
-                        out[a * n + b] = out[a * n + b] + cla * rb
-    return tuple(out)
-
-
 # -- axiom checks -------------------------------------------------------------
 
 
@@ -152,8 +122,8 @@ def check_bialgebra_compat(h: Hopf) -> list[str]:
     for i in range(n):
         for j in range(n):
             product = h.table[i][j]
-            if h.comult.apply(product) != tensor_square_product(
-                    h, h.comult.col(i), h.comult.col(j)):
+            if h.comult.apply(product) != mixed_tensor_product(
+                    h, h, h.comult.col(i), h.comult.col(j)):
                 comult_ok = False
             if h.counit_value(product) != h.counit[i] * h.counit[j]:
                 counit_ok = False

@@ -5,11 +5,15 @@ Everything is computed by fraction-exact Gaussian elimination — no floating
 point anywhere.  Subspaces carry a canonical reduced-row-echelon basis so
 that equality of subspaces is literal equality of their stored bases.
 
-Matrices are stored dense, but the kernels (``@``, ``apply``, ``kron`` and
-elimination) skip structural zeros: a product with a zero factor is never
-formed, and a pivot row eliminates only on its nonzero columns.  Exact
-arithmetic makes the results identical to dense elimination, entry for
-entry, pivots and basis order included.
+Matrices are stored dense, and ``@``, ``apply`` and ``kron`` skip
+structural zeros: a product with a zero factor is never formed.  Elimination
+runs on sparse rows, dicts ``{column: entry}`` of the nonzero entries, with
+one helper that subtracts a multiple of a pivot row.  Two drivers share it:
+``rref``/``rank``/``kernel``/``solve``/``inverse`` eliminate a whole matrix
+column by column, taking the first remaining nonzero row as pivot, and
+:class:`RrefAccumulator` inserts one vector at a time into fully reduced rows
+keyed by pivot.  Exact arithmetic makes the results identical to dense
+elimination, entry for entry, pivots and basis order included.
 
 Conventions used throughout the package:
 
@@ -202,11 +206,6 @@ def _terms(v: Sequence[FieldElement]) -> list[tuple[int, FieldElement]]:
     return [(j, e) for j, e in enumerate(v) if not e.is_zero()]
 
 
-def _support(row: Sequence[FieldElement], start: int) -> list[int]:
-    """Positions of the nonzero entries of ``row`` from ``start`` on."""
-    return [j for j in range(start, len(row)) if not row[j].is_zero()]
-
-
 def _dot(a: Sequence[FieldElement], terms: list[tuple[int, FieldElement]],
          ctx: FieldContext) -> FieldElement:
     """``sum a[k] * y`` over the nonzero ``(k, y)`` of the other factor."""
@@ -306,29 +305,70 @@ def vstack(mats: Sequence[Mat]) -> Mat:
 
 
 # -- elimination -------------------------------------------------------------
+#
+# Every elimination below works on one sparse row format, a dict
+# {column: entry} that holds only the nonzero entries of a row, and
+# eliminates with one helper, ``_subtract_multiple``.
+
+Row = dict[int, FieldElement]
 
 
-def _rref_rows(ctx: FieldContext, rows: list[list[FieldElement]]) -> tuple[list[list[FieldElement]], list[int]]:
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
+def _sparse(v: Sequence[FieldElement]) -> Row:
+    return {j: e for j, e in enumerate(v) if not e.is_zero()}
+
+
+def _dense(ctx: FieldContext, row: Row, n: int) -> list[FieldElement]:
+    zero = ctx.zero()
+    return [row.get(j, zero) for j in range(n)]
+
+
+def _subtract_multiple(row: Row, c: FieldElement, pivot_row: Row) -> None:
+    """``row -= c * pivot_row`` in place; an entry that cancels is dropped,
+    and so is a zero product (a perfect-square layer has zero divisors)."""
+    for j, p in pivot_row.items():
+        t = c * p
+        old = row.get(j)
+        if old is None:
+            if not t.is_zero():
+                row[j] = -t
+        else:
+            new = old - t
+            if new.is_zero():
+                del row[j]
+            else:
+                row[j] = new
+
+
+def _reduce(row: Row, pivot_rows: dict[int, Row]) -> Row:
+    """Reduce ``row`` in place modulo fully reduced rows keyed by pivot.
+
+    A pivot row vanishes at every other pivot, so subtracting it leaves the
+    entries of ``row`` at the other pivots as they are, and the order of the
+    subtractions does not change the result."""
+    for p in [p for p in row if p in pivot_rows]:
+        _subtract_multiple(row, row[p], pivot_rows[p])
+    return row
+
+
+def _echelon(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
+    """Gauss-Jordan elimination of sparse rows, in place.
+
+    Columns are taken in order, and the first remaining row with a nonzero
+    entry in the column becomes its pivot row.  The returned rows are the
+    reduced rows, pivot rows first."""
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        piv = next((k for k in range(r, len(rows)) if not rows[k][c].is_zero()), None)
+        piv = next((k for k in range(r, len(rows)) if c in rows[k]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = prow[c].inverse()
-        # rows from r on vanish left of column c, so the pivot row does too
-        support = _support(prow, c)
-        for j in support:
-            prow[j] = prow[j] * inv
+        inv = rows[r][c].inverse()
+        prow = rows[r] = {j: e * inv for j, e in rows[r].items()}
         for k, row in enumerate(rows):
-            f = row[c]
-            if k != r and not f.is_zero():
-                for j in support:
-                    row[j] = row[j] - f * prow[j]
+            f = row.get(c)
+            if k != r and f is not None:
+                _subtract_multiple(row, f, prow)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -337,8 +377,9 @@ def _rref_rows(ctx: FieldContext, rows: list[list[FieldElement]]) -> tuple[list[
 
 
 def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
-    rows, pivots = _rref_rows(mat.ctx, [list(r) for r in mat.rows])
-    return Mat(mat.ctx, rows), tuple(pivots)
+    ctx, n = mat.ctx, mat.ncols
+    rows, pivots = _echelon([_sparse(r) for r in mat.rows], n)
+    return Mat(ctx, [_dense(ctx, r, n) for r in rows]), tuple(pivots)
 
 
 def rank(mat: Mat) -> int:
@@ -366,14 +407,21 @@ def solve(mat: Mat, rhs: Sequence[FieldElement]) -> Optional[Vec]:
     if len(rhs) != mat.nrows:
         raise DimensionMismatch(f"matrix has {mat.nrows} rows, rhs {len(rhs)}")
     ctx = mat.ctx
-    aug = [list(r) + [scal(ctx, b)] for r, b in zip(mat.rows, rhs)]
-    red, pivots = _rref_rows(ctx, aug)
     n = mat.ncols
+    aug = []
+    for r, b in zip(mat.rows, rhs):
+        row = _sparse(r)
+        b = scal(ctx, b)
+        if not b.is_zero():
+            row[n] = b
+        aug.append(row)
+    red, pivots = _echelon(aug, n + 1)
     if n in pivots:
         return None  # pivot in the augmented column
-    x = [ctx.zero()] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n]
+    zero = ctx.zero()
+    x = [zero] * n
+    for row, pc in zip(red, pivots):
+        x[pc] = row.get(n, zero)
     return tuple(x)
 
 
@@ -382,12 +430,17 @@ def inverse(mat: Mat) -> Mat:
         raise DimensionMismatch("only square matrices invert")
     n = mat.nrows
     ctx = mat.ctx
-    ident = Mat.identity(ctx, n)
-    aug = [list(r) + list(ident.rows[i]) for i, r in enumerate(mat.rows)]
-    red, pivots = _rref_rows(ctx, aug)
+    one = ctx.one()
+    aug = []
+    for i, r in enumerate(mat.rows):
+        row = _sparse(r)
+        row[n + i] = one
+        aug.append(row)
+    red, pivots = _echelon(aug, 2 * n)
     if len(pivots) != n or any(p >= n for p in pivots):
         raise DimensionMismatch("matrix is singular")
-    return Mat(ctx, [r[n:] for r in red])
+    zero = ctx.zero()
+    return Mat(ctx, [[r.get(n + j, zero) for j in range(n)] for r in red])
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -433,8 +486,8 @@ class Subspace:
     def contains(self, v: Sequence[FieldElement]) -> bool:
         if len(v) != self.ambient:
             raise DimensionMismatch(f"ambient {self.ambient}, vector {len(v)}")
-        r = _reduce_against(list(v), self.rows)
-        return is_zero_vec(tuple(r))
+        pivot_rows = {min(r): r for r in map(_sparse, self.rows)}
+        return not _reduce(_sparse(v), pivot_rows)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.rows)
@@ -497,64 +550,46 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-def _reduce_against(v: list[FieldElement], rows: Sequence[Vec]) -> list[FieldElement]:
-    """Reduce ``v`` modulo RREF rows (each row has a leading-one pivot)."""
-    for row in rows:
-        lead = next(j for j, e in enumerate(row) if not e.is_zero())
-        c = v[lead]
-        if not c.is_zero():
-            for j in _support(row, lead):
-                v[j] = v[j] - c * row[j]
-    return v
-
-
 class RrefAccumulator:
-    """Incrementally built RREF basis; reports whether each vector was new."""
+    """Incrementally built RREF basis; reports whether each vector was new.
+
+    The rows are kept fully reduced, as sparse rows keyed by their pivot."""
 
     def __init__(self, ctx: FieldContext, ambient: int):
         self.ctx = ctx
         self.ambient = ambient
-        self._rows: list[Vec] = []   # kept fully reduced, sorted by pivot
-        self._pivots: list[int] = []
+        self._rows: dict[int, Row] = {}
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
     def contains(self, v: Sequence[FieldElement]) -> bool:
-        return is_zero_vec(tuple(_reduce_against(list(v), self._rows)))
+        return not _reduce(_sparse(v), self._rows)
 
     def add(self, v: Sequence[FieldElement]) -> bool:
         if len(v) != self.ambient:
             raise DimensionMismatch(f"ambient {self.ambient}, vector {len(v)}")
-        red = _reduce_against(list(v), self._rows)
-        lead = next((j for j, e in enumerate(red) if not e.is_zero()), None)
-        if lead is None:
+        red = _reduce(_sparse(v), self._rows)
+        if not red:
             return False
+        lead = min(red)
         inv = red[lead].inverse()
-        support = _support(red, lead)
-        for j in support:
-            red[j] = red[j] * inv
-        newrow = tuple(red)
-        # back-substitute into the existing rows, then insert in pivot order
-        for i, row in enumerate(self._rows):
-            c = row[lead]
-            if not c.is_zero():
-                row = list(row)
-                for j in support:
-                    row[j] = row[j] - c * newrow[j]
-                self._rows[i] = tuple(row)
-        pos = next((i for i, p in enumerate(self._pivots) if p > lead),
-                   len(self._pivots))
-        self._rows.insert(pos, newrow)
-        self._pivots.insert(pos, lead)
+        new = {j: e * inv for j, e in red.items()}
+        # back-substitute into the existing rows
+        for row in self._rows.values():
+            c = row.get(lead)
+            if c is not None:
+                _subtract_multiple(row, c, new)
+        self._rows[lead] = new
         return True
 
     def basis(self) -> tuple[Vec, ...]:
-        return tuple(self._rows)
+        return tuple(tuple(_dense(self.ctx, self._rows[p], self.ambient))
+                     for p in sorted(self._rows))
 
     def subspace(self) -> Subspace:
-        return Subspace(self.ctx, self.ambient, tuple(self._rows))
+        return Subspace(self.ctx, self.ambient, self.basis())
 
 
 def spin(ctx: FieldContext, ambient: int, seeds: Iterable[Sequence[FieldElement]],

@@ -28,6 +28,7 @@ from .comodule import (
     _subalgebra_on_basis,
     check_comodule,
     check_comodule_algebra,
+    direct_sum_coaction,
     loewy_filtration,
     rebase_comodule_algebra,
 )
@@ -159,21 +160,9 @@ def module_direct_sum(u: RightComodModule, v: RightComodModule
         rows = [tuple(ru.rows[i]) + (ctx.zero(),) * m for i in range(n)]
         rows += [(ctx.zero(),) * n + tuple(rv.rows[i]) for i in range(m)]
         action.append(Mat(ctx, rows))
-    cols = []
-    for j in range(n):
-        col = [ctx.zero()] * (u.hopf.dim * (n + m))
-        for idx, c in enumerate(u.coaction.col(j)):
-            hh, k = divmod(idx, n)
-            col[hh * (n + m) + k] = c
-        cols.append(tuple(col))
-    for j in range(m):
-        col = [ctx.zero()] * (u.hopf.dim * (n + m))
-        for idx, c in enumerate(v.coaction.col(j)):
-            hh, k = divmod(idx, m)
-            col[hh * (n + m) + n + k] = c
-        cols.append(tuple(col))
-    return RightComodModule(u.algebra, n + m, Mat.from_columns(ctx, cols),
-                            action)
+    return RightComodModule(
+        u.algebra, n + m,
+        direct_sum_coaction(u.hopf.dim, u.coaction, v.coaction), action)
 
 
 def end_comodule_algebra(v: RightComodModule) -> ComoduleAlgebra:
@@ -199,20 +188,7 @@ def end_comodule_algebra(v: RightComodModule) -> ComoduleAlgebra:
     if d == 0:
         raise CoactionUnsolvable("the commutant is zero, which cannot happen "
                                  "for a unital action")
-    body = Mat.from_columns(ctx, [t.vec() for t in basis])
-    unit_coords = solve(body, ident.vec())
-    if unit_coords is None:
-        raise CoactionUnsolvable("identity is not in the computed commutant")
-    table = []
-    for t in basis:
-        row = []
-        for u in basis:
-            prod = solve(body, (t @ u).vec())
-            if prod is None:
-                raise CoactionUnsolvable("commutant is not closed under "
-                                         "composition")
-            row.append(prod)
-        table.append(row)
+    endo = _algebra_of_matrices(ctx, basis, prefix="T")
 
     s_inv = antipode_inverse(v.hopf)
     coaction_cols = []
@@ -252,8 +228,8 @@ def end_comodule_algebra(v: RightComodModule) -> ComoduleAlgebra:
                 "the endomorphism coaction is not uniquely determined")
         coaction_cols.append(sol)
     coaction = Mat.from_columns(ctx, coaction_cols)
-    labels = [f"T{i}" for i in range(d)]
-    out = ComoduleAlgebra(v.hopf, labels, unit_coords, table, coaction)
+    out = ComoduleAlgebra(v.hopf, endo.labels, endo.unit, endo.table,
+                          coaction)
     problems = check_comodule_algebra(out)
     if problems:
         raise CoactionUnsolvable(
@@ -581,11 +557,12 @@ def colinear_iso_search(a: ComoduleAlgebra, b: ComoduleAlgebra
     # the nonzero structure constants of b, per pair of basis elements
     b_table = [[[(m, c) for m, c in enumerate(b.table[p][q]) if not c.is_zero()]
                 for q in range(n)] for p in range(n)]
+    # the image of basis vector j is column j of the symbolic map; these
+    # term dicts are shared and only read
+    images = [[row[j] for row in symbolic] for j in range(n)]
     eqs = []
-    for i in range(n):
-        ti = apply_symbolic(a.basis_element(i))
-        for j in range(n):
-            tj = apply_symbolic(a.basis_element(j))
+    for i, ti in enumerate(images):
+        for j, tj in enumerate(images):
             lhs = apply_symbolic(a.table[i][j])
             # product of the two symbolic images inside b
             rhs: list[dict] = [{} for _ in range(n)]

@@ -35,11 +35,12 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .comodule import ComoduleAlgebra, check_comodule_algebra
 from .constructions import (PSI_STANDARD, build_kp,
-                            build_regular_comodule_algebra, catalog)
+                            build_regular_comodule_algebra, catalog,
+                            kp_corep_columns)
 from .errors import HopfExactError, InvalidKind, NonlinearResidue
 from .exactness import check_exactness
 from .field import FieldContext, FieldElement
-from .linalg import Mat, basis_vector, tensor_vec, vadd, vscale, vsub
+from .linalg import Mat, basis_vector, tensor_vec
 from .morita import colinear_iso_search
 from .poly import MultiPoly, _addmul, _poly, concrete_solutions
 
@@ -152,21 +153,11 @@ def _specialize(self: GenericExtension, values: Mapping) -> ComoduleAlgebra:
     for pos, mask in enumerate(masks):
         cols.append(tensor_vec(h.basis_element(_MASK_GROUPLIKE[mask]),
                                basis_vector(ctx, dim, pos)))
-    half = ctx.scalar(Fraction(1, 2))
-    hz = [h.basis_element(lab) for lab in ("z", "zx", "zy", "zxy")]
-    block_cols: list[tuple[int, object]] = []
-    for i in range(1, self.n2 + 1):
-        v = basis_vector(ctx, dim, self.v_index(i))
-        w = basis_vector(ctx, dim, self.w_index(i))
-        col_v = vscale(half, vadd(tensor_vec(vadd(hz[0], hz[1]), v),
-                                  tensor_vec(vsub(hz[0], hz[1]), w)))
-        col_w = vscale(half, vadd(tensor_vec(vsub(hz[2], hz[3]), v),
-                                  tensor_vec(vadd(hz[2], hz[3]), w)))
-        block_cols.append((self.v_index(i), col_v))
-        block_cols.append((self.w_index(i), col_w))
     all_cols = list(cols) + [None] * (2 * self.n2)
-    for idx, col in block_cols:
-        all_cols[idx] = col
+    for i in range(1, self.n2 + 1):
+        vi, wi = self.v_index(i), self.w_index(i)
+        all_cols[vi], all_cols[wi] = kp_corep_columns(
+            h, basis_vector(ctx, dim, vi), basis_vector(ctx, dim, wi))
     coaction = Mat.from_columns(ctx, all_cols)
     return ComoduleAlgebra(h, self.labels, unit, table, coaction)
 

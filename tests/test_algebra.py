@@ -1,5 +1,9 @@
 """Structure-constant algebras: axioms, radical, closures, morphisms."""
 
+import random
+
+import pytest
+
 from hopfexact.algebra import (
     Algebra,
     check_algebra,
@@ -11,10 +15,12 @@ from hopfexact.algebra import (
     trace,
     trace_radical,
 )
+from hopfexact.constructions import build_kp
 from hopfexact.field import FieldContext
 from hopfexact.linalg import Mat, Subspace
 
 Q = FieldContext(1)
+QI = FieldContext(4)
 
 
 def dual_numbers():
@@ -87,6 +93,61 @@ def test_generated_operator_algebra_fills_mat2():
     for a in basis:
         for b in basis:
             assert span.contains((a @ b).vec())
+
+
+def _extends(echelon, v) -> bool:
+    """Dense independence test: reduce ``v`` by the stored rows on every
+    entry (each row vanishes at the pivots of the rows before it), and store
+    it when something is left."""
+    v = list(v)
+    for c, row in echelon:
+        if not v[c].is_zero():
+            f = v[c] * row[c].inverse()
+            v = [a - f * b for a, b in zip(v, row)]
+    lead = next((c for c, e in enumerate(v) if not e.is_zero()), None)
+    if lead is None:
+        return False
+    echelon.append((lead, v))
+    return True
+
+
+def _reference_closure(gens, include_identity):
+    """The same worklist closure, deciding independence densely."""
+    ctx, n = gens[0].ctx, gens[0].nrows
+    basis, echelon = [], []
+    queue = ([Mat.identity(ctx, n)] if include_identity else []) + list(gens)
+    while queue:
+        m = queue.pop()
+        if _extends(echelon, m.vec()):
+            queue += [m @ g for g in gens]
+            basis.append(m)
+    return basis
+
+
+def _seeded_generators(seed, ctx):
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    values = [0, 0, 0, 1, -1, 2, ctx.i() if ctx.dim > 1 else 3]
+    return [Mat(ctx, [[rng.choice(values) for _ in range(n)]
+                      for _ in range(n)])
+            for _ in range(rng.randint(1, 3))]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("ctx", [Q, QI], ids=["Q", "Q(i)"])
+def test_generated_operator_algebra_matches_dense_closure(ctx, seed):
+    gens = _seeded_generators(seed, ctx)
+    for include_identity in (True, False):
+        assert (generated_operator_algebra(gens, include_identity)
+                == _reference_closure(gens, include_identity))
+
+
+def test_generated_operator_algebra_of_kp_regular_action():
+    kp = build_kp()
+    gens = [kp.left_mult(kp.basis_element(i)) for i in range(kp.dim)]
+    basis = generated_operator_algebra(gens)
+    assert basis == _reference_closure(gens, True)
+    assert len(basis) == kp.dim
 
 
 def test_direct_sum_blocks():

@@ -345,6 +345,11 @@ def test_kernels_match_dense_reference(ctx):
             space = Subspace.from_vectors(ctx, n, rows)
             assert _exact(space.basis()) == _exact(nonzero)
             assert all(space.contains(r) for r in rows)
+            # each row is new exactly when it raises the reference rank
+            ranks = [0] + [len(_ref_rref(rows[:k + 1])[1]) for k in range(m)]
+            acc = RrefAccumulator(ctx, n)
+            for k, r in enumerate(rows):
+                assert acc.add(r) == (ranks[k + 1] > ranks[k])
 
 
 def test_empty_inner_dimension_is_refused():
@@ -352,3 +357,19 @@ def test_empty_inner_dimension_is_refused():
         Mat(Q, [[], []]).apply(())
     with pytest.raises(DimensionMismatch):
         M(Q, [[1, 2]]) @ M(Q, [[1, 2]])
+
+
+def test_zero_divisor_product_leaves_no_entry():
+    # (2 - s)(2 + s) == 0: eliminating column 0 leaves row 1 zero, so column
+    # 1 has no pivot; a stored zero entry would be taken as one and inverted
+    s = QS4.sqrt_symbol()
+    two = QS4.scalar(2)
+    rows = [[QS4.one(), two + s], [two - s, QS4.zero()]]
+
+    def ref_rref():
+        red, pivots = _ref_rref(rows)
+        return Mat(QS4, red), tuple(pivots)
+
+    _same_or_same_error(lambda: rref(Mat(QS4, rows)), ref_rref)
+    acc = RrefAccumulator(QS4, 2)
+    assert acc.add(rows[0]) and not acc.add(rows[1])
