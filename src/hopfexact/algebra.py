@@ -2,8 +2,18 @@
 
 An :class:`Algebra` is a labelled basis, a unit vector, and the full
 multiplication table ``table[i][j] = e_i * e_j`` (each entry a coordinate
-vector).  Axioms are checked as literal matrix identities, so a verdict of
-"associative" is a proof over the coefficient field, not a sample.
+vector).  The table is immutable, so the algebra also keeps it once in
+sparse form: ``terms[i][j]`` holds the nonzero ``(k, c)`` of ``e_i * e_j``,
+and :meth:`Algebra.multiply` reads only those.  Axioms are checked exactly
+on every basis pair or triple, so a verdict of "associative" is a proof over
+the coefficient field, not a sample.
+
+Products of tensors go through one kernel, :func:`tensor_product`: a tensor
+with two legs multiplies leg by leg when each leg has its own sparse product
+table, ``(a (x) b)(c (x) d) = left[a][c] (x) right[b][d]``.  The product of
+H (x) A, the multiplicativity of a coproduct or coaction, the colinearity of
+a module action and the twisted products of bosonization and smash product
+are all this one contraction with different tables.
 """
 
 from __future__ import annotations
@@ -18,11 +28,17 @@ from .linalg import (
     Scalar,
     Subspace,
     Vec,
+    _terms,
     basis_vector,
     kernel,
     kron,
     vzero,
 )
+
+#: the nonzero ``(k, c)`` of a coordinate vector, in index order
+Terms = tuple[tuple[int, FieldElement], ...]
+#: ``table[a][c]``: the terms of the product of basis vectors ``a`` and ``c``
+Table = tuple[tuple[Terms, ...], ...]
 
 
 class Algebra:
@@ -41,6 +57,8 @@ class Algebra:
         self.unit: Vec = tuple(scal(ctx, c) for c in unit)
         self.table: tuple[tuple[Vec, ...], ...] = tuple(
             tuple(self._as_vec(entry) for entry in row) for row in table)
+        self.terms: Table = tuple(tuple(tuple(_terms(entry)) for entry in row)
+                                  for row in self.table)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._mult_matrix: Optional[Mat] = None
 
@@ -76,20 +94,22 @@ class Algebra:
         return vzero(self.ctx, self.dim)
 
     def multiply(self, x: Sequence[FieldElement], y: Sequence[FieldElement]) -> Vec:
-        out = list(self.zero())
+        acc: list[Optional[FieldElement]] = [None] * self.dim
+        y_terms = _terms(y)
         for i, xi in enumerate(x):
             if xi.is_zero():
                 continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if yj.is_zero():
+            row = self.terms[i]
+            for j, yj in y_terms:
+                entry = row[j]
+                if not entry:
                     continue
                 c = xi * yj
-                entry = row[j]
-                for k in range(self.dim):
-                    if not entry[k].is_zero():
-                        out[k] = out[k] + c * entry[k]
-        return tuple(out)
+                for k, e in entry:
+                    t = c * e
+                    acc[k] = t if acc[k] is None else acc[k] + t
+        zero = self.ctx.zero()
+        return tuple(zero if e is None else e for e in acc)
 
     def mult_matrix(self) -> Mat:
         """Multiplication as a ``dim x dim**2`` matrix on ``x (x) y``."""
@@ -111,37 +131,59 @@ class Algebra:
         return f"Algebra(dim={self.dim}, labels={list(self.labels)})"
 
 
+def tensor_product(left: Table, right: Table, u: Sequence[FieldElement],
+                   v: Sequence[FieldElement], shape: tuple[int, int]) -> Vec:
+    """Product of two tensors of two legs, each leg by its own table.
+
+    ``(a (x) b)(c (x) d) = left[a][c] (x) right[b][d]``, extended bilinearly,
+    with the left leg on the coarse index of ``u``, ``v`` and the result.
+    ``u`` has ``len(left) * len(right)`` coordinates and ``v`` has
+    ``len(left[0]) * len(right[0])``; the result has ``shape[0] * shape[1]``,
+    its legs indexed by the ``k`` of the left table terms and the ``l`` of
+    the right ones.  Only nonzero coordinates and table terms are visited.
+    """
+    nu, nv = len(right), len(right[0])
+    if len(u) != len(left) * nu or len(v) != len(left[0]) * nv:
+        raise DimensionMismatch(
+            f"tensors of {len(u)} and {len(v)} coordinates do not fit tables "
+            f"of {len(left)}x{len(left[0])} and {nu}x{nv} basis pairs")
+    out_right = shape[1]
+    acc: list[Optional[FieldElement]] = [None] * (shape[0] * out_right)
+    v_terms = [(divmod(j, nv), y) for j, y in _terms(v)]
+    for i, x in _terms(u):
+        a, b = divmod(i, nu)
+        left_row, right_row = left[a], right[b]
+        for (c, d), y in v_terms:
+            lt, rt = left_row[c], right_row[d]
+            if not lt or not rt:
+                continue
+            xy = x * y
+            for k, p in lt:
+                w = xy * p
+                base = k * out_right
+                for l, q in rt:
+                    t = w * q
+                    idx = base + l
+                    acc[idx] = t if acc[idx] is None else acc[idx] + t
+    zero = u[0].ctx.zero()
+    return tuple(zero if e is None else e for e in acc)
+
+
 def mixed_tensor_product(h: Algebra, a: Algebra, u: Sequence[FieldElement],
                          v: Sequence[FieldElement]) -> Vec:
-    """Product of two elements of H (x) A (coarse index on the H leg).
+    """Product of two elements of H (x) A (coarse index on the H leg); with
+    ``a = h`` this is the product of the tensor square H (x) H."""
+    return tensor_product(h.terms, a.terms, u, v, (h.dim, a.dim))
 
-    Works sparsely over the nonzero entries, so checking a coproduct or a
-    coaction for multiplicativity basis pair by basis pair stays cheap even
-    though the full matrix of the product would be (nh*na) x (nh*na)**2.
-    With ``a = h`` this is the product of the tensor square H (x) H.
-    """
-    nh, na = h.dim, a.dim
-    ctx = h.ctx
-    out = [ctx.zero()] * (nh * na)
-    for idx1, c1 in enumerate(u):
-        if c1.is_zero():
-            continue
-        h1, a1 = divmod(idx1, na)
-        for idx2, c2 in enumerate(v):
-            if c2.is_zero():
-                continue
-            h2, a2 = divmod(idx2, na)
-            c = c1 * c2
-            left = h.table[h1][h2]
-            right = a.table[a1][a2]
-            for p, lp in enumerate(left):
-                if lp.is_zero():
-                    continue
-                clp = c * lp
-                for q, rq in enumerate(right):
-                    if not rq.is_zero():
-                        out[p * na + q] = out[p * na + q] + clp * rq
-    return tuple(out)
+
+def multiplicative_into_tensor(phi: Mat, a: Algebra, h: Algebra,
+                               b: Algebra) -> bool:
+    """Whether ``phi: A -> H (x) B`` sends the product of every pair of basis
+    vectors of A to the product of their images, which by bilinearity
+    makes it multiplicative."""
+    images = [phi.col(j) for j in range(a.dim)]
+    return all(phi.apply(a.table[i][j]) == mixed_tensor_product(h, b, x, y)
+               for i, x in enumerate(images) for j, y in enumerate(images))
 
 
 def check_algebra(alg: Algebra) -> list[str]:

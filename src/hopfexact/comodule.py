@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import Algebra, check_algebra, mixed_tensor_product
+# mixed_tensor_product is re-exported for callers that import it from here
+from .algebra import (Algebra, check_algebra, mixed_tensor_product,  # noqa: F401
+                      multiplicative_into_tensor)
 from .errors import (
     BadWitness,
     DimensionMismatch,
@@ -27,7 +29,7 @@ from .errors import (
     NotOverKp,
 )
 from .field import FieldContext, FieldElement, sqrt_in_context
-from .hopf import Hopf, coradical_filtration, rebase_hopf
+from .hopf import Hopf, coaction_laws, coradical_filtration, rebase_hopf
 from .linalg import (
     Mat,
     Scalar,
@@ -112,35 +114,7 @@ def direct_sum_coaction(nh: int, first: Mat, second: Mat) -> Mat:
 
 def check_comodule(c: ComoduleLike) -> list[str]:
     problems = []
-    h = c.hopf
-    nh, nv = h.dim, c.dim
-    ctx = h.ctx
-    coassoc_ok = True
-    counit_ok = True
-    for j in range(nv):
-        col = c.coaction.col(j)
-        lhs = {}
-        rhs = {}
-        eps_applied = [ctx.zero()] * nv
-        for idx, coef in enumerate(col):
-            if coef.is_zero():
-                continue
-            a, k = divmod(idx, nv)
-            for idx2, c2 in enumerate(h.comult.col(a)):
-                if not c2.is_zero():
-                    key = idx2 * nv + k
-                    lhs[key] = lhs.get(key, ctx.zero()) + coef * c2
-            for idx2, c2 in enumerate(c.coaction.col(k)):
-                if not c2.is_zero():
-                    b, m = divmod(idx2, nv)
-                    key = (a * nh + b) * nv + m
-                    rhs[key] = rhs.get(key, ctx.zero()) + coef * c2
-            eps_applied[k] = eps_applied[k] + coef * h.counit[a]
-        keys = set(lhs) | set(rhs)
-        if any(lhs.get(k, ctx.zero()) != rhs.get(k, ctx.zero()) for k in keys):
-            coassoc_ok = False
-        if tuple(eps_applied) != basis_vector(ctx, nv, j):
-            counit_ok = False
+    coassoc_ok, counit_ok = coaction_laws(c.hopf, c.dim, c.coaction)
     if not coassoc_ok:
         problems.append("coaction is not coassociative")
     if not counit_ok:
@@ -150,15 +124,7 @@ def check_comodule(c: ComoduleLike) -> list[str]:
 
 def check_comodule_algebra(a: ComoduleAlgebra) -> list[str]:
     problems = check_algebra(a) + check_comodule(a)
-    mult_ok = True
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = a.coaction.apply(a.table[i][j])
-            rhs = mixed_tensor_product(a.hopf, a, a.coaction.col(i),
-                                       a.coaction.col(j))
-            if lhs != rhs:
-                mult_ok = False
-    if not mult_ok:
+    if not multiplicative_into_tensor(a.coaction, a, a.hopf, a):
         problems.append("coaction is not an algebra morphism")
     if a.coaction.apply(a.unit) != tensor_vec(a.hopf.unit, a.unit):
         problems.append("coaction does not send the unit to 1 (x) 1")
@@ -415,15 +381,9 @@ def kappa_map(a: ComoduleAlgebra, h_coradical_zero: Subspace) -> KappaReport:
     else:
         sub, _ = packed
         closed = True
-        algebra_ok = True
-        for i in range(a.dim):
-            for j in range(a.dim):
-                lhs = kappa.apply(a.table[i][j])
-                rhs = mixed_tensor_product(a.hopf, sub, kappa.col(i), kappa.col(j))
-                if lhs != rhs:
-                    algebra_ok = False
-        if kappa.apply(a.unit) != tensor_vec(a.hopf.unit, sub.unit):
-            algebra_ok = False
+        algebra_ok = (multiplicative_into_tensor(kappa, a, a.hopf, sub)
+                      and kappa.apply(a.unit) == tensor_vec(a.hopf.unit,
+                                                            sub.unit))
     return KappaReport(kappa, injective, algebra_ok, comodule_ok, closed)
 
 
@@ -475,18 +435,7 @@ def phi_embed(a: ComoduleAlgebra, h_coradical_zero: Subspace,
     # functional on all of A: character after degree-zero projection
     functional = Mat(ctx, [w]) @ proj          # 1 x dim A
     nh, na = a.hopf.dim, a.dim
-    rows = []
-    for h_idx in range(nh):
-        row = []
-        for j in range(na):
-            acc = ctx.zero()
-            for k in range(na):
-                coef = a.coaction[h_idx * na + k, j]
-                if not coef.is_zero():
-                    acc = acc + coef * functional[0, k]
-            row.append(acc)
-        rows.append(row)
-    phi = Mat(ctx, rows)
+    phi = kron(Mat.identity(ctx, nh), functional) @ a.coaction
     injective = rank(phi) == a.dim
     algebra_ok = (phi.apply(a.unit) == a.hopf.unit)
     if algebra_ok:

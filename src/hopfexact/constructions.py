@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .algebra import Algebra, direct_sum, is_algebra_morphism
+from .algebra import (Algebra, Table, direct_sum, is_algebra_morphism,
+                      tensor_product)
 from .comodule import (ComoduleAlgebra, _subalgebra_on_basis,
                        check_comodule_algebra, coideal_generated,
                        comodule_algebra_from_subspace,
@@ -31,9 +32,9 @@ from .errors import (DimensionMismatch, GammaNotPrimitiveFourthRoot,
                      SingularAntipode)
 from .field import FieldContext, FieldElement
 from .hopf import Hopf, check_hopf, coradical_zero
-from .linalg import (Mat, Scalar, Subspace, Vec, basis_vector, hstack, kron,
-                     rank, solve, tensor_vec, vadd, vscale, vstack, vsub,
-                     vzero)
+from .linalg import (Mat, Scalar, Subspace, Vec, _terms, basis_vector, hstack,
+                     inverse, kron, linear_combination, rank, solve,
+                     tensor_vec, vadd, vscale, vstack, vsub, vzero)
 
 #: basis masks for the Klein four-group; bit 0 is x, bit 1 is y
 _KLEIN_LABELS = ("1", "x", "y", "xy")
@@ -463,19 +464,12 @@ def check_smash_input(inp: SmashInput) -> list[str]:
                                    or inp.a0.hopf.comult != h0.comult)):
         problems.append("the comodule algebra lives over a different base "
                         "Hopf algebra")
-    unit_action = Mat.zeros(ctx, nb, nb)
-    for h, c in enumerate(h0.unit):
-        if not c.is_zero():
-            unit_action = unit_action + inp.action[h].scale(c)
-    if unit_action != Mat.identity(ctx, nb):
+    if linear_combination(h0.unit, inp.action) != Mat.identity(ctx, nb):
         problems.append("action: the unit of the base does not act as the "
                         "identity")
     for g in range(n0):
         for h in range(n0):
-            expected = Mat.zeros(ctx, nb, nb)
-            for k, c in enumerate(h0.table[g][h]):
-                if not c.is_zero():
-                    expected = expected + inp.action[k].scale(c)
+            expected = linear_combination(h0.table[g][h], inp.action)
             if inp.action[g] @ inp.action[h] != expected:
                 problems.append(f"action: composition fails on basis pair "
                                 f"({g}, {h})")
@@ -547,46 +541,25 @@ def check_smash_input(inp: SmashInput) -> list[str]:
     return problems
 
 
-def _braided_square_mult(inp: SmashInput, u: Vec, v: Vec) -> Vec:
-    """Product in B (x) B twisted by the braiding: the second leg of u coacts
-    on the first leg of v before the legs multiply pairwise."""
+def _acting_table(inp: SmashInput) -> Table:
+    """The left leg of every twisted product over B: the product table
+    ``(b_i (x) g, b_p) -> b_i (g |> b_p)`` of B (x) H0 against B."""
     b = inp.algebra
-    ctx = b.ctx
-    nb, n0 = b.dim, inp.hopf0.dim
-    out = [ctx.zero()] * (nb * nb)
-    for i in range(nb):
-        for j in range(nb):
-            cu = u[i * nb + j]
-            if cu.is_zero():
-                continue
-            for h in range(n0):
-                for k in range(nb):
-                    cd = inp.coaction[h * nb + k, j]
-                    if cd.is_zero():
-                        continue
-                    for p in range(nb):
-                        acted = inp.action[h].col(p)
-                        left = b.multiply(basis_vector(ctx, nb, i), acted)
-                        for q in range(nb):
-                            cv = v[p * nb + q]
-                            if cv.is_zero():
-                                continue
-                            weight = cu * cd * cv
-                            right = b.table[k][q]
-                            for a, ca in enumerate(left):
-                                if ca.is_zero():
-                                    continue
-                                wa = weight * ca
-                                for bb, cb in enumerate(right):
-                                    if not cb.is_zero():
-                                        out[a * nb + bb] = (out[a * nb + bb]
-                                                            + wa * cb)
-    return tuple(out)
+    return tuple(
+        tuple(tuple(_terms(b.multiply(b.basis_element(i), act.col(p))))
+              for p in range(b.dim))
+        for i in range(b.dim) for act in inp.action)
 
 
-def _primitive_coproduct(inp: SmashInput) -> Mat:
+def _primitive_coproduct(inp: SmashInput, acting: Table) -> Mat:
     """The coproduct on B determined by making every degree-one basis vector
     primitive and extending multiplicatively through the braided square.
+
+    The braided square is the twisted product with A = B under the coaction
+    of B: in ``(b_i (x) b_j)(b_p (x) b_q)`` the leg b_j coacts on the
+    first leg of the second factor before the legs multiply pairwise, so it
+    is the product of ``(id (x) coaction) u`` and ``v`` with ``acting`` on
+    the left leg.
 
     Raises :class:`HopfExactError` when degree one does not generate B or the
     extension is inconsistent (some relation of B is not a coalgebra
@@ -594,18 +567,15 @@ def _primitive_coproduct(inp: SmashInput) -> Mat:
     b = inp.algebra
     ctx = b.ctx
     nb = b.dim
+    lift = kron(Mat.identity(ctx, nb), inp.coaction)
     pairs: list[tuple[Vec, Vec]] = []
 
     def record(vec: Vec, image: Vec) -> bool:
         known = Subspace.from_vectors(ctx, nb, [p[0] for p in pairs])
         if known.contains(vec):
-            body = Mat.from_columns(ctx, [p[0] for p in pairs])
-            coords = solve(body, vec)
-            expected = [ctx.zero()] * (nb * nb)
-            for c, (_, img) in zip(coords, pairs):
-                if not c.is_zero():
-                    expected = [e + c * x for e, x in zip(expected, img)]
-            if tuple(expected) != tuple(image):
+            coords = solve(Mat.from_columns(ctx, [p[0] for p in pairs]), vec)
+            images = Mat.from_columns(ctx, [p[1] for p in pairs])
+            if images.apply(coords) != tuple(image):
                 raise HopfExactError(
                     "no multiplicative coproduct makes the degree-one "
                     "layer primitive")
@@ -623,22 +593,16 @@ def _primitive_coproduct(inp: SmashInput) -> Mat:
         for b1, t1 in list(pairs):
             for b2, t2 in list(pairs):
                 prod = b.multiply(b1, b2)
-                image = _braided_square_mult(inp, t1, t2)
+                image = tensor_product(acting, b.terms, lift.apply(t1), t2,
+                                       (nb, nb))
                 if record(prod, image):
                     changed = True
     if len(pairs) != nb:
         raise HopfExactError("the degree-one layer does not generate the "
                              "algebra, so no coproduct can be inferred")
+    # pairs holds nb independent vectors, so the body is invertible
     body = Mat.from_columns(ctx, [p[0] for p in pairs])
-    cols = []
-    for i in range(nb):
-        coords = solve(body, basis_vector(ctx, nb, i))
-        col = [ctx.zero()] * (nb * nb)
-        for c, (_, img) in zip(coords, pairs):
-            if not c.is_zero():
-                col = [e + c * x for e, x in zip(col, img)]
-        cols.append(tuple(col))
-    return Mat.from_columns(ctx, cols)
+    return Mat.from_columns(ctx, [p[1] for p in pairs]) @ inverse(body)
 
 
 def _graded_counit(b: Algebra, grading: Sequence[Subspace]) -> Vec:
@@ -666,14 +630,8 @@ def _solve_antipode(ctx: FieldContext, n: int, unit: Vec,
     block_rows = []
     rhs: list[FieldElement] = []
     for m in range(n):
-        blocks = []
-        for p in range(n):
-            acc = Mat.zeros(ctx, n, n)
-            for q in range(n):
-                c = comult[p * n + q, m]
-                if not c.is_zero():
-                    acc = acc + rmul[q].scale(c)
-            blocks.append(acc)
+        blocks = [linear_combination([comult[p * n + q, m] for q in range(n)],
+                                     rmul) for p in range(n)]
         block_rows.append(hstack(blocks))
         rhs.extend(c * counit[m] for c in unit)
     sol = solve(vstack(block_rows), tuple(rhs))
@@ -723,66 +681,32 @@ def _twisted_product(inp: SmashInput, a: Algebra, a_coaction: Mat
     h0, b = inp.hopf0, inp.algebra
     ctx = b.ctx
     n0, nb, na = h0.dim, b.dim, a.dim
-    n = nb * na
     labels = [_join_labels(b.labels[i], a.labels[k])
               for i in range(nb) for k in range(na)]
     unit = tensor_vec(b.unit, a.unit)
-    table: list[list[Vec]] = []
-    for i in range(nb):
-        for k in range(na):
-            row = []
-            for p in range(nb):
-                for q in range(na):
-                    out = [ctx.zero()] * n
-                    for idx in range(n0 * na):
-                        c = a_coaction[idx, k]
-                        if c.is_zero():
-                            continue
-                        g, m = divmod(idx, na)
-                        left = b.multiply(basis_vector(ctx, nb, i),
-                                          inp.action[g].col(p))
-                        right = a.table[m][q]
-                        for r, cr in enumerate(left):
-                            if cr.is_zero():
-                                continue
-                            w = c * cr
-                            for aa, cb in enumerate(right):
-                                if not cb.is_zero():
-                                    out[r * na + aa] = (out[r * na + aa]
-                                                        + w * cb)
-                    row.append(tuple(out))
-            table.append(row)
-
-    delta_b = _primitive_coproduct(inp)
-    nh = nb * n0
-    cols = []
-    for i in range(nb):
-        for k in range(na):
-            out = [ctx.zero()] * (nh * n)
-            for idx_d in range(nb * nb):
-                cd = delta_b[idx_d, i]
-                if cd.is_zero():
-                    continue
-                r, s = divmod(idx_d, nb)
-                for idx_c in range(n0 * nb):
-                    cc = inp.coaction[idx_c, s]
-                    if cc.is_zero():
-                        continue
-                    f, k2 = divmod(idx_c, nb)
-                    for idx_a in range(n0 * na):
-                        ca = a_coaction[idx_a, k]
-                        if ca.is_zero():
-                            continue
-                        g, m = divmod(idx_a, na)
-                        hvec = h0.table[f][g]
-                        w = cd * cc * ca
-                        second = k2 * na + m
-                        for hh, hc in enumerate(hvec):
-                            if not hc.is_zero():
-                                first = r * n0 + hh
-                                out[first * n + second] = (
-                                    out[first * n + second] + w * hc)
-            cols.append(tuple(out))
+    # (b_i # a_k)(b_p # a_q) is the product of b_i (x) coaction(a_k), with
+    # legs b_i (x) g and a_m, and b_p (x) a_q
+    acting = _acting_table(inp)
+    lifted = kron(Mat.identity(ctx, nb), a_coaction)
+    basis = [basis_vector(ctx, nb * na, j) for j in range(nb * na)]
+    table = [[tensor_product(acting, a.terms, u, y, (nb, na)) for y in basis]
+             for u in map(lifted.col, range(nb * na))]
+    # the coaction of b_i # a_k is the product of
+    # (id (x) coaction_B) comult_B(b_i), with legs b_r (x) f and b_s, and
+    # coaction(a_k), with legs g and a_m: the H0 legs multiply into
+    # b_r (x) fg, and the legs b_s and a_m sit side by side
+    lifted_delta = (kron(Mat.identity(ctx, nb), inp.coaction)
+                    @ _primitive_coproduct(inp, acting))
+    into_bosonization = tuple(
+        tuple(tuple((r * n0 + k, c) for k, c in h0.terms[f][g])
+              for g in range(n0))
+        for r in range(nb) for f in range(n0))
+    one = ctx.one()
+    side_by_side = tuple(tuple(((s * na + m, one),) for m in range(na))
+                         for s in range(nb))
+    cols = [tensor_product(into_bosonization, side_by_side, lifted_delta.col(i),
+                           a_coaction.col(k), (nb * n0, nb * na))
+            for i in range(nb) for k in range(na)]
     return labels, unit, table, Mat.from_columns(ctx, cols)
 
 

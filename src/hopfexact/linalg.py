@@ -235,6 +235,27 @@ def kron(a: Mat, b: Mat) -> Mat:
     return Mat(a.ctx, rows)
 
 
+def linear_combination(coeffs: Sequence[FieldElement],
+                       mats: Sequence[Mat]) -> Mat:
+    """``sum c_k * M_k`` over the nonzero ``c_k``; the ``M_k`` share one
+    shape, and zero entries of the ``M_k`` are skipped."""
+    if not mats or len(coeffs) != len(mats):
+        raise DimensionMismatch(
+            f"{len(coeffs)} coefficients for {len(mats)} matrices")
+    first = mats[0]
+    zero = first.ctx.zero()
+    rows = [[zero] * first.ncols for _ in range(first.nrows)]
+    for c, m in zip(coeffs, mats):
+        m._same_shape(first)
+        if c.is_zero():
+            continue
+        for acc, r in zip(rows, m.rows):
+            for j, x in enumerate(r):
+                if not x.is_zero():
+                    acc[j] = acc[j] + c * x
+    return Mat(first.ctx, rows)
+
+
 def slice_left(mat: Mat, dim_left: int, dim_right: int, h: int) -> Mat:
     """Apply the h-th coordinate functional to the left tensor leg of the
     codomain: rows ``h*dim_right .. h*dim_right + dim_right - 1``."""

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .algebra import Algebra, is_algebra_isomorphism, trace_radical
+from .algebra import (Algebra, is_algebra_isomorphism, tensor_product,
+                      trace_radical)
 from .comodule import (
     Comodule,
     ComoduleAlgebra,
@@ -48,13 +49,16 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
+    _terms,
     eigenspace,
     kernel,
     kron,
+    linear_combination,
     minimal_polynomial,
     rank,
     restrict_operator,
     solve,
+    spin,
     vstack,
 )
 from .poly import MultiPoly, _addmul, _poly, concrete_solutions
@@ -86,11 +90,7 @@ class RightComodModule:
 
     def act(self, b: Vec) -> Mat:
         """The matrix of right multiplication by the algebra element b."""
-        out = Mat.zeros(self.ctx, self.dim, self.dim)
-        for i, c in enumerate(b):
-            if not c.is_zero():
-                out = out + self.action[i].scale(c)
-        return out
+        return linear_combination(b, self.action)
 
 
 def check_module_comodule(v: RightComodModule) -> list[str]:
@@ -105,33 +105,16 @@ def check_module_comodule(v: RightComodModule) -> list[str]:
     if not assoc_ok:
         problems.append("right action does not respect products")
     problems += check_comodule(Comodule(v.hopf, v.dim, v.coaction))
-    colinear_ok = True
+    # rho(p . b) = rho(p) rho(b): the H legs multiply in H, the module leg
+    # of rho(p) is acted on by the algebra leg of rho(b)
     nh, nv, nb = v.hopf.dim, v.dim, b.dim
-    for p in range(nv):
-        for i in range(nb):
-            lhs = v.coaction.apply(v.action[i].col(p))
-            rhs = [ctx.zero()] * (nh * nv)
-            for idx1, c1 in enumerate(v.coaction.col(p)):
-                if c1.is_zero():
-                    continue
-                h1, m1 = divmod(idx1, nv)
-                for idx2, c2 in enumerate(b.coaction.col(i)):
-                    if c2.is_zero():
-                        continue
-                    h2, b2 = divmod(idx2, nb)
-                    c = c1 * c2
-                    hvec = v.hopf.table[h1][h2]
-                    bcol = v.action[b2].col(m1)
-                    for hh, hc in enumerate(hvec):
-                        if hc.is_zero():
-                            continue
-                        chc = c * hc
-                        for mm, mc in enumerate(bcol):
-                            if not mc.is_zero():
-                                rhs[hh * nv + mm] = (rhs[hh * nv + mm]
-                                                     + chc * mc)
-            if lhs != tuple(rhs):
-                colinear_ok = False
+    acting = tuple(tuple(tuple(_terms(v.action[i].col(m))) for i in range(nb))
+                   for m in range(nv))
+    colinear_ok = all(
+        v.coaction.apply(v.action[i].col(p)) == tensor_product(
+            v.hopf.terms, acting, v.coaction.col(p), b.coaction.col(i),
+            (nh, nv))
+        for p in range(nv) for i in range(nb))
     if not colinear_ok:
         problems.append("coaction is not compatible with the action")
     return problems
@@ -178,12 +161,7 @@ def end_comodule_algebra(v: RightComodModule) -> ComoduleAlgebra:
     ctx = v.ctx
     n = v.dim
     nh = v.hopf.dim
-    blocks = []
-    ident = Mat.identity(ctx, n)
-    for r in v.action:
-        blocks.append(kron(ident, r.transpose()) - kron(r, ident))
-    commutant = kernel(vstack(blocks)) if blocks else []
-    basis = [Mat.unvec(ctx, t, n, n) for t in commutant]
+    basis = _commutant(v.action)
     d = len(basis)
     if d == 0:
         raise CoactionUnsolvable("the commutant is zero, which cannot happen "
@@ -341,18 +319,10 @@ def loewy_graded_end(v: RightComodModule, b_grading: Sequence[Subspace],
                              "filtration")
 
     p0_basis = list(p_grading[0].basis())
-    spun = Subspace.from_vectors(ctx, v.dim, p0_basis)
-    while True:
-        grown = Subspace.from_vectors(
-            ctx, v.dim,
-            list(spun.basis()) + [r.apply(w) for w in spun.basis()
-                                  for r in v.action])
-        if grown.dim == spun.dim:
-            break
-        spun = grown
-    if spun.dim != v.dim:
+    generated = spin(ctx, v.dim, p0_basis, v.action).dim
+    if generated != v.dim:
         raise NotGeneratedInDegreeZero(
-            f"the degree-zero part generates only {spun.dim} of {v.dim} "
+            f"the degree-zero part generates only {generated} of {v.dim} "
             "dimensions")
 
     packed = _subalgebra_on_basis(b, list(b_grading[0].basis()))
@@ -427,10 +397,7 @@ def loewy_graded_end(v: RightComodModule, b_grading: Sequence[Subspace],
     s0_sub, _ = s0_packed
     iso_cols = []
     for coords in s0_basis:
-        t = Mat.zeros(ctx, v.dim, v.dim)
-        for j, c in enumerate(coords):
-            if not c.is_zero():
-                t = t + mats[j].scale(c)
+        t = linear_combination(coords, mats)
         cols = []
         for u in p0_basis:
             c = solve(p0_body, t.apply(u))
@@ -523,16 +490,8 @@ def colinear_iso_search(a: ComoduleAlgebra, b: ComoduleAlgebra
     if particular is None:
         return None
     homogeneous = kernel(unit_images)
-
-    def combine(coords: Sequence[FieldElement]) -> Mat:
-        out = Mat.zeros(ctx, n, n)
-        for c, t in zip(coords, maps):
-            if not c.is_zero():
-                out = out + t.scale(c)
-        return out
-
-    t0 = combine(particular)
-    directions = [combine(hv) for hv in homogeneous]
+    t0 = linear_combination(particular, maps)
+    directions = [linear_combination(hv, maps) for hv in homogeneous]
     names = [f"s{i}" for i in range(len(directions))]
 
     def entry_poly(i: int, j: int) -> MultiPoly:
@@ -849,13 +808,11 @@ def fusion_fingerprint(a: ComoduleAlgebra) -> FusionFingerprint:
         for m in dec.simples:
             product_action = []
             for idx in range(na):
-                acc = Mat.zeros(ctx, dx * m.dim, dx * m.dim)
-                for pos, c in enumerate(used.coaction.col(idx)):
-                    if c.is_zero():
-                        continue
-                    h, k = divmod(pos, na)
-                    acc = acc + kron(x_action[h], m.action[k]).scale(c)
-                product_action.append(acc)
+                terms = _terms(used.coaction.col(idx))
+                product_action.append(linear_combination(
+                    [c for _, c in terms],
+                    [kron(x_action[pos // na], m.action[pos % na])
+                     for pos, _ in terms]))
             mults = []
             for target in dec.simples:
                 homs = intertwiners(target.action, product_action)

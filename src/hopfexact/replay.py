@@ -418,17 +418,24 @@ class _Row:
 
 def _prov_add(a: Certificate, factor: MultiPoly, b: Certificate
               ) -> Certificate:
+    """``a + factor * b``, multiplier by multiplier; a multiplier that
+    cancels is dropped.
+
+    Each sum accumulates into a copy of the old multiplier.  A factor of
+    several terms is multiplied out first, so a monomial that its product
+    repeats is summed before it meets the old multiplier."""
     out = dict(a)
     for idx, mult in b.items():
-        bumped = factor * mult
-        if idx in out:
-            total = out[idx] + bumped
-            if total.is_zero():
-                del out[idx]
-            else:
-                out[idx] = total
-        elif not bumped.is_zero():
-            out[idx] = bumped
+        old = out.get(idx)
+        terms = {} if old is None else dict(old.terms)
+        if len(factor.terms) == 1:
+            _addmul(terms, factor.terms, mult.terms)
+        else:
+            _addmul(terms, (factor * mult).terms, None)
+        if terms:
+            out[idx] = _poly(factor.ctx, terms)
+        elif old is not None:
+            del out[idx]
     return out
 
 
@@ -508,7 +515,9 @@ def eliminate(constraints: Sequence[MultiPoly]) -> Elimination:
                 if r is pick or col not in r.poly.terms:
                     continue
                 c = MultiPoly.const(ctx, -r.poly.terms[col])
-                r.poly = r.poly + c * pick.poly
+                terms = dict(r.poly.terms)
+                _addmul(terms, c.terms, pick.poly.terms)
+                r.poly = _poly(ctx, terms)
                 r.prov = _prov_add(r.prov, c, pick.prov)
         rows = [r for r in rows if not r.poly.is_zero()]
         # inconsistency and fresh pins

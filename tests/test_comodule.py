@@ -1,9 +1,11 @@
 from fractions import Fraction
+import random
 
 import pytest
 
 from hopfexact.comodule import (
     Comodule,
+    ComoduleAlgebra,
     check_comodule,
     check_comodule_algebra,
     coaction_slice,
@@ -17,6 +19,7 @@ from hopfexact.comodule import (
     mixed_tensor_product,
     mu_decompose,
     phi_embed,
+    rebase_comodule_algebra,
 )
 from hopfexact.constructions import (
     PSI_STANDARD,
@@ -67,10 +70,79 @@ def test_broken_coaction_is_detected():
     assert check_comodule(bad) != []
 
 
+def test_non_multiplicative_coaction_detected():
+    # the x-grading of ga_x on the algebra with t**2 = 1 + t: a comodule
+    # whose coaction is not an algebra map
+    a = CATALOG["ga_x"]
+    one, t = a.table[0][0], a.table[0][1]
+    bad = ComoduleAlgebra(a.hopf, a.labels, a.unit,
+                          [[one, t], [t, vadd(one, t)]], a.coaction)
+    assert check_comodule_algebra(bad) == [
+        "coaction is not an algebra morphism"]
+
+
 def test_trivial_mixed_tensor_product():
     a = CATALOG["ga_x"]
     one = a.coaction.apply(a.unit)
     assert mixed_tensor_product(a.hopf, a, one, one) == one
+
+
+QS = adjoin_sqrt(QI, 4)   # s**2 == 4: (2 - s)(2 + s) == 0, so zero divisors
+
+
+def _dense_vector(rng, ctx, n):
+    """n nonzero coordinates; over QS a third of them are 2 - s or 2 + s,
+    whose products with each other vanish."""
+    out = []
+    while len(out) < n:
+        if ctx.has_layer and rng.random() < 1 / 3:
+            two, s = ctx.scalar(2), ctx.sqrt_symbol()
+            c = two - s if rng.random() < 0.5 else two + s
+        else:
+            c = (ctx.scalar(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))))
+                 + ctx.scalar(rng.randint(-2, 2)) * ctx.i())
+        if not c.is_zero():
+            out.append(c)
+    return tuple(out)
+
+
+def _ref_multiply(alg, x, y):
+    out = [alg.ctx.zero()] * alg.dim
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                out[k] = out[k] + x[i] * y[j] * alg.table[i][j][k]
+    return tuple(out)
+
+
+def _ref_mixed(h, a, u, v):
+    nh, na = h.dim, a.dim
+    out = [h.ctx.zero()] * (nh * na)
+    for h1 in range(nh):
+        for a1 in range(na):
+            for h2 in range(nh):
+                for a2 in range(na):
+                    c = u[h1 * na + a1] * v[h2 * na + a2]
+                    for p, lp in enumerate(h.table[h1][h2]):
+                        clp = c * lp
+                        for q, rq in enumerate(a.table[a1][a2]):
+                            out[p * na + q] = out[p * na + q] + clp * rq
+    return tuple(out)
+
+
+@pytest.mark.parametrize("layered", [False, True], ids=["Q(i)", "Q(i)[s], s^2=4"])
+def test_sparse_products_match_nested_loops(layered):
+    a = CATALOG["a_i_xy"]
+    if layered:
+        a = rebase_comodule_algebra(a, QS)
+    h, ctx = a.hopf, a.ctx
+    rng = random.Random(f"a_i_xy:{layered}")
+    for alg in (a, h):
+        for _ in range(3):
+            x, y = (_dense_vector(rng, ctx, alg.dim) for _ in range(2))
+            assert alg.multiply(x, y) == _ref_multiply(alg, x, y)
+    u, v = (_dense_vector(rng, ctx, h.dim * a.dim) for _ in range(2))
+    assert mixed_tensor_product(h, a, u, v) == _ref_mixed(h, a, u, v)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_DIMS))

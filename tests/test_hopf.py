@@ -15,6 +15,8 @@ from hopfexact.hopf import (
     AXIOM_FAMILIES,
     Hopf,
     antipode_inverse,
+    check_bialgebra_compat,
+    check_coalgebra,
     check_hopf,
     coalgebra_components,
     coradical_filtration,
@@ -85,6 +87,38 @@ def _mutated_kp(which: str):
 @pytest.mark.parametrize("which", ["mult", "comult", "counit", "antipode"])
 def test_single_entry_mutations_detected(which):
     assert check_hopf(_mutated_kp(which)) != []
+
+
+@pytest.mark.parametrize("leg", ["left", "right"])
+def test_counit_mutation_breaks_one_tensor_leg(leg):
+    # comult(x) = x (x) x becomes 1 (x) x (right) or x (x) 1 (left), by
+    # adding (1 - x) (x) x or x (x) (1 - x); counit(1) = counit(x), so the
+    # map stays coassociative and the counit law fails on one leg only
+    h = build_kp()
+    ctx, n = h.ctx, h.dim
+    one, x = h.label_index("1"), h.label_index("x")
+    moved = one * n + x if leg == "right" else x * n + one
+    rows = [list(r) for r in h.comult.rows]
+    rows[moved][x] = rows[moved][x] + ctx.one()
+    rows[x * n + x][x] = rows[x * n + x][x] - ctx.one()
+    bad = Hopf(ctx, h.labels, h.unit, h.table, Mat(ctx, rows), h.counit,
+               h.antipode)
+    assert check_coalgebra(bad) == [f"counit fails on the {leg} tensor leg"]
+
+
+def test_non_multiplicative_coproduct_detected():
+    # g grouplike, but g**2 = 1 + g: a coalgebra whose coproduct and counit
+    # are not algebra maps
+    ctx = Q
+    one, g = basis_vector(ctx, 2, 0), basis_vector(ctx, 2, 1)
+    table = [[one, g], [g, (ctx.one(), ctx.one())]]
+    comult = Mat.from_columns(ctx, [(1, 0, 0, 0), (0, 0, 0, 1)])
+    h = Hopf(ctx, ("1", "g"), one, table, comult, (1, 1),
+             Mat.identity(ctx, 2))
+    assert check_coalgebra(h) == []
+    assert check_bialgebra_compat(h) == [
+        "comultiplication is not an algebra morphism",
+        "counit is not an algebra morphism"]
 
 
 def test_kp_coalgebra_components():

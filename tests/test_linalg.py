@@ -16,6 +16,7 @@ from hopfexact.linalg import (
     inverse,
     kernel,
     kron,
+    linear_combination,
     rank,
     rref,
     solve,
@@ -298,6 +299,9 @@ def _same_or_same_error(ours, reference):
 
 @pytest.mark.parametrize("ctx", [Q, QI, QS4], ids=["Q", "Q(i)", "Q[s], s^2=4"])
 def test_kernels_match_dense_reference(ctx):
+    # the linear-combination case draws from its own generator, so the data
+    # of the other kernels stay as they were
+    side = random.Random(29)
     for rng, rows in _random_cases(23, ctx):
         m, n = len(rows), len(rows[0])
         a = Mat(ctx, rows)
@@ -308,6 +312,13 @@ def test_kernels_match_dense_reference(ctx):
         small = _random_rows(rng, ctx, 2, 3, 0.5)
         assert _exact(kron(a, Mat(ctx, small))) == _exact(_ref_kron(rows, small))
         assert _exact(kron(Mat(ctx, small), a)) == _exact(_ref_kron(small, rows))
+        mats = [rows] + [_random_rows(side, ctx, m, n, side.choice((1.0, 0.3)))
+                         for _ in range(side.randint(0, 3))]
+        coeffs = _random_rows(side, ctx, 1, len(mats), 0.6)[0]
+        want = [[sum((c * x[i][j] for c, x in zip(coeffs, mats)), ctx.zero())
+                 for j in range(n)] for i in range(m)]
+        got = linear_combination(coeffs, [Mat(ctx, x) for x in mats])
+        assert _exact(got) == _exact(want)
 
         def ref_rref():
             red, pivots = _ref_rref(rows)
