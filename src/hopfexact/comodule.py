@@ -16,6 +16,7 @@ units.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 # mixed_tensor_product is re-exported for callers that import it from here
@@ -173,10 +174,16 @@ class KpParts:
     tau: Mat
 
 
-def _require_over_kp(c: ComoduleLike) -> Hopf:
+@lru_cache(maxsize=None)
+def _reference_kp(ctx: FieldContext) -> Hopf:
+    """The standard kp over ``ctx``, built once per context."""
     from .constructions import build_kp
+    return build_kp(ctx)
+
+
+def _require_over_kp(c: ComoduleLike) -> Hopf:
     h = c.hopf
-    reference = build_kp(h.ctx)
+    reference = _reference_kp(h.ctx)
     same = (h.dim == reference.dim and h.table == reference.table
             and h.comult == reference.comult and h.counit == reference.counit
             and h.antipode == reference.antipode)

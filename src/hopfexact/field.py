@@ -18,10 +18,14 @@ Equal values therefore have equal ``(num, den)``, which is what ``==`` and
 ``hash`` compare.  Arithmetic works on the integers alone and reduces once per
 result with :func:`math.gcd`; :class:`fractions.Fraction` appears only where
 values come in or go out (``element``, ``scalar``, ``coeffs``, literals and
-the square-root helpers).  Reduction uses the n-th cyclotomic polynomial,
-computed by the classic recursive exact division
-``Phi_n = (x**n - 1) / prod Phi_d``; it is monic with integer coefficients,
-so the reduction table for ``zeta**k`` holds plain integers.
+the square-root helpers).  A product with a factor equal to 1 or -1 is the
+other factor or its negation, with no multiplication and no reduction; this
+is exact in every context, zero-divisor layers included, because +-1 are
+units, and most products inside the symbolic replays' eliminations have
+such a factor.  Reduction uses the n-th cyclotomic polynomial, computed by
+the classic recursive exact division ``Phi_n = (x**n - 1) / prod Phi_d``; it
+is monic with integer coefficients, so the reduction table for ``zeta**k``
+holds plain integers.
 """
 
 from __future__ import annotations
@@ -150,6 +154,7 @@ class FieldContext:
                            for k in range(2 * m - 1)]
         self._zero = _packed(self, (0,) * self.dim, 1)
         self._one = _packed(self, (1,) + (0,) * (self.dim - 1), 1)
+        self._minus_one_num = (-1,) + (0,) * (self.dim - 1)
 
     @property
     def has_layer(self) -> bool:
@@ -427,7 +432,20 @@ class FieldElement:
             x, y = self, other
         else:
             x, y = self._pair_with(other)
+            if y.ctx is not x.ctx:
+                y = _packed(x.ctx, y.num, y.den)
         ctx = x.ctx
+        # a factor of 1 or -1 gives the other factor or its negation
+        if y.den == 1:
+            if y.num == ctx._one.num:
+                return x
+            if y.num == ctx._minus_one_num:
+                return _packed(ctx, tuple(-c for c in x.num), x.den)
+        if x.den == 1:
+            if x.num == ctx._one.num:
+                return y
+            if x.num == ctx._minus_one_num:
+                return _packed(ctx, tuple(-c for c in y.num), y.den)
         mul = ctx._mul_base
         if ctx._disc is None:
             return _canon(ctx, mul(x.num, y.num), x.den * y.den)

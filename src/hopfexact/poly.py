@@ -19,9 +19,11 @@ cancels is deleted, and a product that is zero is never stored -- a
 perfect-square quadratic layer has zero divisors, so two nonzero
 coefficients can multiply to zero.  ``+``, ``-``, negation, ``*`` and
 :meth:`MultiPoly.substitute` are thin wrappers around it, and callers that
-build many sums of products (the associativity constraints of
-:mod:`~hopfexact.replay`, the isomorphism search of
-:mod:`~hopfexact.morita`) accumulate into term dicts with it directly.
+build many sums of products (the isomorphism search of
+:mod:`~hopfexact.morita`) accumulate into term dicts with it directly.  The
+associativity constraints of :mod:`~hopfexact.replay` form each product of
+two table entries once, as a list of terms (:func:`_product_terms`), and add
+it wherever it recurs with :func:`_addterms`, the kernel's sum step.
 
 The solver enumerates *all* solutions of a polynomial system by repeatedly
 eliminating a variable: isolating one that occurs linearly with an invertible
@@ -32,7 +34,7 @@ returning a partial answer.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import HopfExactError
 from .field import FieldContext, FieldElement, polynomial_roots
@@ -54,6 +56,23 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(out.items()))
 
 
+def _addterms(out: Terms, items: Iterable[tuple[Monomial, FieldElement]]
+              ) -> None:
+    """Add nonzero ``(monomial, coefficient)`` terms into the term dict
+    ``out`` one by one, in place; a monomial whose sum cancels is deleted.
+    ``items`` may repeat a monomial."""
+    for mono, c in items:
+        old = out.get(mono)
+        if old is None:
+            out[mono] = c
+        else:
+            total = old + c
+            if not any(total.num):
+                del out[mono]
+            else:
+                out[mono] = total
+
+
 def _addmul(out: Terms, a: Mapping[Monomial, FieldElement],
             b: Optional[Mapping[Monomial, FieldElement]],
             negate: bool = False) -> None:
@@ -66,18 +85,8 @@ def _addmul(out: Terms, a: Mapping[Monomial, FieldElement],
     ``out`` must not be ``a`` or ``b``.
     """
     if b is None:
-        for mono, c in a.items():
-            if negate:
-                c = -c
-            old = out.get(mono)
-            if old is None:
-                out[mono] = c
-            else:
-                total = old + c
-                if not any(total.num):
-                    del out[mono]
-                else:
-                    out[mono] = total
+        _addterms(out, ((m, -c) for m, c in a.items()) if negate
+                  else a.items())
         return
     for m1, c1 in a.items():
         if negate:
@@ -95,6 +104,17 @@ def _addmul(out: Terms, a: Mapping[Monomial, FieldElement],
                     del out[mono]
                 else:
                     out[mono] = total
+
+
+def _product_terms(a: Mapping[Monomial, FieldElement],
+                   b: Mapping[Monomial, FieldElement]
+                   ) -> list[tuple[Monomial, FieldElement]]:
+    """The nonzero terms of ``a*b``, one per pair of terms, in the order in
+    which :func:`_addmul` forms them; terms that share a monomial are kept
+    apart, so ``_addterms(out, _product_terms(a, b))`` is ``_addmul(out, a,
+    b)``."""
+    return [(_mono_mul(m1, m2), prod) for m1, c1 in a.items()
+            for m2, c2 in b.items() if any((prod := c1 * c2).num)]
 
 
 def _poly(ctx: FieldContext, terms: Terms) -> "MultiPoly":

@@ -42,7 +42,8 @@ from .exactness import check_exactness
 from .field import FieldContext, FieldElement
 from .linalg import Mat, basis_vector, tensor_vec
 from .morita import colinear_iso_search
-from .poly import MultiPoly, _addmul, _poly, concrete_solutions
+from .poly import (MultiPoly, _addmul, _addterms, _poly, _product_terms,
+                   concrete_solutions)
 
 KINDS = ("trivial", "ga_x", "ga_y", "ga_xy", "ga_K", "kpsi")
 
@@ -369,28 +370,46 @@ def associativity_constraints(g: GenericExtension) -> list[MultiPoly]:
     Each returned polynomial is required to vanish; the list is deduplicated
     up to scalar multiples and ordered by first occurrence.  The two products
     of a triple accumulate into one term dict per output coordinate.
+
+    A table holds few distinct entry polynomials, and the triple loop meets
+    each pair of them many times.  So each distinct entry (and each negated
+    entry, for the subtracted association order) gets an id, and the product
+    of a pair of ids is formed once per call, as the list of its terms.  The
+    loop adds those terms one by one, in the order in which ``_addmul`` would
+    form them, so every constraint keeps the same terms in the same order.
     """
     dim = g.dim
     ctx = g.ctx
     out: list[MultiPoly] = []
     seen: set = set()
-    # table entries as term dicts, restricted to their nonzero coordinates,
-    # and the same entries negated for the subtracted association order
-    sparse = [[[(m, p.terms) for m, p in enumerate(vec) if p.terms]
+    # each distinct entry, its terms in order, to its id
+    ids: dict = {}
+
+    def entry_id(terms) -> int:
+        return ids.setdefault(tuple(terms.items()), len(ids))
+
+    # table entries by id, restricted to their nonzero coordinates, and the
+    # same entries negated for the subtracted association order
+    sparse = [[[(m, entry_id(p.terms)) for m, p in enumerate(vec) if p.terms]
                for vec in row] for row in g.table]
-    negated = [[[(m, (-p).terms) for m, p in enumerate(vec) if p.terms]
-                for vec in row] for row in g.table]
+    negated = [[[(m, entry_id((-p).terms)) for m, p in enumerate(vec)
+                 if p.terms] for vec in row] for row in g.table]
+    entries = [dict(key) for key in ids]
+    products: dict[tuple[int, int], list] = {}
     for i in range(dim):
         for j in range(dim):
             tij = sparse[i][j]
             for k in range(dim):
                 acc: list[dict] = [{} for _ in range(dim)]
-                for m, c in tij:
-                    for t, p in sparse[m][k]:
-                        _addmul(acc[t], c, p)
-                for m, c in negated[j][k]:
-                    for t, p in sparse[i][m]:
-                        _addmul(acc[t], c, p)
+                pairs = [(c, t, p) for m, c in tij for t, p in sparse[m][k]]
+                pairs += [(c, t, p) for m, c in negated[j][k]
+                          for t, p in sparse[i][m]]
+                for c, t, p in pairs:
+                    prods = products.get((c, p))
+                    if prods is None:
+                        prods = products[c, p] = _product_terms(entries[c],
+                                                                entries[p])
+                    _addterms(acc[t], prods)
                 for terms in acc:
                     if not terms:
                         continue
@@ -449,20 +468,28 @@ def _mono_degree(mono) -> int:
 
 def _linear_quotient(poly: MultiPoly, name: str, value: FieldElement
                      ) -> MultiPoly:
-    """U with poly == poly.substitute({name: value}) + U * (name - value)."""
+    """U with poly == poly.substitute({name: value}) + U * (name - value).
+
+    A term ``c * rest * name**e`` contributes ``c * rest`` times
+    ``name**(e-1) + name**(e-2) * value + ... + value**(e-1)``, with the
+    powers of ``name`` ascending; the terms accumulate into one term dict."""
     ctx = poly.ctx
-    out = MultiPoly(ctx, {})
-    name_var = MultiPoly.var(ctx, name)
+    terms: dict = {}
+    powers = [ctx.one()]
     for mono, c in poly.terms.items():
         exp = dict(mono).get(name, 0)
         if exp == 0:
             continue
+        while len(powers) < exp:
+            powers.append(powers[-1] * value)
         rest = tuple((v, e) for v, e in mono if v != name)
-        geom = MultiPoly(ctx, {})
+        geom = {}
         for t in range(exp):
-            geom = geom + name_var ** t * (value ** (exp - 1 - t))
-        out = out + MultiPoly(ctx, {rest: c}) * geom
-    return out
+            v = powers[exp - 1 - t]
+            if any(v.num):
+                geom[((name, t),) if t else ()] = v
+        _addmul(terms, {rest: c}, geom)
+    return _poly(ctx, terms)
 
 
 @dataclass

@@ -425,12 +425,19 @@ def test_packed_arithmetic_matches_fraction_reference(order, disc):
         return _ref_mul(x, y, n, ref_disc)
 
     rng = random.Random(f"packed:{order}:{disc}")
-    pool = [ctx.zero(), ctx.one(), ctx.scalar(F(-7, 3))]
+    pool = [ctx.zero(), ctx.one(), ctx.scalar(-1), ctx.scalar(F(-7, 3))]
     pool += [ctx.element(_random_coeffs(dim, rng)) for _ in range(12)]
     if disc is not None:
         pool.append(ctx.sqrt_symbol())
     for x in pool:
         _assert_canonical(x)
+    # a factor of 1 or -1 on either side, against the reference product
+    for unit in (ctx.one(), ctx.scalar(-1)):
+        for x in pool:
+            for got in (unit * x, x * unit):
+                _assert_canonical(got)
+                assert got.ctx is ctx
+                assert got.coeffs == mul(unit.coeffs, x.coeffs)
     for _ in range(60):
         x, y = rng.choice(pool), rng.choice(pool)
         rx, ry = x.coeffs, y.coeffs

@@ -5,7 +5,8 @@ import pytest
 
 from hopfexact.errors import HopfExactError
 from hopfexact.field import FieldContext, adjoin_sqrt
-from hopfexact.poly import MultiPoly, concrete_solutions
+from hopfexact.poly import (MultiPoly, _addmul, _addterms, _product_terms,
+                            concrete_solutions)
 
 Q = FieldContext(1)
 QI = FieldContext(4)
@@ -178,6 +179,21 @@ def test_arithmetic_matches_naive_reference(ctx, seed):
         for got, want in results:
             _assert_no_zero(got)
             assert got.terms == want
+        # a product listed term by term and added into p is p + p*q, with
+        # its terms in the same order as the fused kernel gives them
+        fused, listed = dict(a), dict(a)
+        _addmul(fused, a, b)
+        _addterms(listed, _product_terms(a, b))
+        assert list(listed.items()) == list(fused.items())
+    # x*y cancels against the start, then comes back last but one; a product
+    # summed before it is added would leave x*y first
+    x, y = _xy(ctx)
+    a, b = (x + y).terms, (x - y).terms
+    fused, listed = dict((x * y).terms), dict((x * y).terms)
+    _addmul(fused, a, b)
+    _addterms(listed, _product_terms(a, b))
+    assert list(listed.items()) == list(fused.items())
+    assert list(fused) == [(("x", 2),), (("x", 1), ("y", 1)), (("y", 2),)]
 
 
 def test_zero_divisor_products_are_not_stored():
