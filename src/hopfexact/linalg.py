@@ -329,7 +329,8 @@ def vstack(mats: Sequence[Mat]) -> Mat:
 #
 # Every elimination below works on one sparse row format, a dict
 # {column: entry} that holds only the nonzero entries of a row, and
-# eliminates with one helper, ``_subtract_multiple``.
+# eliminates with one helper, ``_subtract_multiple``.  ``replay.eliminate``
+# reduces its Macaulay rows, keyed by monomial, with ``_echelon`` too.
 
 Row = dict[int, FieldElement]
 
@@ -371,15 +372,16 @@ def _reduce(row: Row, pivot_rows: dict[int, Row]) -> Row:
     return row
 
 
-def _echelon(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
+def _echelon(rows: list[dict], cols: Iterable) -> tuple[list[dict], list]:
     """Gauss-Jordan elimination of sparse rows, in place.
 
-    Columns are taken in order, and the first remaining row with a nonzero
-    entry in the column becomes its pivot row.  The returned rows are the
-    reduced rows, pivot rows first."""
-    pivots: list[int] = []
+    The pivot columns ``cols`` are taken in order, and the first remaining
+    row with a nonzero entry in the column becomes its pivot row; a column
+    not in ``cols`` is never a pivot.  The returned rows are the reduced
+    rows, pivot rows first."""
+    pivots: list = []
     r = 0
-    for c in range(ncols):
+    for c in cols:
         piv = next((k for k in range(r, len(rows)) if c in rows[k]), None)
         if piv is None:
             continue
@@ -399,7 +401,7 @@ def _echelon(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
 
 def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
     ctx, n = mat.ctx, mat.ncols
-    rows, pivots = _echelon([_sparse(r) for r in mat.rows], n)
+    rows, pivots = _echelon([_sparse(r) for r in mat.rows], range(n))
     return Mat(ctx, [_dense(ctx, r, n) for r in rows]), tuple(pivots)
 
 
@@ -436,7 +438,7 @@ def solve(mat: Mat, rhs: Sequence[FieldElement]) -> Optional[Vec]:
         if not b.is_zero():
             row[n] = b
         aug.append(row)
-    red, pivots = _echelon(aug, n + 1)
+    red, pivots = _echelon(aug, range(n + 1))
     if n in pivots:
         return None  # pivot in the augmented column
     zero = ctx.zero()
@@ -457,7 +459,7 @@ def inverse(mat: Mat) -> Mat:
         row = _sparse(r)
         row[n + i] = one
         aug.append(row)
-    red, pivots = _echelon(aug, 2 * n)
+    red, pivots = _echelon(aug, range(2 * n))
     if len(pivots) != n or any(p >= n for p in pivots):
         raise DimensionMismatch("matrix is singular")
     zero = ctx.zero()

@@ -13,12 +13,22 @@ The three layers:
 
 * :func:`generic_extension` / :func:`associativity_constraints` — build the
   symbolic table and harvest the constraint polynomials;
-* :func:`forces_vanishing` — a certified linear elimination: decides whether
-  the constraints force given structure constants to vanish and returns the
-  expressing combination as a replayable certificate;
+* :func:`eliminate` / :func:`forces_vanishing` — a certified linear
+  elimination: decides whether the constraints force given structure
+  constants to vanish and returns the expressing combination as a
+  replayable certificate;
 * :func:`replay_lemma` / :func:`classify_n2_le_1` — scripted eliminations for
   the named collapse arguments, and the exhaustive classification of exact
   extensions with at most one block.
+
+The elimination works on the Macaulay matrix of the constraints (Lazard,
+EUROCAL 1983): each constraint is one sparse row of
+:func:`~hopfexact.linalg._echelon`, with a column per monomial and a
+multiplier column per ``(constraint index, monomial)`` that records the
+certificate.  Reduction is Gauss-Jordan on the non-constant monomials, and
+substituting a pinned variable is a row operation too: the row loses a
+polynomial multiple of the pin's row, each term of the multiple shifting
+every column's monomial.
 
 Only linear reasoning is ever used: case splits over sign assignments and
 fourth roots of unity keep everything linear, and a system that still needs
@@ -40,10 +50,11 @@ from .constructions import (PSI_STANDARD, build_kp,
 from .errors import HopfExactError, InvalidKind, NonlinearResidue
 from .exactness import check_exactness
 from .field import FieldContext, FieldElement
-from .linalg import Mat, basis_vector, tensor_vec
+from .linalg import (Mat, _echelon, _subtract_multiple, basis_vector,
+                     tensor_vec)
 from .morita import colinear_iso_search
-from .poly import (MultiPoly, _addmul, _addterms, _poly, _product_terms,
-                   concrete_solutions)
+from .poly import (MultiPoly, _addmul, _addterms, _mono_mul, _poly,
+                   _product_terms, concrete_solutions)
 
 KINDS = ("trivial", "ga_x", "ga_y", "ga_xy", "ga_K", "kpsi")
 
@@ -382,6 +393,9 @@ def associativity_constraints(g: GenericExtension) -> list[MultiPoly]:
     ctx = g.ctx
     out: list[MultiPoly] = []
     seen: set = set()
+    # raw constraints already met, term for term: most of them repeat, and
+    # a repeat need not be normalised to be found
+    seen_raw: set = set()
     # each distinct entry, its terms in order, to its id
     ids: dict = {}
 
@@ -411,8 +425,10 @@ def associativity_constraints(g: GenericExtension) -> list[MultiPoly]:
                                                                 entries[p])
                     _addterms(acc[t], prods)
                 for terms in acc:
-                    if not terms:
+                    raw = tuple(terms.items())
+                    if not terms or raw in seen_raw:
                         continue
+                    seen_raw.add(raw)
                     norm = _normalize(_poly(ctx, terms))
                     key = tuple(sorted(norm.terms.items()))
                     if key not in seen:
@@ -427,56 +443,46 @@ def associativity_constraints(g: GenericExtension) -> list[MultiPoly]:
 Certificate = dict[int, MultiPoly]
 
 
-class _Row:
-    __slots__ = ("poly", "prov")
-
-    def __init__(self, poly: MultiPoly, prov: Certificate):
-        self.poly = poly
-        self.prov = prov
+def _is_multiplier(key) -> bool:
+    """A multiplier column ``(constraint index, monomial)``; a polynomial
+    column is a monomial, a tuple of ``(name, exponent)`` pairs."""
+    return bool(key) and isinstance(key[0], int)
 
 
-def _prov_add(a: Certificate, factor: MultiPoly, b: Certificate
-              ) -> Certificate:
-    """``a + factor * b``, multiplier by multiplier; a multiplier that
-    cancels is dropped.
-
-    Each sum accumulates into a copy of the old multiplier.  A factor of
-    several terms is multiplied out first, so a monomial that its product
-    repeats is summed before it meets the old multiplier."""
-    out = dict(a)
-    for idx, mult in b.items():
-        old = out.get(idx)
-        terms = {} if old is None else dict(old.terms)
-        if len(factor.terms) == 1:
-            _addmul(terms, factor.terms, mult.terms)
-        else:
-            _addmul(terms, (factor * mult).terms, None)
-        if terms:
-            out[idx] = _poly(factor.ctx, terms)
-        elif old is not None:
-            del out[idx]
-    return out
+def _polynomial_part(row: dict) -> dict:
+    return {key: c for key, c in row.items() if not _is_multiplier(key)}
 
 
-def _prov_scale(a: Certificate, factor: MultiPoly) -> Certificate:
-    return {idx: factor * mult for idx, mult in a.items()}
+def _shift(row: dict, mono) -> dict:
+    """``mono`` times a Macaulay row: every column's monomial times ``mono``."""
+    return {(key[0], _mono_mul(key[1], mono)) if _is_multiplier(key)
+            else _mono_mul(key, mono): c for key, c in row.items()}
+
+
+def _certificate(ctx: FieldContext, row: dict) -> Certificate:
+    """The multiplier columns of a row, gathered into one polynomial per
+    constraint."""
+    terms: dict[int, dict] = {}
+    for key, c in row.items():
+        if _is_multiplier(key):
+            terms.setdefault(key[0], {})[key[1]] = c
+    return {idx: _poly(ctx, t) for idx, t in terms.items()}
 
 
 def _mono_degree(mono) -> int:
     return sum(e for _, e in mono)
 
 
-def _linear_quotient(poly: MultiPoly, name: str, value: FieldElement
-                     ) -> MultiPoly:
-    """U with poly == poly.substitute({name: value}) + U * (name - value).
+def _linear_quotient(terms: dict, name: str, value: FieldElement) -> dict:
+    """The terms of U with poly == poly.substitute({name: value}) +
+    U * (name - value), for the polynomial with the given terms.
 
     A term ``c * rest * name**e`` contributes ``c * rest`` times
     ``name**(e-1) + name**(e-2) * value + ... + value**(e-1)``, with the
     powers of ``name`` ascending; the terms accumulate into one term dict."""
-    ctx = poly.ctx
-    terms: dict = {}
-    powers = [ctx.one()]
-    for mono, c in poly.terms.items():
+    out: dict = {}
+    powers = [value.ctx.one()]
+    for mono, c in terms.items():
         exp = dict(mono).get(name, 0)
         if exp == 0:
             continue
@@ -488,8 +494,8 @@ def _linear_quotient(poly: MultiPoly, name: str, value: FieldElement
             v = powers[exp - 1 - t]
             if any(v.num):
                 geom[((name, t),) if t else ()] = v
-        _addmul(terms, {rest: c}, geom)
-    return _poly(ctx, terms)
+        _addmul(out, {rest: c}, geom)
+    return out
 
 
 @dataclass
@@ -506,85 +512,62 @@ class Elimination:
 def eliminate(constraints: Sequence[MultiPoly]) -> Elimination:
     """Repeatedly row-reduce and substitute pinned variables.
 
-    Works over the monomial basis: a pass of exact Gaussian elimination, then
-    every row of the shape ``c*x + d == 0`` pins the variable ``x``, pinned
-    values are substituted everywhere (with the provenance updated through
-    the substitution), and the loop repeats until stable.  Every pin carries
-    a certificate: multipliers m_i with  sum m_i * constraints[i] == x - value.
+    Each constraint is one sparse row of a Macaulay matrix: a column per
+    monomial of the constraint, plus multiplier columns keyed by
+    ``(constraint index, monomial)`` that start as the unit vector of the
+    constraint and record how the row was formed.  A reduction pass is
+    :func:`~hopfexact.linalg._echelon` over the non-constant monomials,
+    highest degree first; the constant column and the multiplier columns are
+    never pivots.  Every reduced row of the shape ``x - v`` then pins the
+    variable ``x``.  Substituting a pin is a row operation too: with
+    ``poly == poly.substitute({x: v}) + U * (x - v)``, the row loses ``U``
+    times the pin's row, where a monomial times a row multiplies the
+    monomial of every column.  The loop repeats until no new pin appears.
+
+    Every pin carries a certificate, the multiplier columns of its row:
+    multipliers m_i with  sum m_i * constraints[i] == x - value.
     """
     if not constraints:
         return Elimination({}, {}, [], None, None)
     ctx = constraints[0].ctx
-    one = MultiPoly.const(ctx, 1)
-    rows = [_Row(p, {idx: one}) for idx, p in enumerate(constraints)
+    zero, one = ctx.zero(), ctx.one()
+    rows = [{**p.terms, (idx, ()): one} for idx, p in enumerate(constraints)
             if not p.is_zero()]
     pins: dict[str, FieldElement] = {}
     certs: dict[str, Certificate] = {}
     max_rounds = len({v for p in constraints for v in p.variables()}) + 2
     for _ in range(max_rounds):
-        # one full reduction pass
-        cols = sorted({m for r in rows for m in r.poly.terms if m != ()},
+        cols = sorted({key for row in rows for key in row
+                       if key and not _is_multiplier(key)},
                       key=lambda m: (-_mono_degree(m), m))
-        free = list(rows)
-        for col in cols:
-            pick = None
-            for r in free:
-                if col in r.poly.terms:
-                    pick = r
-                    break
-            if pick is None:
-                continue
-            free.remove(pick)
-            inv = MultiPoly.const(ctx, pick.poly.terms[col].inverse())
-            pick.poly = pick.poly * inv
-            pick.prov = _prov_scale(pick.prov, inv)
-            for r in rows:
-                if r is pick or col not in r.poly.terms:
-                    continue
-                c = MultiPoly.const(ctx, -r.poly.terms[col])
-                terms = dict(r.poly.terms)
-                _addmul(terms, c.terms, pick.poly.terms)
-                r.poly = _poly(ctx, terms)
-                r.prov = _prov_add(r.prov, c, pick.prov)
-        rows = [r for r in rows if not r.poly.is_zero()]
+        rows, _ = _echelon(rows, cols)
+        polys = [_polynomial_part(row) for row in rows]
+        rows = [row for row, poly in zip(rows, polys) if poly]
+        polys = [poly for poly in polys if poly]
         # inconsistency and fresh pins
-        new_pins: list[tuple[str, FieldElement, Certificate]] = []
-        for r in rows:
-            monos = list(r.poly.terms)
-            if monos == [()]:
-                return Elimination(pins, certs, [r.poly for r in rows],
-                                   r.prov, r.poly.terms[()])
-            nonconst = [m for m in monos if m != ()]
-            if len(nonconst) != 1:
-                continue
-            mono = nonconst[0]
-            if len(mono) != 1 or mono[0][1] != 1:
-                continue
-            name = mono[0][0]
-            if name in pins or any(name == n for n, _, _ in new_pins):
-                continue
-            c1 = r.poly.terms[mono]
-            c0 = r.poly.terms.get((), ctx.zero())
-            value = -c0 / c1
-            inv = MultiPoly.const(ctx, c1.inverse())
-            new_pins.append((name, value, _prov_scale(r.prov, inv)))
+        new_pins: list[tuple[str, FieldElement, dict]] = []
+        for row, poly in zip(rows, polys):
+            if list(poly) == [()]:
+                return Elimination(pins, certs,
+                                   [_poly(ctx, p) for p in polys],
+                                   _certificate(ctx, row), poly[()])
+            nonconst = [m for m in poly if m]
+            if len(nonconst) == 1 and len(nonconst[0]) == 1 \
+                    and nonconst[0][0][1] == 1:
+                # a pivot row, so the coefficient of its variable is one
+                new_pins.append((nonconst[0][0][0], -poly.get((), zero), row))
         if not new_pins:
-            return Elimination(pins, certs, [r.poly for r in rows],
+            return Elimination(pins, certs, [_poly(ctx, p) for p in polys],
                                None, None)
-        for name, value, prov in new_pins:
+        for name, value, pin_row in new_pins:
             pins[name] = value
-            certs[name] = prov
-            next_rows = []
-            for r in rows:
-                if name not in r.poly.variables():
-                    next_rows.append(r)
-                    continue
-                quot = _linear_quotient(r.poly, name, value)
-                r.poly = r.poly.substitute({name: value})
-                r.prov = _prov_add(r.prov, -quot, prov)
-                if not r.poly.is_zero():
-                    next_rows.append(r)
-            rows = next_rows
+            certs[name] = _certificate(ctx, pin_row)
+            for i, row in enumerate(rows):
+                quot = _linear_quotient(polys[i], name, value)
+                for mono, c in quot.items():
+                    _subtract_multiple(row, c, _shift(pin_row, mono))
+                if quot:
+                    polys[i] = _polynomial_part(row)
     raise HopfExactError("elimination did not stabilize")
 
 
@@ -651,7 +634,8 @@ def forces_vanishing(constraints: Sequence[MultiPoly],
         certs = {}
         for t in targets:
             factor = MultiPoly.var(ctx, t) * MultiPoly.const(ctx, scale)
-            certs[t] = _prov_scale(elim.contradiction, factor)
+            certs[t] = {idx: factor * mult
+                        for idx, mult in elim.contradiction.items()}
         return VanishingReport(forced=True, certificates=certs,
                                pins=dict(elim.pins), undecided=(),
                                nonzero=(), vacuous=True)

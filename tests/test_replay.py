@@ -1,5 +1,7 @@
 """The symbolic classification replays: constraint harvesting, certified
-eliminations, the n2 <= 1 classification and a negative control."""
+eliminations, the n2 <= 1 classification and negative controls."""
+
+import random
 
 import pytest
 
@@ -9,7 +11,7 @@ from hopfexact.errors import HopfExactError
 from hopfexact.field import FieldContext, adjoin_sqrt
 from hopfexact.poly import MultiPoly, _addmul, _poly
 from hopfexact.replay import (associativity_constraints, classify_n2_le_1,
-                              generic_extension, replay_lemma)
+                              generic_extension, replay_lemma, replay_names)
 
 CTX = FieldContext(4)
 # a formal square root of a perfect square: a ring with zero divisors
@@ -100,17 +102,214 @@ def test_constraints_match_the_plain_triple_loop(kind, n2, signs, ctx):
         assert p.terms[min(p.terms)] == ctx.one()
 
 
-@pytest.mark.parametrize("name", ["diagonal-base-pair-bound",
-                                  "plain-base-collapse"])
+@pytest.mark.parametrize("name", replay_names())
 def test_replay_passes_and_certificates_reverify(name):
     report = replay_lemma(name, CTX)
     assert report.passed and report.cases
     for case in report.cases:
-        assert case.ok and case.report.forced
-        assert case.report.verify(list(case.constraints))
-        for target, cert in case.report.certificates.items():
-            assert replay.verify_combination(
-                list(case.constraints), cert, MultiPoly.var(CTX, target))
+        constraints = list(case.constraints)
+        assert case.ok
+        assert case.report is not None or case.elimination is not None
+        if case.report is not None:
+            assert case.report.forced
+            assert case.report.verify(constraints)
+            for target, cert in case.report.certificates.items():
+                assert replay.verify_combination(
+                    constraints, cert, MultiPoly.var(CTX, target))
+        if case.elimination is not None:
+            elim = case.elimination
+            for var, value in elim.pins.items():
+                assert replay.verify_combination(
+                    constraints, elim.certificates[var],
+                    MultiPoly.var(CTX, var) - value)
+
+
+# -- eliminate against the hand-written loop it replaced ------------------------
+
+
+class _Row:
+    __slots__ = ("poly", "prov")
+
+    def __init__(self, poly, prov):
+        self.poly = poly
+        self.prov = prov
+
+
+def _prov_add(a, factor, b):
+    """``a + factor * b``, multiplier by multiplier; a multiplier that
+    cancels is dropped."""
+    out = dict(a)
+    for idx, mult in b.items():
+        old = out.get(idx)
+        terms = {} if old is None else dict(old.terms)
+        if len(factor.terms) == 1:
+            _addmul(terms, factor.terms, mult.terms)
+        else:
+            _addmul(terms, (factor * mult).terms, None)
+        if terms:
+            out[idx] = _poly(factor.ctx, terms)
+        elif old is not None:
+            del out[idx]
+    return out
+
+
+def _prov_scale(a, factor):
+    return {idx: factor * mult for idx, mult in a.items()}
+
+
+def _reference_eliminate(constraints):
+    """Row-reduce and substitute pins with a pivot scan of its own: each
+    column, highest degree first, takes the first row in the given order
+    that is not yet a pivot, and provenance is a dict of multipliers per
+    row."""
+    ctx = constraints[0].ctx
+    one = MultiPoly.const(ctx, 1)
+    rows = [_Row(p, {idx: one}) for idx, p in enumerate(constraints)
+            if not p.is_zero()]
+    pins, certs = {}, {}
+    max_rounds = len({v for p in constraints for v in p.variables()}) + 2
+    for _ in range(max_rounds):
+        cols = sorted({m for r in rows for m in r.poly.terms if m != ()},
+                      key=lambda m: (-sum(e for _, e in m), m))
+        free = list(rows)
+        for col in cols:
+            pick = next((r for r in free if col in r.poly.terms), None)
+            if pick is None:
+                continue
+            free.remove(pick)
+            inv = MultiPoly.const(ctx, pick.poly.terms[col].inverse())
+            pick.poly = pick.poly * inv
+            pick.prov = _prov_scale(pick.prov, inv)
+            for r in rows:
+                if r is pick or col not in r.poly.terms:
+                    continue
+                c = MultiPoly.const(ctx, -r.poly.terms[col])
+                terms = dict(r.poly.terms)
+                _addmul(terms, c.terms, pick.poly.terms)
+                r.poly = _poly(ctx, terms)
+                r.prov = _prov_add(r.prov, c, pick.prov)
+        rows = [r for r in rows if not r.poly.is_zero()]
+        new_pins = []
+        for r in rows:
+            monos = list(r.poly.terms)
+            if monos == [()]:
+                return replay.Elimination(pins, certs, [r.poly for r in rows],
+                                          r.prov, r.poly.terms[()])
+            nonconst = [m for m in monos if m != ()]
+            if len(nonconst) != 1:
+                continue
+            mono = nonconst[0]
+            if len(mono) != 1 or mono[0][1] != 1:
+                continue
+            name = mono[0][0]
+            if name in pins or any(name == n for n, _, _ in new_pins):
+                continue
+            c1 = r.poly.terms[mono]
+            value = -r.poly.terms.get((), ctx.zero()) / c1
+            inv = MultiPoly.const(ctx, c1.inverse())
+            new_pins.append((name, value, _prov_scale(r.prov, inv)))
+        if not new_pins:
+            return replay.Elimination(pins, certs, [r.poly for r in rows],
+                                      None, None)
+        for name, value, prov in new_pins:
+            pins[name] = value
+            certs[name] = prov
+            next_rows = []
+            for r in rows:
+                if name not in r.poly.variables():
+                    next_rows.append(r)
+                    continue
+                quot = _poly(ctx, replay._linear_quotient(r.poly.terms, name,
+                                                          value))
+                r.poly = r.poly.substitute({name: value})
+                r.prov = _prov_add(r.prov, -quot, prov)
+                if not r.poly.is_zero():
+                    next_rows.append(r)
+            rows = next_rows
+    raise HopfExactError("elimination did not stabilize")
+
+
+def _check_against_reference(constraints):
+    """``eliminate`` finds the reference's pins, residual and contradiction,
+    and each of its certificates checks again.
+
+    At a contradiction the residual is the system as it stood when the
+    constant row appeared, which depends on the pivot rows chosen; only a
+    consistent residual is compared."""
+    got = replay.eliminate(constraints)
+    want = _reference_eliminate(constraints)
+    ctx = constraints[0].ctx
+    assert got.pins == want.pins
+    assert (got.contradiction is None) == (want.contradiction is None)
+    if got.contradiction is None:
+        assert set(got.residual) == set(want.residual)
+    else:
+        assert replay.verify_combination(
+            constraints, got.contradiction,
+            MultiPoly.const(ctx, got.contradiction_value))
+    for name, value in got.pins.items():
+        assert replay.verify_combination(
+            constraints, got.certificates[name],
+            MultiPoly.var(ctx, name) - value)
+    return got
+
+
+@pytest.mark.parametrize("name", replay_names())
+def test_eliminate_matches_the_reference_on_replay_cases(name):
+    for case in replay_lemma(name, CTX).cases:
+        constraints = list(case.constraints)
+        if case.report is not None and case.report.vacuous:
+            # the replay's own elimination met the contradiction: the report
+            # holds its pins, and its certificates are checked above
+            want = _reference_eliminate(constraints)
+            assert want.contradiction is not None
+            assert case.report.pins == want.pins
+        else:
+            _check_against_reference(constraints)
+
+
+def _seeded_system(seed):
+    """A small system over Q(i) that vanishes at a seeded point.
+
+    The k-th variable enters multiplied by powers of the earlier ones, so it
+    is pinned only after they are substituted, and the certificates of the
+    later pins carry polynomial multipliers.  A multiple of one constraint by
+    a variable is added, so that rows share monomials.  Seeds 1 mod 3 add a
+    row that contradicts the value of the last variable, and seeds 2 mod 3
+    drop the row of the second one, which leaves a residual."""
+    rng = random.Random(seed)
+
+    def coeff():
+        while True:
+            c = CTX.element([rng.randint(-2, 2), rng.randint(-2, 2)])
+            if not c.is_zero():
+                return c
+
+    names = ["a", "b", "c", "d"]
+    x = {n: MultiPoly.var(CTX, n) for n in names}
+    point = {n: coeff() for n in names}
+    polys = []
+    for k, name in enumerate(names):
+        poly = MultiPoly.const(CTX, coeff()) * x[name]
+        for m in rng.sample(names[:k], rng.randint(0, k)):
+            poly = poly * x[m] ** rng.randint(1, 2)
+        for m in rng.sample(names[:k], min(k, rng.randint(0, 2))):
+            poly = poly + MultiPoly.const(CTX, coeff()) * x[m] ** rng.randint(1, 2)
+        polys.append(poly - poly.substitute(point))
+    if seed % 3 == 2:
+        del polys[1]
+    polys.append(x[rng.choice(names)] * polys[rng.randrange(len(polys))])
+    rng.shuffle(polys)
+    if seed % 3 == 1:
+        polys.append(x["d"] - point["d"] - 1)
+    return polys
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_eliminate_matches_the_reference_on_seeded_systems(seed):
+    constraints = _seeded_system(seed)
+    got = _check_against_reference(constraints)
+    assert (got.contradiction is not None) == (seed % 3 == 1)
 
 
 def test_classification_of_at_most_one_block():
@@ -134,3 +333,20 @@ def test_flipped_component_sign_is_caught(monkeypatch, key, slot):
     monkeypatch.setitem(replay._COMPONENT_SIGNS, key, tuple(signs))
     with pytest.raises(HopfExactError, match="classification shape"):
         classify_n2_le_1(CTX)
+
+
+# flipping slot 1 or slot 2 of one product's component signs leaves the
+# classification and the collapse lemmas standing, but makes the normalised
+# system of the full extension contradictory
+_PIN_FLIPS = [(("v", "w"), 1), (("w", "v"), 2)]
+
+
+@pytest.mark.parametrize("key,slot", _PIN_FLIPS,
+                         ids=[f"{a}{b}-{s}" for (a, b), s in _PIN_FLIPS])
+def test_flipped_component_sign_breaks_the_full_extension(monkeypatch, key,
+                                                          slot):
+    signs = list(replay._COMPONENT_SIGNS[key])
+    signs[slot] = -signs[slot]
+    monkeypatch.setitem(replay._COMPONENT_SIGNS, key, tuple(signs))
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    assert not replay_lemma("group-full-extension", CTX).passed
