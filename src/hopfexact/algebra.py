@@ -24,10 +24,13 @@ from .errors import DimensionMismatch, NotAnAlgebra
 from .field import FieldContext, FieldElement, scal
 from .linalg import (
     Mat,
+    Row,
     RrefAccumulator,
     Scalar,
     Subspace,
     Vec,
+    _dense,
+    _sparse,
     _terms,
     basis_vector,
     kernel,
@@ -235,9 +238,13 @@ def generated_operator_algebra(gens: Sequence[Mat],
                                include_identity: bool = True) -> list[Mat]:
     """Basis of the matrix algebra generated by ``gens`` (worklist closure).
 
-    A candidate joins the basis when it is independent of the basis so far;
-    the test is :class:`~hopfexact.linalg.RrefAccumulator` on the vecced
-    matrix, whose sparse rows keep the n**2-dimensional ambient cheap.
+    Each word is kept as the sparse row of its row-major ``vec``, and
+    ``vec(m @ g)`` is formed from the nonzero entries of ``m`` and the
+    nonzero row terms of ``g``, built once per generator, with the sums in
+    the order of ``Mat.__matmul__``.  A word joins the basis when it is
+    independent of the basis so far, by
+    :class:`~hopfexact.linalg.RrefAccumulator`'s row path; the closure stops
+    once the basis holds n**2 words, since no further word can be new.
     """
     if not gens:
         raise DimensionMismatch("need at least one generator")
@@ -245,18 +252,39 @@ def generated_operator_algebra(gens: Sequence[Mat],
     n = gens[0].nrows
     if any(g.nrows != n or g.ncols != n or g.ctx != ctx for g in gens):
         raise DimensionMismatch("generators must be square of equal size")
+    nn = n * n
+    gen_terms = [[_terms(r) for r in g.rows] for g in gens]
+    one = ctx.one()
     # every word in the generators is reachable by right extensions, so
     # closing the span under right multiplication by each generator suffices
-    acc = RrefAccumulator(ctx, n * n)
-    basis: list[Mat] = []
-    queue: list[Mat] = ([Mat.identity(ctx, n)] if include_identity else []) + list(gens)
-    while queue:
-        m = queue.pop()
-        if acc.add(m.vec()):
-            for g in gens:
-                queue.append(m @ g)
-            basis.append(m)
-    return basis
+    acc = RrefAccumulator(ctx, nn)
+    basis: list[Row] = []
+    queue: list[Row] = (
+        ([{i * n + i: one for i in range(n)}] if include_identity else [])
+        + [_sparse(g.vec()) for g in gens])
+    while queue and len(basis) < nn:
+        w = queue.pop()
+        if acc._add_row(dict(w)):
+            queue.extend(_vec_product(w, rows, n) for rows in gen_terms)
+            basis.append(w)
+    return [Mat.unvec(ctx, _dense(ctx, w, nn), n, n) for w in basis]
+
+
+def _vec_product(w: Row, g_terms: list[list[tuple[int, FieldElement]]],
+                 n: int) -> Row:
+    """The sparse ``vec(m @ g)`` from the sparse ``vec(m)`` and the nonzero
+    terms of each row of ``g``; ``w`` is in column order, and so is the
+    result, so each entry is summed over ``k`` in increasing order."""
+    acc: dict[int, FieldElement] = {}
+    for ik, a in w.items():
+        i, k = divmod(ik, n)
+        base = i * n
+        for l, b in g_terms[k]:
+            t = a * b
+            j = base + l
+            old = acc.get(j)
+            acc[j] = t if old is None else old + t
+    return {j: acc[j] for j in sorted(acc) if not acc[j].is_zero()}
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:

@@ -9,11 +9,20 @@ Matrices are stored dense, and ``@``, ``apply`` and ``kron`` skip
 structural zeros: a product with a zero factor is never formed.  Elimination
 runs on sparse rows, dicts ``{column: entry}`` of the nonzero entries, with
 one helper that subtracts a multiple of a pivot row.  Two drivers share it:
-``rref``/``rank``/``kernel``/``solve``/``inverse`` eliminate a whole matrix
-column by column, taking the first remaining nonzero row as pivot, and
-:class:`RrefAccumulator` inserts one vector at a time into fully reduced rows
-keyed by pivot.  Exact arithmetic makes the results identical to dense
-elimination, entry for entry, pivots and basis order included.
+
+* ``_echelon`` eliminates a list of rows column by column, taking the first
+  remaining nonzero row as pivot.  ``rref``/``rank``/``solve``/``inverse``
+  run it on a whole matrix, and ``_kernel_rows`` reads a null-space basis
+  from its pivot rows.  ``kernel`` is ``_kernel_rows`` on the rows of a
+  matrix; ``morita.intertwiners`` and ``morita.colinear_maps`` write their
+  operator-space systems as sparse rows and call ``_kernel_rows`` directly,
+  with no dense matrix in between.
+* :class:`RrefAccumulator` inserts one row at a time into fully reduced rows
+  keyed by pivot (``_add_row``); ``add`` takes a dense vector, and
+  ``algebra.generated_operator_algebra`` inserts its sparse words directly.
+
+Exact arithmetic makes the results identical to dense elimination, entry for
+entry, pivots and basis order included.
 
 Conventions used throughout the package:
 
@@ -411,16 +420,26 @@ def rank(mat: Mat) -> int:
 
 def kernel(mat: Mat) -> list[Vec]:
     """Basis of the right null space, one vector per free column."""
-    red, pivots = rref(mat)
+    return _kernel_rows(mat.ctx, [_sparse(r) for r in mat.rows], mat.ncols)
+
+
+def _kernel_rows(ctx: FieldContext, rows: list[Row], n: int) -> list[Vec]:
+    """Basis of the vectors of length ``n`` that every sparse row annihilates,
+    one per free column of ``_echelon(rows, range(n))``; ``rows`` is
+    reduced in place."""
+    red, pivots = _echelon(rows, range(n))
     pivset = set(pivots)
-    free = [j for j in range(mat.ncols) if j not in pivset]
-    ctx = mat.ctx
+    zero, one = ctx.zero(), ctx.one()
     basis = []
-    for j in free:
-        v = [ctx.zero()] * mat.ncols
-        v[j] = ctx.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r, j]
+    for j in range(n):
+        if j in pivset:
+            continue
+        v = [zero] * n
+        v[j] = one
+        for row, pc in zip(red, pivots):
+            e = row.get(j)
+            if e is not None:
+                v[pc] = -e
         basis.append(tuple(v))
     return basis
 
@@ -593,7 +612,12 @@ class RrefAccumulator:
     def add(self, v: Sequence[FieldElement]) -> bool:
         if len(v) != self.ambient:
             raise DimensionMismatch(f"ambient {self.ambient}, vector {len(v)}")
-        red = _reduce(_sparse(v), self._rows)
+        return self._add_row(_sparse(v))
+
+    def _add_row(self, row: Row) -> bool:
+        """Insert a sparse row of length ``ambient``, reducing it in place;
+        whether it was independent of the rows so far."""
+        red = _reduce(row, self._rows)
         if not red:
             return False
         lead = min(red)

@@ -47,8 +47,11 @@ from .field import (FieldContext, FieldElement, adjoin_sqrt, polynomial_roots,
 from .hopf import antipode_inverse, coradical_zero
 from .linalg import (
     Mat,
+    Row,
     Subspace,
     Vec,
+    _kernel_rows,
+    _subtract_multiple,
     _terms,
     eigenspace,
     kernel,
@@ -59,7 +62,6 @@ from .linalg import (
     restrict_operator,
     solve,
     spin,
-    vstack,
 )
 from .poly import MultiPoly, _addmul, _poly, concrete_solutions
 
@@ -420,45 +422,56 @@ def loewy_graded_end(v: RightComodModule, b_grading: Sequence[Subspace],
 # -- colinear isomorphism search ------------------------------------------------
 
 
-def _colinear_system(a: ComoduleAlgebra, b: ComoduleAlgebra) -> Mat:
-    """The matrix of vec(T) -> lambda_b T - (id (x) T) lambda_a.
+def _commutation_rows(ctx: FieldContext, pairs) -> list[Row]:
+    """Sparse rows of ``vec(T) -> vec(T A - B T)``, one block per pair.
+
+    A pair gives ``A`` (d1 x d1) by the nonzero ``(k, A[k, j])`` of each
+    column j and ``B`` (d2 x d2) by the nonzero ``(p, B[i, p])`` of each row
+    i; T is d2 x d1, vecced row-major.  Row ``i*d1 + j`` of a block holds
+    ``+A[k, j]`` at column ``i*d1 + k`` and ``-B[i, p]`` at column
+    ``p*d1 + j``, an entry that cancels dropped: the rows of
+    ``kron(I, A^T) - kron(B, I)``, written from the nonzero entries alone.
+    """
+    one = ctx.one()
+    rows: list[Row] = []
+    for a_cols, b_rows in pairs:
+        d1 = len(a_cols)
+        for i, b_row in enumerate(b_rows):
+            for j, a_col in enumerate(a_cols):
+                row = {i * d1 + k: x for k, x in a_col}
+                _subtract_multiple(row, one,
+                                   {p * d1 + j: x for p, x in b_row})
+                rows.append(row)
+    return rows
+
+
+def _colinear_system(a: ComoduleAlgebra, b: ComoduleAlgebra) -> list[Row]:
+    """The sparse rows of vec(T) -> lambda_b T - (id (x) T) lambda_a.
 
     Row ``(h*nb + m)*na + j`` holds ``+b.coaction[h*nb + m, m']`` at column
     ``m'*na + j`` and ``-a.coaction[h*na + k, j]`` at column ``m*na + k``:
-    the rows of ``kron(b.coaction, I) - (blocks of a.coaction)``, written
-    from the nonzero coaction entries alone.
+    the rows of ``kron(b.coaction, I) - (blocks of a.coaction)``.  For each
+    h this is ``T A - B T`` with ``A``, ``B`` the negated h-th blocks of the
+    two coactions.
     """
     if a.hopf.table != b.hopf.table or a.hopf.comult != b.hopf.comult:
         raise DimensionMismatch("the two algebras live over different Hopf "
                                 "algebras")
-    ctx = a.ctx
-    na, nb, nh = a.dim, b.dim, a.hopf.dim
-    zero = ctx.zero()
+    na, nb = a.dim, b.dim
     ca, cb = a.coaction, b.coaction
-    b_rows = [[(mp, x) for mp, x in enumerate(cb.row(r)) if not x.is_zero()]
-              for r in range(nh * nb)]
-    a_cols = [[[(k, x) for k in range(na)
-                if not (x := ca[h * na + k, j]).is_zero()]
-               for j in range(na)] for h in range(nh)]
-    diff_rows = []
-    for h in range(nh):
-        for m in range(nb):
-            b_row = b_rows[h * nb + m]
-            for j in range(na):
-                row = [zero] * (nb * na)
-                for mp, x in b_row:
-                    row[mp * na + j] = x
-                for k, x in a_cols[h][j]:
-                    c = m * na + k
-                    row[c] = row[c] - x
-                diff_rows.append(row)
-    return Mat(ctx, diff_rows)
+    pairs = [([[(k, -x) for k in range(na)
+                if not (x := ca[h * na + k, j]).is_zero()] for j in range(na)],
+              [[(p, -x) for p, x in _terms(cb.row(h * nb + m))]
+               for m in range(nb)])
+             for h in range(a.hopf.dim)]
+    return _commutation_rows(a.ctx, pairs)
 
 
 def colinear_maps(a: ComoduleAlgebra, b: ComoduleAlgebra) -> list[Mat]:
     """Basis of the space of linear maps T with lambda_b T = (id (x) T) lambda_a."""
     return [Mat.unvec(a.ctx, t, b.dim, a.dim)
-            for t in kernel(_colinear_system(a, b))]
+            for t in _kernel_rows(a.ctx, _colinear_system(a, b),
+                                  a.dim * b.dim)]
 
 
 def colinear_iso_search(a: ComoduleAlgebra, b: ComoduleAlgebra
@@ -597,15 +610,20 @@ class ModuleDecomposition:
 
 
 def intertwiners(m1: Sequence[Mat], m2: Sequence[Mat]) -> list[Mat]:
-    """Basis of maps T with T rho_1(a) = rho_2(a) T for all basis elements."""
+    """Basis of maps T with T rho_1(a) = rho_2(a) T for all basis elements.
+
+    The system is written as sparse rows straight from the nonzero entries
+    of each ``rho_1(a)`` and ``rho_2(a)`` (:func:`_commutation_rows`), the
+    rows of ``kron(I, rho_1(a)^T) - kron(rho_2(a), I)`` stacked in basis
+    order, and solved by the sparse kernel of :mod:`~hopfexact.linalg`."""
     ctx = m1[0].ctx
     d1, d2 = m1[0].ncols, m2[0].nrows
-    blocks = []
-    i1 = Mat.identity(ctx, d1)
-    i2 = Mat.identity(ctx, d2)
-    for r1, r2 in zip(m1, m2, strict=True):
-        blocks.append(kron(i2, r1.transpose()) - kron(r2, i1))
-    return [Mat.unvec(ctx, t, d2, d1) for t in kernel(vstack(blocks))]
+    pairs = [([_terms(r1.col(j)) for j in range(d1)],
+              [_terms(r) for r in r2.rows])
+             for r1, r2 in zip(m1, m2, strict=True)]
+    rows = _commutation_rows(ctx, pairs)
+    return [Mat.unvec(ctx, t, d2, d1)
+            for t in _kernel_rows(ctx, rows, d2 * d1)]
 
 
 def _commutant(action: Sequence[Mat]) -> list[Mat]:

@@ -500,7 +500,12 @@ def _linear_quotient(terms: dict, name: str, value: FieldElement) -> dict:
 
 @dataclass
 class Elimination:
-    """Outcome of the iterated linear elimination with provenance."""
+    """Outcome of the iterated linear elimination with provenance.
+
+    ``residual`` holds the reduced constraints left when no new pin
+    appears; at a contradiction it is the constant row alone, as the one
+    constant polynomial ``contradiction_value``.
+    """
 
     pins: dict[str, FieldElement]
     certificates: dict[str, Certificate]
@@ -549,7 +554,7 @@ def eliminate(constraints: Sequence[MultiPoly]) -> Elimination:
         for row, poly in zip(rows, polys):
             if list(poly) == [()]:
                 return Elimination(pins, certs,
-                                   [_poly(ctx, p) for p in polys],
+                                   [MultiPoly.const(ctx, poly[()])],
                                    _certificate(ctx, row), poly[()])
             nonconst = [m for m in poly if m]
             if len(nonconst) == 1 and len(nonconst[0]) == 1 \
