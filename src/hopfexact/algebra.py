@@ -13,7 +13,10 @@ with two legs multiplies leg by leg when each leg has its own sparse product
 table, ``(a (x) b)(c (x) d) = left[a][c] (x) right[b][d]``.  The product of
 H (x) A, the multiplicativity of a coproduct or coaction, the colinearity of
 a module action and the twisted products of bosonization and smash product
-are all this one contraction with different tables.
+are all this one contraction with different tables.  It contracts the right
+leg first: ``sum_d v[c, d] right[b][d]`` is formed once for each ``(b, c)``
+that a term of ``u`` meets, and the left-table terms are applied to it
+after.
 """
 
 from __future__ import annotations
@@ -143,7 +146,22 @@ def tensor_product(left: Table, right: Table, u: Sequence[FieldElement],
     ``u`` has ``len(left) * len(right)`` coordinates and ``v`` has
     ``len(left[0]) * len(right[0])``; the result has ``shape[0] * shape[1]``,
     its legs indexed by the ``k`` of the left table terms and the ``l`` of
-    the right ones.  Only nonzero coordinates and table terms are visited.
+    the right ones.
+
+    The right leg of ``v`` is contracted first.  For each ``(b, c)`` that a
+    term of ``u`` meets, ``r_bc = sum_d v[c, d] right[b][d]`` is formed once
+    and reused by every term of ``u`` with right index ``b``; then a term
+    ``x`` of ``u`` at ``(a, b)`` adds ``x p r_bc`` at ``(k, l)`` for each
+    term ``(k, p)`` of ``left[a][c]``.  With at most ``L`` terms per left
+    table entry and ``R`` per right one, that is at most
+    ``len(right) nnz(v) R + nnz(u) len(left[0]) L (1 + R)``
+    products, where visiting every pair of terms of ``u`` and ``v`` costs
+    up to ``nnz(u) nnz(v) (1 + L + L R)``.  On the coaction of ``a_i_xy``
+    in a seeded dense basis (13 of the 32 coordinates of an image nonzero)
+    a product of two images takes about 820 products instead of 1920.
+    Only nonzero coordinates, table terms and sums are multiplied: the zero
+    divisors of a perfect-square layer can make a sum or a product of
+    nonzero elements vanish.
     """
     nu, nv = len(right), len(right[0])
     if len(u) != len(left) * nu or len(v) != len(left[0]) * nv:
@@ -152,17 +170,28 @@ def tensor_product(left: Table, right: Table, u: Sequence[FieldElement],
             f"of {len(left)}x{len(left[0])} and {nu}x{nv} basis pairs")
     out_right = shape[1]
     acc: list[Optional[FieldElement]] = [None] * (shape[0] * out_right)
-    v_terms = [(divmod(j, nv), y) for j, y in _terms(v)]
+    # the terms of v grouped by their left index c, as (d, y)
+    v_rows: dict[int, list[tuple[int, FieldElement]]] = {}
+    for j, y in _terms(v):
+        c, d = divmod(j, nv)
+        v_rows.setdefault(c, []).append((d, y))
+    contracted: dict[tuple[int, int], list[tuple[int, FieldElement]]] = {}
     for i, x in _terms(u):
         a, b = divmod(i, nu)
-        left_row, right_row = left[a], right[b]
-        for (c, d), y in v_terms:
-            lt, rt = left_row[c], right_row[d]
-            if not lt or not rt:
+        left_row = left[a]
+        for c, v_row in v_rows.items():
+            lt = left_row[c]
+            if not lt:
                 continue
-            xy = x * y
+            rt = contracted.get((b, c))
+            if rt is None:
+                rt = contracted[b, c] = _contract(right[b], v_row)
+            if not rt:
+                continue
             for k, p in lt:
-                w = xy * p
+                w = x * p
+                if w.is_zero():
+                    continue
                 base = k * out_right
                 for l, q in rt:
                     t = w * q
@@ -170,6 +199,19 @@ def tensor_product(left: Table, right: Table, u: Sequence[FieldElement],
                     acc[idx] = t if acc[idx] is None else acc[idx] + t
     zero = u[0].ctx.zero()
     return tuple(zero if e is None else e for e in acc)
+
+
+def _contract(right_row: tuple[Terms, ...],
+              v_row: list[tuple[int, FieldElement]]
+              ) -> list[tuple[int, FieldElement]]:
+    """The nonzero ``(l, sum_d y right_row[d][l])`` over the ``(d, y)`` of
+    ``v_row``."""
+    sums: dict[int, FieldElement] = {}
+    for d, y in v_row:
+        for l, q in right_row[d]:
+            t = y * q
+            sums[l] = sums[l] + t if l in sums else t
+    return [(l, s) for l, s in sums.items() if not s.is_zero()]
 
 
 def mixed_tensor_product(h: Algebra, a: Algebra, u: Sequence[FieldElement],

@@ -437,6 +437,15 @@ def associativity_constraints(g: GenericExtension) -> list[MultiPoly]:
     return out
 
 
+def _require_associative_base(kind: str, ctx: FieldContext) -> None:
+    """Refuse a base kind whose own table is not associative: over such a
+    base every case of a replay would hold vacuously, on the base's own
+    contradiction, and prove nothing about the blocks."""
+    if associativity_constraints(generic_extension(kind, 0, None, ctx)):
+        raise HopfExactError(
+            f"base kind {kind!r} is not associative on its own")
+
+
 # -- certified linear elimination ----------------------------------------------
 
 
@@ -710,6 +719,7 @@ def _alpha_names(n2: int) -> tuple[str, ...]:
 
 def _null_product_report(kind: str, ctx: FieldContext, name: str
                          ) -> ReplayReport:
+    _require_associative_base(kind, ctx)
     targets = _alpha_names(2)
     cases = []
     for s1 in _all_sign_pairs():
@@ -738,6 +748,7 @@ def _null_product_report(kind: str, ctx: FieldContext, name: str
 
 
 def _dimension_bound_report(ctx: FieldContext) -> ReplayReport:
+    _require_associative_base("ga_K", ctx)
     targets = _alpha_names(2)
     cases = []
     for s1 in _all_sign_pairs():
@@ -766,6 +777,7 @@ def _dimension_bound_report(ctx: FieldContext) -> ReplayReport:
 
 def _dependent_collapse_report(kind: str, name: str, conclusion: str,
                                ctx: FieldContext) -> ReplayReport:
+    _require_associative_base(kind, ctx)
     targets = _alpha_names(2)
     cases = []
     for a, b in _all_sign_pairs():
@@ -795,6 +807,7 @@ def _dependent_collapse_report(kind: str, name: str, conclusion: str,
 def _plain_base_report(ctx: FieldContext) -> ReplayReport:
     cases = []
     for kind in ("trivial", "ga_x", "ga_y"):
+        _require_associative_base(kind, ctx)
         g = generic_extension(kind, 2, None, ctx)
         cons = associativity_constraints(g)
         targets = g.unknowns
@@ -815,6 +828,7 @@ def _plain_base_report(ctx: FieldContext) -> ReplayReport:
 
 
 def _diagonal_bound_report(ctx: FieldContext) -> ReplayReport:
+    _require_associative_base("ga_xy", ctx)
     g = generic_extension("ga_xy", 2, None, ctx)
     cons = associativity_constraints(g)
     targets = g.unknowns
@@ -835,6 +849,7 @@ def _diagonal_bound_report(ctx: FieldContext) -> ReplayReport:
 
 
 def _full_extension_report(ctx: FieldContext) -> ReplayReport:
+    _require_associative_base("ga_K", ctx)
     cases = []
     regular = build_regular_comodule_algebra(ctx)
     for signs in (((1, 1), (-1, -1)), ((1, -1), (-1, 1))):
@@ -956,12 +971,8 @@ def classify_n2_le_1(ctx: Optional[FieldContext] = None
     ctx = ctx or FieldContext(4)
     families: list[SolutionFamily] = []
     for kind in KINDS:
-        g0 = generic_extension(kind, 0, None, ctx)
-        cons0 = associativity_constraints(g0)
-        if cons0:
-            raise HopfExactError(
-                f"base kind {kind!r} is not associative on its own")
-        base_algebra = g0.specialize({})
+        _require_associative_base(kind, ctx)
+        base_algebra = generic_extension(kind, 0, None, ctx).specialize({})
         families.append(SolutionFamily(
             kind=kind, n2=0, signs=None, constants={}, presentations=({},),
             algebra=base_algebra, catalog_match=""))

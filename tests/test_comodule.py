@@ -38,8 +38,11 @@ from hopfexact.errors import (
     NotACocycle,
     NotOverKp,
 )
-from hopfexact.field import FieldContext, adjoin_sqrt
-from hopfexact.linalg import Mat, Subspace, basis_vector, vadd, vscale
+from hopfexact.algebra import tensor_product
+from hopfexact.field import FieldContext, FieldElement, adjoin_sqrt
+from hopfexact.linalg import Mat, Subspace, _terms, basis_vector, vadd, vscale
+
+from _transport import transport
 
 QI = FieldContext(4)
 CATALOG = catalog(QI)
@@ -70,13 +73,26 @@ def test_broken_coaction_is_detected():
     assert check_comodule(bad) != []
 
 
-def test_non_multiplicative_coaction_detected():
-    # the x-grading of ga_x on the algebra with t**2 = 1 + t: a comodule
-    # whose coaction is not an algebra map
+def _non_multiplicative_ga_x():
+    """The x-grading of ga_x on the algebra with t**2 = 1 + t: a comodule
+    whose coaction is not an algebra map."""
     a = CATALOG["ga_x"]
     one, t = a.table[0][0], a.table[0][1]
-    bad = ComoduleAlgebra(a.hopf, a.labels, a.unit,
-                          [[one, t], [t, vadd(one, t)]], a.coaction)
+    return ComoduleAlgebra(a.hopf, a.labels, a.unit,
+                           [[one, t], [t, vadd(one, t)]], a.coaction)
+
+
+def test_non_multiplicative_coaction_detected():
+    assert check_comodule_algebra(_non_multiplicative_ga_x()) == [
+        "coaction is not an algebra morphism"]
+
+
+def test_non_multiplicative_coaction_detected_in_a_dense_basis():
+    built = _non_multiplicative_ga_x()
+    bad = transport(built, random.Random("ga_x"))
+    # the images of the basis under the coaction are denser than as built
+    assert (sum(len(_terms(bad.coaction.col(j))) for j in range(2))
+            > sum(len(_terms(built.coaction.col(j))) for j in range(2)))
     assert check_comodule_algebra(bad) == [
         "coaction is not an algebra morphism"]
 
@@ -115,18 +131,22 @@ def _ref_multiply(alg, x, y):
     return tuple(out)
 
 
-def _ref_mixed(h, a, u, v):
-    nh, na = h.dim, a.dim
-    out = [h.ctx.zero()] * (nh * na)
-    for h1 in range(nh):
-        for a1 in range(na):
-            for h2 in range(nh):
-                for a2 in range(na):
-                    c = u[h1 * na + a1] * v[h2 * na + a2]
-                    for p, lp in enumerate(h.table[h1][h2]):
-                        clp = c * lp
-                        for q, rq in enumerate(a.table[a1][a2]):
-                            out[p * na + q] = out[p * na + q] + clp * rq
+def _ref_tensor(left, right, u, v, shape):
+    """The two-leg product over every coordinate pair, with dense tables:
+    ``left[a][c]`` has ``shape[0]`` coordinates, ``right[b][d]`` has
+    ``shape[1]``."""
+    nb, nd = len(right), len(right[0])
+    out = [u[0].ctx.zero()] * (shape[0] * shape[1])
+    for a in range(len(left)):
+        for b in range(nb):
+            for c in range(len(left[0])):
+                for d in range(nd):
+                    coeff = u[a * nb + b] * v[c * nd + d]
+                    for k, lk in enumerate(left[a][c]):
+                        clk = coeff * lk
+                        for l, rl in enumerate(right[b][d]):
+                            idx = k * shape[1] + l
+                            out[idx] = out[idx] + clk * rl
     return tuple(out)
 
 
@@ -142,7 +162,81 @@ def test_sparse_products_match_nested_loops(layered):
             x, y = (_dense_vector(rng, ctx, alg.dim) for _ in range(2))
             assert alg.multiply(x, y) == _ref_multiply(alg, x, y)
     u, v = (_dense_vector(rng, ctx, h.dim * a.dim) for _ in range(2))
-    assert mixed_tensor_product(h, a, u, v) == _ref_mixed(h, a, u, v)
+    assert mixed_tensor_product(h, a, u, v) == _ref_tensor(
+        h.table, a.table, u, v, (h.dim, a.dim))
+
+
+def _sparse_vector(rng, ctx, n, zero_at=()):
+    """About two thirds of the n coordinates nonzero, as in _dense_vector,
+    and zero at the indices in ``zero_at``."""
+    values = _dense_vector(rng, ctx, n)
+    return tuple(ctx.zero() if j in zero_at or rng.random() < 1 / 3 else x
+                 for j, x in enumerate(values))
+
+
+def _random_table(rng, ctx, rows, cols, n):
+    return [[_sparse_vector(rng, ctx, n) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _cancelling_input():
+    """Tables and tensors over QS whose right-leg sums vanish twice: the sum
+    for (b, c) = (0, 0) is (2 - s)(2 + s) = 0 at l = 0, and the one for
+    (1, 1) is 1 - 1 = 0 at l = 0; and (2 + s)(2 - s) = 0 in the left leg."""
+    ctx = QS
+    one, s = ctx.one(), ctx.sqrt_symbol()
+    two, zero = ctx.scalar(2), ctx.zero()
+    left = [[(two - s, one), (one, zero)], [(zero, one), (one, two - s)]]
+    right = [[(two + s, one), (one, zero)], [(one, one), (-one, two - s)]]
+    u = (two + s, one, one, two + s)
+    v = (two - s, zero, one, one)
+    return left, right, u, v, (2, 2)
+
+
+def _tensor_case(name):
+    """``(left, right, u, v, shape)`` with dense tables."""
+    if name == "cancelling":
+        return _cancelling_input()
+    rng = random.Random(name)
+    if name == "acting":
+        # a left table of 6 x 3 basis pairs into 2 coordinates, as the
+        # acting tables of bosonize and smash_product are not square
+        left = _random_table(rng, QI, 6, 3, 2)
+        right = _random_table(rng, QI, 3, 4, 5)
+        return (left, right, _sparse_vector(rng, QI, 18),
+                _sparse_vector(rng, QI, 12), (2, 5))
+    left = _random_table(rng, QI, 3, 4, 3)
+    right = _random_table(rng, QI, 4, 3, 4)
+    if name == "zero legs":
+        # u vanishes at a = 1 and at b = 2, v at c = 0 and at d = 1
+        u = _sparse_vector(rng, QI, 12, {2, 4, 5, 6, 7, 10})
+        v = _sparse_vector(rng, QI, 12, {0, 1, 2, 4, 7, 10})
+    else:
+        # every term of u has right index b = 1
+        u = tuple(x if j % 4 == 1 else QI.zero()
+                  for j, x in enumerate(_dense_vector(rng, QI, 12)))
+        v = _dense_vector(rng, QI, 12)
+    return left, right, u, v, (3, 4)
+
+
+@pytest.mark.parametrize("name",
+                         ["acting", "zero legs", "shared b", "cancelling"])
+def test_tensor_product_matches_nested_loops(monkeypatch, name):
+    left, right, u, v, shape = _tensor_case(name)
+    expected = _ref_tensor(left, right, u, v, shape)
+    sparse = [tuple(tuple(tuple(_terms(e)) for e in row) for row in table)
+              for table in (left, right)]
+    mul = FieldElement.__mul__
+
+    def nonzero_mul(x, y):
+        assert not (x.is_zero() or y.is_zero()), "a product with a zero factor"
+        return mul(x, y)
+
+    # the kernel multiplies only nonzero coordinates, terms and sums
+    with monkeypatch.context() as m:
+        m.setattr(FieldElement, "__mul__", nonzero_mul)
+        got = tensor_product(*sparse, u, v, shape)
+    assert got == expected
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_DIMS))

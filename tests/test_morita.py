@@ -10,7 +10,6 @@ import pytest
 from hopfexact import algebra, linalg, morita
 from hopfexact.algebra import is_algebra_isomorphism, trace_radical
 from hopfexact.comodule import (
-    ComoduleAlgebra,
     check_comodule_algebra,
     coideal_generated,
     comodule_algebra_from_subspace,
@@ -34,7 +33,7 @@ from hopfexact.errors import (
     NotSemisimple,
 )
 from hopfexact.field import FieldContext, adjoin_sqrt
-from hopfexact.linalg import (Mat, _dense, basis_vector, inverse, kernel, kron,
+from hopfexact.linalg import (Mat, _dense, basis_vector, kernel, kron,
                               tensor_vec, vadd, vscale, vstack)
 from hopfexact.morita import (
     RightComodModule,
@@ -53,6 +52,8 @@ from hopfexact.morita import (
     simple_modules_split,
 )
 
+from _transport import transport
+
 QI = FieldContext(4)
 CATALOG = catalog(QI)
 KP = CATALOG["kp"].hopf
@@ -69,33 +70,10 @@ QS = adjoin_sqrt(QI, "1+i")
 SMALL = ("k", "ga_x", "ga_y", "ga_xy", "ga_k", "a_i_xy", "kpsi")
 
 
-def _transport(a, rng):
-    """The seeded change of basis of ``perfbench/transport.py``: P = L*U with
-    L lower and U upper unitriangular, their entries off the diagonal each
-    -1 or 1, and then ``table' = P^-1 m (P (x) P)``, ``unit' = P^-1 unit``
-    and ``coaction' = (I (x) P^-1) coaction P``."""
-    ctx, n = a.ctx, a.dim
-
-    def unitriangular(lower):
-        return [[1 if i == j else
-                 (rng.choice((-1, 1)) if (i > j) == lower else 0)
-                 for j in range(n)] for i in range(n)]
-
-    pm = Mat(ctx, unitriangular(True)) @ Mat(ctx, unitriangular(False))
-    pim = inverse(pm)
-    mult = Mat.from_columns(ctx, [a.table[i][j]
-                                  for i in range(n) for j in range(n)])
-    moved = pim @ mult @ kron(pm, pm)
-    table = [[moved.col(i * n + j) for j in range(n)] for i in range(n)]
-    coaction = (kron(Mat.identity(ctx, a.hopf.dim), pim) @ a.coaction) @ pm
-    return ComoduleAlgebra(a.hopf, [f"{label}'" for label in a.labels],
-                           pim.apply(a.unit), table, coaction)
-
-
 @functools.lru_cache(maxsize=None)
 def _small_mixed_inputs(seed):
     """The transported small entries of the benchmark's small-mixed seed."""
-    return {name: _transport(CATALOG[name], random.Random(f"{seed}:{name}"))
+    return {name: transport(CATALOG[name], random.Random(f"{seed}:{name}"))
             for name in SMALL}
 
 

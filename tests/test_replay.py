@@ -6,7 +6,7 @@ import random
 import pytest
 
 from hopfexact import replay
-from hopfexact.constructions import catalog
+from hopfexact.constructions import PSI_STANDARD, catalog
 from hopfexact.errors import HopfExactError
 from hopfexact.field import FieldContext, adjoin_sqrt
 from hopfexact.poly import MultiPoly, _addmul, _poly
@@ -351,3 +351,18 @@ def test_flipped_component_sign_breaks_the_full_extension(monkeypatch, key,
     monkeypatch.setitem(replay._COMPONENT_SIGNS, key, tuple(signs))
     monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
     assert not replay_lemma("group-full-extension", CTX).passed
+
+
+# flipping any one entry of the twisted base's cocycle makes the base itself
+# non-associative: every replay over it and the classification must refuse
+# rather than pass each case vacuously on the base's own contradiction
+@pytest.mark.parametrize("pair", sorted(PSI_STANDARD),
+                         ids=[f"{g}{h}" for g, h in sorted(PSI_STANDARD)])
+def test_flipped_cocycle_entry_is_refused(monkeypatch, pair):
+    monkeypatch.setitem(PSI_STANDARD, pair, -PSI_STANDARD[pair])
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    for name in ("twisted-null-product", "twisted-no-extension"):
+        with pytest.raises(HopfExactError, match="'kpsi' is not associative"):
+            replay_lemma(name, CTX)
+    with pytest.raises(HopfExactError, match="'kpsi' is not associative"):
+        classify_n2_le_1(CTX)
