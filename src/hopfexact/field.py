@@ -26,6 +26,16 @@ such a factor.  Reduction uses the n-th cyclotomic polynomial, computed by
 the classic recursive exact division ``Phi_n = (x**n - 1) / prod Phi_d``; it
 is monic with integer coefficients, so the reduction table for ``zeta**k``
 holds plain integers.
+
+Square roots (:func:`sqrt_in_context`) take one quadratic step per level of
+a tower.  Read ``x = a + b*t`` over the field one step down, with
+``t**2 = d``: ``t = s`` over the base for a layer, and ``t = zeta_n``,
+``d = zeta_{n/2}`` for Q(zeta_n) over Q(zeta_{n/2}) when n is a power of
+two, with ``a``, ``b`` the even and odd power-basis coefficients.  A root
+``u + v*t`` has ``u = sqrt(a)`` or ``v = sqrt(a/d)`` when ``b == 0``, else
+``u = sqrt((a +- g)/2)`` and ``v = b/(2u)`` with ``g = sqrt(a**2 - d*b**2)``;
+each root is taken one step down, down to Q, and a candidate is kept only
+if it squares back to ``x``.  Other orders reach only Q(i) (when 4 | n) or Q.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     AlreadyExtended,
@@ -736,9 +746,11 @@ def polynomial_roots(ctx: FieldContext, coeffs: Sequence[Rat | FieldElement]
                      ) -> Optional[list["FieldElement"]]:
     """All distinct roots in ``ctx``, or None if completeness is uncertain.
 
-    Complete for degree <= 2 (quadratic formula plus :func:`sqrt_in_context`),
-    over the plain rationals for any degree (rational root theorem), and for
-    anything that reduces to those after stripping roots at zero.
+    Complete for degree <= 2 (quadratic formula plus :func:`sqrt_in_context`)
+    wherever that square root is complete (see there), over the plain
+    rationals for any degree (rational root theorem), and for anything that
+    reduces to those after stripping roots at zero.  Elsewhere a quadratic
+    whose discriminant has no square root found gives None.
     """
     cs = [c if isinstance(c, FieldElement) else ctx.scalar(c) for c in coeffs]
     cs = [c.coerce(ctx) for c in cs]
@@ -764,7 +776,8 @@ def polynomial_roots(ctx: FieldContext, coeffs: Sequence[Rat | FieldElement]
             try:
                 r = sqrt_in_context(disc)
             except NeedsFieldExtension:
-                return []
+                # a proof of no roots only where the square root is complete
+                return None if ctx.order & (ctx.order - 1) else []
             found = [(-b + r) / (a * 2)]
             if not r.is_zero():
                 found.append((-b - r) / (a * 2))
@@ -815,140 +828,74 @@ def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _gaussian_sqrt(ctx4: FieldContext, x: FieldElement) -> Optional[FieldElement]:
-    """Square root in Q(i); ``x`` lives in a context of order 4."""
-    c, d = x.coeffs[0], x.coeffs[1]
-    if d == 0:
-        r = _rational_sqrt(c)
-        if r is not None:
-            return ctx4.scalar(r)
-        r = _rational_sqrt(-c)
-        if r is not None:
-            return ctx4.element((0, r))
-        return None
-    r = _rational_sqrt(c * c + d * d)
-    if r is None:
-        return None
-    u = _rational_sqrt((c + r) / 2)
-    if u is not None and u != 0:
-        v = d / (2 * u)
-        cand = ctx4.element((u, v))
-        if cand * cand == x:
-            return cand
-    v = _rational_sqrt((r - c) / 2)
-    if v is not None and v != 0:
-        u = d / (2 * v)
-        cand = ctx4.element((u, v))
-        if cand * cand == x:
-            return cand
-    return None
-
-
-def _base_sqrt(x: FieldElement) -> Optional[FieldElement]:
-    """Square root in a layer-free cyclotomic context, or None."""
+def _sqrt_candidates(x: FieldElement) -> Iterator[FieldElement]:
+    """Candidate square roots of a nonzero ``x``, in the order they are
+    tried; each is a root unless a step below it went wrong."""
     ctx = x.ctx
-    if x.is_zero():
-        return ctx.zero()
-    if x.is_rational():
+    n = ctx.order
+    if ctx.has_layer:
+        t, d = ctx.sqrt_symbol(), ctx.discriminant
+        a, b = x.base_part(), x.layer_part()
+    elif n <= 2:
         r = _rational_sqrt(x.as_rational())
         if r is not None:
-            return ctx.scalar(r)
-        if ctx.order % 4 == 0:
-            r = _rational_sqrt(-x.as_rational())
-            if r is not None:
-                return ctx.i() * ctx.scalar(r)
-        if ctx.order % 8 != 0 and ctx.order != 4:
-            return None
-    if ctx.order == 4:
-        return _gaussian_sqrt(ctx, x)
-    if ctx.order == 8:
-        return _sqrt_order8(ctx, x)
-    if ctx.order % 4 == 0 and not x.is_rational():
-        # the element may live in the Q(i) subfield: x = c + d*i
+            yield ctx.scalar(r)
+        return
+    elif n & (n - 1):
+        # other orders reach only the subfield Q(i) when 4 | n, else Q:
+        # read x as c + e*i with rational c and e (e = 0 without i)
         c = x.coeffs[0]
-        rem = x - ctx.scalar(c)
-        ratio = rem * ctx.i().inverse()
-        if ratio.is_rational():
-            sub = FieldContext(4)
-            g = _gaussian_sqrt(sub, sub.element((c, ratio.as_rational())))
-            if g is not None:
-                return g.coerce(ctx)
-    return None
-
-
-def _sqrt_order8(ctx8: FieldContext, x: FieldElement) -> Optional[FieldElement]:
-    """Square root in Q(zeta_8), treated as the quadratic pair u + v*zeta_8
-    over Q(i), where i = zeta_8**2 and zeta_8**2 acts as multiplication by i."""
-    ctx4 = FieldContext(4)
-    c0, c1, c2, c3 = x.coeffs
-    a = ctx4.element((c0, c2))
-    b = ctx4.element((c1, c3))
-
-    def embed(u: FieldElement, v: FieldElement) -> FieldElement:
-        return ctx8.element((u.coeffs[0], v.coeffs[0], u.coeffs[1], v.coeffs[1]))
-
-    i4 = ctx4.element((0, 1))
+        sub = FieldContext(4 if n % 4 == 0 else 1)
+        e = (x - c) / ctx.i() if sub.order == 4 else x - c
+        if e.is_rational():
+            y = _tower_sqrt(sub.scalar(c) + sub.zeta() * e.as_rational())
+            if y is not None:
+                yield y.coerce(ctx)
+        return
+    else:
+        # n a power of two: Q(zeta_n) over Q(zeta_{n/2})
+        sub, t = FieldContext(n // 2), ctx.zeta()
+        d = sub.zeta()
+        a, b = sub.element(x.coeffs[0::2]), sub.element(x.coeffs[1::2])
     if b.is_zero():
-        g = _gaussian_sqrt(ctx4, a)
-        if g is not None:
-            return embed(g, ctx4.zero())
-        g = _gaussian_sqrt(ctx4, a * (-i4))  # (v*zeta8)**2 = i*v**2
-        if g is not None:
-            return embed(ctx4.zero(), g)
-        return None
-    disc = a * a - i4 * b * b
-    g = _gaussian_sqrt(ctx4, disc)
+        u = _tower_sqrt(a)
+        if u is not None:
+            yield u.coerce(ctx)
+        v = _tower_sqrt(a / d)
+        if v is not None:
+            yield v.coerce(ctx) * t
+        return
+    g = _tower_sqrt(a * a - d * b * b)
     if g is None:
-        return None
+        return
     for sign in (1, -1):
-        t = (a + g * sign) * Fraction(1, 2)
-        u = _gaussian_sqrt(ctx4, t)
+        u = _tower_sqrt((a + g * sign) * Fraction(1, 2))
         if u is not None and not u.is_zero():
-            v = b / (2 * u)
-            cand = embed(u, v)
-            if cand * cand == x:
-                return cand
-    return None
+            yield u.coerce(ctx) + (b / (2 * u)).coerce(ctx) * t
+
+
+def _tower_sqrt(x: FieldElement) -> Optional[FieldElement]:
+    """The first candidate of :func:`_sqrt_candidates` that squares to
+    ``x``, or None."""
+    if x.is_zero():
+        return x.ctx.zero()
+    return next((y for y in _sqrt_candidates(x) if y * y == x), None)
 
 
 def sqrt_in_context(x: FieldElement) -> FieldElement:
     """A square root of ``x`` in its own context.
 
     Raises :class:`NeedsFieldExtension` (carrying ``x`` as the discriminant)
-    when no square root exists in the context; the caller may then
-    ``adjoin_sqrt`` and retry, where the new symbol itself is the answer.
+    when no square root is found; the caller may then ``adjoin_sqrt`` and
+    retry, where the new symbol itself is the answer.
+
+    Complete (a refusal proves there is no root) over Q(zeta_n) for ``n`` a
+    power of two, and over a layer on such a base that is a field; over other
+    orders only roots in Q, or in Q(i) when 4 | n, are found.  A layer from
+    ``adjoin_sqrt`` of a square has zero divisors, and an element may have
+    more square roots there than the one returned.
     """
-    ctx = x.ctx
-    if x.is_zero():
-        return ctx.zero()
-    if not ctx.has_layer:
-        y = _base_sqrt(x)
-        if y is not None and y * y == x:
-            return y
+    y = _tower_sqrt(x)
+    if y is None:
         raise NeedsFieldExtension(x)
-    a, b = x.base_part(), x.layer_part()
-    d0 = ctx.discriminant
-    if b.is_zero():
-        y = _base_sqrt(a)
-        if y is not None:
-            y2 = y.coerce(ctx)
-            if y2 * y2 == x:
-                return y2
-        c = _base_sqrt(a / d0)
-        if c is not None:
-            cand = c.coerce(ctx) * ctx.sqrt_symbol()
-            if cand * cand == x:
-                return cand
-        raise NeedsFieldExtension(x)
-    disc = a * a - d0 * b * b
-    g = _base_sqrt(disc)
-    if g is not None:
-        for sign in (1, -1):
-            t = (a + g * sign) * Fraction(1, 2)
-            u = _base_sqrt(t)
-            if u is not None and not u.is_zero():
-                v = b / (2 * u)
-                cand = u.coerce(ctx) + v.coerce(ctx) * ctx.sqrt_symbol()
-                if cand * cand == x:
-                    return cand
-    raise NeedsFieldExtension(x)
+    return y

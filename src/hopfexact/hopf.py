@@ -285,8 +285,8 @@ def _grouplikes_by_slices(h: Hopf, comp: list[int]) -> list[Vec]:
         roots = polynomial_roots(ctx, minpoly)
         if roots is None:
             raise HopfExactError(
-                "grouplike enumeration needs polynomial factoring beyond "
-                f"quadratics (slice {k} has minimal degree {len(minpoly) - 1})")
+                f"grouplike enumeration cannot decide the roots of slice {k}'s "
+                f"minimal polynomial (degree {len(minpoly) - 1}) in this field")
         for c in roots:
             refined = space.intersect(eigenspace(op, c))
             recurse(refined, {**assignment, k: c}, rest)

@@ -630,19 +630,6 @@ def _commutant(action: Sequence[Mat]) -> list[Mat]:
     return intertwiners(action, action)
 
 
-def _quadratic_roots(ctx: FieldContext, coeffs: Sequence[FieldElement]
-                     ) -> list[FieldElement]:
-    """Roots of c0 + c1 t + c2 t**2, letting missing square roots escape."""
-    c0, c1, c2 = coeffs
-    disc = c1 * c1 - ctx.scalar(4) * c2 * c0
-    root = sqrt_in_context(disc)   # may raise NeedsFieldExtension
-    two_a = ctx.scalar(2) * c2
-    out = [(-c1 + root) / two_a]
-    if not root.is_zero():
-        out.append((-c1 - root) / two_a)
-    return out
-
-
 def _split_once(action: list[Mat]) -> Optional[list[Subspace]]:
     """One splitting step: invariant proper subspaces summing to everything,
     or None when the module is simple (trivial commutant)."""
@@ -686,7 +673,8 @@ def _split_once(action: list[Mat]) -> Optional[list[Subspace]]:
             pending_quadratic = minpoly
     if pending_quadratic is not None:
         # the quadratic had no roots here; surface the extension it needs
-        _quadratic_roots(ctx, pending_quadratic)
+        c0, c1, c2 = pending_quadratic
+        sqrt_in_context(c1 * c1 - c2 * c0 * 4)
     raise HopfExactError("cannot split a non-simple module with the "
                          "supported factoring rules")
 

@@ -365,7 +365,8 @@ def concrete_solutions(eqs: Sequence[MultiPoly], ctx: FieldContext
 
     The enumeration is complete: every returned assignment is a solution and
     every solution appears.  Raises when the system is underdetermined or
-    needs factoring beyond what :func:`polynomial_roots` provides.
+    needs factoring beyond what :func:`polynomial_roots` provides, a
+    quadratic whose roots it cannot decide included (see there).
     """
     all_vars = sorted({v for eq in eqs for v in eq.variables()})
     solutions: list[dict[str, FieldElement]] = []

@@ -1,11 +1,12 @@
 """Exact-arithmetic kernel: cyclotomic contexts, literals, square roots."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 import random
 
 import pytest
 
+from hopfexact import field
 from hopfexact.errors import (
     AlreadyExtended,
     DivisionByZero,
@@ -305,12 +306,196 @@ def test_field_axioms_seeded(ctx, seed):
 
 def test_sqrt_round_trip_seeded():
     rng = random.Random(7)
-    for ctx in (QI, Q8):
+    Q16 = FieldContext(16)
+    for ctx in (QI, Q8, Q16):
         for _ in range(30):
             x = _random_element(ctx, rng)
             y = x * x
             r = sqrt_in_context(y)
             assert r * r == y
+    # the step from Q(zeta_8) up to Q(zeta_16) reaches roots that Q(zeta_8)
+    # lacks
+    assert sqrt_in_context(Q16.zeta(2)) == Q16.zeta(1)
+    assert sqrt_in_context(Q16.scalar(2)) == Q16.zeta(2) - Q16.zeta(6)
+
+
+def test_sqrt_refuses_a_candidate_that_does_not_square_back(monkeypatch):
+    # a wrong root from the rational base case must surface as a refusal,
+    # never as a returned value
+    monkeypatch.setattr(field, "_rational_sqrt", lambda q: q + 1)
+    for x in (scal(QI, "2*i"), QI.scalar(-4), Q8.scalar(2),
+              scal(adjoin_sqrt(Q, 2), "3 + 2*s")):
+        with pytest.raises(NeedsFieldExtension):
+            sqrt_in_context(x)
+
+
+# -- square roots against a copy of the per-field helpers they replaced -------
+#
+# The reference below is the square-root code as it was before one recursive
+# step served every level of the tower: a Q(i) routine, a Q(zeta_8) routine
+# over Q(i), the Q(i)-subfield branch for other orders divisible by 4, and
+# the layer branch.  The tower must return the same root, sign included, and
+# refuse the same inputs.
+
+def _ref_rational_sqrt(q):
+    if q < 0:
+        return None
+    p, r = q.numerator, q.denominator
+    sp, sr = isqrt(p), isqrt(r)
+    if sp * sp == p and sr * sr == r:
+        return F(sp, sr)
+    return None
+
+
+def _ref_gaussian_sqrt(ctx4, x):
+    c, d = x.coeffs[0], x.coeffs[1]
+    if d == 0:
+        r = _ref_rational_sqrt(c)
+        if r is not None:
+            return ctx4.scalar(r)
+        r = _ref_rational_sqrt(-c)
+        if r is not None:
+            return ctx4.element((0, r))
+        return None
+    r = _ref_rational_sqrt(c * c + d * d)
+    if r is None:
+        return None
+    u = _ref_rational_sqrt((c + r) / 2)
+    if u is not None and u != 0:
+        cand = ctx4.element((u, d / (2 * u)))
+        if cand * cand == x:
+            return cand
+    v = _ref_rational_sqrt((r - c) / 2)
+    if v is not None and v != 0:
+        cand = ctx4.element((d / (2 * v), v))
+        if cand * cand == x:
+            return cand
+    return None
+
+
+def _ref_sqrt_order8(ctx8, x):
+    ctx4 = FieldContext(4)
+    c0, c1, c2, c3 = x.coeffs
+    a, b = ctx4.element((c0, c2)), ctx4.element((c1, c3))
+
+    def embed(u, v):
+        return ctx8.element((u.coeffs[0], v.coeffs[0], u.coeffs[1], v.coeffs[1]))
+
+    i4 = ctx4.element((0, 1))
+    if b.is_zero():
+        g = _ref_gaussian_sqrt(ctx4, a)
+        if g is not None:
+            return embed(g, ctx4.zero())
+        g = _ref_gaussian_sqrt(ctx4, a * (-i4))
+        if g is not None:
+            return embed(ctx4.zero(), g)
+        return None
+    g = _ref_gaussian_sqrt(ctx4, a * a - i4 * b * b)
+    if g is None:
+        return None
+    for sign in (1, -1):
+        u = _ref_gaussian_sqrt(ctx4, (a + g * sign) * F(1, 2))
+        if u is not None and not u.is_zero():
+            cand = embed(u, b / (2 * u))
+            if cand * cand == x:
+                return cand
+    return None
+
+
+def _ref_base_sqrt(x):
+    ctx = x.ctx
+    if x.is_zero():
+        return ctx.zero()
+    if x.is_rational():
+        r = _ref_rational_sqrt(x.as_rational())
+        if r is not None:
+            return ctx.scalar(r)
+        if ctx.order % 4 == 0:
+            r = _ref_rational_sqrt(-x.as_rational())
+            if r is not None:
+                return ctx.i() * ctx.scalar(r)
+        if ctx.order % 8 != 0 and ctx.order != 4:
+            return None
+    if ctx.order == 4:
+        return _ref_gaussian_sqrt(ctx, x)
+    if ctx.order == 8:
+        return _ref_sqrt_order8(ctx, x)
+    if ctx.order % 4 == 0 and not x.is_rational():
+        c = x.coeffs[0]
+        ratio = (x - ctx.scalar(c)) * ctx.i().inverse()
+        if ratio.is_rational():
+            sub = FieldContext(4)
+            g = _ref_gaussian_sqrt(sub, sub.element((c, ratio.as_rational())))
+            if g is not None:
+                return g.coerce(ctx)
+    return None
+
+
+def _ref_sqrt_in_context(x):
+    ctx = x.ctx
+    if x.is_zero():
+        return ctx.zero()
+    if not ctx.has_layer:
+        y = _ref_base_sqrt(x)
+        if y is not None and y * y == x:
+            return y
+        raise NeedsFieldExtension(x)
+    a, b = x.base_part(), x.layer_part()
+    d0 = ctx.discriminant
+    if b.is_zero():
+        y = _ref_base_sqrt(a)
+        if y is not None and y.coerce(ctx) * y.coerce(ctx) == x:
+            return y.coerce(ctx)
+        c = _ref_base_sqrt(a / d0)
+        if c is not None:
+            cand = c.coerce(ctx) * ctx.sqrt_symbol()
+            if cand * cand == x:
+                return cand
+        raise NeedsFieldExtension(x)
+    g = _ref_base_sqrt(a * a - d0 * b * b)
+    if g is not None:
+        for sign in (1, -1):
+            u = _ref_base_sqrt((a + g * sign) * F(1, 2))
+            if u is not None and not u.is_zero():
+                cand = (u.coerce(ctx)
+                        + (b / (2 * u)).coerce(ctx) * ctx.sqrt_symbol())
+                if cand * cand == x:
+                    return cand
+    raise NeedsFieldExtension(x)
+
+
+def _sqrt_outcome(fn, x):
+    try:
+        return ("root", fn(x))
+    except NeedsFieldExtension as exc:
+        return ("refused", exc.discriminant)
+
+
+# the last two layers adjoin a square, so they have zero divisors and an
+# element may have several roots: they pin which root is tried first
+_SQRT_FIELDS = [(1, None), (4, None), (8, None), (12, None), (20, None),
+                (24, None), (3, None), (1, "2"), (4, "1+i"), (4, "3"),
+                (8, "1+i"), (12, "2"), (1, "4"), (4, "-1")]
+
+
+@pytest.mark.parametrize("order,disc", _SQRT_FIELDS,
+                         ids=[f"{o}-{d}" for o, d in _SQRT_FIELDS])
+def test_sqrt_matches_the_per_field_reference(order, disc):
+    base = FieldContext(order)
+    ctx = base if disc is None else adjoin_sqrt(base, disc)
+    rng = random.Random(9000 + 31 * order + len(disc or ""))
+    qi = FieldContext(4)
+    for k in range(24):
+        # full elements, elements of the Q(i) subfield, rationals
+        if k % 3 == 0:
+            x = _random_element(ctx, rng)
+        elif k % 3 == 1 and order % 4 == 0:
+            x = _random_element(qi, rng).coerce(ctx)
+        else:
+            x = ctx.scalar(F(rng.randint(-6, 6), rng.randint(1, 3)))
+        for y in (x, x * x, -(x * x), 2 * x * x):
+            assert _sqrt_outcome(sqrt_in_context, y) == \
+                _sqrt_outcome(_ref_sqrt_in_context, y), y
 
 
 # -- packed arithmetic against a Fraction-tuple reference ------------------------

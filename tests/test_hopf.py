@@ -194,6 +194,7 @@ def test_polynomial_roots_complete_cases():
         sorted([Q.one(), Q.scalar(-1)], key=repr)
     assert polynomial_roots(Q, [1, 0, 1]) == []
     assert set(polynomial_roots(QI, [1, 0, 1])) == {QI.i(), -QI.i()}
+    assert polynomial_roots(QI, [-3, 0, 1]) == []
     # (t-1)(t-2)(t-3)
     assert set(polynomial_roots(Q, [-6, 11, -6, 1])) == \
         {Q.one(), Q.scalar(2), Q.scalar(3)}

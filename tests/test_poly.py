@@ -4,7 +4,7 @@ import random
 import pytest
 
 from hopfexact.errors import HopfExactError
-from hopfexact.field import FieldContext, adjoin_sqrt
+from hopfexact.field import FieldContext, adjoin_sqrt, polynomial_roots
 from hopfexact.poly import (MultiPoly, _addmul, _addterms, _product_terms,
                             concrete_solutions)
 
@@ -55,6 +55,19 @@ def test_solution_requires_the_right_field():
     xi = MultiPoly.var(QI, "x")
     sols = concrete_solutions([xi * xi + 1], QI)
     assert {repr(s["x"]) for s in sols} == {"i", "-i"}
+    assert concrete_solutions([xi * xi - 3], QI) == []
+
+
+@pytest.mark.parametrize("order,c0", [(12, -3), (24, -2), (24, 3), (3, 3)])
+def test_an_unfound_square_root_is_no_proof_of_no_roots(order, c0):
+    # t**2 + c0 has roots in Q(zeta_order) (sqrt(-3) = 1 + 2*zeta_3, for
+    # one), but outside powers of two the square root finds only those in
+    # Q or Q(i): the answer is "uncertain", and the solver refuses
+    ctx = FieldContext(order)
+    assert polynomial_roots(ctx, [c0, 0, 1]) is None
+    t = MultiPoly.var(ctx, "t")
+    with pytest.raises(HopfExactError):
+        concrete_solutions([t * t + c0], ctx)
 
 
 def test_linear_chain_resolves_backwards():
