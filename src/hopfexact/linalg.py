@@ -300,15 +300,13 @@ def minimal_polynomial(mat: Mat) -> list[FieldElement]:
 def restrict_operator(op: Mat, space: Subspace) -> Mat:
     """Matrix of ``op`` on the canonical basis of an invariant subspace."""
     basis = space.basis()
+    body = Mat.from_columns(space.ctx, basis)
     cols = []
     for b in basis:
-        w = op.apply(b)
-        if not space.contains(w):
+        coords = solve(body, op.apply(b))
+        if coords is None:  # the image lies outside the span of the basis
             raise DimensionMismatch("subspace is not invariant under the operator")
-        coords = solve(Mat.from_columns(space.ctx, basis), w)
         cols.append(coords)
-    if not basis:
-        return Mat(space.ctx, [])
     return Mat.from_columns(space.ctx, cols)
 
 

@@ -17,8 +17,9 @@ The three layers:
   elimination: decides whether the constraints force given structure
   constants to vanish and returns the expressing combination as a
   replayable certificate;
-* :func:`replay_lemma` / :func:`classify_n2_le_1` — scripted eliminations for
-  the named collapse arguments, and the exhaustive classification of exact
+* :func:`replay_lemma` / :func:`classify_n2_le_1` — the named collapse
+  arguments as one case table run by ``_vanishing_replay``, plus the full
+  extension and ``classify_n2_le_1``, the exhaustive classification of exact
   extensions with at most one block.
 
 The elimination works on the Macaulay matrix of the constraints (Lazard,
@@ -708,144 +709,66 @@ class ReplayReport:
     passed: bool
 
 
-def _all_sign_pairs():
-    return tuple(itertools.product((1, -1), repeat=2))
+_SIGN_PAIRS = tuple(itertools.product((1, -1), repeat=2))
 
 
-def _alpha_names(n2: int) -> tuple[str, ...]:
-    return tuple(f"alpha_{i}{j}"
-                 for i in range(1, n2 + 1) for j in range(1, n2 + 1))
+def _sign_cases(kind: str, n2: int):
+    """The sign assignments of ``n2`` blocks over ``kind``: one pair
+    ``(a_i, b_i)`` per block over ga_K and kpsi, none over the other kinds."""
+    if kind in ("ga_K", "kpsi"):
+        return itertools.product(_SIGN_PAIRS, repeat=n2)
+    return [None]
 
 
-def _null_product_report(kind: str, ctx: FieldContext, name: str
-                         ) -> ReplayReport:
-    _require_associative_base(kind, ctx)
-    targets = _alpha_names(2)
-    cases = []
-    for s1 in _all_sign_pairs():
-        for s2 in _all_sign_pairs():
-            signs = (s1, s2)
-            g = generic_extension(kind, 2, signs, ctx)
-            cons = associativity_constraints(g)
-            for hyp in ("alpha_12", "alpha_11"):
-                full = cons + [MultiPoly.var(ctx, hyp)]
-                report = forces_vanishing(full, targets)
-                ok = bool(report) and report.verify(full)
-                detail = ("vacuous: no extension with these signs exists"
-                          if report.vacuous else
-                          "one vanishing product collapses all of them")
-                cases.append(ReplayCase(
-                    kind=kind, n2=2, signs=signs,
-                    hypotheses=(f"{hyp} = 0",), ok=ok, detail=detail,
-                    constraints=tuple(full), report=report))
-    return ReplayReport(
-        name=name,
-        conclusion=("a single vanishing product between block generators "
-                    "forces every block product to vanish, so the algebra "
-                    "collapses onto its grouplike base"),
-        cases=tuple(cases),
-        passed=all(c.ok for c in cases))
+def _vanishing_replay(name: str, conclusion: str, forced_detail: str,
+                      cases: Sequence, ctx: FieldContext) -> ReplayReport:
+    """Decide one collapse lemma over its case table.
 
-
-def _dimension_bound_report(ctx: FieldContext) -> ReplayReport:
-    _require_associative_base("ga_K", ctx)
-    targets = _alpha_names(2)
-    cases = []
-    for s1 in _all_sign_pairs():
-        for s2 in _all_sign_pairs():
-            if s1[0] * s1[1] == s2[0] * s2[1]:
-                continue  # only mixed-parity assignments are at stake
-            signs = (s1, s2)
-            g = generic_extension("ga_K", 2, signs, ctx)
-            cons = associativity_constraints(g)
-            report = forces_vanishing(cons, targets)
-            ok = bool(report) and report.verify(cons)
-            cases.append(ReplayCase(
-                kind="ga_K", n2=2, signs=signs, hypotheses=(),
-                ok=ok, constraints=tuple(cons), report=report,
-                detail=("blocks of opposite parity cannot both multiply "
-                        "nontrivially" if report.forced else "NOT forced")))
-    return ReplayReport(
-        name="group-dimension-bound",
-        conclusion=("two blocks whose sign pairs have opposite parity force "
-                    "all block products to vanish: a nontrivial extension "
-                    "holds at most two blocks of equal parity, bounding the "
-                    "dimension by eight"),
-        cases=tuple(cases),
-        passed=all(c.ok for c in cases))
-
-
-def _dependent_collapse_report(kind: str, name: str, conclusion: str,
-                               ctx: FieldContext) -> ReplayReport:
-    _require_associative_base(kind, ctx)
-    targets = _alpha_names(2)
-    cases = []
-    for a, b in _all_sign_pairs():
-        signs = ((a, b), (-a, b))
+    ``cases`` lists ``(kind, signs, variants)``; a variant is a tuple of
+    ``(text, polynomial)`` hypotheses added to the associativity constraints
+    of the two-block extension, which are built once per sign case.  A case
+    holds when its constraints force every block structure constant to
+    vanish, with certificates that check again.  A case decided by a
+    contradiction of its constraints alone holds vacuously, and its detail
+    says so; when every case does, so does the conclusion.
+    """
+    for kind in dict.fromkeys(kind for kind, _, _ in cases):
+        _require_associative_base(kind, ctx)
+    out = []
+    for kind, signs, variants in cases:
         g = generic_extension(kind, 2, signs, ctx)
         cons = associativity_constraints(g)
-        # v_1^2 = c * (v_2 v_1) with c an unresolved scalar; both products
-        # share the same grouplike support (b_1 = b_2, right factor v_1),
-        # so the dependence reduces to one scalar relation.
-        hyp = MultiPoly.var(ctx, "alpha_11") \
-            - MultiPoly.var(ctx, "c") * MultiPoly.var(ctx, "alpha_21")
-        full = cons + [hyp]
-        report = forces_vanishing(full, targets)
-        ok = bool(report) and report.verify(full)
-        cases.append(ReplayCase(
-            kind=kind, n2=2, signs=signs,
-            hypotheses=("alpha_11 - c*alpha_21 = 0",),
-            ok=ok, constraints=tuple(full), report=report,
-            detail=("vacuous: no extension with these signs exists"
-                    if report.vacuous else
-                    "the dependent pair forces total collapse")))
-    return ReplayReport(name=name, conclusion=conclusion,
-                        cases=tuple(cases),
-                        passed=all(c.ok for c in cases))
+        for variant in variants:
+            full = cons + [poly for _, poly in variant]
+            report = forces_vanishing(full, g.unknowns)
+            detail = ("vacuous: no extension with these signs exists"
+                      if report.vacuous else
+                      forced_detail if report.forced else "NOT forced")
+            out.append(ReplayCase(
+                kind=kind, n2=2, signs=signs,
+                hypotheses=tuple(text for text, _ in variant),
+                ok=bool(report) and report.verify(full), detail=detail,
+                constraints=tuple(full), report=report))
+    if all(c.report.vacuous for c in out):
+        conclusion = ("no extension with these signs exists; the lemma "
+                      f"holds vacuously: {conclusion}")
+    return ReplayReport(name=name, conclusion=conclusion, cases=tuple(out),
+                        passed=all(c.ok for c in out))
 
 
-def _plain_base_report(ctx: FieldContext) -> ReplayReport:
-    cases = []
-    for kind in ("trivial", "ga_x", "ga_y"):
-        _require_associative_base(kind, ctx)
-        g = generic_extension(kind, 2, None, ctx)
-        cons = associativity_constraints(g)
-        targets = g.unknowns
-        report = forces_vanishing(cons, targets)
-        ok = bool(report) and report.verify(cons)
-        cases.append(ReplayCase(
-            kind=kind, n2=2, signs=None, hypotheses=(), ok=ok,
-            constraints=tuple(cons), report=report,
-            detail="all block structure constants vanish unconditionally"
-            if report.forced else "NOT forced"))
-    return ReplayReport(
-        name="plain-base-collapse",
-        conclusion=("over the one-dimensional base and the bases generated "
-                    "by e_x or e_y alone, every block product vanishes: "
-                    "those bases admit no extension at all"),
-        cases=tuple(cases),
-        passed=all(c.ok for c in cases))
+def _null_products(ctx: FieldContext) -> tuple:
+    """One variant per vanishing product: alpha_12 = 0, then alpha_11 = 0."""
+    return tuple(((f"{x} = 0", MultiPoly.var(ctx, x)),)
+                 for x in ("alpha_12", "alpha_11"))
 
 
-def _diagonal_bound_report(ctx: FieldContext) -> ReplayReport:
-    _require_associative_base("ga_xy", ctx)
-    g = generic_extension("ga_xy", 2, None, ctx)
-    cons = associativity_constraints(g)
-    targets = g.unknowns
-    report = forces_vanishing(cons, targets)
-    ok = bool(report) and report.verify(cons)
-    case = ReplayCase(
-        kind="ga_xy", n2=2, signs=None, hypotheses=(), ok=ok,
-        constraints=tuple(cons), report=report,
-        detail="two blocks over the e_xy base cannot multiply nontrivially"
-        if report.forced else "NOT forced")
-    return ReplayReport(
-        name="diagonal-base-pair-bound",
-        conclusion=("the base generated by e_xy supports at most one block: "
-                    "with two blocks every structure constant is forced to "
-                    "vanish"),
-        cases=(case,),
-        passed=case.ok)
+def _dependent_pair(ctx: FieldContext) -> tuple[str, MultiPoly]:
+    """v_1^2 = c * (v_2 v_1) with c an unresolved scalar; both products
+    share the same grouplike support (b_1 = b_2, right factor v_1), so the
+    dependence reduces to one scalar relation."""
+    alpha_11, c, alpha_21 = (MultiPoly.var(ctx, x)
+                             for x in ("alpha_11", "c", "alpha_21"))
+    return ("alpha_11 - c*alpha_21 = 0", alpha_11 - c * alpha_21)
 
 
 def _full_extension_report(ctx: FieldContext) -> ReplayReport:
@@ -899,23 +822,63 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
         passed=all(c.ok for c in cases))
 
 
+_NULL_PRODUCT = ("a single vanishing product between block generators "
+                 "forces every block product to vanish, so the algebra "
+                 "collapses onto its grouplike base")
+_DEPENDENT_PAIR_SIGNS = tuple(((a, b), (-a, b)) for a, b in _SIGN_PAIRS)
+
+# one row per lemma: its conclusion, the detail of a forced case, and its
+# cases, each (kind, signs, hypothesis variants); ((),) is one variant
+# without hypotheses
 _REPLAYS = {
-    "group-null-product": lambda ctx: _null_product_report(
-        "ga_K", ctx, "group-null-product"),
-    "twisted-null-product": lambda ctx: _null_product_report(
-        "kpsi", ctx, "twisted-null-product"),
-    "group-dimension-bound": _dimension_bound_report,
-    "group-dependent-collapse": lambda ctx: _dependent_collapse_report(
-        "ga_K", "group-dependent-collapse",
-        ("a linear dependence between v_1^2 and v_2 v_1 forces every block "
-         "product to vanish: no eigenspace of the sign action holds two "
-         "independent generators"), ctx),
-    "twisted-no-extension": lambda ctx: _dependent_collapse_report(
-        "kpsi", "twisted-no-extension",
-        ("over the twisted base the dependent pair collapses as well; the "
-         "twisted base admits no block extension whatsoever"), ctx),
-    "plain-base-collapse": _plain_base_report,
-    "diagonal-base-pair-bound": _diagonal_bound_report,
+    "group-null-product": lambda ctx: _vanishing_replay(
+        "group-null-product", _NULL_PRODUCT,
+        "one vanishing product collapses all of them",
+        [("ga_K", signs, _null_products(ctx))
+         for signs in _sign_cases("ga_K", 2)], ctx),
+    "twisted-null-product": lambda ctx: _vanishing_replay(
+        "twisted-null-product", _NULL_PRODUCT,
+        "one vanishing product collapses all of them",
+        [("kpsi", signs, _null_products(ctx))
+         for signs in _sign_cases("kpsi", 2)], ctx),
+    # only mixed-parity assignments are at stake
+    "group-dimension-bound": lambda ctx: _vanishing_replay(
+        "group-dimension-bound",
+        "two blocks whose sign pairs have opposite parity force all block "
+        "products to vanish: a nontrivial extension holds at most two blocks "
+        "of equal parity, bounding the dimension by eight",
+        "blocks of opposite parity cannot both multiply nontrivially",
+        [("ga_K", ((a1, b1), (a2, b2)), ((),))
+         for (a1, b1), (a2, b2) in _sign_cases("ga_K", 2)
+         if a1 * b1 != a2 * b2], ctx),
+    "group-dependent-collapse": lambda ctx: _vanishing_replay(
+        "group-dependent-collapse",
+        "a linear dependence between v_1^2 and v_2 v_1 forces every block "
+        "product to vanish: no eigenspace of the sign action holds two "
+        "independent generators",
+        "the dependent pair forces total collapse",
+        [("ga_K", signs, ((_dependent_pair(ctx),),))
+         for signs in _DEPENDENT_PAIR_SIGNS], ctx),
+    "twisted-no-extension": lambda ctx: _vanishing_replay(
+        "twisted-no-extension",
+        "over the twisted base the dependent pair collapses as well; the "
+        "twisted base admits no block extension whatsoever",
+        "the dependent pair forces total collapse",
+        [("kpsi", signs, ((_dependent_pair(ctx),),))
+         for signs in _DEPENDENT_PAIR_SIGNS], ctx),
+    "plain-base-collapse": lambda ctx: _vanishing_replay(
+        "plain-base-collapse",
+        "over the one-dimensional base and the bases generated by e_x or "
+        "e_y alone, every block product vanishes: those bases admit no "
+        "extension at all",
+        "all block structure constants vanish unconditionally",
+        [(kind, None, ((),)) for kind in ("trivial", "ga_x", "ga_y")], ctx),
+    "diagonal-base-pair-bound": lambda ctx: _vanishing_replay(
+        "diagonal-base-pair-bound",
+        "the base generated by e_xy supports at most one block: with two "
+        "blocks every structure constant is forced to vanish",
+        "two blocks over the e_xy base cannot multiply nontrivially",
+        [("ga_xy", None, ((),))], ctx),
     "group-full-extension": _full_extension_report,
 }
 
@@ -977,12 +940,8 @@ def classify_n2_le_1(ctx: Optional[FieldContext] = None
             kind=kind, n2=0, signs=None, constants={}, presentations=({},),
             algebra=base_algebra, catalog_match=""))
         # one block
-        if kind in ("ga_K", "kpsi"):
-            sign_cases = [((a, b),) for a, b in _all_sign_pairs()]
-        else:
-            sign_cases = [None]
         found: list[tuple] = []
-        for signs in sign_cases:
+        for signs in _sign_cases(kind, 1):
             g = generic_extension(kind, 1, signs, ctx)
             cons = associativity_constraints(g)
             normalized = cons + [MultiPoly.var(ctx, "alpha_11") - 1]

@@ -18,6 +18,7 @@ from hopfexact.linalg import (
     kron,
     linear_combination,
     rank,
+    restrict_operator,
     rref,
     solve,
     spin,
@@ -156,6 +157,54 @@ def test_image_under():
     rot = M(Q, [[0, -1], [1, 0]])
     line = Subspace.from_vectors(Q, 2, [[1, 0]])
     assert line.image_under(rot) == Subspace.from_vectors(Q, 2, [[0, 1]])
+
+
+def _restrict_reference(op, space):
+    """One solve per basis vector against a freshly built basis matrix."""
+    basis = space.basis()
+    return Mat.from_columns(space.ctx, [
+        solve(Mat.from_columns(space.ctx, basis), op.apply(b))
+        for b in basis])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_restrict_operator_matches_per_vector_solve(seed):
+    rng = random.Random(seed)
+    n, k = 5, 2 + seed % 2
+
+    def entry():
+        return QI.element([rng.randint(-3, 3), rng.randint(-3, 3)])
+
+    # block upper triangular: the span of the first k basis vectors is
+    # invariant; a seeded change of basis hides it
+    tri = M(QI, [[entry() if (r < k or c >= k) else QI.zero()
+                  for c in range(n)] for r in range(n)])
+    while True:
+        p = M(QI, [[entry() for _ in range(n)] for _ in range(n)])
+        if rank(p) == n:
+            break
+    op = p @ tri @ inverse(p)
+    invariant = Subspace.from_vectors(QI, n, [p.col(c) for c in range(k)])
+    spun = spin(QI, n, [invariant.basis()[0]], [op])
+    for space in (invariant, spun, Subspace.full(QI, n),
+                  Subspace.zero(QI, n)):
+        got = restrict_operator(op, space)
+        assert got == _restrict_reference(op, space)
+        assert (got.nrows, got.ncols) == ((space.dim, space.dim)
+                                          if space.dim else (0, 0))
+    assert restrict_operator(op, Subspace.full(QI, n)) == op
+
+
+def test_restrict_operator_refuses_a_subspace_that_is_not_invariant():
+    rot = M(Q, [[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+    for rows in ([[1, 0, 0]], [[1, 0, 1]], [[1, 0, 0], [0, 0, 1]]):
+        with pytest.raises(DimensionMismatch, match="not invariant"):
+            restrict_operator(rot, Subspace.from_vectors(Q, 3, rows))
+    # the plane of the rotation and the fixed axis are invariant
+    plane = Subspace.from_vectors(Q, 3, [[1, 0, 0], [0, 1, 0]])
+    assert restrict_operator(rot, plane) == M(Q, [[0, -1], [1, 0]])
+    axis = Subspace.from_vectors(Q, 3, [[0, 0, 1]])
+    assert restrict_operator(rot, axis) == M(Q, [[1]])
 
 
 def test_accumulator_reports_new_vectors():

@@ -124,6 +124,70 @@ def test_replay_passes_and_certificates_reverify(name):
                     MultiPoly.var(CTX, var) - value)
 
 
+# the sign pairs (a, b) in the order of the case table
+_PAIRS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+_NO_HYPOTHESES = ()
+_DEPENDENT = ("alpha_11 - c*alpha_21 = 0",)
+
+
+def _expected_cases(name):
+    """Each vanishing replay's cases as (kind, signs, hypotheses), written
+    out here independently of the case table."""
+    two_blocks = [(s1, s2) for s1 in _PAIRS for s2 in _PAIRS]
+    if name in ("group-null-product", "twisted-null-product"):
+        kind = "ga_K" if name.startswith("group") else "kpsi"
+        return [(kind, signs, hyp) for signs in two_blocks
+                for hyp in (("alpha_12 = 0",), ("alpha_11 = 0",))]
+    if name == "group-dimension-bound":
+        return [("ga_K", ((a1, b1), (a2, b2)), _NO_HYPOTHESES)
+                for (a1, b1), (a2, b2) in two_blocks if a1 * b1 == -a2 * b2]
+    if name in ("group-dependent-collapse", "twisted-no-extension"):
+        kind = "ga_K" if name.startswith("group") else "kpsi"
+        return [(kind, ((a, b), (-a, b)), _DEPENDENT) for a, b in _PAIRS]
+    if name == "plain-base-collapse":
+        return [(kind, None, _NO_HYPOTHESES)
+                for kind in ("trivial", "ga_x", "ga_y")]
+    assert name == "diagonal-base-pair-bound"
+    return [("ga_xy", None, _NO_HYPOTHESES)]
+
+
+# vanishing replay -> (vacuous cases, all cases)
+_VACUOUS = {
+    "group-null-product": (24, 32),
+    "twisted-null-product": (32, 32),
+    "group-dimension-bound": (8, 8),
+    "group-dependent-collapse": (4, 4),
+    "twisted-no-extension": (4, 4),
+    "plain-base-collapse": (0, 3),
+    "diagonal-base-pair-bound": (0, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VACUOUS))
+def test_vanishing_replay_case_table(name):
+    cases = replay_lemma(name, CTX).cases
+    assert ([(c.kind, c.signs, c.hypotheses) for c in cases]
+            == _expected_cases(name))
+    assert all(c.n2 == 2 for c in cases)
+
+
+@pytest.mark.parametrize("name", sorted(_VACUOUS))
+def test_vacuous_cases_are_labelled_as_vacuous(name):
+    report = replay_lemma(name, CTX)
+    flags = [c.report.vacuous for c in report.cases]
+    for case, vacuous in zip(report.cases, flags):
+        assert case.detail.startswith("vacuous") == vacuous
+        assert vacuous or case.detail != "NOT forced"
+    assert (sum(flags), len(flags)) == _VACUOUS[name]
+    assert (report.conclusion.startswith(
+        "no extension with these signs exists") == all(flags))
+
+
+def test_every_vanishing_replay_is_pinned():
+    # with the two cases of the full extension: 72 of 86 cases are vacuous
+    assert set(replay_names()) == set(_VACUOUS) | {"group-full-extension"}
+
+
 # -- eliminate against the hand-written loop it replaced ------------------------
 
 
