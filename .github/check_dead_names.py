@@ -1,0 +1,69 @@
+"""Names in the package that nothing uses.
+
+Fails on two things in ``src/hopfexact``:
+
+* a module-level import that its module never references; a name kept on
+  purpose, such as a re-export, carries ``# noqa: F401`` on its line;
+* an error class of ``errors.py`` that no ``raise`` in the package names.
+
+Run it from the repository root: ``python3 .github/check_dead_names.py``.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path("src/hopfexact")
+NOQA = "# noqa: F401"
+
+
+def unused_imports(path: Path) -> list[str]:
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    problems = []
+    for stmt in tree.body:
+        if (not isinstance(stmt, (ast.Import, ast.ImportFrom))
+                or getattr(stmt, "module", None) == "__future__"):
+            continue
+        for alias in stmt.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound in used or NOQA in lines[alias.lineno - 1]:
+                continue
+            problems.append(f"{path}:{alias.lineno}: '{bound}' is imported "
+                            "but never used")
+    return problems
+
+
+def _raised_name(node: ast.Raise):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    if isinstance(exc, ast.Name):
+        return exc.id
+    if isinstance(exc, ast.Attribute):
+        return exc.attr
+    return None
+
+
+def unraised_errors(paths: list[Path]) -> list[str]:
+    raised = set()
+    for path in paths:
+        raised |= {_raised_name(node) for node in ast.walk(ast.parse(
+            path.read_text())) if isinstance(node, ast.Raise) and node.exc}
+    errors = PACKAGE / "errors.py"
+    return [f"{errors}:{cls.lineno}: '{cls.name}' is never raised"
+            for cls in ast.parse(errors.read_text()).body
+            if isinstance(cls, ast.ClassDef) and cls.name not in raised]
+
+
+def main() -> int:
+    paths = sorted(PACKAGE.glob("*.py"))
+    problems = [p for path in paths for p in unused_imports(path)]
+    problems += unraised_errors(paths)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,12 +11,11 @@ the coefficient field, not a sample.
 Products of tensors go through one kernel, :func:`tensor_product`: a tensor
 with two legs multiplies leg by leg when each leg has its own sparse product
 table, ``(a (x) b)(c (x) d) = left[a][c] (x) right[b][d]``.  The product of
-H (x) A, the multiplicativity of a coproduct or coaction, the colinearity of
-a module action and the twisted products of bosonization and smash product
-are all this one contraction with different tables.  It contracts the right
-leg first: ``sum_d v[c, d] right[b][d]`` is formed once for each ``(b, c)``
-that a term of ``u`` meets, and the left-table terms are applied to it
-after.
+H (x) A, the multiplicativity of a coproduct or coaction and the colinearity
+of a module action are all this one contraction with different tables.  It
+contracts the right leg first: ``sum_d v[c, d] right[b][d]`` is formed once
+for each ``(b, c)`` that a term of ``u`` meets, and the left-table terms are
+applied to it after.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from .algebra import Algebra, check_algebra, multiplicative_into_tensor
 # mixed_tensor_product is re-exported for callers that import it from here
-from .algebra import (Algebra, check_algebra, mixed_tensor_product,  # noqa: F401
-                      multiplicative_into_tensor)
+from .algebra import mixed_tensor_product  # noqa: F401
 from .errors import (
     BadWitness,
     DimensionMismatch,
@@ -307,20 +307,16 @@ def associated_graded(filtration: Sequence[Subspace]) -> list[list[Vec]]:
     return layers
 
 
-def _subalgebra_on_basis(a: Algebra, basis: Sequence[Vec],
-                         labels: Optional[Sequence[str]] = None
-                         ) -> Optional[tuple[Algebra, Mat]]:
-    """Express a multiplicatively closed subspace as an algebra of its own.
-
-    Returns (algebra, coordinate matrix)  with  coords @ (vector in A) giving
-    the coordinates over ``basis``, or None when the subspace is not closed
+def _subalgebra_on_basis(a: Algebra, basis: Sequence[Vec]
+                         ) -> Optional[Algebra]:
+    """Express a multiplicatively closed subspace as an algebra of its own,
+    in the coordinates over ``basis``; None when the subspace is not closed
     under multiplication or misses the unit.
     """
     span = Subspace.from_vectors(a.ctx, a.dim, basis)
     if not span.contains(a.unit):
         return None
     body = Mat.from_columns(a.ctx, basis)
-    d = len(basis)
     unit_coords = solve(body, a.unit)
     table = []
     for u in basis:
@@ -331,31 +327,11 @@ def _subalgebra_on_basis(a: Algebra, basis: Sequence[Vec],
                 return None
             row.append(solve(body, prod))
         table.append(row)
-    labels = labels or [f"b{i}" for i in range(d)]
-    sub = Algebra(a.ctx, labels, unit_coords, table)
-    # coordinate map: solve basis expansion for each ambient basis vector of
-    # the span; outside the span it is only used after projection
-    coords_cols = []
-    for j in range(a.dim):
-        ej = basis_vector(a.ctx, a.dim, j)
-        c = solve(body, ej)
-        coords_cols.append(c if c is not None else tuple([a.ctx.zero()] * d))
-    coords = Mat.from_columns(a.ctx, coords_cols)
-    return sub, coords
+    labels = [f"b{i}" for i in range(len(basis))]
+    return Algebra(a.ctx, labels, unit_coords, table)
 
 
-# -- the two canonical comparison maps ----------------------------------------
-
-
-@dataclass
-class KappaReport:
-    """The map  (id (x) degree-zero projection) o coaction  from the algebra
-    to H (x) A(0), with its verdicts."""
-    matrix: Mat
-    injective: bool
-    algebra_morphism: Optional[bool]
-    comodule_morphism: bool
-    degree_zero_closed: bool
+# -- the comparison map phi ---------------------------------------------------
 
 
 def degree_zero_projection(c: ComoduleLike, filtration: Sequence[Subspace]
@@ -370,28 +346,6 @@ def degree_zero_projection(c: ComoduleLike, filtration: Sequence[Subspace]
     d0 = len(zero_layer)
     proj = Mat(c.ctx, [coords.rows[i] for i in range(d0)])
     return proj, zero_layer
-
-
-def kappa_map(a: ComoduleAlgebra, h_coradical_zero: Subspace) -> KappaReport:
-    filtration = loewy_filtration(a, h_coradical_zero)
-    proj, zero_layer = degree_zero_projection(a, filtration)
-    nh = a.hopf.dim
-    kappa = kron(Mat.identity(a.ctx, nh), proj) @ a.coaction
-    injective = rank(kappa) == a.dim
-    d0 = len(zero_layer)
-    comodule_ok = (kron(a.hopf.comult, Mat.identity(a.ctx, d0)) @ kappa
-                   == kron(Mat.identity(a.ctx, nh), kappa) @ a.coaction)
-    packed = _subalgebra_on_basis(a, zero_layer)
-    if packed is None:
-        algebra_ok: Optional[bool] = None
-        closed = False
-    else:
-        sub, _ = packed
-        closed = True
-        algebra_ok = (multiplicative_into_tensor(kappa, a, a.hopf, sub)
-                      and kappa.apply(a.unit) == tensor_vec(a.hopf.unit,
-                                                            sub.unit))
-    return KappaReport(kappa, injective, algebra_ok, comodule_ok, closed)
 
 
 @dataclass
@@ -416,10 +370,9 @@ def phi_embed(a: ComoduleAlgebra, h_coradical_zero: Subspace,
     """
     filtration = loewy_filtration(a, h_coradical_zero)
     proj, zero_layer = degree_zero_projection(a, filtration)
-    packed = _subalgebra_on_basis(a, zero_layer)
-    if packed is None:
+    sub = _subalgebra_on_basis(a, zero_layer)
+    if sub is None:
         raise BadWitness("the degree-zero layer is not a unital subalgebra")
-    sub, _ = packed
     ctx = a.ctx
     w = [c if isinstance(c, FieldElement) else ctx.scalar(c) for c in witness]
     if len(w) != sub.dim:
@@ -497,8 +450,7 @@ def coideal_generated(h: Hopf, seeds: Sequence[Vec],
     return acc.subspace()
 
 
-def comodule_algebra_from_subspace(h: Hopf, space: Subspace,
-                                   labels: Optional[Sequence[str]] = None
+def comodule_algebra_from_subspace(h: Hopf, space: Subspace
                                    ) -> ComoduleAlgebra:
     """Realise a unital subalgebra of H that is also a right coideal as a
     comodule algebra in its own right, coacted on by the restricted coproduct.
@@ -507,11 +459,10 @@ def comodule_algebra_from_subspace(h: Hopf, space: Subspace,
     closed under multiplication, or its coproduct leaves H (x) (subspace).
     """
     basis = space.basis()
-    packed = _subalgebra_on_basis(h, basis, labels)
-    if packed is None:
+    sub = _subalgebra_on_basis(h, basis)
+    if sub is None:
         raise HopfExactError(
             "subspace is not a unital subalgebra of the Hopf algebra")
-    sub, _ = packed
     n, d = h.dim, len(basis)
     body = Mat.from_columns(h.ctx, basis)
     rows: list[list[FieldElement]] = [[h.ctx.zero()] * d for _ in range(n * d)]

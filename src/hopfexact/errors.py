@@ -97,14 +97,6 @@ class GammaNotPrimitiveFourthRoot(HopfExactError):
     """The gamma parameter must satisfy gamma**2 == -1."""
 
 
-class NotModuleAlgebra(HopfExactError):
-    """The supplied action does not make the braided factor a module algebra."""
-
-
-class NotGeneratedInDegreeZero(HopfExactError):
-    """A graded module endomorphism computation requires P = P(0)·B."""
-
-
 class InvalidKind(HopfExactError):
     """Unknown generic-extension kind."""
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .algebra import (Algebra, check_algebra, multiplicative_into_tensor,
-                      trace_radical)
+from .algebra import Algebra, check_algebra, multiplicative_into_tensor
 from .errors import (
     DimensionMismatch,
     FiltrationNotExhaustive,
@@ -34,7 +33,6 @@ from .linalg import (
     basis_vector,
     eigenspace,
     inverse,
-    kernel,
     linear_combination,
     minimal_polynomial,
     restrict_operator,
@@ -341,30 +339,6 @@ def coradical_filtration(h: Hopf, c0: Subspace) -> list[Subspace]:
                 f"filtration stabilised at dimension {nxt.dim} of {h.dim}")
         chain.append(nxt)
     return chain
-
-
-def dual_algebra(h: Hopf) -> Algebra:
-    """The convolution algebra on the dual basis: the product of two dual
-    functionals is dual to the comultiplication, the unit is the counit."""
-    n = h.dim
-    table = [[tuple(h.comult[i * n + j, k] for k in range(n))
-              for j in range(n)] for i in range(n)]
-    return Algebra(h.ctx, [lab + "*" for lab in h.labels], h.counit, table)
-
-
-def coradical_zero(h: Hopf) -> Subspace:
-    """The coradical (the sum of all simple subcoalgebras), computed as the
-    annihilator of the radical of the dual algebra.
-
-    Over a characteristic-zero field the radical of the trace form is the
-    Jacobson radical, so this is exact.  The result is the canonical seed
-    for :func:`coradical_filtration`.
-    """
-    rad = trace_radical(dual_algebra(h))
-    if rad.dim == 0:
-        return Subspace.full(h.ctx, h.dim)
-    sols = kernel(Mat(h.ctx, [list(f) for f in rad.basis()]))
-    return Subspace.from_vectors(h.ctx, h.dim, sols)
 
 
 def rebase_hopf(h: Hopf, ctx: FieldContext) -> Hopf:

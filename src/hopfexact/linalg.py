@@ -315,13 +315,6 @@ def eigenspace(op: Mat, value: FieldElement) -> Subspace:
     return Subspace.from_vectors(op.ctx, op.ncols, kernel(shifted))
 
 
-def hstack(mats: Sequence[Mat]) -> Mat:
-    m = mats[0].nrows
-    if any(x.nrows != m for x in mats):
-        raise DimensionMismatch("hstack needs equal row counts")
-    return Mat(mats[0].ctx, [sum((list(x.rows[i]) for x in mats), []) for i in range(m)])
-
-
 def vstack(mats: Sequence[Mat]) -> Mat:
     n = mats[0].ncols
     if any(x.ncols != n for x in mats):

@@ -20,17 +20,13 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .algebra import (Algebra, is_algebra_isomorphism, tensor_product,
-                      trace_radical)
+from .algebra import Algebra, tensor_product, trace_radical
 from .comodule import (
     Comodule,
     ComoduleAlgebra,
     _require_over_kp,
-    _subalgebra_on_basis,
     check_comodule,
     check_comodule_algebra,
-    direct_sum_coaction,
-    loewy_filtration,
     rebase_comodule_algebra,
 )
 from .errors import (
@@ -38,13 +34,12 @@ from .errors import (
     DimensionMismatch,
     HopfExactError,
     NeedsFieldExtension,
-    NotGeneratedInDegreeZero,
     NotSemisimple,
     UnsupportedDimension,
 )
 from .field import (FieldContext, FieldElement, adjoin_sqrt, polynomial_roots,
                     sqrt_in_context)
-from .hopf import antipode_inverse, coradical_zero
+from .hopf import antipode_inverse
 from .linalg import (
     Mat,
     Row,
@@ -61,7 +56,6 @@ from .linalg import (
     rank,
     restrict_operator,
     solve,
-    spin,
 )
 from .poly import MultiPoly, _addmul, _poly, concrete_solutions
 
@@ -122,34 +116,6 @@ def check_module_comodule(v: RightComodModule) -> list[str]:
     return problems
 
 
-def regular_module(a: ComoduleAlgebra) -> RightComodModule:
-    """The algebra as a right module over itself, carrying its own coaction."""
-    action = [Mat.from_columns(a.ctx, [a.table[j][i] for j in range(a.dim)])
-              for i in range(a.dim)]
-    return RightComodModule(a, a.dim, a.coaction, action)
-
-
-def module_direct_sum(u: RightComodModule, v: RightComodModule
-                      ) -> RightComodModule:
-    """Direct sum of two modules over the same algebra, with the block
-    action and the block coaction."""
-    if u.algebra is not v.algebra and (
-            u.algebra.table != v.algebra.table
-            or u.algebra.coaction != v.algebra.coaction):
-        raise DimensionMismatch("summands are modules over different "
-                                "comodule algebras")
-    ctx = u.ctx
-    n, m = u.dim, v.dim
-    action = []
-    for ru, rv in zip(u.action, v.action, strict=True):
-        rows = [tuple(ru.rows[i]) + (ctx.zero(),) * m for i in range(n)]
-        rows += [(ctx.zero(),) * n + tuple(rv.rows[i]) for i in range(m)]
-        action.append(Mat(ctx, rows))
-    return RightComodModule(
-        u.algebra, n + m,
-        direct_sum_coaction(u.hopf.dim, u.coaction, v.coaction), action)
-
-
 def end_comodule_algebra(v: RightComodModule) -> ComoduleAlgebra:
     """B-linear endomorphisms of V as a comodule algebra.
 
@@ -168,7 +134,7 @@ def end_comodule_algebra(v: RightComodModule) -> ComoduleAlgebra:
     if d == 0:
         raise CoactionUnsolvable("the commutant is zero, which cannot happen "
                                  "for a unital action")
-    endo = _algebra_of_matrices(ctx, basis, prefix="T")
+    endo = _algebra_of_matrices(ctx, basis)
 
     s_inv = antipode_inverse(v.hopf)
     coaction_cols = []
@@ -219,18 +185,7 @@ def end_comodule_algebra(v: RightComodModule) -> ComoduleAlgebra:
     return out
 
 
-@dataclass
-class GradedEnd:
-    """The endomorphism comodule algebra of a graded module, its degree
-    layers, and the restriction isomorphism in degree zero."""
-    algebra: ComoduleAlgebra
-    grading: list[Subspace]
-    zero_algebra: Algebra
-    zero_iso: Mat
-
-
-def _algebra_of_matrices(ctx: FieldContext, mats: Sequence[Mat],
-                         prefix: str = "E") -> Algebra:
+def _algebra_of_matrices(ctx: FieldContext, mats: Sequence[Mat]) -> Algebra:
     """Structure constants of a span of matrices that is closed under
     composition and contains the identity."""
     body = Mat.from_columns(ctx, [m.vec() for m in mats])
@@ -247,176 +202,8 @@ def _algebra_of_matrices(ctx: FieldContext, mats: Sequence[Mat],
                                      "composition")
             row.append(prod)
         table.append(row)
-    labels = [f"{prefix}{i}" for i in range(len(mats))]
+    labels = [f"T{i}" for i in range(len(mats))]
     return Algebra(ctx, labels, unit, table)
-
-
-def _partial_sums(ctx: FieldContext, ambient: int,
-                  layers: Sequence[Subspace]) -> list[Subspace]:
-    out = []
-    vecs: list[Vec] = []
-    for layer in layers:
-        vecs += list(layer.basis())
-        out.append(Subspace.from_vectors(ctx, ambient, vecs))
-    return out
-
-
-def loewy_graded_end(v: RightComodModule, b_grading: Sequence[Subspace],
-                     p_grading: Sequence[Subspace]) -> GradedEnd:
-    """Endomorphisms of a graded module generated in degree zero, graded by
-    where they send the degree-zero part.
-
-    The hypotheses are checked up front: both gradings must decompose their
-    spaces with partial sums equal to the respective Loewy filtrations, the
-    module grading must be compatible with the algebra grading, the module
-    must satisfy  P = P(0) B,  and the degree-zero part of the algebra must
-    be semisimple.  The conclusions are then verified rather than assumed:
-    the layers  S(n) = {T : T(P(0)) in P(n)}  decompose the endomorphism
-    algebra, multiply like a grading whose partial sums are its Loewy
-    filtration, and restriction onto the degree-zero part is an algebra
-    isomorphism  S(0) -> End_{B(0)}(P(0)).
-    """
-    ctx = v.ctx
-    b = v.algebra
-    c0 = coradical_zero(v.hopf)
-    for name, grading, ambient in (("algebra", b_grading, b.dim),
-                                   ("module", p_grading, v.dim)):
-        joint = [w for layer in grading for w in layer.basis()]
-        if (sum(layer.dim for layer in grading) != ambient
-                or Subspace.from_vectors(ctx, ambient, joint).dim != ambient):
-            raise HopfExactError(f"the {name} grading does not decompose "
-                                 "the space")
-    top_b, top_p = len(b_grading), len(p_grading)
-    for i in range(top_b):
-        for j in range(top_b):
-            for x in b_grading[i].basis():
-                for y in b_grading[j].basis():
-                    prod = b.multiply(x, y)
-                    ok = (not any(c for c in prod if not c.is_zero())
-                          if i + j >= top_b
-                          else b_grading[i + j].contains(prod))
-                    if not ok:
-                        raise HopfExactError(
-                            "the algebra grading is not multiplicative on "
-                            f"degrees {i} and {j}")
-    for n in range(top_p):
-        for k in range(top_b):
-            for p in p_grading[n].basis():
-                for x in b_grading[k].basis():
-                    w = v.act(x).apply(p)
-                    ok = (not any(c for c in w if not c.is_zero())
-                          if n + k >= top_p
-                          else p_grading[n + k].contains(w))
-                    if not ok:
-                        raise HopfExactError(
-                            "the module grading is not compatible with the "
-                            f"algebra grading on degrees {n} and {k}")
-    if _partial_sums(ctx, b.dim, b_grading) != loewy_filtration(b, c0):
-        raise HopfExactError("the algebra grading does not refine its Loewy "
-                             "filtration")
-    as_comodule = Comodule(v.hopf, v.dim, v.coaction)
-    if _partial_sums(ctx, v.dim, p_grading) != loewy_filtration(as_comodule,
-                                                                c0):
-        raise HopfExactError("the module grading does not refine its Loewy "
-                             "filtration")
-
-    p0_basis = list(p_grading[0].basis())
-    generated = spin(ctx, v.dim, p0_basis, v.action).dim
-    if generated != v.dim:
-        raise NotGeneratedInDegreeZero(
-            f"the degree-zero part generates only {generated} of {v.dim} "
-            "dimensions")
-
-    packed = _subalgebra_on_basis(b, list(b_grading[0].basis()))
-    if packed is None:
-        raise HopfExactError("the degree-zero part of the algebra is not a "
-                             "unital subalgebra")
-    b0_sub, _ = packed
-    if trace_radical(b0_sub).dim:
-        raise NotSemisimple("the degree-zero part of the algebra has a "
-                            "radical")
-
-    s = end_comodule_algebra(v)
-    mats = _commutant(v.action)
-    d = s.dim
-    p0_body = Mat.from_columns(ctx, p0_basis)
-    layers = []
-    for n in range(top_p):
-        ann = kernel(Mat.from_columns(ctx,
-                                      list(p_grading[n].basis())).transpose())
-        rows = []
-        for u in p0_basis:
-            images = [m.apply(u) for m in mats]
-            for f in ann:
-                rows.append(tuple(
-                    sum((fc * img[i] for i, fc in enumerate(f)
-                         if not fc.is_zero()),
-                        start=ctx.zero()) for img in images))
-        space = (Subspace.full(ctx, d) if not rows
-                 else Subspace.from_vectors(ctx, d, kernel(Mat(ctx, rows))))
-        layers.append(space)
-    joint = [w for layer in layers for w in layer.basis()]
-    if (sum(layer.dim for layer in layers) != d
-            or Subspace.from_vectors(ctx, d, joint).dim != d):
-        raise HopfExactError("the endomorphism layers do not decompose the "
-                             "endomorphism algebra")
-    for n in range(top_p):
-        for k in range(top_p):
-            for x in layers[n].basis():
-                for y in layers[k].basis():
-                    prod = s.multiply(x, y)
-                    ok = (not any(c for c in prod if not c.is_zero())
-                          if n + k >= top_p
-                          else layers[n + k].contains(prod))
-                    if not ok:
-                        raise HopfExactError(
-                            "the endomorphism layers do not multiply as a "
-                            f"grading on degrees {n} and {k}")
-    if _partial_sums(ctx, d, layers) != loewy_filtration(s, c0):
-        raise HopfExactError("the endomorphism layers do not refine the "
-                             "Loewy filtration of the endomorphism algebra")
-
-    restricted = []
-    for w in b_grading[0].basis():
-        act = v.act(w)
-        cols = []
-        for u in p0_basis:
-            c = solve(p0_body, act.apply(u))
-            if c is None:
-                raise HopfExactError("the degree-zero part of the module is "
-                                     "not stable under the degree-zero part "
-                                     "of the algebra")
-            cols.append(c)
-        restricted.append(Mat.from_columns(ctx, cols))
-    e_mats = _commutant(restricted)
-    e_alg = _algebra_of_matrices(ctx, e_mats)
-    e_body = Mat.from_columns(ctx, [m.vec() for m in e_mats])
-    s0_basis = list(layers[0].basis())
-    s0_packed = _subalgebra_on_basis(s, s0_basis)
-    if s0_packed is None:
-        raise HopfExactError("the degree-zero endomorphism layer is not a "
-                             "unital subalgebra")
-    s0_sub, _ = s0_packed
-    iso_cols = []
-    for coords in s0_basis:
-        t = linear_combination(coords, mats)
-        cols = []
-        for u in p0_basis:
-            c = solve(p0_body, t.apply(u))
-            if c is None:
-                raise HopfExactError("a degree-zero endomorphism does not "
-                                     "preserve the degree-zero part")
-            cols.append(c)
-        e_coords = solve(e_body, Mat.from_columns(ctx, cols).vec())
-        if e_coords is None:
-            raise HopfExactError("a restricted endomorphism does not commute "
-                                 "with the restricted action")
-        iso_cols.append(e_coords)
-    zero_iso = Mat.from_columns(ctx, iso_cols)
-    if not is_algebra_isomorphism(s0_sub, e_alg, zero_iso):
-        raise HopfExactError("restriction to the degree-zero part is not an "
-                             "algebra isomorphism")
-    return GradedEnd(s, layers, e_alg, zero_iso)
 
 
 # -- colinear isomorphism search ------------------------------------------------

@@ -12,7 +12,6 @@ from hopfexact.comodule import (
     coideal_generated,
     coinvariants,
     isotypic_part,
-    kappa_map,
     kp_decompose,
     loewy_filtration,
     associated_graded,
@@ -199,8 +198,9 @@ def _tensor_case(name):
         return _cancelling_input()
     rng = random.Random(name)
     if name == "acting":
-        # a left table of 6 x 3 basis pairs into 2 coordinates, as the
-        # acting tables of bosonize and smash_product are not square
+        # a left table of 6 x 3 basis pairs into 2 coordinates: tables need
+        # not be square, as the right table (m, b) -> action[b].col(m) of
+        # check_module_comodule is not
         left = _random_table(rng, QI, 6, 3, 2)
         right = _random_table(rng, QI, 3, 4, 5)
         return (left, right, _sparse_vector(rng, QI, 18),
@@ -354,7 +354,7 @@ def test_group_algebra_builder_needs_a_subgroup():
         build_group_algebra_comodule((0, 1, 2), QI)
 
 
-# -- filtration, kappa, phi ----------------------------------------------------
+# -- filtration, phi -----------------------------------------------------------
 
 
 def test_loewy_filtration_over_the_full_coradical():
@@ -372,16 +372,6 @@ def test_loewy_filtration_propagates_non_exhaustive_coradical():
         QI, 8, [basis_vector(QI, 8, j) for j in range(4)])
     with pytest.raises(FiltrationNotExhaustive):
         loewy_filtration(a, group_span)
-
-
-def test_kappa_for_cosemisimple_base_is_the_coaction():
-    a = CATALOG["a_i_xy"]
-    report = kappa_map(a, Subspace.full(QI, 8))
-    assert report.injective
-    assert report.algebra_morphism
-    assert report.comodule_morphism
-    assert report.degree_zero_closed
-    assert report.matrix == a.coaction
 
 
 def _extended_a_xy():

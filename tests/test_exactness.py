@@ -45,6 +45,7 @@ def test_doubled_group_algebra_is_not_exact_with_verified_witness():
     assert verdict.coinvariants_dim == 2
     witness = verdict.witness
     assert witness is not None and 0 < witness.dim < a.dim
+    assert witness.dim == 4
     ops = costable_operators(a)
     for v in witness.basis():
         for op in ops:

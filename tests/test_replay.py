@@ -385,6 +385,43 @@ def test_classification_of_at_most_one_block():
     assert {f.catalog_match for f in families} == small
 
 
+_ONE_BLOCK = [((1, 1),), ((1, -1),), ((-1, 1),), ((-1, -1),)]
+
+
+def test_classification_runs_every_one_block_sign_case(monkeypatch):
+    calls = []
+    real = replay.generic_extension
+
+    def recorder(kind, n2, signs=None, ctx=None):
+        calls.append((kind, n2, signs))
+        return real(kind, n2, signs, ctx)
+
+    monkeypatch.setattr(replay, "generic_extension", recorder)
+    classify_n2_le_1(CTX)
+    one_block = [(kind, signs) for kind, n2, signs in calls if n2 == 1]
+    assert one_block == ([(kind, None)
+                          for kind in ("trivial", "ga_x", "ga_y", "ga_xy")]
+                         + [("ga_K", s) for s in _ONE_BLOCK]
+                         + [("kpsi", s) for s in _ONE_BLOCK])
+
+
+@pytest.mark.parametrize("kind", replay.KINDS)
+def test_sign_cases_of_zero_one_and_two_blocks(kind):
+    cases = [list(replay._sign_cases(kind, n2)) for n2 in (0, 1, 2)]
+    if kind not in ("ga_K", "kpsi"):
+        assert cases == [[None], [None], [None]]
+        return
+    assert cases[0] == [()]
+    assert cases[1] == [((1, 1),), ((1, -1),), ((-1, 1),), ((-1, -1),)]
+    assert cases[2] == [
+        ((1, 1), (1, 1)), ((1, 1), (1, -1)), ((1, 1), (-1, 1)),
+        ((1, 1), (-1, -1)), ((1, -1), (1, 1)), ((1, -1), (1, -1)),
+        ((1, -1), (-1, 1)), ((1, -1), (-1, -1)), ((-1, 1), (1, 1)),
+        ((-1, 1), (1, -1)), ((-1, 1), (-1, 1)), ((-1, 1), (-1, -1)),
+        ((-1, -1), (1, 1)), ((-1, -1), (1, -1)), ((-1, -1), (-1, 1)),
+        ((-1, -1), (-1, -1))]
+
+
 # flipping slot 0 or slot 3 of one product's component signs breaks the
 # classification; slots 1 and 2 are not seen at n2 <= 1
 _FLIPS = [(key, slot) for key in replay._COMPONENT_SIGNS for slot in (0, 3)]
