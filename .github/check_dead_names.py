@@ -1,10 +1,13 @@
 """Names in the package that nothing uses.
 
-Fails on two things in ``src/hopfexact``:
+Fails on three things in ``src/hopfexact``:
 
 * a module-level import that its module never references; a name kept on
   purpose, such as a re-export, carries ``# noqa: F401`` on its line;
-* an error class of ``errors.py`` that no ``raise`` in the package names.
+* an error class of ``errors.py`` that no ``raise`` in the package names;
+* a top-level function or a method other than a dunder whose name occurs in
+  no name, attribute, import or string constant of any Python file under
+  ``src/``, ``tests/``, ``perfbench/`` or ``.github/``.
 
 Run it from the repository root: ``python3 .github/check_dead_names.py``.
 """
@@ -14,6 +17,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path("src/hopfexact")
+USERS = ("src", "tests", "perfbench", ".github")
 NOQA = "# noqa: F401"
 
 
@@ -56,10 +60,47 @@ def unraised_errors(paths: list[Path]) -> list[str]:
             if isinstance(cls, ast.ClassDef) and cls.name not in raised]
 
 
+def _used_names(tree: ast.AST) -> set:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def _definitions(tree: ast.Module):
+    """The top-level functions and the methods of top-level classes, dunders
+    left out."""
+    for stmt in tree.body:
+        for node in stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))):
+                yield node
+
+
+def unused_functions(paths: list[Path]) -> list[str]:
+    used = set()
+    for root in USERS:
+        for path in Path(root).rglob("*.py"):
+            used |= _used_names(ast.parse(path.read_text()))
+    return [f"{path}:{node.lineno}: '{node.name}' is never used"
+            for path in paths
+            for node in _definitions(ast.parse(path.read_text()))
+            if node.name not in used]
+
+
 def main() -> int:
     paths = sorted(PACKAGE.glob("*.py"))
     problems = [p for path in paths for p in unused_imports(path)]
     problems += unraised_errors(paths)
+    problems += unused_functions(paths)
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

@@ -92,9 +92,6 @@ class Algebra:
             v[self.label_index(lab)] = scal(self.ctx, c)
         return tuple(v)
 
-    def coefficient(self, v: Sequence[FieldElement], label: str) -> FieldElement:
-        return v[self.label_index(label)]
-
     def zero(self) -> Vec:
         return vzero(self.ctx, self.dim)
 

@@ -424,11 +424,10 @@ def _in_tensor_right(h: Hopf, right_space: Subspace, vec_hh: Vec) -> bool:
     return Subspace.from_vectors(h.ctx, n * n, gens).contains(vec_hh)
 
 
-def coideal_generated(h: Hopf, seeds: Sequence[Vec],
-                      multiplicative: bool = True) -> Subspace:
+def coideal_generated(h: Hopf, seeds: Sequence[Vec]) -> Subspace:
     """Smallest subspace containing the seeds and the unit that is closed
     under all left coproduct slices (so its coproduct lies in H (x) itself)
-    and, by default, under multiplication."""
+    and under multiplication."""
     from .linalg import RrefAccumulator
     n = h.dim
     ctx = h.ctx
@@ -441,11 +440,10 @@ def coideal_generated(h: Hopf, seeds: Sequence[Vec],
         if acc.add(v):
             for sl in slices:
                 queue.append(sl.apply(v))
-            if multiplicative:
-                for b in basis:
-                    queue.append(h.multiply(v, b))
-                    queue.append(h.multiply(b, v))
-                queue.append(h.multiply(v, v))
+            for b in basis:
+                queue.append(h.multiply(v, b))
+                queue.append(h.multiply(b, v))
+            queue.append(h.multiply(v, v))
             basis.append(v)
     return acc.subspace()
 

@@ -641,10 +641,15 @@ def forces_vanishing(constraints: Sequence[MultiPoly],
     False.  Undecided targets entangled with nonlinear residue raise
     :class:`~hopfexact.errors.NonlinearResidue` — never silently ignored.
     """
+    return _vanishing_report(eliminate(list(constraints)), targets)
+
+
+def _vanishing_report(elim: Elimination,
+                      targets: Sequence[str]) -> VanishingReport:
+    """The answer of :func:`forces_vanishing` read off an elimination."""
     targets = list(targets)
-    elim = eliminate(list(constraints))
     if elim.contradiction is not None:
-        ctx = constraints[0].ctx
+        ctx = elim.contradiction_value.ctx
         scale = elim.contradiction_value.inverse()
         certs = {}
         for t in targets:
@@ -720,27 +725,67 @@ def _sign_cases(kind: str, n2: int):
     return [None]
 
 
+@dataclass
+class _System:
+    """A generic extension and its associativity constraints, with the
+    elimination of those constraints alone formed on first request."""
+
+    g: GenericExtension
+    constraints: list[MultiPoly]
+    _elimination: Optional[Elimination] = None
+
+    def elimination(self) -> Elimination:
+        if self._elimination is None:
+            self._elimination = eliminate(self.constraints)
+        return self._elimination
+
+
+def _system(kind: str, n2: int, signs, ctx: FieldContext) -> _System:
+    """The system of one sign case, built once per run: it is kept in
+    ``_REPLAY_CACHE`` under the key ``(kind, n2, signs, ctx)``.  The base
+    checks and the one-block systems of :func:`classify_n2_le_1` do not go
+    through it: they are built afresh on every call, so a changed table is
+    always seen."""
+    key = (kind, n2, signs, ctx)
+    if key not in _REPLAY_CACHE:
+        g = generic_extension(kind, n2, signs, ctx)
+        _REPLAY_CACHE[key] = _System(g, associativity_constraints(g))
+    return _REPLAY_CACHE[key]
+
+
 def _vanishing_replay(name: str, conclusion: str, forced_detail: str,
                       cases: Sequence, ctx: FieldContext) -> ReplayReport:
     """Decide one collapse lemma over its case table.
 
     ``cases`` lists ``(kind, signs, variants)``; a variant is a tuple of
     ``(text, polynomial)`` hypotheses added to the associativity constraints
-    of the two-block extension, which are built once per sign case.  A case
-    holds when its constraints force every block structure constant to
-    vanish, with certificates that check again.  A case decided by a
-    contradiction of its constraints alone holds vacuously, and its detail
-    says so; when every case does, so does the conclusion.
+    of the two-block extension.  A case holds when its constraints force
+    every block structure constant to vanish, with certificates that check
+    again.  A case decided by a contradiction of its constraints alone holds
+    vacuously, and its detail says so; when every case does, so does the
+    conclusion.
+
+    Each sign case's constraints and their elimination are formed once per
+    run (:func:`_system`) and shared by every variant and every replay that
+    meets the case.  A variant reuses that elimination when it adds no
+    hypothesis, or when the constraints alone are contradictory: the
+    contradiction's certificate names only associativity rows, which keep
+    their indices in the variant's system.  Only a variant with hypotheses
+    over a consistent system is eliminated anew.
     """
     for kind in dict.fromkeys(kind for kind, _, _ in cases):
         _require_associative_base(kind, ctx)
     out = []
     for kind, signs, variants in cases:
-        g = generic_extension(kind, 2, signs, ctx)
-        cons = associativity_constraints(g)
+        system = _system(kind, 2, signs, ctx)
+        g, cons = system.g, system.constraints
+        base = system.elimination()
         for variant in variants:
             full = cons + [poly for _, poly in variant]
-            report = forces_vanishing(full, g.unknowns)
+            elim = base
+            if variant and base.contradiction is None:
+                elim = eliminate(full)
+            report = _vanishing_report(elim, g.unknowns)
             detail = ("vacuous: no extension with these signs exists"
                       if report.vacuous else
                       forced_detail if report.forced else "NOT forced")
@@ -776,8 +821,10 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
     cases = []
     regular = build_regular_comodule_algebra(ctx)
     for signs in (((1, 1), (-1, -1)), ((1, -1), (-1, 1))):
-        g = generic_extension("ga_K", 2, signs, ctx)
-        cons = associativity_constraints(g)
+        # the normalised system is eliminated whole: an elimination of the
+        # constraints alone would be done for nothing
+        system = _system("ga_K", 2, signs, ctx)
+        g, cons = system.g, system.constraints
         hyps = [MultiPoly.var(ctx, "alpha_11") - 1,
                 MultiPoly.var(ctx, "alpha_12") + 1]
         full = cons + hyps
@@ -882,7 +929,10 @@ _REPLAYS = {
     "group-full-extension": _full_extension_report,
 }
 
-_REPLAY_CACHE: dict[tuple[str, FieldContext], ReplayReport] = {}
+# replay reports under (name, ctx), and the sign-case systems of _system under
+# (kind, n2, signs, ctx): one cache, so that a check for a cold cache and a
+# reset of the cache cover both
+_REPLAY_CACHE: dict[tuple, Union[ReplayReport, _System]] = {}
 
 
 def replay_names() -> tuple[str, ...]:

@@ -7,11 +7,12 @@ import pytest
 
 from hopfexact import replay
 from hopfexact.constructions import PSI_STANDARD, catalog
-from hopfexact.errors import HopfExactError
+from hopfexact.errors import HopfExactError, NonlinearResidue
 from hopfexact.field import FieldContext, adjoin_sqrt
 from hopfexact.poly import MultiPoly, _addmul, _poly
 from hopfexact.replay import (associativity_constraints, classify_n2_le_1,
-                              generic_extension, replay_lemma, replay_names)
+                              forces_vanishing, generic_extension,
+                              replay_lemma, replay_names)
 
 CTX = FieldContext(4)
 # a formal square root of a perfect square: a ring with zero divisors
@@ -186,6 +187,55 @@ def test_vacuous_cases_are_labelled_as_vacuous(name):
 def test_every_vanishing_replay_is_pinned():
     # with the two cases of the full extension: 72 of 86 cases are vacuous
     assert set(replay_names()) == set(_VACUOUS) | {"group-full-extension"}
+
+
+def test_forces_vanishing_reads_each_outcome():
+    x, y = MultiPoly.var(CTX, "x"), MultiPoly.var(CTX, "y")
+    one = MultiPoly.const(CTX, 1)
+    forced = forces_vanishing([x + y, y], ["x", "y"])
+    assert forced and forced.verify([x + y, y]) and not forced.vacuous
+    vacuous = forces_vanishing([x, x - one], ["y"])
+    assert vacuous.vacuous and vacuous.verify([x, x - one])
+    assert forces_vanishing([x - one], ["x"]).nonzero == ("x",)
+    assert forces_vanishing([x + y], ["x"]).undecided == ("x",)
+    with pytest.raises(NonlinearResidue):
+        forces_vanishing([x * y + x], ["x"])
+
+
+def test_vacuous_cases_are_contradictions_of_their_constraints_alone():
+    for name in sorted(_VACUOUS):
+        for case in replay_lemma(name, CTX).cases:
+            if not case.report.vacuous:
+                continue
+            rows = len(case.constraints) - len(case.hypotheses)
+            assert all(idx < rows
+                       for cert in case.report.certificates.values()
+                       for idx in cert)
+
+
+def test_vanishing_replays_build_and_eliminate_each_system_once(monkeypatch):
+    # 36 distinct two-block systems; one elimination each, plus one for each
+    # of the 8 group-null-product variants whose system is consistent
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    built, eliminations = [], []
+    real_constraints, real_eliminate = (replay.associativity_constraints,
+                                        replay.eliminate)
+
+    def constraints(g):
+        if g.n2 == 2:
+            built.append((g.kind, g.signs))
+        return real_constraints(g)
+
+    def eliminate(rows):
+        eliminations.append(len(rows))
+        return real_eliminate(rows)
+
+    monkeypatch.setattr(replay, "associativity_constraints", constraints)
+    monkeypatch.setattr(replay, "eliminate", eliminate)
+    for name in sorted(_VACUOUS):
+        replay_lemma(name, CTX)
+    assert len(built) == len(set(built)) == 36
+    assert len(eliminations) == 44
 
 
 # -- eliminate against the hand-written loop it replaced ------------------------
@@ -447,6 +497,19 @@ _PIN_FLIPS = [(("v", "w"), 1), (("w", "v"), 2)]
                          ids=[f"{a}{b}-{s}" for (a, b), s in _PIN_FLIPS])
 def test_flipped_component_sign_breaks_the_full_extension(monkeypatch, key,
                                                           slot):
+    signs = list(replay._COMPONENT_SIGNS[key])
+    signs[slot] = -signs[slot]
+    monkeypatch.setitem(replay._COMPONENT_SIGNS, key, tuple(signs))
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    assert not replay_lemma("group-full-extension", CTX).passed
+
+
+def test_a_cache_reset_drops_the_shared_systems(monkeypatch):
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    replay_lemma("group-null-product", CTX)
+    # the full extension's first sign case is one of the warmed systems
+    assert ("ga_K", 2, ((1, 1), (-1, -1)), CTX) in replay._REPLAY_CACHE
+    key, slot = _PIN_FLIPS[0]
     signs = list(replay._COMPONENT_SIGNS[key])
     signs[slot] = -signs[slot]
     monkeypatch.setitem(replay._COMPONENT_SIGNS, key, tuple(signs))
