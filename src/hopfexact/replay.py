@@ -35,12 +35,22 @@ Only linear reasoning is ever used: case splits over sign assignments and
 fourth roots of unity keep everything linear, and a system that still needs
 nonlinear reasoning raises :class:`~hopfexact.errors.NonlinearResidue` rather
 than guessing.
+
+The characters of K act on the two-block sign cases over ga_K and kpsi, and
+the 16 cases form 4 orbits of 4 (the paper's "without loss of generality";
+McKay, J. Algorithms 26, 1998).  The replays build and eliminate one system
+per orbit, its first case.  Every other member's constraints and
+eliminations are carried from it by exact sign changes, once a check has
+shown that the member's own table is the representative's under the
+character (the equivariance is checked, not assumed: Gatermann, LNM 1728,
+2000).  A member that fails the check is built directly, and every case's
+certificates are checked again against its own constraints.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -51,6 +61,7 @@ from .constructions import (PSI_STANDARD, build_kp,
 from .errors import HopfExactError, InvalidKind, NonlinearResidue
 from .exactness import check_exactness
 from .field import FieldContext, FieldElement
+from .hopf import Hopf
 from .linalg import (Mat, _echelon, _subtract_multiple, basis_vector,
                      tensor_vec)
 from .morita import colinear_iso_search
@@ -124,10 +135,11 @@ class GenericExtension:
         return self.base_dim + self.n2 + (i - 1)
 
     def specialize(self, values: Mapping[str, Union[FieldElement, int,
-                                                    Fraction]]
-                   ) -> ComoduleAlgebra:
-        """Substitute concrete values for every symbol and build the algebra."""
-        return _specialize(self, values)
+                                                    Fraction]],
+                   hopf: Hopf) -> ComoduleAlgebra:
+        """Substitute concrete values for every symbol and build the algebra
+        over ``hopf``, which is kp over the same context."""
+        return _specialize(self, values, hopf)
 
     def __repr__(self) -> str:
         return (f"GenericExtension(kind={self.kind!r}, n2={self.n2}, "
@@ -141,7 +153,8 @@ def _scalarize(ctx: FieldContext, values: Mapping) -> dict[str, FieldElement]:
     return out
 
 
-def _specialize(self: GenericExtension, values: Mapping) -> ComoduleAlgebra:
+def _specialize(self: GenericExtension, values: Mapping,
+                h: Hopf) -> ComoduleAlgebra:
     ctx = self.ctx
     assignment = _scalarize(ctx, values)
     dim = self.dim
@@ -159,7 +172,6 @@ def _specialize(self: GenericExtension, values: Mapping) -> ComoduleAlgebra:
                 coords.append(c)
             new_row.append(coords)
         table.append(new_row)
-    h = build_kp(ctx)
     unit = basis_vector(ctx, dim, 0)
     cols = []
     masks = _BASE_MASKS[self.kind]
@@ -483,6 +495,11 @@ def _mono_degree(mono) -> int:
     return sum(e for _, e in mono)
 
 
+def _column_key(mono) -> tuple:
+    """The pivot order of :func:`eliminate`: highest degree first."""
+    return (-_mono_degree(mono), mono)
+
+
 def _linear_quotient(terms: dict, name: str, value: FieldElement) -> dict:
     """The terms of U with poly == poly.substitute({name: value}) +
     U * (name - value), for the polynomial with the given terms.
@@ -553,8 +570,7 @@ def eliminate(constraints: Sequence[MultiPoly]) -> Elimination:
     max_rounds = len({v for p in constraints for v in p.variables()}) + 2
     for _ in range(max_rounds):
         cols = sorted({key for row in rows for key in row
-                       if key and not _is_multiplier(key)},
-                      key=lambda m: (-_mono_degree(m), m))
+                       if key and not _is_multiplier(key)}, key=_column_key)
         rows, _ = _echelon(rows, cols)
         polys = [_polynomial_part(row) for row in rows]
         rows = [row for row, poly in zip(rows, polys) if poly]
@@ -725,31 +741,142 @@ def _sign_cases(kind: str, n2: int):
     return [None]
 
 
+# A character eps = (e1, e2) of K takes the sign pairs (a_i, b_i) of a ga_K
+# or kpsi extension to (e1*a_i, e2*b_i).  It scales e_x, e_y and e_xy by e1,
+# e2 and e1*e2, and each action symbol by the component of eps that its
+# prefix names here; the alpha_ij are fixed.
+_CHARACTER_SLOT = {"lx": 0, "ry": 1}
+
+
+def _mono_sign(mono, eps) -> int:
+    """The sign that the character ``eps`` gives the monomial ``mono``."""
+    s = 1
+    for name, e in mono:
+        slot = _CHARACTER_SLOT.get(name.partition("_")[0])
+        if slot is not None and e & 1:
+            s *= eps[slot]
+    return s
+
+
+def _act(poly: MultiPoly, eps, scale: int = 1) -> MultiPoly:
+    """``scale`` times the image of ``poly`` under the character ``eps``: the
+    same terms in the same order, some of them negated."""
+    return _poly(poly.ctx, {m: c if _mono_sign(m, eps) == scale else -c
+                            for m, c in poly.terms.items()})
+
+
+def _carry(elim: Elimination, eps, row_signs: Sequence[int]
+           ) -> Elimination:
+    """``elim`` carried by ``eps`` to the system whose row i is
+    ``row_signs[i]`` times the image of row i of ``elim``'s system.
+
+    A pin ``x = v`` becomes ``x = s(x)*v``, with ``s(x)`` the sign of ``x``,
+    and its multipliers ``m_i`` become ``s(x)*row_signs[i]*eps(m_i)``.  A
+    residual row is normalised at its pivot, so it is its image times the
+    sign of its pivot monomial.  A contradiction keeps its value, with the
+    multipliers ``row_signs[i]*eps(m_i)``: they combine the carried rows to
+    the image of the value, which is the value."""
+    def carried(cert: Certificate, scale: int) -> Certificate:
+        return {i: _act(m, eps, scale * row_signs[i])
+                for i, m in cert.items()}
+
+    pins, certs = {}, {}
+    for x, v in elim.pins.items():
+        s = _mono_sign(((x, 1),), eps)
+        pins[x] = v if s == 1 else -v
+        certs[x] = carried(elim.certificates[x], s)
+    if elim.contradiction is not None:
+        return Elimination(pins, certs, elim.residual,
+                           carried(elim.contradiction, 1),
+                           elim.contradiction_value)
+    residual = [_act(p, eps, _mono_sign(min(filter(None, p.terms),
+                                                key=_column_key), eps))
+                for p in elim.residual]
+    return Elimination(pins, certs, residual, None, None)
+
+
 @dataclass
 class _System:
-    """A generic extension and its associativity constraints, with the
-    elimination of those constraints alone formed on first request."""
+    """A generic extension and its associativity constraints, with their
+    eliminations, alone or with hypotheses, formed on first request.
+
+    A system carried from its orbit representative keeps ``(representative,
+    eps, row signs)`` in ``source``: its constraint i is ``row signs[i]``
+    times the image under ``eps`` of the representative's, and it carries
+    every elimination whose hypotheses ``eps`` fixes from the
+    representative's elimination of the same hypotheses."""
 
     g: GenericExtension
     constraints: list[MultiPoly]
-    _elimination: Optional[Elimination] = None
+    source: Optional[tuple] = None
+    _eliminations: dict = field(default_factory=dict)
 
-    def elimination(self) -> Elimination:
-        if self._elimination is None:
-            self._elimination = eliminate(self.constraints)
-        return self._elimination
+    def elimination(self, hypotheses: tuple[MultiPoly, ...] = ()
+                    ) -> Elimination:
+        elim = self._eliminations.get(hypotheses)
+        if elim is None:
+            rep, eps, row_signs = self.source or (None, None, None)
+            if rep is not None and all(_mono_sign(m, eps) == 1
+                                       for h in hypotheses for m in h.terms):
+                elim = _carry(rep.elimination(hypotheses), eps,
+                              row_signs + [1] * len(hypotheses))
+            else:
+                elim = eliminate(self.constraints + list(hypotheses))
+            self._eliminations[hypotheses] = elim
+        return elim
+
+
+def _representative(kind: str, n2: int, signs):
+    """The first member, in :func:`_sign_cases` order, of the orbit of
+    ``signs`` under the characters of K."""
+    order = list(_sign_cases(kind, n2))
+    return min((tuple((e1 * a, e2 * b) for a, b in signs)
+                for e1, e2 in _SIGN_PAIRS), key=order.index)
+
+
+def _carried_system(rep: _System, g: GenericExtension, eps
+                    ) -> Optional[_System]:
+    """The system of ``g`` carried from ``rep`` by the character ``eps``, or
+    None when ``g``'s table is not ``rep``'s under ``eps``: entry (i, j, k)
+    must be ``eps(i)*eps(j)*eps(k)`` times the image of ``rep``'s, where
+    eps(i) is the character's value on the grouplike of base element i and
+    1 on a block element."""
+    scale = [eps[0] ** (m & 1) * eps[1] ** (m >> 1)
+             for m in _BASE_MASKS[g.kind]] + [1] * (2 * g.n2)
+    for i, row in enumerate(rep.g.table):
+        for j, vec in enumerate(row):
+            for k, p in enumerate(vec):
+                if _act(p, eps, scale[i] * scale[j] * scale[k]) \
+                        != g.table[i][j][k]:
+                    return None
+    row_signs = [_mono_sign(min(c.terms), eps) for c in rep.constraints]
+    return _System(g, [_act(c, eps, s)
+                       for c, s in zip(rep.constraints, row_signs)],
+                   (rep, eps, row_signs))
 
 
 def _system(kind: str, n2: int, signs, ctx: FieldContext) -> _System:
     """The system of one sign case, built once per run: it is kept in
-    ``_REPLAY_CACHE`` under the key ``(kind, n2, signs, ctx)``.  The base
+    ``_REPLAY_CACHE`` under the key ``(kind, n2, signs, ctx)``.
+
+    Only the representative of each orbit of sign assignments under the
+    characters of K (:func:`_representative`) is built and eliminated.
+    Every other member is carried from it by exact sign changes, after a
+    check that the member's own table is the representative's under the
+    character; a member that fails the check is built directly.  The base
     checks and the one-block systems of :func:`classify_n2_le_1` do not go
     through it: they are built afresh on every call, so a changed table is
     always seen."""
     key = (kind, n2, signs, ctx)
     if key not in _REPLAY_CACHE:
         g = generic_extension(kind, n2, signs, ctx)
-        _REPLAY_CACHE[key] = _System(g, associativity_constraints(g))
+        system = None
+        rep_signs = _representative(kind, n2, signs) if signs else signs
+        if rep_signs != signs:
+            system = _carried_system(
+                _system(kind, n2, rep_signs, ctx), g,
+                (signs[0][0] * rep_signs[0][0], signs[0][1] * rep_signs[0][1]))
+        _REPLAY_CACHE[key] = system or _System(g, associativity_constraints(g))
     return _REPLAY_CACHE[key]
 
 
@@ -767,11 +894,15 @@ def _vanishing_replay(name: str, conclusion: str, forced_detail: str,
 
     Each sign case's constraints and their elimination are formed once per
     run (:func:`_system`) and shared by every variant and every replay that
-    meets the case.  A variant reuses that elimination when it adds no
-    hypothesis, or when the constraints alone are contradictory: the
-    contradiction's certificate names only associativity rows, which keep
-    their indices in the variant's system.  Only a variant with hypotheses
-    over a consistent system is eliminated anew.
+    meets the case; over ga_K and kpsi only one system per orbit of sign
+    assignments is built and eliminated, and the other members are carried
+    from it once their tables pass the check.  A variant reuses the case's
+    elimination when it adds no hypothesis, or when the constraints alone
+    are contradictory: the contradiction's certificate names only
+    associativity rows, which keep their indices in the variant's system.  A
+    variant with hypotheses over a consistent system is eliminated once per
+    orbit when the characters fix its hypotheses, as every variant here
+    does, and once per case otherwise.
     """
     for kind in dict.fromkeys(kind for kind, _, _ in cases):
         _require_associative_base(kind, ctx)
@@ -781,10 +912,10 @@ def _vanishing_replay(name: str, conclusion: str, forced_detail: str,
         g, cons = system.g, system.constraints
         base = system.elimination()
         for variant in variants:
-            full = cons + [poly for _, poly in variant]
-            elim = base
-            if variant and base.contradiction is None:
-                elim = eliminate(full)
+            hypotheses = tuple(poly for _, poly in variant)
+            full = cons + list(hypotheses)
+            elim = base if base.contradiction is not None \
+                else system.elimination(hypotheses)
             report = _vanishing_report(elim, g.unknowns)
             detail = ("vacuous: no extension with these signs exists"
                       if report.vacuous else
@@ -825,10 +956,10 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
         # constraints alone would be done for nothing
         system = _system("ga_K", 2, signs, ctx)
         g, cons = system.g, system.constraints
-        hyps = [MultiPoly.var(ctx, "alpha_11") - 1,
-                MultiPoly.var(ctx, "alpha_12") + 1]
-        full = cons + hyps
-        elim = eliminate(full)
+        hyps = (MultiPoly.var(ctx, "alpha_11") - 1,
+                MultiPoly.var(ctx, "alpha_12") + 1)
+        full = cons + list(hyps)
+        elim = system.elimination(hyps)
         ok = elim.contradiction is None and not elim.residual
         expected = {"alpha_11": ctx.one(), "alpha_12": -ctx.one(),
                     "alpha_21": -ctx.one(), "alpha_22": -ctx.one()}
@@ -845,7 +976,7 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
             missing -= set(solution)
             ok = not missing
             if ok:
-                algebra = g.specialize(solution)
+                algebra = g.specialize(solution, regular.hopf)
                 problems = check_comodule_algebra(algebra)
                 exact = check_exactness(algebra)
                 iso = colinear_iso_search(algebra, regular)
@@ -982,10 +1113,11 @@ def classify_n2_le_1(ctx: Optional[FieldContext] = None
     catalog entries of dimension below eight.
     """
     ctx = ctx or FieldContext(4)
+    kp = build_kp(ctx)
     families: list[SolutionFamily] = []
     for kind in KINDS:
         _require_associative_base(kind, ctx)
-        base_algebra = generic_extension(kind, 0, None, ctx).specialize({})
+        base_algebra = generic_extension(kind, 0, None, ctx).specialize({}, kp)
         families.append(SolutionFamily(
             kind=kind, n2=0, signs=None, constants={}, presentations=({},),
             algebra=base_algebra, catalog_match=""))
@@ -996,7 +1128,7 @@ def classify_n2_le_1(ctx: Optional[FieldContext] = None
             cons = associativity_constraints(g)
             normalized = cons + [MultiPoly.var(ctx, "alpha_11") - 1]
             for sol in concrete_solutions(normalized, ctx):
-                found.append((signs, sol, g.specialize(sol)))
+                found.append((signs, sol, g.specialize(sol, kp)))
         # merge presentations of isomorphic algebras into one family each
         groups: list[list[tuple]] = []
         for item in found:

@@ -2,6 +2,7 @@
 eliminations, the n2 <= 1 classification and negative controls."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -214,8 +215,11 @@ def test_vacuous_cases_are_contradictions_of_their_constraints_alone():
 
 
 def test_vanishing_replays_build_and_eliminate_each_system_once(monkeypatch):
-    # 36 distinct two-block systems; one elimination each, plus one for each
-    # of the 8 group-null-product variants whose system is consistent
+    # 36 distinct two-block systems: the 4 one-system bases are built, and so
+    # is one representative of each of the 4 sign orbits over ga_K and over
+    # kpsi; the other 24 are carried from their representatives.  One
+    # elimination per built system, plus the 2 group-null-product variants of
+    # the one consistent orbit's representative
     monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
     built, eliminations = [], []
     real_constraints, real_eliminate = (replay.associativity_constraints,
@@ -234,8 +238,201 @@ def test_vanishing_replays_build_and_eliminate_each_system_once(monkeypatch):
     monkeypatch.setattr(replay, "eliminate", eliminate)
     for name in sorted(_VACUOUS):
         replay_lemma(name, CTX)
-    assert len(built) == len(set(built)) == 36
-    assert len(eliminations) == 44
+    assert len(built) == len(set(built)) == 12
+    assert len(eliminations) == 14
+    assert _carried_count(replay._REPLAY_CACHE) == 24
+
+
+def _carried_count(cache):
+    """The systems in a replay cache carried from an orbit representative."""
+    return sum(isinstance(s, replay._System) and s.source is not None
+               for s in cache.values())
+
+
+def _character(signs, rep):
+    """The character of K that takes the sign pairs ``rep`` to ``signs``."""
+    return signs[0][0] * rep[0][0], signs[0][1] * rep[0][1]
+
+
+@pytest.mark.parametrize("kind", ["ga_K", "kpsi"])
+def test_each_sign_orbit_is_represented_by_its_first_case(kind):
+    cases = list(replay._sign_cases(kind, 2))
+    reps = set()
+    for signs in cases:
+        orbit = {tuple((e1 * a, e2 * b) for a, b in signs)
+                 for e1 in (1, -1) for e2 in (1, -1)}
+        rep = replay._representative(kind, 2, signs)
+        assert len(orbit) == 4 and rep in orbit
+        assert cases.index(rep) == min(cases.index(s) for s in orbit)
+        reps.add(rep)
+    # every orbit holds exactly one case whose first block has signs (1, 1)
+    assert sorted(reps) == sorted(((1, 1), pair) for pair in _PAIRS)
+
+
+@pytest.mark.parametrize("kind", ["ga_K", "kpsi"])
+def test_the_table_check_accepts_exactly_each_characters_image(kind):
+    # kpsi's cocycle is checked on its own: its table too is carried by all
+    # four characters, the trivial one included.  A sign case mapped to the
+    # wrong member of its orbit fails the check.
+    for rep_signs in sorted(((1, 1), pair) for pair in _PAIRS):
+        rep = replay._system(kind, 2, rep_signs, CTX)
+        orbit = [tuple((e1 * a, e2 * b) for a, b in rep_signs)
+                 for e1, e2 in _PAIRS]
+        for eps, image in zip(_PAIRS, orbit):
+            for member in orbit:
+                g = generic_extension(kind, 2, member, CTX)
+                carried = replay._carried_system(rep, g, eps)
+                assert (carried is not None) == (member == image)
+
+
+def test_a_swapped_action_is_refused_where_it_differs(monkeypatch):
+    # lx signed by e2 and ry by e1: the table check refuses exactly the
+    # members reached by a character with e1 != e2; under (-1, -1) the
+    # swapped action is the true one
+    members = []
+    for kind in ("ga_K", "kpsi"):
+        for signs in replay._sign_cases(kind, 2):
+            rep_signs = replay._representative(kind, 2, signs)
+            if rep_signs != signs:
+                members.append((replay._system(kind, 2, rep_signs, CTX),
+                                generic_extension(kind, 2, signs, CTX),
+                                _character(signs, rep_signs)))
+    monkeypatch.setattr(replay, "_CHARACTER_SLOT", {"lx": 1, "ry": 0})
+    refused = [eps for rep, g, eps in members
+               if replay._carried_system(rep, g, eps) is None]
+    assert len(members) == 24
+    assert sorted(refused) == sorted(eps for _, _, eps in members
+                                     if eps[0] != eps[1])
+    assert len(refused) == 16
+
+
+@pytest.fixture(scope="module")
+def refused_run():
+    """Every replay under an action that leaves the symbols unsigned.  The
+    table check refuses it on every member, so every system is built and
+    eliminated directly, as without the orbit path.  Holds the reports'
+    reprs by name, the replay cache, and the systems built, the
+    eliminations run and the kp built by the replays."""
+    run = SimpleNamespace(cache={}, built=[], eliminations=[], kp=[])
+    real_constraints, real_eliminate, real_kp = (
+        replay.associativity_constraints, replay.eliminate, replay.build_kp)
+
+    def constraints(g):
+        if g.n2 == 2:
+            run.built.append((g.kind, g.signs))
+        return real_constraints(g)
+
+    def eliminate(rows):
+        run.eliminations.append(len(rows))
+        return real_eliminate(rows)
+
+    def build_kp(ctx=None):
+        run.kp.append(ctx)
+        return real_kp(ctx)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replay, "_REPLAY_CACHE", run.cache)
+        mp.setattr(replay, "_CHARACTER_SLOT", {})
+        mp.setattr(replay, "associativity_constraints", constraints)
+        mp.setattr(replay, "eliminate", eliminate)
+        mp.setattr(replay, "build_kp", build_kp)
+        run.reports = {name: repr(replay_lemma(name, CTX))
+                       for name in replay_names()}
+    return run
+
+
+def test_a_refused_action_builds_every_system_directly(refused_run):
+    assert len(refused_run.built) == len(set(refused_run.built)) == 36
+    # the 44 of the vanishing replays and the full extension's two
+    assert len(refused_run.eliminations) == 46
+    assert _carried_count(refused_run.cache) == 0
+    # the full extension specialises over its regular algebra's kp
+    assert refused_run.kp == []
+
+
+@pytest.mark.parametrize("name", replay_names())
+def test_reports_match_the_direct_build(refused_run, name):
+    assert repr(replay_lemma(name, CTX)) == refused_run.reports[name]
+
+
+def _terms(polys):
+    return [list(p.terms.items()) for p in polys]
+
+
+# the hypotheses of every variant in the replays
+_VARIANTS = ([tuple(p for _, p in v) for v in replay._null_products(CTX)]
+             + [(replay._dependent_pair(CTX)[1],),
+                (MultiPoly.var(CTX, "alpha_11") - 1,
+                 MultiPoly.var(CTX, "alpha_12") + 1)])
+# the orbits whose members are checked under every variant as well: the
+# dependent pair's, and the one consistent orbit over ga_K
+_ALL_VARIANT_ORBITS = (((1, 1), (-1, 1)), ((1, 1), (-1, -1)))
+
+
+@pytest.mark.parametrize("kind", ["ga_K", "kpsi"])
+def test_carried_systems_match_the_direct_build(refused_run, kind):
+    direct_cache = refused_run.cache
+    carried = 0
+    for signs in replay._sign_cases(kind, 2):
+        direct = direct_cache[(kind, 2, signs, CTX)]
+        system = replay._system(kind, 2, signs, CTX)
+        assert direct.source is None
+        if replay._representative(kind, 2, signs) == signs:
+            assert system.source is None
+            continue
+        carried += 1
+        rep_signs = system.source[0].g.signs
+        assert system.source[1] == _character(signs, rep_signs)
+        # the same constraints, term order included
+        assert _terms(system.constraints) == _terms(direct.constraints)
+        for hyps in [()] + _VARIANTS * (rep_signs in _ALL_VARIANT_ORBITS):
+            got, want = system.elimination(hyps), direct.elimination(hyps)
+            assert list(got.pins.items()) == list(want.pins.items())
+            assert got.certificates == want.certificates
+            assert _terms(got.residual) == _terms(want.residual)
+            assert got.contradiction == want.contradiction
+            assert got.contradiction_value == want.contradiction_value
+    assert carried == 12
+
+
+def test_a_hypothesis_the_character_moves_is_eliminated_directly(monkeypatch):
+    member = replay._system("ga_K", 2, ((1, -1), (-1, 1)), CTX)
+    assert member.source is not None and member.source[1] == (1, -1)
+    hyps = (MultiPoly.var(CTX, "ry_11"),)
+    calls = []
+    real = replay.eliminate
+
+    def eliminate(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(replay, "eliminate", eliminate)
+    got = member.elimination(hyps)
+    assert calls == [len(member.constraints) + 1]
+    want = real(member.constraints + list(hyps))
+    assert got.pins == want.pins and got.certificates == want.certificates
+
+
+def test_kp_is_built_once_per_classification(monkeypatch):
+    calls = []
+    real = replay.build_kp
+
+    def build_kp(ctx=None):
+        calls.append(ctx)
+        return real(ctx)
+
+    monkeypatch.setattr(replay, "build_kp", build_kp)
+    families = classify_n2_le_1(CTX)
+    assert calls == [CTX]
+    assert [(f.kind, f.n2, f.signs, f.catalog_match) for f in families] == [
+        ("trivial", 0, None, "k"), ("ga_x", 0, None, "ga_x"),
+        ("ga_y", 0, None, "ga_y"), ("ga_xy", 0, None, "ga_xy"),
+        ("ga_xy", 1, None, "a_i_xy"), ("ga_K", 0, None, "ga_k"),
+        ("kpsi", 0, None, "kpsi")]
+    i = CTX.i()
+    assert families[4].constants == {"alpha_11": CTX.one(), "rxy_11": -i,
+                                     "lxy_11": -i, "delta_11": -i}
+    assert all(f.algebra.hopf is families[0].algebra.hopf for f in families)
 
 
 # -- eliminate against the hand-written loop it replaced ------------------------
