@@ -1,13 +1,14 @@
-"""Names in the package that nothing uses.
+"""Names in the package and its tests that nothing uses.
 
-Fails on three things in ``src/hopfexact``:
+Fails on three things:
 
-* a module-level import that its module never references; a name kept on
-  purpose, such as a re-export, carries ``# noqa: F401`` on its line;
+* a module-level import that its module never references, in a module of
+  ``src/hopfexact`` or of ``tests``; a name kept on purpose, such as a
+  re-export, carries ``# noqa: F401`` on its line;
 * an error class of ``errors.py`` that no ``raise`` in the package names;
-* a top-level function or a method other than a dunder whose name occurs in
-  no name, attribute, import or string constant of any Python file under
-  ``src/``, ``tests/``, ``perfbench/`` or ``.github/``.
+* a top-level function or a method of the package, other than a dunder,
+  whose name occurs in no name, attribute, import or string constant of any
+  Python file under ``src/``, ``tests/``, ``perfbench/`` or ``.github/``.
 
 Run it from the repository root: ``python3 .github/check_dead_names.py``.
 """
@@ -17,6 +18,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path("src/hopfexact")
+TESTS = Path("tests")
 USERS = ("src", "tests", "perfbench", ".github")
 NOQA = "# noqa: F401"
 
@@ -98,7 +100,8 @@ def unused_functions(paths: list[Path]) -> list[str]:
 
 def main() -> int:
     paths = sorted(PACKAGE.glob("*.py"))
-    problems = [p for path in paths for p in unused_imports(path)]
+    problems = [p for path in paths + sorted(TESTS.glob("*.py"))
+                for p in unused_imports(path)]
     problems += unraised_errors(paths)
     problems += unused_functions(paths)
     for problem in problems:

@@ -20,7 +20,7 @@ applied to it after.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NotAnAlgebra
 from .field import FieldContext, FieldElement, scal
@@ -368,20 +368,3 @@ def is_algebra_isomorphism(src: Algebra, dst: Algebra, phi: Mat) -> bool:
     from .linalg import rank
     return (src.dim == dst.dim and is_algebra_morphism(src, dst, phi)
             and rank(phi) == src.dim)
-
-
-def subalgebra_closure(alg: Algebra, seeds: Iterable[Vec],
-                       include_unit: bool = True) -> Subspace:
-    """Smallest unital subalgebra containing the seeds, as a subspace."""
-    acc = RrefAccumulator(alg.ctx, alg.dim)
-    basis: list[Vec] = []
-    queue = ([alg.unit] if include_unit else []) + [tuple(v) for v in seeds]
-    while queue:
-        v = queue.pop()
-        if acc.add(v):
-            for b in basis:
-                queue.append(alg.multiply(v, b))
-                queue.append(alg.multiply(b, v))
-            queue.append(alg.multiply(v, v))
-            basis.append(v)
-    return acc.subspace()

@@ -10,7 +10,9 @@ eight-dimensional Hopf algebra from :func:`~hopfexact.constructions.build_kp`:
 splitting a comodule into its group-graded part and the 2-dimensional-corep
 part, the involution tau exchanging the two legs of the latter, and the
 further eigenvalue decomposition of comodule algebras under their grouplike
-units.
+units.  Last come the map (id (x) chi) o coaction from a comodule algebra
+into H for a character chi, which is the shape of every colinear algebra map
+into H, and the left coideal subalgebras of H that such maps land in.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ from .errors import (
     NotOverKp,
 )
 from .field import FieldContext, FieldElement, sqrt_in_context
-from .hopf import Hopf, coaction_laws, coradical_filtration, rebase_hopf
+from .hopf import Hopf, coaction_laws, rebase_hopf
 from .linalg import (
     Mat,
     Scalar,
     Subspace,
     Vec,
     basis_vector,
-    complement_in,
     eigenspace,
     inverse,
     kernel,
@@ -284,74 +285,13 @@ def mu_decompose(a: ComoduleAlgebra) -> MuParts:
     return MuParts(ex, ey, v_parts, w_parts)
 
 
-# -- filtration-induced grading ------------------------------------------------
-
-
-def loewy_filtration(c: ComoduleLike, h_coradical_zero: Subspace) -> list[Subspace]:
-    """Preimages of the coradical filtration: A_k = coaction^{-1}(H_k (x) A)."""
-    chain = coradical_filtration(c.hopf, h_coradical_zero)
-    out = [graded_component_span(c, hk) for hk in chain]
-    for lower, upper in zip(out, out[1:]):
-        if not upper.contains_subspace(lower):
-            raise HopfExactError("filtration preimages fail to nest")
-    return out
-
-
-def associated_graded(filtration: Sequence[Subspace]) -> list[list[Vec]]:
-    """Echelon-pivot complements between consecutive filtration steps."""
-    if not filtration:
-        return []
-    layers = [list(filtration[0].basis())]
-    for lower, upper in zip(filtration, filtration[1:]):
-        layers.append(complement_in(lower, upper))
-    return layers
-
-
-def _subalgebra_on_basis(a: Algebra, basis: Sequence[Vec]
-                         ) -> Optional[Algebra]:
-    """Express a multiplicatively closed subspace as an algebra of its own,
-    in the coordinates over ``basis``; None when the subspace is not closed
-    under multiplication or misses the unit.
-    """
-    span = Subspace.from_vectors(a.ctx, a.dim, basis)
-    if not span.contains(a.unit):
-        return None
-    body = Mat.from_columns(a.ctx, basis)
-    unit_coords = solve(body, a.unit)
-    table = []
-    for u in basis:
-        row = []
-        for v in basis:
-            prod = a.multiply(u, v)
-            if not span.contains(prod):
-                return None
-            row.append(solve(body, prod))
-        table.append(row)
-    labels = [f"b{i}" for i in range(len(basis))]
-    return Algebra(a.ctx, labels, unit_coords, table)
-
-
-# -- the comparison map phi ---------------------------------------------------
-
-
-def degree_zero_projection(c: ComoduleLike, filtration: Sequence[Subspace]
-                           ) -> tuple[Mat, list[Vec]]:
-    """Projection onto the first filtration layer along the echelon
-    complements of the higher layers; returns (projection rows, layer basis)."""
-    layers = associated_graded(filtration)
-    zero_layer = layers[0]
-    ordered = [v for layer in layers for v in layer]
-    base = Mat.from_columns(c.ctx, ordered)
-    coords = inverse(base)
-    d0 = len(zero_layer)
-    proj = Mat(c.ctx, [coords.rows[i] for i in range(d0)])
-    return proj, zero_layer
+# -- the map phi into H and the coideal subalgebras it lands in --------------
 
 
 @dataclass
 class PhiReport:
-    """The map (id (x) character o degree-zero projection) o coaction from the
-    algebra into H, with its verdicts."""
+    """The map (id (x) character) o coaction from the algebra into H, with
+    its verdicts."""
     matrix: Mat
     injective: bool
     algebra_morphism: bool
@@ -360,43 +300,36 @@ class PhiReport:
     image_is_subalgebra: bool
 
 
-def phi_embed(a: ComoduleAlgebra, h_coradical_zero: Subspace,
-              witness: Sequence[Scalar]) -> PhiReport:
-    """Collapse the degree-zero leg with a character and land in H.
+def phi_embed(a: ComoduleAlgebra, witness: Sequence[Scalar]) -> PhiReport:
+    """Collapse the algebra leg of the coaction with a character and land in H.
 
-    ``witness`` gives the claimed character of the degree-zero subalgebra in
-    the coordinates of its canonical (echelon) basis; it is rejected with
-    :class:`BadWitness` unless it is a unital algebra character.
+    ``witness`` gives the character chi: A -> k by its values on A's own
+    basis; it is rejected with :class:`BadWitness` unless it is a unital
+    algebra character.  The map is (id (x) chi) o coaction.  Every colinear
+    algebra map f: A -> H has this form, with chi = counit o f, since
+    f = (id (x) counit) o comult o f = (id (x) counit o f) o coaction.
     """
-    filtration = loewy_filtration(a, h_coradical_zero)
-    proj, zero_layer = degree_zero_projection(a, filtration)
-    sub = _subalgebra_on_basis(a, zero_layer)
-    if sub is None:
-        raise BadWitness("the degree-zero layer is not a unital subalgebra")
     ctx = a.ctx
+    nh, na = a.hopf.dim, a.dim
     w = [c if isinstance(c, FieldElement) else ctx.scalar(c) for c in witness]
-    if len(w) != sub.dim:
+    if len(w) != na:
         raise BadWitness(
-            f"witness has {len(w)} coordinates, degree-zero layer has {sub.dim}")
+            f"witness has {len(w)} coordinates, the algebra has {na}")
 
-    def char(vec_in_sub: Sequence[FieldElement]) -> FieldElement:
+    def char(vec: Sequence[FieldElement]) -> FieldElement:
         acc = ctx.zero()
-        for c, x in zip(w, vec_in_sub):
+        for c, x in zip(w, vec):
             acc = acc + c * x
         return acc
 
-    if char(sub.unit) != ctx.one():
+    if char(a.unit) != ctx.one():
         raise BadWitness("witness does not send the unit to 1")
-    for i in range(sub.dim):
-        for j in range(sub.dim):
-            if char(sub.table[i][j]) != w[i] * w[j]:
-                raise BadWitness("witness is not multiplicative on the "
-                                 "degree-zero layer")
-    # functional on all of A: character after degree-zero projection
-    functional = Mat(ctx, [w]) @ proj          # 1 x dim A
-    nh, na = a.hopf.dim, a.dim
-    phi = kron(Mat.identity(ctx, nh), functional) @ a.coaction
-    injective = rank(phi) == a.dim
+    for i in range(na):
+        for j in range(na):
+            if char(a.table[i][j]) != w[i] * w[j]:
+                raise BadWitness("witness is not multiplicative")
+    phi = kron(Mat.identity(ctx, nh), Mat(ctx, [w])) @ a.coaction
+    injective = rank(phi) == na
     algebra_ok = (phi.apply(a.unit) == a.hopf.unit)
     if algebra_ok:
         for i in range(na):
@@ -448,9 +381,33 @@ def coideal_generated(h: Hopf, seeds: Sequence[Vec]) -> Subspace:
     return acc.subspace()
 
 
+def _subalgebra_on_basis(a: Algebra, basis: Sequence[Vec]
+                         ) -> Optional[Algebra]:
+    """Express a multiplicatively closed subspace as an algebra of its own,
+    in the coordinates over ``basis``; None when the subspace is not closed
+    under multiplication or misses the unit.
+    """
+    span = Subspace.from_vectors(a.ctx, a.dim, basis)
+    if not span.contains(a.unit):
+        return None
+    body = Mat.from_columns(a.ctx, basis)
+    unit_coords = solve(body, a.unit)
+    table = []
+    for u in basis:
+        row = []
+        for v in basis:
+            prod = a.multiply(u, v)
+            if not span.contains(prod):
+                return None
+            row.append(solve(body, prod))
+        table.append(row)
+    labels = [f"b{i}" for i in range(len(basis))]
+    return Algebra(a.ctx, labels, unit_coords, table)
+
+
 def comodule_algebra_from_subspace(h: Hopf, space: Subspace
                                    ) -> ComoduleAlgebra:
-    """Realise a unital subalgebra of H that is also a right coideal as a
+    """Realise a unital subalgebra of H that is also a left coideal as a
     comodule algebra in its own right, coacted on by the restricted coproduct.
 
     Raises :class:`HopfExactError` when the subspace misses the unit, is not

@@ -139,7 +139,16 @@ def build_trivial_comodule_algebra(ctx: Optional[FieldContext] = None
     return trivial_comodule_algebra_over(build_kp(ctx))
 
 
-def _subgroup_comodule(h: Hopf, masks: Sequence[int]) -> ComoduleAlgebra:
+def build_group_algebra_comodule(masks: Sequence[int],
+                                 ctx: Optional[FieldContext] = None
+                                 ) -> ComoduleAlgebra:
+    """Group algebra of a subgroup of the Klein four-group, graded by itself.
+
+    ``masks`` lists the subgroup's elements (bit 0 = x, bit 1 = y); it must be
+    closed under the group operation and contain the identity.  The result
+    coacts under the eight-dimensional Hopf algebra.
+    """
+    h = build_kp(ctx)
     masks = list(masks)
     if 0 not in masks or any((g ^ k) not in masks for g in masks for k in masks):
         raise ValueError(f"masks {masks} do not form a subgroup")
@@ -150,26 +159,6 @@ def _subgroup_comodule(h: Hopf, masks: Sequence[int]) -> ComoduleAlgebra:
     labels = [_KLEIN_LABELS[m] for m in masks]
     return ComoduleAlgebra(h, labels, e[pos[0]], table,
                            _graded_coaction(h, n, lambda j: masks[j]))
-
-
-def build_group_algebra_comodule(masks: Sequence[int],
-                                 ctx: Optional[FieldContext] = None
-                                 ) -> ComoduleAlgebra:
-    """Group algebra of a subgroup of the Klein four-group, graded by itself.
-
-    ``masks`` lists the subgroup's elements (bit 0 = x, bit 1 = y); it must be
-    closed under the group operation and contain the identity.  The result
-    coacts under the eight-dimensional Hopf algebra; see
-    :func:`build_klein_subgroup_comodule` for the plain group-Hopf version.
-    """
-    return _subgroup_comodule(build_kp(ctx), masks)
-
-
-def build_klein_subgroup_comodule(masks: Sequence[int],
-                                  ctx: Optional[FieldContext] = None
-                                  ) -> ComoduleAlgebra:
-    """Subgroup algebra graded by itself over the Klein-four group algebra."""
-    return _subgroup_comodule(build_klein4(ctx), masks)
 
 
 #: the sign table realized by e_x -> E11 - E22, e_y -> E12 + E21 in 2x2
@@ -358,37 +347,6 @@ def build_bimodule_V(target: str, ctx: Optional[FieldContext] = None
     v, w = basis_vector(ctx, 2, 0), basis_vector(ctx, 2, 1)
     coaction = Mat.from_columns(ctx, kp_corep_columns(h, v, w))
     return RightComodModule(b, 2, coaction, action)
-
-
-def build_graded_free_module(masks: Sequence[int], degree: int,
-                             ctx: Optional[FieldContext] = None
-                             ) -> "RightComodModule":
-    """Rank-one free right module over a Klein subgroup algebra, with the
-    generator graded by the group element ``degree``.
-
-    The basis vector indexed by subgroup element m sits in degree
-    (degree XOR m); the action is the regular one.  Varying ``degree`` over
-    the four group elements enumerates every 2-dimensional graded module
-    when the subgroup has two elements.
-    """
-    from .morita import RightComodModule
-    b = build_klein_subgroup_comodule(masks, ctx)
-    h = b.hopf
-    ctx = h.ctx
-    masks = list(masks)
-    if degree not in range(4):
-        raise ValueError(f"degree must be a Klein mask, got {degree!r}")
-    pos = {m: j for j, m in enumerate(masks)}
-    n = len(masks)
-    action = []
-    for k in masks:
-        cols = [basis_vector(ctx, n, pos[m ^ k]) for m in masks]
-        action.append(Mat.from_columns(ctx, cols))
-    cols = []
-    for j, m in enumerate(masks):
-        cols.append(tensor_vec(basis_vector(ctx, h.dim, degree ^ m),
-                               basis_vector(ctx, n, j)))
-    return RightComodModule(b, n, Mat.from_columns(ctx, cols), action)
 
 
 def catalog(ctx: Optional[FieldContext] = None) -> dict[str, ComoduleAlgebra]:

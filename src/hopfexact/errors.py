@@ -40,10 +40,6 @@ class SingularAntipode(HopfExactError):
     """The antipode matrix is not invertible."""
 
 
-class NotASubcoalgebra(HopfExactError):
-    """The seed of a coradical-style filtration is not a subcoalgebra."""
-
-
 class NotOverKp(HopfExactError):
     """A computation specific to the 8-dimensional self-dual Hopf algebra
     received a comodule algebra over some other Hopf algebra."""
@@ -54,13 +50,9 @@ class MissingGrouplikeUnits(HopfExactError):
     missing, not one-dimensional, or not normalizable to square one."""
 
 
-class FiltrationNotExhaustive(HopfExactError):
-    """The wedge filtration stalled before reaching the whole space."""
-
-
 class BadWitness(HopfExactError):
-    """A supplied embedding witness is not injective, not colinear, or does
-    not land in the degree-zero part."""
+    """A witness fails its check: a claimed character that is not a unital
+    algebra map, or a spun subspace that is not costable."""
 
 
 class CoactionUnsolvable(HopfExactError):

@@ -1,4 +1,4 @@
-"""Hopf algebras as exact data: axioms, grouplikes, wedge, coradical filtration.
+"""Hopf algebras as exact data: the axiom checks and the antipode inverse.
 
 A :class:`Hopf` extends :class:`~hopfexact.algebra.Algebra` with a
 comultiplication matrix (``dim**2 x dim``, the column for basis vector ``j``
@@ -16,26 +16,15 @@ from __future__ import annotations
 from typing import Sequence
 
 from .algebra import Algebra, check_algebra, multiplicative_into_tensor
-from .errors import (
-    DimensionMismatch,
-    FiltrationNotExhaustive,
-    HopfExactError,
-    NotASubcoalgebra,
-    SingularAntipode,
-)
-from .field import FieldContext, FieldElement, polynomial_roots, scal
+from .errors import DimensionMismatch, SingularAntipode
+from .field import FieldContext, FieldElement, scal
 from .linalg import (
     Mat,
     Scalar,
-    Subspace,
     Vec,
     _terms,
-    basis_vector,
-    eigenspace,
     inverse,
     linear_combination,
-    minimal_polynomial,
-    restrict_operator,
     slice_left,
     slice_right,
     tensor_vec,
@@ -193,152 +182,6 @@ def antipode_inverse(h: Hopf) -> Mat:
         return inverse(h.antipode)
     except DimensionMismatch:
         raise SingularAntipode("the antipode matrix is singular")
-
-
-# -- grouplikes ---------------------------------------------------------------
-
-
-def is_grouplike(h: Hopf, v: Sequence[FieldElement]) -> bool:
-    v = tuple(v)
-    return (h.comult.apply(v) == tensor_vec(v, v)
-            and h.counit_value(v) == h.ctx.one())
-
-
-def coalgebra_components(h: Hopf) -> list[list[int]]:
-    """Connected components of the basis under appearing together in some
-    coproduct; each component spans a subcoalgebra direct summand."""
-    n = h.dim
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    for j in range(n):
-        col = h.comult.col(j)
-        touched = set()
-        for idx, c in enumerate(col):
-            if not c.is_zero():
-                touched.add(idx // n)
-                touched.add(idx % n)
-        for t in touched:
-            union(j, t)
-    groups: dict[int, list[int]] = {}
-    for j in range(n):
-        groups.setdefault(find(j), []).append(j)
-    return [sorted(g) for g in sorted(groups.values())]
-
-
-def _right_slice_op(h: Hopf, k: int) -> Mat:
-    return slice_right(h.comult, h.dim, h.dim, k)
-
-
-def grouplike_elements(h: Hopf) -> list[Vec]:
-    """All grouplike elements, exactly.
-
-    A grouplike lies inside one coalgebra component.  If every basis vector
-    of a component is itself grouplike, the component contributes exactly
-    those (coefficients there satisfy c_g*c_h = delta*c_g, so over a field
-    exactly one coefficient is 1).  Otherwise each coordinate of a grouplike
-    is an eigenvalue of the matching right coproduct slice, and the search
-    branches over the exactly-computed spectra.
-    """
-    out: list[Vec] = []
-    for comp in coalgebra_components(h):
-        members = [basis_vector(h.ctx, h.dim, j) for j in comp]
-        if all(is_grouplike(h, v) for v in members):
-            out.extend(members)
-            continue
-        out.extend(_grouplikes_by_slices(h, comp))
-    return out
-
-
-def _grouplikes_by_slices(h: Hopf, comp: list[int]) -> list[Vec]:
-    ctx = h.ctx
-    n = h.dim
-    span = Subspace.from_vectors(ctx, n, [basis_vector(ctx, n, j) for j in comp])
-    found: list[Vec] = []
-
-    def recurse(space: Subspace, assignment: dict[int, FieldElement],
-                remaining: list[int]):
-        if space.dim == 0:
-            return
-        if not remaining:
-            v = [ctx.zero()] * n
-            for k, c in assignment.items():
-                v[k] = c
-            v = tuple(v)
-            if space.contains(v) and is_grouplike(h, v):
-                found.append(v)
-            return
-        k, rest = remaining[0], remaining[1:]
-        op = _right_slice_op(h, k)
-        restricted = restrict_operator(op, span)
-        minpoly = minimal_polynomial(restricted)
-        roots = polynomial_roots(ctx, minpoly)
-        if roots is None:
-            raise HopfExactError(
-                f"grouplike enumeration cannot decide the roots of slice {k}'s "
-                f"minimal polynomial (degree {len(minpoly) - 1}) in this field")
-        for c in roots:
-            refined = space.intersect(eigenspace(op, c))
-            recurse(refined, {**assignment, k: c}, rest)
-
-    recurse(span, {}, list(comp))
-    return found
-
-
-# -- wedge and coradical filtration -------------------------------------------
-
-
-def wedge(h: Hopf, x: Subspace, y: Subspace) -> Subspace:
-    """The subspace of vectors whose coproduct lies in X(x)H + H(x)Y."""
-    n = h.dim
-    if x.ambient != n or y.ambient != n:
-        raise DimensionMismatch("wedge arguments must live in the Hopf algebra")
-    ctx = h.ctx
-    gens = []
-    for xv in x.basis():
-        for j in range(n):
-            gens.append(tensor_vec(xv, basis_vector(ctx, n, j)))
-    for j in range(n):
-        ej = basis_vector(ctx, n, j)
-        for yv in y.basis():
-            gens.append(tensor_vec(ej, yv))
-    target = Subspace.from_vectors(ctx, n * n, gens)
-    return target.preimage_under(h.comult)
-
-
-def is_subcoalgebra(h: Hopf, c: Subspace) -> bool:
-    n = h.dim
-    gens = [tensor_vec(a, b) for a in c.basis() for b in c.basis()]
-    tensor_sq = Subspace.from_vectors(h.ctx, n * n, gens)
-    return all(tensor_sq.contains(h.comult.apply(v)) for v in c.basis())
-
-
-def coradical_filtration(h: Hopf, c0: Subspace) -> list[Subspace]:
-    """Ascending filtration C0 <= C1 <= ... <= H obtained by wedging with C0.
-
-    ``c0`` must be a subcoalgebra; if the chain stabilises before reaching
-    the whole algebra, :class:`FiltrationNotExhaustive` is raised.
-    """
-    if c0.ambient != h.dim:
-        raise DimensionMismatch("filtration seed must live in the Hopf algebra")
-    if not is_subcoalgebra(h, c0):
-        raise NotASubcoalgebra("the seed is not a subcoalgebra")
-    chain = [c0]
-    while chain[-1].dim < h.dim:
-        nxt = wedge(h, c0, chain[-1])
-        if nxt == chain[-1]:
-            raise FiltrationNotExhaustive(
-                f"filtration stabilised at dimension {nxt.dim} of {h.dim}")
-        chain.append(nxt)
-    return chain
 
 
 def rebase_hopf(h: Hopf, ctx: FieldContext) -> Hopf:

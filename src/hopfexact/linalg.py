@@ -568,13 +568,6 @@ class Subspace:
         test = Mat(self.ctx, [f for f in ann]) @ mat
         return Subspace.from_vectors(self.ctx, mat.ncols, kernel(test))
 
-    def image_under(self, mat: Mat) -> "Subspace":
-        if mat.ncols != self.ambient:
-            raise DimensionMismatch(
-                f"map expects dimension {mat.ncols}, subspace ambient {self.ambient}")
-        return Subspace.from_vectors(self.ctx, mat.nrows,
-                                     [mat.apply(v) for v in self.rows])
-
     def _check_compatible(self, other: "Subspace"):
         if self.ctx != other.ctx or self.ambient != other.ambient:
             raise DimensionMismatch("subspaces live in different ambient spaces")
@@ -641,18 +634,3 @@ def spin(ctx: FieldContext, ambient: int, seeds: Iterable[Sequence[FieldElement]
             for op in operators:
                 queue.append(op.apply(v))
     return acc.subspace()
-
-
-def complement_in(inner: Subspace, outer: Subspace) -> list[Vec]:
-    """Pivot-echelon complement: vectors from ``outer``'s canonical basis
-    extending ``inner`` to ``outer``."""
-    if not outer.contains_subspace(inner):
-        raise DimensionMismatch("inner subspace is not contained in outer")
-    acc = RrefAccumulator(inner.ctx, inner.ambient)
-    for v in inner.basis():
-        acc.add(v)
-    out = []
-    for v in outer.basis():
-        if acc.add(v):
-            out.append(v)
-    return out

@@ -346,39 +346,6 @@ def colinear_iso_search(a: ComoduleAlgebra, b: ComoduleAlgebra
     return None
 
 
-def free_module_rank(v: RightComodModule) -> Optional[int]:
-    """Rank of V as a free right module, or None when no free basis is found.
-
-    Requires dim V divisible by dim B, then greedily extracts generators
-    whose orbits under the algebra basis stay jointly independent.  A None
-    from the greedy search is not a proof of non-freeness, but a returned
-    rank comes with an explicit basis check behind it.
-    """
-    b = v.algebra
-    if v.dim % b.dim:
-        return None
-    rank_needed = v.dim // b.dim
-    ctx = v.ctx
-    pool: list[Vec] = [tuple(Mat.identity(ctx, v.dim).rows[j])
-                       for j in range(v.dim)]
-    for bits in range(3, 1 << v.dim):
-        if bits.bit_count() < 2:
-            continue
-        pool.append(tuple(ctx.one() if (bits >> j) & 1 else ctx.zero()
-                          for j in range(v.dim)))
-    chosen: list[Vec] = []
-    columns: list[Vec] = []
-    for p in pool:
-        orbit = [m.apply(p) for m in v.action]
-        stacked = columns + orbit
-        if rank(Mat.from_columns(ctx, stacked).transpose()) == len(stacked):
-            chosen.append(p)
-            columns = stacked
-            if len(chosen) == rank_needed:
-                return rank_needed
-    return None
-
-
 # -- simple modules --------------------------------------------------------------
 
 

@@ -285,19 +285,6 @@ class MultiPoly:
             _addmul(out, term, None)
         return _poly(self.ctx, out)
 
-    def divide_out(self, name: str) -> Optional["MultiPoly"]:
-        """Divide by the variable ``name`` if every monomial contains it."""
-        out = {}
-        for mono, c in self.terms.items():
-            d = dict(mono)
-            if d.get(name, 0) < 1:
-                return None
-            d[name] -= 1
-            if d[name] == 0:
-                del d[name]
-            out[tuple(sorted(d.items()))] = c
-        return _poly(self.ctx, out)
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -11,7 +11,6 @@ from hopfexact.algebra import (
     generated_operator_algebra,
     is_algebra_isomorphism,
     is_algebra_morphism,
-    subalgebra_closure,
     trace,
     trace_radical,
 )
@@ -169,15 +168,6 @@ def test_algebra_morphism_checks():
     bad = Mat.from_columns(Q, [m2.unit, m2.basis_element("e11")])
     assert not is_algebra_morphism(d, m2, bad)  # E11**2 != 0
     assert not is_algebra_isomorphism(d, m2, phi)
-
-
-def test_subalgebra_closure():
-    m2 = mat2_algebra()
-    sub = subalgebra_closure(m2, [m2.basis_element("e11")])
-    assert sub.dim == 2
-    sub_full = subalgebra_closure(
-        m2, [m2.basis_element("e12"), m2.basis_element("e21")])
-    assert sub_full.dim == 4
 
 
 def test_trace_helper():

@@ -13,8 +13,6 @@ from hopfexact.comodule import (
     coinvariants,
     isotypic_part,
     kp_decompose,
-    loewy_filtration,
-    associated_graded,
     mixed_tensor_product,
     mu_decompose,
     phi_embed,
@@ -25,21 +23,21 @@ from hopfexact.constructions import (
     build_a_xy_gamma,
     build_group_algebra_comodule,
     build_klein4,
-    build_kp,
     build_twisted_group_algebra,
     catalog,
 )
 from hopfexact.errors import (
     BadWitness,
-    FiltrationNotExhaustive,
     GammaNotPrimitiveFourthRoot,
     MissingGrouplikeUnits,
     NotACocycle,
     NotOverKp,
 )
-from hopfexact.algebra import tensor_product
+from hopfexact.algebra import is_algebra_isomorphism, tensor_product
 from hopfexact.field import FieldContext, FieldElement, adjoin_sqrt
-from hopfexact.linalg import Mat, Subspace, _terms, basis_vector, vadd, vscale
+from hopfexact.linalg import (Mat, _terms, basis_vector, kron, vadd, vscale,
+                              vsub)
+from hopfexact.replay import generic_extension, replay_lemma
 
 from _transport import transport
 
@@ -354,24 +352,7 @@ def test_group_algebra_builder_needs_a_subgroup():
         build_group_algebra_comodule((0, 1, 2), QI)
 
 
-# -- filtration, phi -----------------------------------------------------------
-
-
-def test_loewy_filtration_over_the_full_coradical():
-    a = CATALOG["kp"]
-    full = Subspace.full(QI, 8)
-    chain = loewy_filtration(a, full)
-    assert [s.dim for s in chain] == [8]
-    layers = associated_graded(chain)
-    assert len(layers) == 1 and len(layers[0]) == 8
-
-
-def test_loewy_filtration_propagates_non_exhaustive_coradical():
-    a = CATALOG["kp"]
-    group_span = Subspace.from_vectors(
-        QI, 8, [basis_vector(QI, 8, j) for j in range(4)])
-    with pytest.raises(FiltrationNotExhaustive):
-        loewy_filtration(a, group_span)
+# -- phi -----------------------------------------------------------------------
 
 
 def _extended_a_xy():
@@ -385,7 +366,7 @@ def test_phi_embed_lands_in_the_generated_coideal():
     ctx = a.ctx
     i, s = ctx.i(), ctx.sqrt_symbol()
     witness = [ctx.one(), ctx.one(), s, ctx.scalar(-1) * i * s]
-    report = phi_embed(a, Subspace.full(ctx, 8), witness)
+    report = phi_embed(a, witness)
     assert report.injective
     assert report.algebra_morphism
     assert report.image_is_left_coideal
@@ -399,10 +380,42 @@ def test_phi_embed_rejects_non_characters():
     a = _extended_a_xy()
     ctx = a.ctx
     with pytest.raises(BadWitness):
-        phi_embed(a, Subspace.full(ctx, 8),
-                  [ctx.one(), ctx.one(), ctx.zero(), ctx.zero()])
+        phi_embed(a, [ctx.one(), ctx.one(), ctx.zero(), ctx.zero()])
     with pytest.raises(BadWitness):
-        phi_embed(a, Subspace.full(ctx, 8), [ctx.one()])
+        phi_embed(a, [ctx.one()])
+
+
+def _paper_f(sign):
+    """The map f: A -> kp of PAPER.md on the basis 1, ex, ey, exy, v1, v2,
+    w1, w2, with w_i sent to ``sign`` times the paper's image.  In kp's basis
+    yz = zx, xz = zy and xyz = zxy, so f(v1) = zx + z, f(v2) = zx - z,
+    f(w1) = zxy - zy and f(w2) = zxy + zy before the sign."""
+    e = KP.basis_element
+    return Mat.from_columns(QI, [
+        e("1"), e("x"), e("y"), e("xy"),
+        vadd(e("zx"), e("z")), vsub(e("zx"), e("z")),
+        vscale(sign, vsub(e("zxy"), e("zy"))),
+        vscale(sign, vadd(e("zxy"), e("zy")))])
+
+
+def test_phi_embed_rebuilds_the_papers_map_f():
+    # the full extension's solution for the signs of PAPER.md; the paper's
+    # f matches it after the change of convention w_i -> -w_i
+    case = replay_lemma("group-full-extension", QI).cases[0]
+    assert case.signs == ((1, 1), (-1, -1))
+    a = generic_extension("ga_K", 2, case.signs, QI).specialize(
+        case.solution, KP)
+    f = _paper_f(QI.scalar(-1))
+    counit_of_f = [KP.counit_value(f.col(j)) for j in range(a.dim)]
+    assert phi_embed(a, counit_of_f).matrix == f
+    assert is_algebra_isomorphism(a, KP, f)
+    # colinear: comult o f = (id (x) f) o coaction
+    assert KP.comult @ f == kron(Mat.identity(QI, KP.dim), f) @ a.coaction
+    # without the sign change counit o f is not a character of A
+    unchanged = _paper_f(QI.one())
+    with pytest.raises(BadWitness):
+        phi_embed(a, [KP.counit_value(unchanged.col(j))
+                      for j in range(a.dim)])
 
 
 def test_coideal_generated_by_one_slope():

@@ -1,15 +1,11 @@
-"""Hopf axioms, grouplike enumeration, wedge, coradical filtration."""
+"""Hopf axioms, the antipode inverse, minimal polynomials and root finding."""
 
 from fractions import Fraction
 
 import pytest
 
 from hopfexact.constructions import build_klein4, build_kp
-from hopfexact.errors import (
-    FiltrationNotExhaustive,
-    NotASubcoalgebra,
-    SingularAntipode,
-)
+from hopfexact.errors import SingularAntipode
 from hopfexact.field import FieldContext, polynomial_roots
 from hopfexact.hopf import (
     AXIOM_FAMILIES,
@@ -18,14 +14,9 @@ from hopfexact.hopf import (
     check_bialgebra_compat,
     check_coalgebra,
     check_hopf,
-    coalgebra_components,
-    coradical_filtration,
-    grouplike_elements,
     hopf_axiom_report,
-    is_grouplike,
-    wedge,
 )
-from hopfexact.linalg import Mat, Subspace, basis_vector, minimal_polynomial
+from hopfexact.linalg import Mat, basis_vector, minimal_polynomial
 
 Q = FieldContext(1)
 QI = FieldContext(4)
@@ -121,25 +112,6 @@ def test_non_multiplicative_coproduct_detected():
         "counit is not an algebra morphism"]
 
 
-def test_kp_coalgebra_components():
-    h = build_kp()
-    assert coalgebra_components(h) == [[0], [1], [2], [3], [4, 5, 6, 7]]
-
-
-def test_klein4_grouplikes_are_the_group():
-    h = build_klein4()
-    expected = [h.basis_element(j) for j in range(4)]
-    assert grouplike_elements(h) == expected
-
-
-def test_kp_grouplikes_exactly_the_group_part():
-    h = build_kp()
-    expected = [h.basis_element(lab) for lab in ("1", "x", "y", "xy")]
-    assert grouplike_elements(h) == expected
-    assert not is_grouplike(h, h.basis_element("z"))
-    assert not is_grouplike(h, h.element({"z": 1, "zx": 1}))
-
-
 def test_antipode_inverse_is_antipode_for_involutive_cases():
     kp = build_kp()
     assert antipode_inverse(kp) == kp.antipode  # the antipode is an involution
@@ -153,33 +125,6 @@ def test_singular_antipode_detected():
                Mat.zeros(h.ctx, 4, 4))
     with pytest.raises(SingularAntipode):
         antipode_inverse(bad)
-
-
-def test_wedge_of_group_part_is_itself():
-    h = build_kp()
-    group = Subspace.from_vectors(h.ctx, 8,
-                                  [basis_vector(h.ctx, 8, j) for j in range(4)])
-    assert wedge(h, group, group) == group
-
-
-def test_filtration_rejects_non_subcoalgebra_seed():
-    h = build_kp()
-    z_line = Subspace.from_vectors(h.ctx, 8, [h.basis_element("z")])
-    with pytest.raises(NotASubcoalgebra):
-        coradical_filtration(h, z_line)
-
-
-def test_filtration_stabilising_short_is_reported():
-    h = build_kp()
-    group = Subspace.from_vectors(h.ctx, 8,
-                                  [basis_vector(h.ctx, 8, j) for j in range(4)])
-    with pytest.raises(FiltrationNotExhaustive):
-        coradical_filtration(h, group)
-
-
-def test_filtration_trivial_full_seed():
-    h = build_klein4()
-    assert coradical_filtration(h, Subspace.full(h.ctx, 4)) == [Subspace.full(h.ctx, 4)]
 
 
 def test_minimal_polynomial_small_cases():

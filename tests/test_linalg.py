@@ -12,7 +12,6 @@ from hopfexact.linalg import (
     RrefAccumulator,
     Subspace,
     basis_vector,
-    complement_in,
     inverse,
     kernel,
     kron,
@@ -153,12 +152,6 @@ def test_preimage_under():
     assert not pre.contains((Q.one(), Q.zero(), Q.zero()))
 
 
-def test_image_under():
-    rot = M(Q, [[0, -1], [1, 0]])
-    line = Subspace.from_vectors(Q, 2, [[1, 0]])
-    assert line.image_under(rot) == Subspace.from_vectors(Q, 2, [[0, 1]])
-
-
 def _restrict_reference(op, space):
     """One solve per basis vector against a freshly built basis matrix."""
     basis = space.basis()
@@ -223,17 +216,6 @@ def test_spin_closes_under_operators():
     assert closed.dim == 2
     assert closed.contains(basis_vector(Q, 3, 1))
     assert not closed.contains(basis_vector(Q, 3, 2))
-
-
-def test_complement_in_extends_pivotwise():
-    inner = Subspace.from_vectors(Q, 3, [[1, 0, 1]])
-    outer = Subspace.full(Q, 3)
-    ext = complement_in(inner, outer)
-    assert len(ext) == 2
-    total = Subspace.from_vectors(Q, 3, list(inner.basis()) + ext)
-    assert total == outer
-    with pytest.raises(DimensionMismatch):
-        complement_in(outer, inner)
 
 
 # -- differential check against a naive dense reference ----------------------

@@ -19,8 +19,6 @@ from hopfexact.constructions import (
     PSI_STANDARD,
     build_a_xy_gamma,
     build_bimodule_V,
-    build_graded_free_module,
-    build_klein_subgroup_comodule,
     build_kp,
     build_matrix2_trivial,
     build_twisted_group_algebra,
@@ -44,7 +42,6 @@ from hopfexact.morita import (
     colinear_maps,
     end_comodule_algebra,
     fingerprint_distinguishes,
-    free_module_rank,
     fusion_fingerprint,
     intertwiners,
     kp_simple_modules,
@@ -541,33 +538,6 @@ def test_check_module_comodule_reports_broken_colinearity():
     bad_action[1] = Mat.identity(QI, 2)
     bad = RightComodModule(v.algebra, 2, v.coaction, bad_action)
     assert check_module_comodule(bad) != []
-
-
-# -- two-dimensional graded modules over the Klein group algebra ------------------
-
-
-def test_every_graded_line_module_yields_ga_y_never_ga_x():
-    gy = build_klein_subgroup_comodule((0, 2), QI)
-    gx = build_klein_subgroup_comodule((0, 1), QI)
-    for degree in range(4):
-        p = build_graded_free_module((0, 2), degree, QI)
-        assert check_module_comodule(p) == []
-        e = end_comodule_algebra(p)
-        assert e.dim == 2
-        assert colinear_iso_search(e, gy) is not None
-        assert colinear_iso_search(e, gx) is None
-
-
-# -- freeness ---------------------------------------------------------------------
-
-
-def test_free_module_ranks():
-    assert free_module_rank(build_bimodule_V("ga_x", QI)) == 1
-    # dimension 2 is not divisible by the 4-dimensional twisted algebra
-    assert free_module_rank(build_bimodule_V("kpsi", QI)) is None
-    for degree in range(4):
-        assert free_module_rank(build_graded_free_module((0, 2), degree,
-                                                         QI)) == 1
 
 
 # -- refusals on the benchmark's basis-changed inputs ----------------------------

@@ -28,13 +28,6 @@ def test_substitute_polynomial_values():
     assert q == y * y + 3 * y + 1
 
 
-def test_divide_out_requires_common_factor():
-    x, y = _xy(Q)
-    p = x * x * y + x * y
-    assert p.divide_out("x") == x * y + y
-    assert (p + 1).divide_out("x") is None
-
-
 def test_univariate_detection():
     x, y = _xy(Q)
     assert (x * x - 2).univariate_in() == ("x", [Q.scalar(-2), Q.zero(), Q.one()])
