@@ -270,9 +270,9 @@ def colinear_iso_search(a: ComoduleAlgebra, b: ComoduleAlgebra
     multiplicativity constraints form a polynomial system whose solutions
     are enumerated exactly by :func:`~hopfexact.poly.concrete_solutions`.
     ``None`` therefore means no such isomorphism exists over the current
-    field.  A system outside the supported reduction rules (linear isolation
-    and univariate roots) is refused with a typed :class:`HopfExactError`
-    rather than answered; ``(kp, kp)`` is such a case.
+    field.  A system outside the supported reduction rules (the linear pass,
+    univariate roots and linear isolation) is refused with a typed
+    :class:`HopfExactError` rather than answered.
     """
     if a.dim != b.dim:
         return None

@@ -25,19 +25,32 @@ associativity constraints of :mod:`~hopfexact.replay` form each product of
 two table entries once, as a list of terms (:func:`_product_terms`), and add
 it wherever it recurs with :func:`_addterms`, the kernel's sum step.
 
-The solver enumerates *all* solutions of a polynomial system by repeatedly
-eliminating a variable: isolating one that occurs linearly with an invertible
-constant coefficient, or branching over the complete root list of a univariate
-equation.  It refuses to guess: a system it cannot reduce raises instead of
-returning a partial answer.
+The certified linear elimination, :func:`eliminate`, works on the Macaulay
+matrix of a system (Lazard, EUROCAL 1983): each polynomial is one sparse row
+of :func:`~hopfexact.linalg._echelon`, with a column per monomial and a
+multiplier column per ``(constraint index, monomial)`` that records the
+certificate.  Reduction is Gauss-Jordan on the non-constant monomials, and
+substituting a pinned variable is a row operation too: the row loses a
+polynomial multiple of the pin's row, each term of the multiple shifting
+every column's monomial.  The replays of :mod:`~hopfexact.replay` and the
+solver below both reduce through it.
+
+The solver enumerates *all* solutions of a polynomial system.  Each system
+it meets first goes through one linear pass of :func:`eliminate`; it then
+branches over the complete root list of a univariate residual row, or,
+failing that, isolates a variable that occurs linearly with an invertible
+constant coefficient.  It refuses to guess: a system it cannot reduce
+raises instead of returning a partial answer.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import HopfExactError
 from .field import FieldContext, FieldElement, polynomial_roots
+from .linalg import _echelon, _subtract_multiple
 
 Monomial = tuple[tuple[str, int], ...]
 Terms = dict[Monomial, FieldElement]
@@ -302,6 +315,149 @@ _set_ctx = MultiPoly.ctx.__set__
 _set_terms = MultiPoly.terms.__set__
 
 
+# -- certified linear elimination ----------------------------------------------
+
+
+Certificate = dict[int, MultiPoly]
+
+
+def _is_multiplier(key) -> bool:
+    """A multiplier column ``(constraint index, monomial)``; a polynomial
+    column is a monomial, a tuple of ``(name, exponent)`` pairs."""
+    return bool(key) and isinstance(key[0], int)
+
+
+def _polynomial_part(row: dict) -> dict:
+    return {key: c for key, c in row.items() if not _is_multiplier(key)}
+
+
+def _shift(row: dict, mono) -> dict:
+    """``mono`` times a Macaulay row: every column's monomial times ``mono``."""
+    return {(key[0], _mono_mul(key[1], mono)) if _is_multiplier(key)
+            else _mono_mul(key, mono): c for key, c in row.items()}
+
+
+def _certificate(ctx: FieldContext, row: dict) -> Certificate:
+    """The multiplier columns of a row, gathered into one polynomial per
+    constraint."""
+    terms: dict[int, dict] = {}
+    for key, c in row.items():
+        if _is_multiplier(key):
+            terms.setdefault(key[0], {})[key[1]] = c
+    return {idx: _poly(ctx, t) for idx, t in terms.items()}
+
+
+def _mono_degree(mono) -> int:
+    return sum(e for _, e in mono)
+
+
+def _column_key(mono) -> tuple:
+    """The pivot order of :func:`eliminate`: highest degree first."""
+    return (-_mono_degree(mono), mono)
+
+
+def _linear_quotient(terms: dict, name: str, value: FieldElement) -> dict:
+    """The terms of U with poly == poly.substitute({name: value}) +
+    U * (name - value), for the polynomial with the given terms.
+
+    A term ``c * rest * name**e`` contributes ``c * rest`` times
+    ``name**(e-1) + name**(e-2) * value + ... + value**(e-1)``, with the
+    powers of ``name`` ascending; the terms accumulate into one term dict."""
+    out: dict = {}
+    powers = [value.ctx.one()]
+    for mono, c in terms.items():
+        exp = dict(mono).get(name, 0)
+        if exp == 0:
+            continue
+        while len(powers) < exp:
+            powers.append(powers[-1] * value)
+        rest = tuple((v, e) for v, e in mono if v != name)
+        geom = {}
+        for t in range(exp):
+            v = powers[exp - 1 - t]
+            if any(v.num):
+                geom[((name, t),) if t else ()] = v
+        _addmul(out, {rest: c}, geom)
+    return out
+
+
+@dataclass
+class Elimination:
+    """Outcome of the iterated linear elimination with provenance.
+
+    ``residual`` holds the reduced constraints left when no new pin
+    appears; at a contradiction it is the constant row alone, as the one
+    constant polynomial ``contradiction_value``.
+    """
+
+    pins: dict[str, FieldElement]
+    certificates: dict[str, Certificate]
+    residual: list[MultiPoly]
+    contradiction: Optional[Certificate]
+    contradiction_value: Optional[FieldElement]
+
+
+def eliminate(constraints: Sequence[MultiPoly]) -> Elimination:
+    """Repeatedly row-reduce and substitute pinned variables.
+
+    Each constraint is one sparse row of a Macaulay matrix: a column per
+    monomial of the constraint, plus multiplier columns keyed by
+    ``(constraint index, monomial)`` that start as the unit vector of the
+    constraint and record how the row was formed.  A reduction pass is
+    :func:`~hopfexact.linalg._echelon` over the non-constant monomials,
+    highest degree first; the constant column and the multiplier columns are
+    never pivots.  Every reduced row of the shape ``x - v`` then pins the
+    variable ``x``.  Substituting a pin is a row operation too: with
+    ``poly == poly.substitute({x: v}) + U * (x - v)``, the row loses ``U``
+    times the pin's row, where a monomial times a row multiplies the
+    monomial of every column.  The loop repeats until no new pin appears.
+
+    Every pin carries a certificate, the multiplier columns of its row:
+    multipliers m_i with  sum m_i * constraints[i] == x - value.
+    """
+    if not constraints:
+        return Elimination({}, {}, [], None, None)
+    ctx = constraints[0].ctx
+    zero, one = ctx.zero(), ctx.one()
+    rows = [{**p.terms, (idx, ()): one} for idx, p in enumerate(constraints)
+            if not p.is_zero()]
+    pins: dict[str, FieldElement] = {}
+    certs: dict[str, Certificate] = {}
+    max_rounds = len({v for p in constraints for v in p.variables()}) + 2
+    for _ in range(max_rounds):
+        cols = sorted({key for row in rows for key in row
+                       if key and not _is_multiplier(key)}, key=_column_key)
+        rows, _ = _echelon(rows, cols)
+        polys = [_polynomial_part(row) for row in rows]
+        rows = [row for row, poly in zip(rows, polys) if poly]
+        polys = [poly for poly in polys if poly]
+        # inconsistency and fresh pins
+        new_pins: list[tuple[str, FieldElement, dict]] = []
+        for row, poly in zip(rows, polys):
+            if list(poly) == [()]:
+                return Elimination(pins, certs,
+                                   [MultiPoly.const(ctx, poly[()])],
+                                   _certificate(ctx, row), poly[()])
+            nonconst = [m for m in poly if m]
+            if len(nonconst) == 1 and len(nonconst[0]) == 1 \
+                    and nonconst[0][0][1] == 1:
+                # a pivot row, so the coefficient of its variable is one
+                new_pins.append((nonconst[0][0][0], -poly.get((), zero), row))
+        if not new_pins:
+            return Elimination(pins, certs, [_poly(ctx, p) for p in polys],
+                               None, None)
+        for name, value, pin_row in new_pins:
+            pins[name] = value
+            certs[name] = _certificate(ctx, pin_row)
+            for i, row in enumerate(rows):
+                quot = _linear_quotient(polys[i], name, value)
+                for mono, c in quot.items():
+                    _subtract_multiple(row, c, _shift(pin_row, mono))
+                if quot:
+                    polys[i] = _polynomial_part(row)
+    raise HopfExactError("elimination did not stabilize")
+
+
 # -- exact enumeration of zero-dimensional systems -----------------------------
 
 
@@ -324,31 +480,17 @@ def _find_linear_isolation(eqs: Sequence[MultiPoly]
     return None
 
 
-def _resolve_assignments(assignments: dict[str, MultiPoly]
-                         ) -> dict[str, FieldElement]:
-    """Back-substitute expression assignments until every value is constant."""
-    out: dict[str, FieldElement] = {}
-    pending = dict(assignments)
-    while pending:
-        progressed = False
-        for name in list(pending):
-            value = pending[name].substitute(out)
-            const = value.as_constant()
-            if const is not None:
-                out[name] = const
-                del pending[name]
-                progressed = True
-            else:
-                pending[name] = value
-        if not progressed:
-            raise HopfExactError(
-                f"circular or underdetermined assignments: {sorted(pending)}")
-    return out
-
-
 def concrete_solutions(eqs: Sequence[MultiPoly], ctx: FieldContext
                        ) -> list[dict[str, FieldElement]]:
     """All solutions of the system ``eqs == 0`` over the field context.
+
+    Each system, the given one and each branch's, first goes through one
+    linear pass of :func:`eliminate`; a contradiction closes it.  The solver
+    then branches over the roots of a univariate residual row, each branch
+    ``pins + residual + [x - root]``, or else isolates a variable that
+    occurs linearly with an invertible constant coefficient.  An isolated
+    expression mentions only variables still in the system, so one pass in
+    reverse isolation order resolves them.  Keys come in sorted order.
 
     The enumeration is complete: every returned assignment is a solution and
     every solution appears.  Raises when the system is underdetermined or
@@ -357,57 +499,43 @@ def concrete_solutions(eqs: Sequence[MultiPoly], ctx: FieldContext
     """
     all_vars = sorted({v for eq in eqs for v in eq.variables()})
     solutions: list[dict[str, FieldElement]] = []
-    stack: list[tuple[list[MultiPoly], dict[str, MultiPoly]]] = [
-        ([eq for eq in eqs], {})]
+    stack: list[tuple[list[MultiPoly], list[tuple[str, MultiPoly]]]] = [
+        (list(eqs), [])]
     while stack:
-        current, assigned = stack.pop()
-        current = [eq for eq in current if not eq.is_zero()]
-        dead = False
-        for eq in current:
-            c = eq.as_constant()
-            if c is not None and not c.is_zero():
-                dead = True
-                break
-        if dead:
+        system, isolated = stack.pop()
+        elim = eliminate(system)
+        if elim.contradiction is not None:
             continue
-        current = [eq for eq in current if eq.as_constant() is None]
-        if not current:
-            resolved = _resolve_assignments(assigned)
-            missing = [v for v in all_vars if v not in resolved]
+        pins = [MultiPoly.var(ctx, x) - v for x, v in elim.pins.items()]
+        residual = elim.residual
+        if not residual:
+            values = dict(elim.pins)
+            for name, expr in reversed(isolated):
+                value = expr.substitute(values).as_constant()
+                if value is not None:
+                    values[name] = value
+            missing = [v for v in all_vars if v not in values]
             if missing:
                 raise HopfExactError(
                     f"solution set is not finite: {missing} stay free")
-            solutions.append(resolved)
+            solutions.append({v: values[v] for v in all_vars})
             continue
-        found = _find_linear_isolation(current)
-        if found is not None:
-            idx, name, expr = found
-            sub = {name: expr}
-            rest = [eq.substitute(sub)
-                    for k, eq in enumerate(current) if k != idx]
-            assigned2 = dict(assigned)
-            assigned2[name] = expr
-            stack.append((rest, assigned2))
-            continue
-        branched = False
-        for idx, eq in enumerate(current):
+        for eq in residual:
             uni = eq.univariate_in()
-            if uni is None:
-                continue
-            name, coeffs = uni
-            roots = polynomial_roots(ctx, coeffs)
-            if roots is None:
-                continue
-            for root in roots:
-                sub = {name: root}
-                rest = [e.substitute(sub)
-                        for k, e in enumerate(current) if k != idx]
-                assigned2 = dict(assigned)
-                assigned2[name] = MultiPoly.const(ctx, root)
-                stack.append((rest, assigned2))
-            branched = True
-            break
-        if not branched:
-            raise HopfExactError(
-                "cannot reduce the polynomial system with the supported rules")
+            roots = None if uni is None else polynomial_roots(ctx, uni[1])
+            if roots is not None:
+                for root in roots:
+                    stack.append((pins + residual
+                                  + [MultiPoly.var(ctx, uni[0]) - root],
+                                  isolated))
+                break
+        else:
+            found = _find_linear_isolation(residual)
+            if found is None:
+                raise HopfExactError("cannot reduce the polynomial system "
+                                     "with the supported rules")
+            idx, name, expr = found
+            rest = [eq.substitute({name: expr})
+                    for k, eq in enumerate(residual) if k != idx]
+            stack.append((pins + rest, isolated + [(name, expr)]))
     return solutions

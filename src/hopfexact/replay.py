@@ -13,23 +13,19 @@ The three layers:
 
 * :func:`generic_extension` / :func:`associativity_constraints` — build the
   symbolic table and harvest the constraint polynomials;
-* :func:`eliminate` / :func:`forces_vanishing` — a certified linear
-  elimination: decides whether the constraints force given structure
-  constants to vanish and returns the expressing combination as a
+* :func:`forces_vanishing` — decides, by the certified linear elimination
+  :func:`~hopfexact.poly.eliminate`, whether the constraints force given
+  structure constants to vanish and returns the expressing combination as a
   replayable certificate;
 * :func:`replay_lemma` / :func:`classify_n2_le_1` — the named collapse
   arguments as one case table run by ``_vanishing_replay``, plus the full
   extension and ``classify_n2_le_1``, the exhaustive classification of exact
   extensions with at most one block.
 
-The elimination works on the Macaulay matrix of the constraints (Lazard,
-EUROCAL 1983): each constraint is one sparse row of
-:func:`~hopfexact.linalg._echelon`, with a column per monomial and a
-multiplier column per ``(constraint index, monomial)`` that records the
-certificate.  Reduction is Gauss-Jordan on the non-constant monomials, and
-substituting a pinned variable is a row operation too: the row loses a
-polynomial multiple of the pin's row, each term of the multiple shifting
-every column's monomial.
+The elimination lives in :mod:`~hopfexact.poly`, where the polynomial solver
+reduces through it too: it works on the Macaulay matrix of the constraints
+(Lazard, EUROCAL 1983), and every pin and contradiction carries the
+multipliers that combine the constraints into it.
 
 Only linear reasoning is ever used: case splits over sign assignments and
 fourth roots of unity keep everything linear, and a system that still needs
@@ -62,11 +58,11 @@ from .errors import HopfExactError, InvalidKind, NonlinearResidue
 from .exactness import check_exactness
 from .field import FieldContext, FieldElement
 from .hopf import Hopf
-from .linalg import (Mat, _echelon, _subtract_multiple, basis_vector,
-                     tensor_vec)
+from .linalg import Mat, basis_vector, tensor_vec
 from .morita import colinear_iso_search
-from .poly import (MultiPoly, _addmul, _addterms, _mono_mul, _poly,
-                   _product_terms, concrete_solutions)
+from .poly import (Certificate, Elimination, MultiPoly, _addterms,
+                   _column_key, _mono_degree, _poly, _product_terms,
+                   concrete_solutions, eliminate)
 
 KINDS = ("trivial", "ga_x", "ga_y", "ga_xy", "ga_K", "kpsi")
 
@@ -459,147 +455,7 @@ def _require_associative_base(kind: str, ctx: FieldContext) -> None:
             f"base kind {kind!r} is not associative on its own")
 
 
-# -- certified linear elimination ----------------------------------------------
-
-
-Certificate = dict[int, MultiPoly]
-
-
-def _is_multiplier(key) -> bool:
-    """A multiplier column ``(constraint index, monomial)``; a polynomial
-    column is a monomial, a tuple of ``(name, exponent)`` pairs."""
-    return bool(key) and isinstance(key[0], int)
-
-
-def _polynomial_part(row: dict) -> dict:
-    return {key: c for key, c in row.items() if not _is_multiplier(key)}
-
-
-def _shift(row: dict, mono) -> dict:
-    """``mono`` times a Macaulay row: every column's monomial times ``mono``."""
-    return {(key[0], _mono_mul(key[1], mono)) if _is_multiplier(key)
-            else _mono_mul(key, mono): c for key, c in row.items()}
-
-
-def _certificate(ctx: FieldContext, row: dict) -> Certificate:
-    """The multiplier columns of a row, gathered into one polynomial per
-    constraint."""
-    terms: dict[int, dict] = {}
-    for key, c in row.items():
-        if _is_multiplier(key):
-            terms.setdefault(key[0], {})[key[1]] = c
-    return {idx: _poly(ctx, t) for idx, t in terms.items()}
-
-
-def _mono_degree(mono) -> int:
-    return sum(e for _, e in mono)
-
-
-def _column_key(mono) -> tuple:
-    """The pivot order of :func:`eliminate`: highest degree first."""
-    return (-_mono_degree(mono), mono)
-
-
-def _linear_quotient(terms: dict, name: str, value: FieldElement) -> dict:
-    """The terms of U with poly == poly.substitute({name: value}) +
-    U * (name - value), for the polynomial with the given terms.
-
-    A term ``c * rest * name**e`` contributes ``c * rest`` times
-    ``name**(e-1) + name**(e-2) * value + ... + value**(e-1)``, with the
-    powers of ``name`` ascending; the terms accumulate into one term dict."""
-    out: dict = {}
-    powers = [value.ctx.one()]
-    for mono, c in terms.items():
-        exp = dict(mono).get(name, 0)
-        if exp == 0:
-            continue
-        while len(powers) < exp:
-            powers.append(powers[-1] * value)
-        rest = tuple((v, e) for v, e in mono if v != name)
-        geom = {}
-        for t in range(exp):
-            v = powers[exp - 1 - t]
-            if any(v.num):
-                geom[((name, t),) if t else ()] = v
-        _addmul(out, {rest: c}, geom)
-    return out
-
-
-@dataclass
-class Elimination:
-    """Outcome of the iterated linear elimination with provenance.
-
-    ``residual`` holds the reduced constraints left when no new pin
-    appears; at a contradiction it is the constant row alone, as the one
-    constant polynomial ``contradiction_value``.
-    """
-
-    pins: dict[str, FieldElement]
-    certificates: dict[str, Certificate]
-    residual: list[MultiPoly]
-    contradiction: Optional[Certificate]
-    contradiction_value: Optional[FieldElement]
-
-
-def eliminate(constraints: Sequence[MultiPoly]) -> Elimination:
-    """Repeatedly row-reduce and substitute pinned variables.
-
-    Each constraint is one sparse row of a Macaulay matrix: a column per
-    monomial of the constraint, plus multiplier columns keyed by
-    ``(constraint index, monomial)`` that start as the unit vector of the
-    constraint and record how the row was formed.  A reduction pass is
-    :func:`~hopfexact.linalg._echelon` over the non-constant monomials,
-    highest degree first; the constant column and the multiplier columns are
-    never pivots.  Every reduced row of the shape ``x - v`` then pins the
-    variable ``x``.  Substituting a pin is a row operation too: with
-    ``poly == poly.substitute({x: v}) + U * (x - v)``, the row loses ``U``
-    times the pin's row, where a monomial times a row multiplies the
-    monomial of every column.  The loop repeats until no new pin appears.
-
-    Every pin carries a certificate, the multiplier columns of its row:
-    multipliers m_i with  sum m_i * constraints[i] == x - value.
-    """
-    if not constraints:
-        return Elimination({}, {}, [], None, None)
-    ctx = constraints[0].ctx
-    zero, one = ctx.zero(), ctx.one()
-    rows = [{**p.terms, (idx, ()): one} for idx, p in enumerate(constraints)
-            if not p.is_zero()]
-    pins: dict[str, FieldElement] = {}
-    certs: dict[str, Certificate] = {}
-    max_rounds = len({v for p in constraints for v in p.variables()}) + 2
-    for _ in range(max_rounds):
-        cols = sorted({key for row in rows for key in row
-                       if key and not _is_multiplier(key)}, key=_column_key)
-        rows, _ = _echelon(rows, cols)
-        polys = [_polynomial_part(row) for row in rows]
-        rows = [row for row, poly in zip(rows, polys) if poly]
-        polys = [poly for poly in polys if poly]
-        # inconsistency and fresh pins
-        new_pins: list[tuple[str, FieldElement, dict]] = []
-        for row, poly in zip(rows, polys):
-            if list(poly) == [()]:
-                return Elimination(pins, certs,
-                                   [MultiPoly.const(ctx, poly[()])],
-                                   _certificate(ctx, row), poly[()])
-            nonconst = [m for m in poly if m]
-            if len(nonconst) == 1 and len(nonconst[0]) == 1 \
-                    and nonconst[0][0][1] == 1:
-                # a pivot row, so the coefficient of its variable is one
-                new_pins.append((nonconst[0][0][0], -poly.get((), zero), row))
-        if not new_pins:
-            return Elimination(pins, certs, [_poly(ctx, p) for p in polys],
-                               None, None)
-        for name, value, pin_row in new_pins:
-            pins[name] = value
-            certs[name] = _certificate(ctx, pin_row)
-            for i, row in enumerate(rows):
-                quot = _linear_quotient(polys[i], name, value)
-                for mono, c in quot.items():
-                    _subtract_multiple(row, c, _shift(pin_row, mono))
-                if quot:
-                    polys[i] = _polynomial_part(row)
-    raise HopfExactError("elimination did not stabilize")
+# -- certified vanishing -------------------------------------------------------
 
 
 def verify_combination(constraints: Sequence[MultiPoly], cert: Certificate,

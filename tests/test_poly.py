@@ -5,7 +5,8 @@ import pytest
 
 from hopfexact.errors import HopfExactError
 from hopfexact.field import FieldContext, adjoin_sqrt, polynomial_roots
-from hopfexact.poly import (MultiPoly, _addmul, _addterms, _product_terms,
+from hopfexact.poly import (MultiPoly, _addmul, _addterms,
+                            _find_linear_isolation, _product_terms,
                             concrete_solutions)
 
 Q = FieldContext(1)
@@ -212,3 +213,175 @@ def test_zero_divisor_products_are_not_stored():
     _assert_no_zero(prod)
     assert (x * (2 + s) * q).is_zero()
     assert (x * (2 + s)).substitute({"x": 2 - s}).is_zero()
+
+
+# -- the solver: eliminate's linear pass, univariate roots, then isolation -----
+
+
+def test_a_nonlinear_rest_is_isolated_after_the_linear_pass():
+    # the pivot of x - y**2 is y**2, so the linear pass never pins or
+    # isolates x; isolating it in the residual leaves y**3 - 8
+    x, y = _xy(Q)
+    sols = concrete_solutions([x - y * y, x * y - 8], Q)
+    assert sols == [{"x": Q.scalar(4), "y": Q.scalar(2)}]
+    # a pin of the linear pass survives the isolation
+    z = MultiPoly.var(Q, "z")
+    sols = concrete_solutions([x - y * y, x * y - 8, z * z + z - 12, z - 3], Q)
+    assert sols == [{"x": Q.scalar(4), "y": Q.scalar(2), "z": Q.scalar(3)}]
+
+
+def test_a_linear_pair_with_a_product_terminates():
+    x, y = _xy(Q)
+    sols = concrete_solutions([x + y, x * y + 1], Q)
+    assert sorted((s["x"].as_rational(), s["y"].as_rational())
+                  for s in sols) == [(-1, 1), (1, -1)]
+
+
+def _reference_resolve(assignments):
+    out = {}
+    pending = dict(assignments)
+    while pending:
+        progressed = False
+        for name in list(pending):
+            value = pending[name].substitute(out)
+            const = value.as_constant()
+            if const is not None:
+                out[name] = const
+                del pending[name]
+                progressed = True
+            else:
+                pending[name] = value
+        if not progressed:
+            raise HopfExactError(
+                f"circular or underdetermined assignments: {sorted(pending)}")
+    return out
+
+
+def _reference_solutions(eqs, ctx):
+    """The solver as it was before it ran on the linear pass: linear
+    isolation first, then univariate roots, on the equations as given, and
+    a fixed-point back-substitution at the end of each branch."""
+    all_vars = sorted({v for eq in eqs for v in eq.variables()})
+    solutions = []
+    stack = [(list(eqs), {})]
+    while stack:
+        current, assigned = stack.pop()
+        current = [eq for eq in current if not eq.is_zero()]
+        if any(eq.as_constant() is not None for eq in current):
+            continue
+        if not current:
+            resolved = _reference_resolve(assigned)
+            missing = [v for v in all_vars if v not in resolved]
+            if missing:
+                raise HopfExactError(
+                    f"solution set is not finite: {missing} stay free")
+            solutions.append(resolved)
+            continue
+        found = _find_linear_isolation(current)
+        if found is not None:
+            idx, name, expr = found
+            rest = [eq.substitute({name: expr})
+                    for k, eq in enumerate(current) if k != idx]
+            stack.append((rest, {**assigned, name: expr}))
+            continue
+        for idx, eq in enumerate(current):
+            uni = eq.univariate_in()
+            roots = None if uni is None else polynomial_roots(ctx, uni[1])
+            if roots is None:
+                continue
+            name = uni[0]
+            for root in roots:
+                rest = [e.substitute({name: root})
+                        for k, e in enumerate(current) if k != idx]
+                stack.append((rest, {**assigned,
+                                     name: MultiPoly.const(ctx, root)}))
+            break
+        else:
+            raise HopfExactError(
+                "cannot reduce the polynomial system with the supported rules")
+    return solutions
+
+
+def _seeded_point_system(ctx, seed):
+    """A system in x, y, z over ``ctx`` and its solution set.
+
+    The triangular system ``f(x), y - g(x), z - h(x, y)`` has one solution
+    per root of f, and f's one or two roots are drawn from the field.  Each
+    equation gets a polynomial multiple of the one before it added, and
+    the three are then mixed by a constant matrix of determinant one; both
+    steps keep the ideal; odd seeds only are mixed.  Every fourth seed adds
+    ``x - c`` for a c that is no root, and the system has no solution."""
+    rng = random.Random(seed)
+    x, y, z = (MultiPoly.var(ctx, v) for v in "xyz")
+    pool = [ctx.scalar(Fraction(n, d)) for n in (-2, -1, 1, 2, 3)
+            for d in (1, 2)]
+    if ctx.order % 4 == 0:
+        pool += [c * ctx.i() + d for c in pool[:4] for d in (0, 1)]
+
+    def poly(variables, degree):
+        out = MultiPoly.const(ctx, rng.choice(pool))
+        for v in variables:
+            for e in range(1, degree + 1):
+                if rng.random() < 0.6:
+                    out = out + v ** e * rng.choice(pool)
+        return out
+
+    roots = list(dict.fromkeys(rng.choice(pool)
+                               for _ in range(rng.randint(1, 2))))
+    g, h = poly([x], 2), poly([x, y], 1) + x * y * rng.choice(pool)
+    f = MultiPoly.const(ctx, 1)
+    for r in roots:
+        f = f * (x - r)
+    tri = [f, y - g, z - h]
+    points = set()
+    for r in roots:
+        gy = g.substitute({"x": r}).as_constant()
+        points.add((r, gy, h.substitute({"x": r, "y": gy}).as_constant()))
+    tri[1] = tri[1] + poly([x, y], 1) * tri[0]
+    tri[2] = tri[2] + poly([x, z], 1) * tri[1]
+    if seed % 4 == 0:
+        bad = next(c for c in pool if c not in roots)
+        tri.append(x - bad)
+        points = set()
+    n = len(tri) if seed % 2 else 0
+    mixed = list(tri)
+    for i in range(n):
+        for j in range(i + 1, n):
+            # x_i += c * x_j and then x_j += d * x_i: determinant one
+            if rng.random() < 0.7:
+                mixed[i] = mixed[i] + mixed[j] * rng.choice(pool)
+            if rng.random() < 0.7:
+                mixed[j] = mixed[j] + mixed[i] * rng.choice(pool)
+    return mixed, points
+
+
+def _points(sols):
+    return {(s["x"], s["y"], s["z"]) for s in sols}
+
+
+@pytest.mark.parametrize("ctx", [Q, QI], ids=["Q", "Q(i)"])
+def test_solver_matches_the_reference_where_it_answers(ctx):
+    """Where the old solver answers, the new one returns the same set;
+    where it refuses, the new one answers with the known solution set, each
+    point checked by substitution, or refuses too."""
+    refused = 0
+    for seed in range(40):
+        eqs, points = _seeded_point_system(ctx, seed)
+        try:
+            want = _reference_solutions(eqs, ctx)
+        except HopfExactError:
+            want = None
+            refused += 1
+        try:
+            got = concrete_solutions(eqs, ctx)
+        except HopfExactError:
+            assert want is None, seed
+            continue
+        if want is not None:
+            assert _points(want) == points
+        assert _points(got) == points and len(got) == len(points), seed
+        for sol in got:
+            assert all(eq.substitute(sol).is_zero() for eq in eqs)
+    # the mixed systems hide the isolations from the old solver, so both
+    # branches of the comparison are met
+    assert 0 < refused < 40

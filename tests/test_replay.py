@@ -10,7 +10,8 @@ from hopfexact import replay
 from hopfexact.constructions import PSI_STANDARD, catalog
 from hopfexact.errors import HopfExactError, NonlinearResidue
 from hopfexact.field import FieldContext, adjoin_sqrt
-from hopfexact.poly import MultiPoly, _addmul, _poly
+from hopfexact.poly import (Elimination, MultiPoly, _addmul, _linear_quotient,
+                            _poly)
 from hopfexact.replay import (associativity_constraints, classify_n2_le_1,
                               forces_vanishing, generic_extension,
                               replay_lemma, replay_names)
@@ -504,8 +505,8 @@ def _reference_eliminate(constraints):
         for r in rows:
             monos = list(r.poly.terms)
             if monos == [()]:
-                return replay.Elimination(pins, certs, [r.poly for r in rows],
-                                          r.prov, r.poly.terms[()])
+                return Elimination(pins, certs, [r.poly for r in rows],
+                                   r.prov, r.poly.terms[()])
             nonconst = [m for m in monos if m != ()]
             if len(nonconst) != 1:
                 continue
@@ -520,8 +521,8 @@ def _reference_eliminate(constraints):
             inv = MultiPoly.const(ctx, c1.inverse())
             new_pins.append((name, value, _prov_scale(r.prov, inv)))
         if not new_pins:
-            return replay.Elimination(pins, certs, [r.poly for r in rows],
-                                      None, None)
+            return Elimination(pins, certs, [r.poly for r in rows],
+                               None, None)
         for name, value, prov in new_pins:
             pins[name] = value
             certs[name] = prov
@@ -530,8 +531,7 @@ def _reference_eliminate(constraints):
                 if name not in r.poly.variables():
                     next_rows.append(r)
                     continue
-                quot = _poly(ctx, replay._linear_quotient(r.poly.terms, name,
-                                                          value))
+                quot = _poly(ctx, _linear_quotient(r.poly.terms, name, value))
                 r.poly = r.poly.substitute({name: value})
                 r.prov = _prov_add(r.prov, -quot, prov)
                 if not r.poly.is_zero():
