@@ -1,20 +1,19 @@
-"""Refusals per seed against the benchmark baseline.
+"""Refusals per seed: every verdict must be decided.
 
-Runs ``perfbench/run.py --workload all`` once for each of seeds 1-10 and
-fails when a workload's share of refused verdicts, ``ops_failed`` over
-``ops_attempted``, exceeds its ``failed_by_seed`` entry in
-``perfbench/baseline.json``, or when a run reports a wrong verdict.  Each
-line it prints also names the baseline refusals that no longer occur, the
-list from which ``failed_by_seed`` can be lowered.  Run it from the
-repository root: ``python3 .github/check_refusals.py``.
+Runs ``perfbench/run.py --workload all`` once for each of seeds 1-20 and
+fails when any workload refuses any verdict (``ops_failed`` above zero),
+when a run reports a wrong verdict, or when a workload gives no report.
+Each line it prints also names the refusals recorded in the
+``failed_by_seed`` entry of ``perfbench/baseline.json`` (seeds 1-10) that no
+longer occur.  Run it from the repository root:
+``python3 .github/check_refusals.py``.
 """
 
 import json
 import subprocess
 import sys
-from fractions import Fraction
 
-SEEDS = range(1, 11)
+SEEDS = range(1, 21)
 
 
 def main() -> int:
@@ -36,19 +35,16 @@ def main() -> int:
                 continue  # the result line that follows each report
             name = rep["workload"]
             seen.add(name)
-            known = baseline[name]["failed_by_seed"][str(seed)]
-            share = Fraction(rep["ops_failed"], rep["ops_attempted"])
-            allowed = Fraction(known["failed"], known["attempted"])
+            known = baseline[name]["failed_by_seed"].get(str(seed))
             refused = sorted(r["op"] for r in rep["refusals"])
-            mended = sorted(set(known["refused"]) - set(refused))
+            mended = ([] if known is None
+                      else sorted(set(known["refused"]) - set(refused)))
             print(f"seed {seed} {name}: {rep['ops_failed']}/"
-                  f"{rep['ops_attempted']} refused (baseline "
-                  f"{known['failed']}/{known['attempted']}) {refused}; "
+                  f"{rep['ops_attempted']} refused {refused}; "
                   f"baseline refusals that no longer occur: {mended}")
-            if share > allowed:
-                problems.append(
-                    f"seed {seed} {name}: {share} of the verdicts refused, "
-                    f"baseline {allowed} ({known['refused']})")
+            if rep["ops_failed"]:
+                problems.append(f"seed {seed} {name}: {rep['ops_failed']} "
+                                f"verdicts refused {refused}")
         missing = set(baseline) - seen
         if missing:
             problems.append(f"seed {seed}: no report for {sorted(missing)}")

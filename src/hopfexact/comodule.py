@@ -38,6 +38,9 @@ from .linalg import (
     Scalar,
     Subspace,
     Vec,
+    _kernel_rows,
+    _sparse,
+    _subtract_multiple,
     basis_vector,
     eigenspace,
     inverse,
@@ -137,10 +140,18 @@ def check_comodule_algebra(a: ComoduleAlgebra) -> list[str]:
 
 
 def isotypic_part(c: ComoduleLike, g: Sequence[FieldElement]) -> Subspace:
-    """The subspace {v : coaction(v) = g (x) v} for a fixed element g of H."""
-    g_col = Mat.from_columns(c.ctx, [g])
-    shifted = c.coaction - kron(g_col, Mat.identity(c.ctx, c.dim))
-    return Subspace.from_vectors(c.ctx, c.dim, kernel(shifted))
+    """The subspace {v : coaction(v) = g (x) v} for a fixed element g of H:
+    the kernel of ``coaction - g (x) id``, whose row ``h*dim + k`` is row
+    ``h*dim + k`` of the coaction less ``g[h]`` at column k."""
+    ctx, n = c.ctx, c.dim
+    one = ctx.one()
+    rows = []
+    for idx, r in enumerate(c.coaction.rows):
+        h, k = divmod(idx, n)
+        row = _sparse(r)
+        _subtract_multiple(row, g[h], {k: one})
+        rows.append(row)
+    return Subspace.from_vectors(ctx, n, _kernel_rows(ctx, rows, n))
 
 
 def coinvariants(c: ComoduleLike) -> Subspace:

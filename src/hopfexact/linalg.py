@@ -298,13 +298,22 @@ def minimal_polynomial(mat: Mat) -> list[FieldElement]:
 
 
 def restrict_operator(op: Mat, space: Subspace) -> Mat:
-    """Matrix of ``op`` on the canonical basis of an invariant subspace."""
+    """Matrix of ``op`` on the canonical basis of an invariant subspace.
+
+    The basis is fully reduced, so a vector of the subspace has its
+    coordinates at the pivot columns; an image that its coordinates do not
+    rebuild lies outside the subspace."""
     basis = space.basis()
-    body = Mat.from_columns(space.ctx, basis)
+    rows = [_sparse(b) for b in basis]
+    pivots = [min(r) for r in rows]
     cols = []
     for b in basis:
-        coords = solve(body, op.apply(b))
-        if coords is None:  # the image lies outside the span of the basis
+        image = op.apply(b)
+        coords = tuple(image[p] for p in pivots)
+        residual = _sparse(image)
+        for c, r in zip(coords, rows):
+            _subtract_multiple(residual, c, r)
+        if residual:
             raise DimensionMismatch("subspace is not invariant under the operator")
         cols.append(coords)
     return Mat.from_columns(space.ctx, cols)

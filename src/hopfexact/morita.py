@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Optional, Sequence
+from itertools import chain, combinations, permutations
+from typing import Callable, Optional, Sequence
 
-from .algebra import Algebra, tensor_product, trace_radical
+from .algebra import Algebra, tensor_product, trace, trace_radical
 from .comodule import (
     Comodule,
     ComoduleAlgebra,
     _require_over_kp,
     check_comodule,
     check_comodule_algebra,
+    isotypic_part,
     rebase_comodule_algebra,
 )
 from .errors import (
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .field import (FieldContext, FieldElement, adjoin_sqrt, polynomial_roots,
                     sqrt_in_context)
-from .hopf import antipode_inverse
+from .hopf import Hopf, antipode_inverse
 from .linalg import (
     Mat,
     Row,
@@ -49,13 +50,15 @@ from .linalg import (
     _subtract_multiple,
     _terms,
     eigenspace,
+    inverse,
     kernel,
-    kron,
     linear_combination,
     minimal_polynomial,
     rank,
     restrict_operator,
+    rref,
     solve,
+    tensor_vec,
 )
 from .poly import MultiPoly, _addmul, _poly, concrete_solutions
 
@@ -384,18 +387,22 @@ def _commutant(action: Sequence[Mat]) -> list[Mat]:
     return intertwiners(action, action)
 
 
-def _split_once(action: list[Mat]) -> Optional[list[Subspace]]:
+def _split_once(action: list[Mat], comm: Sequence[Mat],
+                first: Sequence[Mat] = ()) -> Optional[list[Subspace]]:
     """One splitting step: invariant proper subspaces summing to everything,
-    or None when the module is simple (trivial commutant)."""
-    ctx = action[0].ctx
-    d = action[0].nrows
-    comm = _commutant(action)
+    or None when the module is simple (a commutant of scalars only).
+
+    ``comm`` is a basis of the commutant of ``action``.  The candidates are
+    ``first``, then the basis, then its pairwise sums; the eigenspaces of the
+    first candidate that splits are returned.  Nothing here checks that a
+    candidate commutes with the action: a piece that is not invariant is
+    refused when the action is restricted to it."""
     if len(comm) == 1:
         return None
-    candidates = list(comm)
-    for i in range(len(comm)):
-        for j in range(i + 1, len(comm)):
-            candidates.append(comm[i] + comm[j])
+    ctx = action[0].ctx
+    d = action[0].nrows
+    candidates = chain(first, comm,
+                       (s + t for s, t in combinations(comm, 2)))
     pending_quadratic = None
     for t in candidates:
         scalar = t[0, 0]
@@ -437,8 +444,26 @@ def _restrict_action(action: list[Mat], space: Subspace) -> list[Mat]:
     return [restrict_operator(m, space) for m in action]
 
 
-def simple_modules(a: Algebra) -> ModuleDecomposition:
+def _grouplikes(h: Hopf) -> list[Vec]:
+    """The basis elements g of H with Delta(g) = g (x) g."""
+    out = []
+    for j in range(h.dim):
+        g = h.basis_element(j)
+        if h.comult.col(j) == tensor_vec(g, g):
+            out.append(g)
+    return out
+
+
+def simple_modules(a: ComoduleAlgebra) -> ModuleDecomposition:
     """Split the left regular module into simple modules.
+
+    The commutant of the left regular module is the right multiplications:
+    a map commuting with every ``L_b`` is ``R_c`` with ``c`` the image of
+    the unit.  So the first split reads its candidates off the table, and
+    tries first ``R_h`` for ``h`` in the isotypic part of each grouplike
+    basis element of H under the coaction; those subspaces do not depend on
+    the basis of ``a``.  Every smaller piece is split by its commutant
+    kernel, which is also what proves a piece simple.
 
     Raises :class:`NotSemisimple` when the algebra has a radical, and lets
     :class:`NeedsFieldExtension` escape when a splitting needs a square root
@@ -446,18 +471,24 @@ def simple_modules(a: Algebra) -> ModuleDecomposition:
     """
     if trace_radical(a).dim != 0:
         raise NotSemisimple("the algebra has a nonzero radical")
-    ctx = a.ctx
     regular = [a.left_mult(a.basis_element(i)) for i in range(a.dim)]
-    worklist: list[list[Mat]] = [regular]
+    rights = [a.right_mult(a.basis_element(j)) for j in range(a.dim)]
+    homogeneous = [a.right_mult(h) for g in _grouplikes(a.hopf)
+                   for h in isotypic_part(a, g).basis()]
+    # a piece's commutant is left as None until the piece is popped
+    worklist: list[tuple[list[Mat], Optional[list[Mat]], list[Mat]]] = [
+        (regular, rights, homogeneous)]
     leaves: list[list[Mat]] = []
     while worklist:
-        action = worklist.pop()
-        spaces = _split_once(action)
+        action, comm, first = worklist.pop()
+        if comm is None:
+            comm = _commutant(action)
+        spaces = _split_once(action, comm, first)
         if spaces is None:
             leaves.append(action)
             continue
         for s in spaces:
-            worklist.append(_restrict_action(action, s))
+            worklist.append((_restrict_action(action, s), None, []))
     classes: list[SimpleModule] = []
     mults: list[int] = []
     for action in leaves:
@@ -546,12 +577,48 @@ class FusionFingerprint:
     table: tuple[tuple[tuple[int, ...], ...], ...]
 
 
+def _character_solver(chars: Mat) -> Callable[[Vec], tuple[int, ...]]:
+    """Multiplicities against the characters in the columns of ``chars``.
+
+    The returned function maps a character to the natural numbers ``mu``
+    with ``sum_j mu_j chars.col(j) == character``.  It is read off ``k``
+    basis elements on which the ``k`` characters are independent, and
+    checked on all of them.  Dependent characters are refused here; a
+    character with no such ``mu`` is refused when it is solved."""
+    ctx, k = chars.ctx, chars.ncols
+    _, basis_rows = rref(chars.transpose())
+    if len(basis_rows) != k:
+        raise HopfExactError("the characters of the simples are dependent")
+    inv = inverse(Mat(ctx, [chars.row(b) for b in basis_rows]))
+
+    def multiplicities(character: Vec) -> tuple[int, ...]:
+        mu = inv.apply([character[b] for b in basis_rows])
+        if chars.apply(mu) != tuple(character):
+            raise HopfExactError("fusion cell character is no combination "
+                                 "of the simple characters")
+        out = []
+        for m in mu:
+            q = m.as_rational() if m.is_rational() else None
+            if q is None or q.denominator != 1 or q < 0:
+                raise HopfExactError(f"fusion cell multiplicity {m} is not "
+                                     "a natural number")
+            out.append(int(q))
+        return tuple(out)
+
+    return multiplicities
+
+
 def fusion_fingerprint(a: ComoduleAlgebra) -> FusionFingerprint:
     """Decomposition multiplicities of (simple H-module) (x) (simple A-module).
 
     Entry ``table[r][i][j]`` is the multiplicity of the j-th simple A-module
     inside X_r (x) M_i, where the A-action on the product twists through the
-    coaction.
+    coaction.  The multiplicities come from characters: the character of
+    X (x) M at b is the sum of ``c tr X(h) tr M(a)`` over the terms
+    ``c (h (x) a)`` of lambda(b), and it is solved against the characters of
+    the simples, which are independent for a split semisimple algebra in
+    characteristic zero.  A cell without a unique natural solution, or whose
+    multiplicities do not add up to ``dim X * dim M``, is refused.
     """
     _require_over_kp(a)
     used, dec = simple_modules_split(a)
@@ -561,27 +628,25 @@ def fusion_fingerprint(a: ComoduleAlgebra) -> FusionFingerprint:
     ctx = used.ctx
     hmods = kp_simple_modules(ctx)
     na = used.dim
+    chars = [tuple(trace(m) for m in s.action) for s in dec.simples]
+    multiplicities = _character_solver(Mat.from_columns(ctx, chars))
+    lam = [_terms(used.coaction.col(b)) for b in range(na)]
     rows = []
     for name, x_action in hmods:
         dx = x_action[0].nrows
+        x_char = [trace(m) for m in x_action]
         row = []
-        for m in dec.simples:
-            product_action = []
-            for idx in range(na):
-                terms = _terms(used.coaction.col(idx))
-                product_action.append(linear_combination(
-                    [c for _, c in terms],
-                    [kron(x_action[pos // na], m.action[pos % na])
-                     for pos, _ in terms]))
-            mults = []
-            for target in dec.simples:
-                homs = intertwiners(target.action, product_action)
-                mults.append(len(homs))
+        for m, m_char in zip(dec.simples, chars):
+            character = tuple(
+                sum((c * x_char[pos // na] * m_char[pos % na]
+                     for pos, c in terms), ctx.zero())
+                for terms in lam)
+            mults = multiplicities(character)
             if sum(mu * s.dim for mu, s in zip(mults, dec.simples)) \
                     != dx * m.dim:
                 raise HopfExactError(
                     "fusion cell does not decompose into the known simples")
-            row.append(tuple(mults))
+            row.append(mults)
         rows.append(tuple(row))
     return FusionFingerprint(tuple(name for name, _ in hmods),
                              tuple(s.dim for s in dec.simples),

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from hopfexact import algebra, linalg, morita
-from hopfexact.algebra import is_algebra_isomorphism, trace_radical
+from hopfexact.algebra import is_algebra_isomorphism, trace, trace_radical
 from hopfexact.comodule import (
     check_comodule_algebra,
     coideal_generated,
@@ -26,15 +26,18 @@ from hopfexact.constructions import (
 )
 from hopfexact.errors import (
     CoactionUnsolvable,
+    DimensionMismatch,
     HopfExactError,
     NeedsFieldExtension,
     NotSemisimple,
 )
 from hopfexact.field import FieldContext, adjoin_sqrt
-from hopfexact.linalg import (Mat, _dense, basis_vector, kernel, kron,
-                              tensor_vec, vadd, vscale, vstack)
+from hopfexact.linalg import (Mat, _dense, _terms, basis_vector, kernel, kron,
+                              linear_combination, rank, tensor_vec, vadd,
+                              vscale, vstack)
 from hopfexact.morita import (
     RightComodModule,
+    _character_solver,
     _colinear_system,
     _commutant,
     check_module_comodule,
@@ -146,8 +149,11 @@ def test_a_i_xy_needs_a_square_root_then_splits():
     with pytest.raises(NeedsFieldExtension) as info:
         simple_modules(a)
     disc = info.value.discriminant
-    # the discriminant of t**2 = 1 + i up to a square factor
-    assert disc == QI.scalar(4) * (QI.one() + QI.i())
+    # the first split is by right multiplication with exy, whose square is
+    # 1; the worklist pops its -1 eigenspace first, where the remaining
+    # generator squares to 1 - i: the discriminant of t**2 = 1 - i up to a
+    # square factor
+    assert disc == QI.scalar(4) * (QI.one() - QI.i())
     used, dec = simple_modules_split(a)
     assert used.ctx != QI and used.ctx.has_layer
     assert [s.dim for s in dec.simples] == [1, 1, 1, 1]
@@ -246,6 +252,107 @@ def test_fingerprint_distinguishability_verdicts():
     assert fingerprint_distinguishes(fk, fa)
     assert not fingerprint_distinguishes(fx, fy)
 
+
+def test_regular_module_is_split_without_a_commutant_kernel(monkeypatch):
+    """The commutant of the regular module is read off the table: no kernel
+    in dim**2 unknowns is built, only those of the smaller pieces."""
+    kp = CATALOG["kp"]
+    sizes = []
+    real = morita._kernel_rows
+
+    def spy(ctx, rows, n):
+        sizes.append(n)
+        return real(ctx, rows, n)
+
+    monkeypatch.setattr(morita, "_kernel_rows", spy)
+    dec = simple_modules(kp)
+    assert [s.dim for s in dec.simples] == [1, 1, 1, 1, 2]
+    assert sizes and max(sizes) < kp.dim ** 2
+
+
+def test_a_non_commuting_top_level_candidate_is_refused(monkeypatch):
+    """A candidate that does not commute with the left regular action has
+    eigenspaces that are not submodules; restricting to one is refused, so
+    a non-associative table cannot give a wrong split."""
+    a = CATALOG["ga_x"]
+    regular = _regular(a)
+    bad = Mat(QI, [[1, 0], [0, -1]])
+    assert any(bad @ m != m @ bad for m in regular)
+    real = morita._split_once
+
+    def swapped(action, comm, first=()):
+        return real(action, comm, [bad] if first else first)
+
+    monkeypatch.setattr(morita, "_split_once", swapped)
+    with pytest.raises(DimensionMismatch):
+        simple_modules(a)
+
+
+def _intertwiner_cells(used, dec):
+    """The fusion cells from intertwiners: the action on X (x) M built with
+    kron through the coaction, and one intertwiner kernel per target."""
+    na = used.dim
+    rows = []
+    for _, x_action in kp_simple_modules(used.ctx):
+        row = []
+        for m in dec.simples:
+            product_action = []
+            for idx in range(na):
+                terms = _terms(used.coaction.col(idx))
+                product_action.append(linear_combination(
+                    [c for _, c in terms],
+                    [kron(x_action[pos // na], m.action[pos % na])
+                     for pos, _ in terms]))
+            row.append(tuple(len(intertwiners(t.action, product_action))
+                             for t in dec.simples))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_character_cells_match_the_intertwiner_cells(name):
+    used, dec = simple_modules_split(CATALOG[name])
+    assert fusion_fingerprint(CATALOG[name]).table \
+        == _intertwiner_cells(used, dec)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_character_cells_match_the_intertwiner_cells_on_moved_entries(seed):
+    for moved in _small_mixed_inputs(seed).values():
+        used, dec = simple_modules_split(moved)
+        assert fusion_fingerprint(moved).table \
+            == _intertwiner_cells(used, dec)
+
+
+def _simple_characters(a):
+    return [[trace(m) for m in s.action] for s in simple_modules(a).simples]
+
+
+def test_a_wrong_trace_in_a_target_character_is_refused():
+    chars = _simple_characters(CATALOG["ga_k"])
+    # tensoring with the trivial module k_1 changes nothing, so the cell of
+    # a simple under k_1 is that simple, read from its own character
+    solve_good = _character_solver(Mat.from_columns(QI, chars))
+    assert solve_good(tuple(chars[1])) == (0, 1, 0, 0)
+    wrong = [list(c) for c in chars]
+    wrong[1][1] = wrong[1][1] + QI.one()
+    bad = Mat.from_columns(QI, wrong)
+    assert rank(bad) == len(chars)
+    with pytest.raises(HopfExactError, match="not a natural number"):
+        _character_solver(bad)(tuple(chars[1]))
+
+
+def test_a_character_outside_the_span_of_the_targets_is_refused():
+    chars = _simple_characters(CATALOG["ga_k"])
+    # a simple left out of the targets: its own character has no solution
+    with pytest.raises(HopfExactError, match="no combination"):
+        _character_solver(Mat.from_columns(QI, chars[1:]))(tuple(chars[0]))
+
+
+def test_dependent_simple_characters_are_refused():
+    chars = _simple_characters(CATALOG["ga_x"])
+    with pytest.raises(HopfExactError, match="dependent"):
+        _character_solver(Mat.from_columns(QI, chars + chars[:1]))
 
 # -- colinear isomorphism search --------------------------------------------------
 
@@ -574,17 +681,14 @@ def test_check_module_comodule_reports_broken_colinearity():
 # -- refusals on the benchmark's basis-changed inputs ----------------------------
 
 ORACLE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
-# the ops refused on small-mixed seeds 1, 2 and 5, exactly: a refusal that
-# comes back and one that goes away both fail the test.  A refusal can hang
-# on the basis a kernel returns (``_split_once`` tries the commutant basis
-# and its pairwise sums), so a kernel that returns another basis of the same
-# space can turn a verdict into a refusal: with the pivot columns of the
-# kernel taken in reverse order, seed 2 refuses fusion_fingerprint(ga_k') too
-KNOWN_REFUSALS = {
-    1: {"fusion_fingerprint(ga_k')", "fusion_fingerprint(a_i_xy')"},
-    2: {"fusion_fingerprint(a_i_xy')"},
-    5: {"fusion_fingerprint(a_i_xy')"},
-}
+# the ops refused on small-mixed seeds, exactly: a refusal that comes back
+# and one that goes away both fail the test.  The first split tries right
+# multiplication by the homogeneous elements of the coaction, which do not
+# depend on the basis, so no seed refuses anything.  Splitting from the
+# commutant basis and its pairwise sums alone refuses
+# fusion_fingerprint(a_i_xy') on each of these seeds but 25, and
+# fusion_fingerprint(ga_k') on seeds 1, 11, 14 and 18
+KNOWN_REFUSALS = {seed: set() for seed in (1, 2, 5, 11, 14, 18, 25)}
 
 
 def _oracle():
