@@ -263,13 +263,33 @@ def trace(mat: Mat) -> FieldElement:
     return acc
 
 
+def _trace_form(alg: Algebra) -> Mat:
+    """The Gram matrix ``tr(L_i L_j)`` of the left regular representation.
+
+    With ``e_i e_m = sum_k c_imk e_k`` it is read off the table as
+    ``tr(L_i L_j) = sum_{k,m} c_imk c_jkm``, with no product of matrices and
+    no use of associativity."""
+    n, ctx = alg.dim, alg.ctx
+    # the nonzero c_jkm of each pair (k, m), as (j, c_jkm)
+    by_pair: list[list[list]] = [[[] for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for k in range(n):
+            for m, c in alg.terms[j][k]:
+                by_pair[k][m].append((j, c))
+    gram = [[ctx.zero()] * n for _ in range(n)]
+    for i in range(n):
+        row = gram[i]
+        for m in range(n):
+            for k, c in alg.terms[i][m]:
+                for j, d in by_pair[k][m]:
+                    row[j] = row[j] + c * d
+    return Mat(ctx, gram)
+
+
 def trace_radical(alg: Algebra) -> Subspace:
     """Radical of the trace form  t(a, b) = tr(L_a L_b)  of the left regular
     representation; over characteristic zero this is the Jacobson radical."""
-    lefts = [alg.left_mult(alg.basis_element(i)) for i in range(alg.dim)]
-    gram = Mat(alg.ctx, [[trace(lefts[i] @ lefts[j]) for j in range(alg.dim)]
-                         for i in range(alg.dim)])
-    return Subspace.from_vectors(alg.ctx, alg.dim, kernel(gram))
+    return Subspace.from_vectors(alg.ctx, alg.dim, kernel(_trace_form(alg)))
 
 
 def generated_operator_algebra(gens: Sequence[Mat],

@@ -133,12 +133,6 @@ def regular_comodule_algebra(h: Hopf) -> ComoduleAlgebra:
                            h.comult)
 
 
-def build_trivial_comodule_algebra(ctx: Optional[FieldContext] = None
-                                   ) -> ComoduleAlgebra:
-    """The base field with the trivial coaction."""
-    return trivial_comodule_algebra_over(build_kp(ctx))
-
-
 def build_group_algebra_comodule(masks: Sequence[int],
                                  ctx: Optional[FieldContext] = None
                                  ) -> ComoduleAlgebra:
@@ -148,7 +142,12 @@ def build_group_algebra_comodule(masks: Sequence[int],
     closed under the group operation and contain the identity.  The result
     coacts under the eight-dimensional Hopf algebra.
     """
-    h = build_kp(ctx)
+    return group_algebra_comodule_over(build_kp(ctx), masks)
+
+
+def group_algebra_comodule_over(h: Hopf, masks: Sequence[int]
+                                ) -> ComoduleAlgebra:
+    """:func:`build_group_algebra_comodule` over the given kp."""
     masks = list(masks)
     if 0 not in masks or any((g ^ k) not in masks for g in masks for k in masks):
         raise ValueError(f"masks {masks} do not form a subgroup")
@@ -182,7 +181,13 @@ def build_twisted_group_algebra(psi: Optional[Mapping[tuple[int, int], Scalar]]
     sign table :data:`PSI_STANDARD`, which yields an algebra isomorphic to
     2x2 matrices.
     """
-    h = build_kp(ctx)
+    return twisted_group_algebra_over(build_kp(ctx), psi)
+
+
+def twisted_group_algebra_over(h: Hopf,
+                               psi: Optional[Mapping[tuple[int, int], Scalar]]
+                               = None) -> ComoduleAlgebra:
+    """:func:`build_twisted_group_algebra` over the given kp."""
     ctx = h.ctx
     if psi is None:
         psi = PSI_STANDARD
@@ -242,7 +247,12 @@ def build_a_xy_gamma(gamma: Union[Scalar, FieldElement],
         v*v = 1 + gamma*exy,   v*w = w*v = 1 - gamma*exy,
         w*w = -(1 + gamma*exy).
     """
-    h = build_kp(ctx)
+    return a_xy_gamma_over(build_kp(ctx), gamma)
+
+
+def a_xy_gamma_over(h: Hopf, gamma: Union[Scalar, FieldElement]
+                    ) -> ComoduleAlgebra:
+    """:func:`build_a_xy_gamma` over the given kp."""
     ctx = h.ctx
     g = gamma if isinstance(gamma, FieldElement) else ctx.scalar(gamma)
     if g * g != ctx.scalar(-1):
@@ -349,16 +359,20 @@ def build_bimodule_V(target: str, ctx: Optional[FieldContext] = None
     return RightComodModule(b, 2, coaction, action)
 
 
-def catalog(ctx: Optional[FieldContext] = None) -> dict[str, ComoduleAlgebra]:
-    """All the built-in comodule algebras, keyed by their short names."""
-    ctx = ctx or FieldContext(4)
+def catalog(ctx: Optional[FieldContext] = None, kp: Optional[Hopf] = None
+            ) -> dict[str, ComoduleAlgebra]:
+    """All the built-in comodule algebras, keyed by their short names.
+
+    Every entry coacts under one kp: ``kp`` when given (its context is
+    used), else kp built once over ``ctx``."""
+    h = kp or build_kp(ctx)
     return {
-        "k": build_trivial_comodule_algebra(ctx),
-        "ga_x": build_group_algebra_comodule((0, 1), ctx),
-        "ga_y": build_group_algebra_comodule((0, 2), ctx),
-        "ga_xy": build_group_algebra_comodule((0, 3), ctx),
-        "ga_k": build_group_algebra_comodule((0, 1, 2, 3), ctx),
-        "a_i_xy": build_a_xy_gamma(ctx.i(), ctx),
-        "kp": build_regular_comodule_algebra(ctx),
-        "kpsi": build_twisted_group_algebra(None, ctx),
+        "k": trivial_comodule_algebra_over(h),
+        "ga_x": group_algebra_comodule_over(h, (0, 1)),
+        "ga_y": group_algebra_comodule_over(h, (0, 2)),
+        "ga_xy": group_algebra_comodule_over(h, (0, 3)),
+        "ga_k": group_algebra_comodule_over(h, (0, 1, 2, 3)),
+        "a_i_xy": a_xy_gamma_over(h, h.ctx.i()),
+        "kp": regular_comodule_algebra(h),
+        "kpsi": twisted_group_algebra_over(h),
     }

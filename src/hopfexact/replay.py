@@ -40,7 +40,9 @@ eliminations are carried from it by exact sign changes, once a check has
 shown that the member's own table is the representative's under the
 character (the equivariance is checked, not assumed: Gatermann, LNM 1728,
 2000).  A member that fails the check is built directly, and every case's
-certificates are checked again against its own constraints.
+certificates are checked again against its own constraints.  The full
+extension carries its second case's verdicts too, along a sign change that
+is checked to be a colinear algebra isomorphism.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
+from .algebra import is_algebra_isomorphism
 from .comodule import ComoduleAlgebra, check_comodule_algebra
 from .constructions import (PSI_STANDARD, build_kp,
                             build_regular_comodule_algebra, catalog,
@@ -58,7 +61,7 @@ from .errors import HopfExactError, InvalidKind, NonlinearResidue
 from .exactness import check_exactness
 from .field import FieldContext, FieldElement
 from .hopf import Hopf
-from .linalg import Mat, basis_vector, tensor_vec
+from .linalg import Mat, basis_vector, kron, tensor_vec
 from .morita import colinear_iso_search
 from .poly import (Certificate, Elimination, MultiPoly, _addterms,
                    _column_key, _mono_degree, _poly, _product_terms,
@@ -660,7 +663,9 @@ class _System:
     eps, row signs)`` in ``source``: its constraint i is ``row signs[i]``
     times the image under ``eps`` of the representative's, and it carries
     every elimination whose hypotheses ``eps`` fixes from the
-    representative's elimination of the same hypotheses."""
+    representative's elimination of the same hypotheses.  The full extension
+    reads ``source`` to carry a member's verdicts as well
+    (:func:`_carried_iso`)."""
 
     g: GenericExtension
     constraints: list[MultiPoly]
@@ -690,15 +695,20 @@ def _representative(kind: str, n2: int, signs):
                 for e1, e2 in _SIGN_PAIRS), key=order.index)
 
 
+def _basis_signs(g: GenericExtension, eps) -> list[int]:
+    """eps(i) for each basis element i of ``g``: the character's value on
+    the grouplike of a base element, and 1 on a block element."""
+    return [eps[0] ** (m & 1) * eps[1] ** (m >> 1)
+            for m in _BASE_MASKS[g.kind]] + [1] * (2 * g.n2)
+
+
 def _carried_system(rep: _System, g: GenericExtension, eps
                     ) -> Optional[_System]:
     """The system of ``g`` carried from ``rep`` by the character ``eps``, or
     None when ``g``'s table is not ``rep``'s under ``eps``: entry (i, j, k)
-    must be ``eps(i)*eps(j)*eps(k)`` times the image of ``rep``'s, where
-    eps(i) is the character's value on the grouplike of base element i and
-    1 on a block element."""
-    scale = [eps[0] ** (m & 1) * eps[1] ** (m >> 1)
-             for m in _BASE_MASKS[g.kind]] + [1] * (2 * g.n2)
+    must be ``eps(i)*eps(j)*eps(k)`` times the image of ``rep``'s, with
+    eps(i) from :func:`_basis_signs`."""
+    scale = _basis_signs(g, eps)
     for i, row in enumerate(rep.g.table):
         for j, vec in enumerate(row):
             for k, p in enumerate(vec):
@@ -719,10 +729,12 @@ def _system(kind: str, n2: int, signs, ctx: FieldContext) -> _System:
     characters of K (:func:`_representative`) is built and eliminated.
     Every other member is carried from it by exact sign changes, after a
     check that the member's own table is the representative's under the
-    character; a member that fails the check is built directly.  The base
-    checks and the one-block systems of :func:`classify_n2_le_1` do not go
-    through it: they are built afresh on every call, so a changed table is
-    always seen."""
+    character; a member that fails the check is built directly.  Only the
+    full extension carries more than eliminations: its member's axioms,
+    exactness and iso follow from the representative's, once the sign change
+    passes the checks of :func:`_carried_iso`.  The base checks and the
+    one-block systems of :func:`classify_n2_le_1` do not go through it: they
+    are built afresh on every call, so a changed table is always seen."""
     key = (kind, n2, signs, ctx)
     if key not in _REPLAY_CACHE:
         g = generic_extension(kind, n2, signs, ctx)
@@ -803,10 +815,53 @@ def _dependent_pair(ctx: FieldContext) -> tuple[str, MultiPoly]:
     return ("alpha_11 - c*alpha_21 = 0", alpha_11 - c * alpha_21)
 
 
+def _carried_iso(system: _System, algebra: ComoduleAlgebra,
+                 passed: dict) -> Optional[Mat]:
+    """A colinear algebra isomorphism from ``algebra``, the specialisation
+    of a carried system, onto kp, carried from its representative's case.
+
+    ``passed`` maps the signs of each case that passed in full to its
+    algebra and that algebra's iso onto kp.  The sign change D of the
+    system's character (:func:`_basis_signs`) must be an algebra isomorphism
+    from the representative's algebra onto ``algebra``, and colinear.  Then
+    ``algebra`` is the representative's transported along D, so its axioms
+    and exactness hold as the representative's do, and ``iso @ D`` is its
+    iso onto kp, since D is its own inverse.  None when the system was not
+    carried, its representative did not pass, or either check of D fails.
+    """
+    if system.source is None:
+        return None
+    rep, eps, _ = system.source
+    if rep.g.signs not in passed:
+        return None
+    rep_algebra, iso = passed[rep.g.signs]
+    ctx, signs = algebra.ctx, _basis_signs(system.g, eps)
+    d = Mat(ctx, [[s if i == j else 0 for j in range(len(signs))]
+                  for i, s in enumerate(signs)])
+    colinear = algebra.coaction @ d \
+        == kron(Mat.identity(ctx, algebra.hopf.dim), d) @ rep_algebra.coaction
+    if not (colinear and is_algebra_isomorphism(rep_algebra, algebra, d)):
+        return None
+    return iso @ d
+
+
 def _full_extension_report(ctx: FieldContext) -> ReplayReport:
+    """The paper's full extension: two blocks over ga_K, of equal parity,
+    normalised by alpha_11 = 1 and alpha_12 = -1.
+
+    Each of the two sign cases must pin every structure constant with
+    certificates that check again, and its specialised algebra must be a
+    comodule algebra that is exact and colinearly isomorphic to kp.  The
+    two cases lie in one orbit under the character (1, -1) of K.  The first,
+    the orbit's representative, is decided in full: axioms, exactness and an
+    iso search.  The second is carried from it by :func:`_carried_iso` when
+    its system was carried and the representative passed; otherwise, or when
+    the check of the sign change fails, it is decided in full as well.
+    """
     _require_associative_base("ga_K", ctx)
     cases = []
     regular = build_regular_comodule_algebra(ctx)
+    passed: dict = {}
     for signs in (((1, 1), (-1, -1)), ((1, -1), (-1, 1))):
         # the normalised system is eliminated whole: an elimination of the
         # constraints alone would be done for nothing
@@ -826,17 +881,21 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
             for name, value in elim.pins.items())
         solution = dict(elim.pins)
         detail = "solved constants do not match"
-        algebra = None
         if ok:
             missing = set(g.unknowns) | set(g.action_symbols)
             missing -= set(solution)
             ok = not missing
             if ok:
                 algebra = g.specialize(solution, regular.hopf)
-                problems = check_comodule_algebra(algebra)
-                exact = check_exactness(algebra)
-                iso = colinear_iso_search(algebra, regular)
-                ok = not problems and exact.am_exact and iso is not None
+                problems = []
+                iso = _carried_iso(system, algebra, passed)
+                if iso is None:
+                    problems = check_comodule_algebra(algebra)
+                    exact = check_exactness(algebra)
+                    iso = colinear_iso_search(algebra, regular)
+                    ok = not problems and exact.am_exact and iso is not None
+                if ok:
+                    passed[signs] = (algebra, iso)
                 detail = ("unique solution: the eight-dimensional extension, "
                           "isomorphic to the ambient Hopf algebra as a "
                           "comodule algebra") if ok else \
@@ -1018,7 +1077,7 @@ def classify_n2_le_1(ctx: Optional[FieldContext] = None
             f"classification shape {sorted(shape)} does not match the "
             f"expected list {sorted(expected)}")
     # bijection against the catalog entries of dimension < 8
-    cat = {k: v for k, v in catalog(ctx).items() if v.dim < 8}
+    cat = {k: v for k, v in catalog(ctx, kp).items() if v.dim < 8}
     matched: dict[str, str] = {}
     final: list[SolutionFamily] = []
     for fam in families:

@@ -6,6 +6,7 @@ import pytest
 
 from hopfexact.algebra import (
     Algebra,
+    _trace_form,
     check_algebra,
     direct_sum,
     generated_operator_algebra,
@@ -14,7 +15,7 @@ from hopfexact.algebra import (
     trace,
     trace_radical,
 )
-from hopfexact.constructions import build_kp
+from hopfexact.constructions import build_kp, catalog
 from hopfexact.field import FieldContext
 from hopfexact.linalg import Mat, Subspace
 
@@ -81,6 +82,30 @@ def test_trace_radical_of_dual_numbers():
 
 def test_trace_radical_of_matrix_algebra_is_zero():
     assert trace_radical(mat2_algebra()).dim == 0
+
+
+def _matmul_trace_form(alg):
+    """tr(L_i L_j) from the products of the left regular matrices."""
+    lefts = [alg.left_mult(alg.basis_element(i)) for i in range(alg.dim)]
+    return Mat(alg.ctx, [[trace(a @ b) for b in lefts] for a in lefts])
+
+
+def _non_associative(ctx):
+    """A three-dimensional unital table with seeded products of a and b."""
+    rng = random.Random(3)
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    table = [[e[j] if i == 0 else e[i] if j == 0 else
+              tuple(rng.randint(-2, 2) for _ in range(3))
+              for j in range(3)] for i in range(3)]
+    return Algebra(ctx, ("1", "a", "b"), e[0], table)
+
+
+@pytest.mark.parametrize("ctx", [QI, FieldContext(8)], ids=["q4", "q8"])
+def test_trace_form_matches_the_matrix_products(ctx):
+    nonassoc = _non_associative(ctx)
+    assert any("associativ" in p for p in check_algebra(nonassoc))
+    for alg in [*catalog(ctx).values(), nonassoc]:
+        assert _trace_form(alg) == _matmul_trace_form(alg)
 
 
 def test_generated_operator_algebra_fills_mat2():

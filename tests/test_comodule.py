@@ -57,6 +57,23 @@ def test_catalog_names_and_dims():
         assert a.dim == EXPECTED_DIMS[name]
 
 
+def test_catalog_builds_every_entry_over_one_kp():
+    cat = catalog(QI)
+    kp = cat["kp"].hopf
+    assert all(a.hopf is kp for a in cat.values())
+    # nothing multiplied yet: a pass that starts from this catalog starts cold
+    assert all(a._mult_matrix is None for a in [*cat.values(), kp])
+    assert all(a.hopf is KP for a in catalog(kp=KP).values())
+    # the entries are those of the builders that build their own kp
+    for name, built in [
+            ("ga_xy", build_group_algebra_comodule((0, 3), QI)),
+            ("a_i_xy", build_a_xy_gamma(QI.i(), QI)),
+            ("kpsi", build_twisted_group_algebra(None, QI))]:
+        assert built.hopf is not kp and built.hopf.table == kp.table
+        assert (cat[name].table, cat[name].coaction) \
+            == (built.table, built.coaction)
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED_DIMS))
 def test_catalog_entries_satisfy_all_axioms(name):
     assert check_comodule_algebra(CATALOG[name]) == []

@@ -1,15 +1,21 @@
 """The symbolic classification replays: constraint harvesting, certified
 eliminations, the n2 <= 1 classification and negative controls."""
 
+import hashlib
 import random
 from types import SimpleNamespace
 
 import pytest
 
 from hopfexact import replay
-from hopfexact.constructions import PSI_STANDARD, catalog
+from hopfexact.algebra import is_algebra_isomorphism
+from hopfexact.constructions import (PSI_STANDARD,
+                                     build_regular_comodule_algebra, catalog,
+                                     with_trivial_coaction)
 from hopfexact.errors import HopfExactError, NonlinearResidue
 from hopfexact.field import FieldContext, adjoin_sqrt
+from hopfexact.linalg import Mat, kron
+from hopfexact.morita import colinear_iso_search
 from hopfexact.poly import (Elimination, MultiPoly, _addmul, _linear_quotient,
                             _poly)
 from hopfexact.replay import (associativity_constraints, classify_n2_le_1,
@@ -435,6 +441,126 @@ def test_kp_is_built_once_per_classification(monkeypatch):
                                      "lxy_11": -i, "delta_11": -i}
     assert all(f.algebra.hopf is families[0].algebra.hopf for f in families)
 
+
+
+# -- the full extension: one case decided, the other carried ------------------
+
+_FULL_CHECKS = ("check_comodule_algebra", "check_exactness",
+                "colinear_iso_search")
+# the signs of the full extension's two cases: the representative first
+_REP_SIGNS, _MEMBER_SIGNS = ((1, 1), (-1, -1)), ((1, -1), (-1, 1))
+_NORMALISATION = (MultiPoly.var(CTX, "alpha_11") - 1,
+                  MultiPoly.var(CTX, "alpha_12") + 1)
+
+
+def _count_full_checks(monkeypatch):
+    """Count the calls that ``replay`` makes to each check of a case."""
+    calls = dict.fromkeys(_FULL_CHECKS, 0)
+    for name in _FULL_CHECKS:
+        def wrapper(*args, _real=getattr(replay, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(replay, name, wrapper)
+    return calls
+
+
+def test_a_cold_full_extension_decides_one_case_in_full(monkeypatch):
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    calls = _count_full_checks(monkeypatch)
+    report = replay_lemma("group-full-extension", CTX)
+    assert report.passed
+    assert calls == dict.fromkeys(_FULL_CHECKS, 1)
+    member = replay._system("ga_K", 2, _MEMBER_SIGNS, CTX)
+    assert member.source[0] is replay._system("ga_K", 2, _REP_SIGNS, CTX)
+
+
+def test_a_forced_fallback_decides_the_carried_case_alike(monkeypatch):
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    carried = replay_lemma("group-full-extension", CTX)
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    monkeypatch.setattr(replay, "_carried_iso", lambda *args: None)
+    calls = _count_full_checks(monkeypatch)
+    full = replay_lemma("group-full-extension", CTX)
+    assert calls == dict.fromkeys(_FULL_CHECKS, 2)
+    assert full.passed
+    for got, want in zip(full.cases, carried.cases):
+        assert (got.ok, got.detail, got.solution) \
+            == (want.ok, want.detail, want.solution)
+        assert repr(got.elimination) == repr(want.elimination)
+    assert repr(full) == repr(carried)
+
+
+def test_the_carried_iso_is_a_colinear_algebra_isomorphism_onto_kp():
+    regular = build_regular_comodule_algebra(CTX)
+    rep = replay._system("ga_K", 2, _REP_SIGNS, CTX)
+    member = replay._system("ga_K", 2, _MEMBER_SIGNS, CTX)
+    rep_alg, alg = (s.g.specialize(s.elimination(_NORMALISATION).pins,
+                                   regular.hopf) for s in (rep, member))
+    passed = {_REP_SIGNS: (rep_alg, colinear_iso_search(rep_alg, regular))}
+    iso = replay._carried_iso(member, alg, passed)
+    assert iso is not None
+    assert is_algebra_isomorphism(alg, regular, iso)
+    assert regular.coaction @ iso \
+        == kron(Mat.identity(CTX, 8), iso) @ alg.coaction
+    # nothing is carried without a representative that passed, to the
+    # representative itself, or to an algebra whose coaction is not the
+    # representative's carried along D
+    assert replay._carried_iso(member, alg, {}) is None
+    assert replay._carried_iso(rep, rep_alg, passed) is None
+    not_colinear = with_trivial_coaction(alg.hopf, alg)
+    assert replay._carried_iso(member, not_colinear, passed) is None
+
+
+def test_a_wrong_sign_change_is_refused_and_the_member_decided_in_full(
+        monkeypatch):
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    want = repr(replay_lemma("group-full-extension", CTX))
+    # the systems stay carried; only the report is formed again, with e_x's
+    # sign flipped in D, which keeps D colinear but not multiplicative
+    del replay._REPLAY_CACHE[("group-full-extension", CTX)]
+    real = replay._basis_signs
+
+    def flipped(g, eps):
+        signs = real(g, eps)
+        signs[1] = -signs[1]
+        return signs
+
+    monkeypatch.setattr(replay, "_basis_signs", flipped)
+    calls = _count_full_checks(monkeypatch)
+    assert repr(replay_lemma("group-full-extension", CTX)) == want
+    assert calls == dict.fromkeys(_FULL_CHECKS, 2)
+
+
+def test_a_failed_representative_is_not_carried(monkeypatch):
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    real = replay.check_comodule_algebra
+    seen = []
+
+    def check_comodule_algebra(a):
+        seen.append(a)
+        return ["refused for the test"] if len(seen) == 1 else real(a)
+
+    monkeypatch.setattr(replay, "check_comodule_algebra",
+                        check_comodule_algebra)
+    calls = _count_full_checks(monkeypatch)
+    report = replay_lemma("group-full-extension", CTX)
+    assert [c.ok for c in report.cases] == [False, True]
+    assert report.cases[0].detail.endswith("['refused for the test']")
+    assert calls == dict.fromkeys(_FULL_CHECKS, 2)
+
+
+# sha256 of the repr of every replay report, in replay_names() order, and of
+# classify_n2_le_1(), over Q(i); any change to a verdict, a certificate or a
+# constraint changes it
+_REPORTS_SHA256 = ("a114474cb87a4bd57e62c5cc25c5e87d"
+                   "42a2c5c91baa7dbf32d68cda11c9162d")
+
+
+def test_every_report_matches_its_pinned_digest(monkeypatch):
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    text = "".join(repr(replay_lemma(name, CTX)) for name in replay_names())
+    text += repr(classify_n2_le_1(CTX))
+    assert hashlib.sha256(text.encode()).hexdigest() == _REPORTS_SHA256
 
 # -- eliminate against the hand-written loop it replaced ------------------------
 
