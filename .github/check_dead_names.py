@@ -6,9 +6,11 @@ Fails on three things:
   ``src/hopfexact`` or of ``tests``; a name kept on purpose, such as a
   re-export, carries ``# noqa: F401`` on its line;
 * an error class of ``errors.py`` that no ``raise`` in the package names;
-* a top-level function or a method of the package, other than a dunder,
-  whose name occurs in no name, attribute, import or string constant of any
-  Python file under ``src/``, ``tests/``, ``perfbench/`` or ``.github/``.
+* a top-level function, class or assigned name, or a method, of the
+  package, other than a dunder, whose name is read by no name, attribute,
+  import or string constant of any Python file under ``src/``, ``tests/``,
+  ``perfbench/`` or ``.github/``; the assignment that binds a name does not
+  count as a use of it.
 
 Run it from the repository root: ``python3 .github/check_dead_names.py``.
 """
@@ -65,7 +67,7 @@ def unraised_errors(paths: list[Path]) -> list[str]:
 def _used_names(tree: ast.AST) -> set:
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
@@ -76,26 +78,44 @@ def _used_names(tree: ast.AST) -> set:
     return used
 
 
+def _bound_names(node: ast.stmt) -> list[str]:
+    """The names that a top-level statement or a method binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
 def _definitions(tree: ast.Module):
-    """The top-level functions and the methods of top-level classes, dunders
-    left out."""
+    """``(line, name)`` of the top-level functions, classes and assigned
+    names and of the methods of top-level classes, dunders left out."""
     for stmt in tree.body:
-        for node in stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not (node.name.startswith("__")
-                             and node.name.endswith("__"))):
-                yield node
+        nodes = [stmt]
+        if isinstance(stmt, ast.ClassDef):
+            nodes += [n for n in stmt.body if isinstance(
+                n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in nodes:
+            for name in _bound_names(node):
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield node.lineno, name
 
 
-def unused_functions(paths: list[Path]) -> list[str]:
+def unused_definitions(paths: list[Path]) -> list[str]:
     used = set()
     for root in USERS:
         for path in Path(root).rglob("*.py"):
             used |= _used_names(ast.parse(path.read_text()))
-    return [f"{path}:{node.lineno}: '{node.name}' is never used"
+    return [f"{path}:{line}: '{name}' is never used"
             for path in paths
-            for node in _definitions(ast.parse(path.read_text()))
-            if node.name not in used]
+            for line, name in _definitions(ast.parse(path.read_text()))
+            if name not in used]
 
 
 def main() -> int:
@@ -103,7 +123,7 @@ def main() -> int:
     problems = [p for path in paths + sorted(TESTS.glob("*.py"))
                 for p in unused_imports(path)]
     problems += unraised_errors(paths)
-    problems += unused_functions(paths)
+    problems += unused_definitions(paths)
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

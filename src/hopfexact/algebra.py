@@ -3,10 +3,11 @@
 An :class:`Algebra` is a labelled basis, a unit vector, and the full
 multiplication table ``table[i][j] = e_i * e_j`` (each entry a coordinate
 vector).  The table is immutable, so the algebra also keeps it once in
-sparse form: ``terms[i][j]`` holds the nonzero ``(k, c)`` of ``e_i * e_j``,
-and :meth:`Algebra.multiply` reads only those.  Axioms are checked exactly
-on every basis pair or triple, so a verdict of "associative" is a proof over
-the coefficient field, not a sample.
+sparse form: ``terms[i][j]`` is the :data:`~hopfexact.linalg.Row` of the
+nonzero coordinates of ``e_i * e_j``, and :meth:`Algebra.multiply` and the
+axiom checks read only those.  Axioms are checked exactly on every basis
+pair or triple, so a verdict of "associative" is a proof over the
+coefficient field, not a sample.
 
 Products of tensors go through one kernel, :func:`tensor_product`: a tensor
 with two legs multiplies leg by leg when each leg has its own sparse product
@@ -31,19 +32,20 @@ from .linalg import (
     Scalar,
     Subspace,
     Vec,
+    _combine,
     _dense,
+    _nonzero,
     _sparse,
-    _terms,
+    _vec_row,
     basis_vector,
     kernel,
     kron,
     vzero,
 )
 
-#: the nonzero ``(k, c)`` of a coordinate vector, in index order
-Terms = tuple[tuple[int, FieldElement], ...]
-#: ``table[a][c]``: the terms of the product of basis vectors ``a`` and ``c``
-Table = tuple[tuple[Terms, ...], ...]
+#: ``table[a][c]``: the nonzero coordinates of the product of basis vectors
+#: ``a`` and ``c``
+Table = tuple[tuple[Row, ...], ...]
 
 
 class Algebra:
@@ -62,7 +64,7 @@ class Algebra:
         self.unit: Vec = tuple(scal(ctx, c) for c in unit)
         self.table: tuple[tuple[Vec, ...], ...] = tuple(
             tuple(self._as_vec(entry) for entry in row) for row in table)
-        self.terms: Table = tuple(tuple(tuple(_terms(entry)) for entry in row)
+        self.terms: Table = tuple(tuple(map(_sparse, row))
                                   for row in self.table)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._mult_matrix: Optional[Mat] = None
@@ -96,22 +98,9 @@ class Algebra:
         return vzero(self.ctx, self.dim)
 
     def multiply(self, x: Sequence[FieldElement], y: Sequence[FieldElement]) -> Vec:
-        acc: list[Optional[FieldElement]] = [None] * self.dim
-        y_terms = _terms(y)
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            row = self.terms[i]
-            for j, yj in y_terms:
-                entry = row[j]
-                if not entry:
-                    continue
-                c = xi * yj
-                for k, e in entry:
-                    t = c * e
-                    acc[k] = t if acc[k] is None else acc[k] + t
-        zero = self.ctx.zero()
-        return tuple(zero if e is None else e for e in acc)
+        xs, ys = _sparse(x), _sparse(y)
+        prod = _combine(xs, {i: _combine(ys, self.terms[i]) for i in xs})
+        return tuple(_dense(self.ctx, prod, self.dim))
 
     def mult_matrix(self) -> Mat:
         """Multiplication as a ``dim x dim**2`` matrix on ``x (x) y``."""
@@ -133,16 +122,16 @@ class Algebra:
         return f"Algebra(dim={self.dim}, labels={list(self.labels)})"
 
 
-def tensor_product(left: Table, right: Table, u: Sequence[FieldElement],
-                   v: Sequence[FieldElement], shape: tuple[int, int]) -> Vec:
+def tensor_product(left: Table, right: Table, u: Row, v: Row,
+                   right_dim: int) -> Row:
     """Product of two tensors of two legs, each leg by its own table.
 
     ``(a (x) b)(c (x) d) = left[a][c] (x) right[b][d]``, extended bilinearly,
-    with the left leg on the coarse index of ``u``, ``v`` and the result.
-    ``u`` has ``len(left) * len(right)`` coordinates and ``v`` has
-    ``len(left[0]) * len(right[0])``; the result has ``shape[0] * shape[1]``,
-    its legs indexed by the ``k`` of the left table terms and the ``l`` of
-    the right ones.
+    with the left leg on the coarse index of ``u``, ``v`` and the result,
+    each given by its nonzero coordinates.  ``u`` has ``len(left) *
+    len(right)`` coordinates and ``v`` has ``len(left[0]) * len(right[0])``;
+    the legs of the result are indexed by the ``k`` of the left table terms
+    and the ``l < right_dim`` of the right ones.
 
     The right leg of ``v`` is contracted first.  For each ``(b, c)`` that a
     term of ``u`` meets, ``r_bc = sum_d v[c, d] right[b][d]`` is formed once
@@ -160,19 +149,14 @@ def tensor_product(left: Table, right: Table, u: Sequence[FieldElement],
     nonzero elements vanish.
     """
     nu, nv = len(right), len(right[0])
-    if len(u) != len(left) * nu or len(v) != len(left[0]) * nv:
-        raise DimensionMismatch(
-            f"tensors of {len(u)} and {len(v)} coordinates do not fit tables "
-            f"of {len(left)}x{len(left[0])} and {nu}x{nv} basis pairs")
-    out_right = shape[1]
-    acc: list[Optional[FieldElement]] = [None] * (shape[0] * out_right)
-    # the terms of v grouped by their left index c, as (d, y)
-    v_rows: dict[int, list[tuple[int, FieldElement]]] = {}
-    for j, y in _terms(v):
+    acc: Row = {}
+    # the terms of v grouped by their left index c, as {d: y}
+    v_rows: dict[int, Row] = {}
+    for j, y in v.items():
         c, d = divmod(j, nv)
-        v_rows.setdefault(c, []).append((d, y))
-    contracted: dict[tuple[int, int], list[tuple[int, FieldElement]]] = {}
-    for i, x in _terms(u):
+        v_rows.setdefault(c, {})[d] = y
+    contracted: dict[tuple[int, int], Row] = {}
+    for i, x in u.items():
         a, b = divmod(i, nu)
         left_row = left[a]
         for c, v_row in v_rows.items():
@@ -181,40 +165,19 @@ def tensor_product(left: Table, right: Table, u: Sequence[FieldElement],
                 continue
             rt = contracted.get((b, c))
             if rt is None:
-                rt = contracted[b, c] = _contract(right[b], v_row)
+                rt = contracted[b, c] = _combine(v_row, right[b])
             if not rt:
                 continue
-            for k, p in lt:
+            for k, p in lt.items():
                 w = x * p
                 if w.is_zero():
                     continue
-                base = k * out_right
-                for l, q in rt:
+                base = k * right_dim
+                for l, q in rt.items():
                     t = w * q
-                    idx = base + l
-                    acc[idx] = t if acc[idx] is None else acc[idx] + t
-    zero = u[0].ctx.zero()
-    return tuple(zero if e is None else e for e in acc)
-
-
-def _contract(right_row: tuple[Terms, ...],
-              v_row: list[tuple[int, FieldElement]]
-              ) -> list[tuple[int, FieldElement]]:
-    """The nonzero ``(l, sum_d y right_row[d][l])`` over the ``(d, y)`` of
-    ``v_row``."""
-    sums: dict[int, FieldElement] = {}
-    for d, y in v_row:
-        for l, q in right_row[d]:
-            t = y * q
-            sums[l] = sums[l] + t if l in sums else t
-    return [(l, s) for l, s in sums.items() if not s.is_zero()]
-
-
-def mixed_tensor_product(h: Algebra, a: Algebra, u: Sequence[FieldElement],
-                         v: Sequence[FieldElement]) -> Vec:
-    """Product of two elements of H (x) A (coarse index on the H leg); with
-    ``a = h`` this is the product of the tensor square H (x) H."""
-    return tensor_product(h.terms, a.terms, u, v, (h.dim, a.dim))
+                    old = acc.get(base + l)
+                    acc[base + l] = t if old is None else old + t
+    return _nonzero(acc)
 
 
 def multiplicative_into_tensor(phi: Mat, a: Algebra, h: Algebra,
@@ -222,8 +185,9 @@ def multiplicative_into_tensor(phi: Mat, a: Algebra, h: Algebra,
     """Whether ``phi: A -> H (x) B`` sends the product of every pair of basis
     vectors of A to the product of their images, which by bilinearity
     makes it multiplicative."""
-    images = [phi.col(j) for j in range(a.dim)]
-    return all(phi.apply(a.table[i][j]) == mixed_tensor_product(h, b, x, y)
+    images = phi.transpose().entries
+    return all(_combine(a.terms[i][j], images)
+               == tensor_product(h.terms, b.terms, x, y, b.dim)
                for i, x in enumerate(images) for j, y in enumerate(images))
 
 
@@ -240,15 +204,10 @@ def check_algebra(alg: Algebra) -> list[str]:
         problems.append("unit is not a left unit")
     if alg.right_mult(alg.unit) != ident:
         problems.append("unit is not a right unit")
-    assoc_ok = True
-    for i in range(n):
-        for j in range(n):
-            ij = alg.table[i][j]
-            for k in range(n):
-                lhs = alg.multiply(ij, alg.basis_element(k))
-                rhs = alg.multiply(alg.basis_element(i), alg.table[j][k])
-                if lhs != rhs:
-                    assoc_ok = False
+    t = alg.terms
+    cols = [[t[m][k] for m in range(n)] for k in range(n)]
+    assoc_ok = all(_combine(t[i][j], cols[k]) == _combine(t[j][k], t[i])
+                   for i in range(n) for j in range(n) for k in range(n))
     if not assoc_ok:
         problems.append("multiplication is not associative")
     return problems
@@ -274,13 +233,13 @@ def _trace_form(alg: Algebra) -> Mat:
     by_pair: list[list[list]] = [[[] for _ in range(n)] for _ in range(n)]
     for j in range(n):
         for k in range(n):
-            for m, c in alg.terms[j][k]:
+            for m, c in alg.terms[j][k].items():
                 by_pair[k][m].append((j, c))
     gram = [[ctx.zero()] * n for _ in range(n)]
     for i in range(n):
         row = gram[i]
         for m in range(n):
-            for k, c in alg.terms[i][m]:
+            for k, c in alg.terms[i][m].items():
                 for j, d in by_pair[k][m]:
                     row[j] = row[j] + c * d
     return Mat(ctx, gram)
@@ -292,17 +251,14 @@ def trace_radical(alg: Algebra) -> Subspace:
     return Subspace.from_vectors(alg.ctx, alg.dim, kernel(_trace_form(alg)))
 
 
-def generated_operator_algebra(gens: Sequence[Mat],
-                               include_identity: bool = True) -> list[Mat]:
-    """Basis of the matrix algebra generated by ``gens`` (worklist closure).
+def generated_operator_algebra(gens: Sequence[Mat]) -> list[Mat]:
+    """Basis of the unital matrix algebra generated by ``gens`` (worklist
+    closure).
 
-    Each word is kept as the sparse row of its row-major ``vec``, and
-    ``vec(m @ g)`` is formed from the nonzero entries of ``m`` and the
-    nonzero row terms of ``g``, built once per generator, with the sums in
-    the order of ``Mat.__matmul__``.  A word joins the basis when it is
-    independent of the basis so far, by
-    :class:`~hopfexact.linalg.RrefAccumulator`'s row path; the closure stops
-    once the basis holds n**2 words, since no further word can be new.
+    A word joins the basis when the stored row of its ``vec`` is independent
+    of the basis so far, by :class:`~hopfexact.linalg.RrefAccumulator`'s row
+    path; the closure stops once the basis holds n**2 words, since no
+    further word can be new.
     """
     if not gens:
         raise DimensionMismatch("need at least one generator")
@@ -310,39 +266,17 @@ def generated_operator_algebra(gens: Sequence[Mat],
     n = gens[0].nrows
     if any(g.nrows != n or g.ncols != n or g.ctx != ctx for g in gens):
         raise DimensionMismatch("generators must be square of equal size")
-    nn = n * n
-    gen_terms = [[_terms(r) for r in g.rows] for g in gens]
-    one = ctx.one()
     # every word in the generators is reachable by right extensions, so
     # closing the span under right multiplication by each generator suffices
-    acc = RrefAccumulator(ctx, nn)
-    basis: list[Row] = []
-    queue: list[Row] = (
-        ([{i * n + i: one for i in range(n)}] if include_identity else [])
-        + [_sparse(g.vec()) for g in gens])
-    while queue and len(basis) < nn:
+    acc = RrefAccumulator(ctx, n * n)
+    basis: list[Mat] = []
+    queue = [Mat.identity(ctx, n), *gens]
+    while queue and len(basis) < n * n:
         w = queue.pop()
-        if acc._add_row(dict(w)):
-            queue.extend(_vec_product(w, rows, n) for rows in gen_terms)
+        if acc._add_row(_vec_row(w)):
+            queue.extend(w @ g for g in gens)
             basis.append(w)
-    return [Mat.unvec(ctx, _dense(ctx, w, nn), n, n) for w in basis]
-
-
-def _vec_product(w: Row, g_terms: list[list[tuple[int, FieldElement]]],
-                 n: int) -> Row:
-    """The sparse ``vec(m @ g)`` from the sparse ``vec(m)`` and the nonzero
-    terms of each row of ``g``; ``w`` is in column order, and so is the
-    result, so each entry is summed over ``k`` in increasing order."""
-    acc: dict[int, FieldElement] = {}
-    for ik, a in w.items():
-        i, k = divmod(ik, n)
-        base = i * n
-        for l, b in g_terms[k]:
-            t = a * b
-            j = base + l
-            old = acc.get(j)
-            acc[j] = t if old is None else old + t
-    return {j: acc[j] for j in sorted(acc) if not acc[j].is_zero()}
+    return basis
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:

@@ -22,8 +22,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .algebra import Algebra, check_algebra, multiplicative_into_tensor
-# mixed_tensor_product is re-exported for callers that import it from here
-from .algebra import mixed_tensor_product  # noqa: F401
 from .errors import (
     BadWitness,
     DimensionMismatch,
@@ -35,11 +33,11 @@ from .field import FieldContext, FieldElement, sqrt_in_context
 from .hopf import Hopf, coaction_laws, rebase_hopf
 from .linalg import (
     Mat,
+    Row,
     Scalar,
     Subspace,
     Vec,
     _kernel_rows,
-    _sparse,
     _subtract_multiple,
     basis_vector,
     eigenspace,
@@ -104,17 +102,14 @@ def coaction_slice(c: ComoduleLike, h_index: int) -> Mat:
 def direct_sum_coaction(nh: int, first: Mat, second: Mat) -> Mat:
     """The block-diagonal coaction on V (+) W, given the coaction matrices
     of V and W over a Hopf algebra of dimension ``nh``."""
-    ctx = first.ctx
     n, m = first.ncols, second.ncols
-    cols = []
+    rows: list[Row] = [{} for _ in range(nh * (n + m))]
     for coaction, dim, offset in ((first, n, 0), (second, m, n)):
-        for j in range(dim):
-            col = [ctx.zero()] * (nh * (n + m))
-            for idx, c in enumerate(coaction.col(j)):
-                hh, k = divmod(idx, dim)
-                col[hh * (n + m) + offset + k] = c
-            cols.append(tuple(col))
-    return Mat.from_columns(ctx, cols)
+        for idx, r in enumerate(coaction.entries):
+            hh, k = divmod(idx, dim)
+            rows[hh * (n + m) + offset + k] = {offset + j: c
+                                               for j, c in r.items()}
+    return Mat.from_entries(first.ctx, rows, n + m)
 
 
 def check_comodule(c: ComoduleLike) -> list[str]:
@@ -146,9 +141,9 @@ def isotypic_part(c: ComoduleLike, g: Sequence[FieldElement]) -> Subspace:
     ctx, n = c.ctx, c.dim
     one = ctx.one()
     rows = []
-    for idx, r in enumerate(c.coaction.rows):
+    for idx, r in enumerate(c.coaction.entries):
         h, k = divmod(idx, n)
-        row = _sparse(r)
+        row = dict(r)
         _subtract_multiple(row, g[h], {k: one})
         rows.append(row)
     return Subspace.from_vectors(ctx, n, _kernel_rows(ctx, rows, n))
@@ -456,4 +451,4 @@ def rebase_comodule_algebra(a: ComoduleAlgebra,
     unit = [c.coerce(ctx) for c in a.unit]
     table = [[[c.coerce(ctx) for c in cell] for cell in row]
              for row in a.table]
-    return ComoduleAlgebra(h, a.labels, unit, table, Mat(ctx, a.coaction.rows))
+    return ComoduleAlgebra(h, a.labels, unit, table, a.coaction.coerce(ctx))

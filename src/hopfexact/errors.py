@@ -94,4 +94,4 @@ class InvalidKind(HopfExactError):
 
 
 class NonlinearResidue(HopfExactError):
-    """forces_vanishing could not decide: nonlinear constraints remain."""
+    """A vanishing question is undecided: nonlinear constraints remain."""

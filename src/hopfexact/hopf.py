@@ -22,7 +22,6 @@ from .linalg import (
     Mat,
     Scalar,
     Vec,
-    _terms,
     inverse,
     linear_combination,
     slice_left,
@@ -73,18 +72,18 @@ def coaction_laws(h: Hopf, dim: int, coaction: Mat) -> tuple[bool, bool]:
     counit law, checked column by column over the nonzero entries."""
     nh = h.dim
     zero = h.ctx.zero()
-    comult = [_terms(h.comult.col(a)) for a in range(nh)]
-    cols = [_terms(coaction.col(j)) for j in range(dim)]
+    comult = h.comult.transpose().entries
+    cols = coaction.transpose().entries
     coassoc_ok = True
     for col in cols:
         lhs: dict[int, FieldElement] = {}
         rhs: dict[int, FieldElement] = {}
-        for idx, coef in col:
+        for idx, coef in col.items():
             a, k = divmod(idx, dim)
-            for idx2, c2 in comult[a]:
+            for idx2, c2 in comult[a].items():
                 key = idx2 * dim + k
                 lhs[key] = lhs.get(key, zero) + coef * c2
-            for idx2, c2 in cols[k]:
+            for idx2, c2 in cols[k].items():
                 key = a * nh * dim + idx2
                 rhs[key] = rhs.get(key, zero) + coef * c2
         if any(lhs.get(k, zero) != rhs.get(k, zero) for k in lhs.keys() | rhs):
@@ -133,13 +132,11 @@ def check_antipode(h: Hopf) -> list[str]:
     n = h.dim
     left_ok = True
     right_ok = True
-    for j in range(n):
+    for j, col in enumerate(h.comult.transpose().entries):
         target = vscale(h.counit[j], h.unit)
         left = h.zero()
         right = h.zero()
-        for idx, c in enumerate(h.comult.col(j)):
-            if c.is_zero():
-                continue
+        for idx, c in col.items():
             a, b = divmod(idx, n)
             left = vadd(left, vscale(c, h.multiply(h.antipode.col(a),
                                                    h.basis_element(b))))
@@ -193,7 +190,6 @@ def rebase_hopf(h: Hopf, ctx: FieldContext) -> Hopf:
     """
     unit = [c.coerce(ctx) for c in h.unit]
     table = [[[c.coerce(ctx) for c in cell] for cell in row] for row in h.table]
-    comult = Mat(ctx, h.comult.rows)
     counit = [c.coerce(ctx) for c in h.counit]
-    antipode = Mat(ctx, h.antipode.rows)
-    return Hopf(ctx, h.labels, unit, table, comult, counit, antipode)
+    return Hopf(ctx, h.labels, unit, table, h.comult.coerce(ctx), counit,
+                h.antipode.coerce(ctx))

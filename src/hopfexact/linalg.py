@@ -5,21 +5,21 @@ Everything is computed by fraction-exact Gaussian elimination — no floating
 point anywhere.  Subspaces carry a canonical reduced-row-echelon basis so
 that equality of subspaces is literal equality of their stored bases.
 
-Matrices are stored dense, and ``@``, ``apply`` and ``kron`` skip
-structural zeros: a product with a zero factor is never formed.  Elimination
-runs on sparse rows, dicts ``{column: entry}`` of the nonzero entries, with
-one helper that subtracts a multiple of a pivot row.  Two drivers share it:
+A :class:`Mat` stores each row as a :data:`Row`, the dict ``{column:
+entry}`` of its nonzero entries, and every kernel reads and builds those
+rows: ``@`` sums rows of the right factor row by row, and ``transpose``
+moves each entry once (Gustavson, ACM TOMS 4(3), 1978); a sum or product
+that vanishes is never stored.  Elimination runs on the same rows, with one
+helper that subtracts a multiple of a pivot row.  Two drivers share it:
 
-* ``_echelon`` eliminates a list of rows column by column, taking the first
-  remaining nonzero row as pivot.  ``rref``/``rank``/``solve``/``inverse``
-  run it on a whole matrix, and ``_kernel_rows`` reads a null-space basis
-  from its pivot rows.  ``kernel`` is ``_kernel_rows`` on the rows of a
-  matrix; ``morita.intertwiners`` and ``morita.colinear_maps`` write their
-  operator-space systems as sparse rows and call ``_kernel_rows`` directly,
-  with no dense matrix in between.
+* ``_echelon`` eliminates a list of rows column by column, in place, taking
+  the first remaining nonzero row as pivot.  ``rref``/``rank``/``solve``/
+  ``inverse`` run it on copies of a matrix's rows, and ``_kernel_rows``
+  reads a null-space basis from its pivot rows, for ``kernel`` and for the
+  operator-space systems that ``morita`` writes as rows.
 * :class:`RrefAccumulator` inserts one row at a time into fully reduced rows
   keyed by pivot (``_add_row``); ``add`` takes a dense vector, and
-  ``algebra.generated_operator_algebra`` inserts its sparse words directly.
+  ``algebra.generated_operator_algebra`` inserts the rows of its words.
 
 Exact arithmetic makes the results identical to dense elimination, entry for
 entry, pivots and basis order included.
@@ -41,6 +41,8 @@ from .errors import DimensionMismatch
 from .field import FieldContext, FieldElement, scal
 
 Vec = tuple[FieldElement, ...]
+#: the nonzero entries of a row, ``{column: entry}``
+Row = dict[int, FieldElement]
 Scalar = int | Fraction | str | FieldElement
 
 
@@ -75,74 +77,93 @@ def tensor_vec(a: Vec, b: Vec) -> Vec:
 
 
 class Mat:
-    """A dense matrix of field elements over a single context."""
+    """A matrix of field elements over a single context.
 
-    __slots__ = ("ctx", "rows")
+    Row ``i`` is stored as ``entries[i]``, the :data:`Row` of its nonzero
+    entries; ``rows``, ``col`` and ``m[i, j]`` are dense views, computed
+    each time they are read.  The stored dicts may be shared between
+    matrices and must never be modified."""
+
+    __slots__ = ("ctx", "ncols", "entries")
 
     def __init__(self, ctx: FieldContext, rows: Iterable[Iterable[Scalar]]):
-        # entries already in ``ctx`` (results of ``@``, ``kron``, ``rref``)
-        # are taken as they are; anything else is parsed or coerced
-        normalized = [
-            tuple(e if e.__class__ is FieldElement and e.ctx is ctx
-                  else scal(ctx, e) for e in row)
-            for row in rows]
-        if normalized and any(len(r) != len(normalized[0]) for r in normalized):
+        # entries already in ``ctx`` are taken as they are; anything else is
+        # parsed or coerced
+        dense = [[e if e.__class__ is FieldElement and e.ctx is ctx
+                  else scal(ctx, e) for e in row] for row in rows]
+        if any(len(r) != len(dense[0]) for r in dense):
             raise DimensionMismatch("ragged rows")
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "rows", tuple(normalized))
+        object.__setattr__(self, "ncols", len(dense[0]) if dense else 0)
+        object.__setattr__(self, "entries", tuple(map(_sparse, dense)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
 
     @classmethod
+    def from_entries(cls, ctx: FieldContext, entries: Iterable[Row],
+                     ncols: int) -> "Mat":
+        """The matrix with the given stored rows, taken as they are: each
+        dict holds only nonzero elements of ``ctx``, keyed by column."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "ctx", ctx)
+        object.__setattr__(m, "ncols", ncols)
+        object.__setattr__(m, "entries", tuple(entries))
+        return m
+
+    @classmethod
     def zeros(cls, ctx: FieldContext, m: int, n: int) -> "Mat":
-        z = ctx.zero()
-        return cls(ctx, [[z] * n for _ in range(m)])
+        return cls.from_entries(ctx, ({} for _ in range(m)), n)
 
     @classmethod
     def identity(cls, ctx: FieldContext, n: int) -> "Mat":
-        one, z = ctx.one(), ctx.zero()
-        return cls(ctx, [[one if i == j else z for j in range(n)] for i in range(n)])
+        one = ctx.one()
+        return cls.from_entries(ctx, ({i: one} for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, ctx: FieldContext, cols: Sequence[Sequence[Scalar]]) -> "Mat":
-        cols = [tuple(scal(ctx, e) for e in c) for c in cols]
-        if not cols:
-            return cls(ctx, [])
-        m = len(cols[0])
-        return cls(ctx, [[c[i] for c in cols] for i in range(m)])
+        return cls(ctx, cols).transpose()
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.entries)
 
     @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+    def rows(self) -> tuple[Vec, ...]:
+        return tuple(tuple(_dense(self.ctx, r, self.ncols))
+                     for r in self.entries)
 
     def __getitem__(self, ij: tuple[int, int]) -> FieldElement:
         i, j = ij
-        return self.rows[i][j]
-
-    def row(self, i: int) -> Vec:
-        return self.rows[i]
+        return self.entries[i].get(j, self.ctx.zero())
 
     def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.rows)
+        zero = self.ctx.zero()
+        return tuple(r.get(j, zero) for r in self.entries)
+
+    def coerce(self, ctx: FieldContext) -> "Mat":
+        """The same matrix over ``ctx``, which contains ``self.ctx``."""
+        return Mat.from_entries(
+            ctx, ({j: e.coerce(ctx) for j, e in r.items()}
+                  for r in self.entries), self.ncols)
 
     def transpose(self) -> "Mat":
-        return Mat(self.ctx, [self.col(j) for j in range(self.ncols)])
+        cols: list[Row] = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(self.entries):
+            for j, e in r.items():
+                cols[j][i] = e
+        return Mat.from_entries(self.ctx, cols, self.nrows)
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat(self.ctx, [vadd(a, b) for a, b in zip(self.rows, other.rows)])
+        one = self.ctx.one()
+        return linear_combination((one, one), (self, other))
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat(self.ctx, [vsub(a, b) for a, b in zip(self.rows, other.rows)])
+        return linear_combination((self.ctx.one(), self.ctx.scalar(-1)),
+                                  (self, other))
 
     def __neg__(self) -> "Mat":
-        return Mat(self.ctx, [tuple(-e for e in r) for r in self.rows])
+        return self.scale(-1)
 
     def _same_shape(self, other: "Mat"):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -150,54 +171,55 @@ class Mat:
                 f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
 
     def scale(self, c: Scalar) -> "Mat":
+        """``c * self``; a product that vanishes, as one of zero divisors
+        does, is dropped."""
         c = scal(self.ctx, c)
-        return Mat(self.ctx, [vscale(c, r) for r in self.rows])
+        return Mat.from_entries(
+            self.ctx, (_nonzero({j: c * e for j, e in r.items()})
+                       for r in self.entries), self.ncols)
 
     def __matmul__(self, other: "Mat") -> "Mat":
+        """Row by row: row ``i`` of the product is the sum of the stored
+        rows ``k`` of ``other``, each times the entry ``(i, k)``."""
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
-        n = other.ncols
-        zero = self.ctx.zero()
-        other_terms = [_terms(r) for r in other.rows]
-        out = []
-        for r in self.rows:
-            acc: list[Optional[FieldElement]] = [None] * n
-            for a, terms in zip(r, other_terms):
-                if not terms or a.is_zero():
-                    continue
-                for j, b in terms:
-                    t = a * b
-                    acc[j] = t if acc[j] is None else acc[j] + t
-            out.append([zero if e is None else e for e in acc])
-        return Mat(self.ctx, out)
+        return Mat.from_entries(
+            self.ctx, (_combine(r, other.entries) for r in self.entries),
+            other.ncols)
 
     def apply(self, v: Sequence[FieldElement]) -> Vec:
         if self.ncols != len(v):
             raise DimensionMismatch(f"matrix has {self.ncols} columns, vector {len(v)}")
-        if self.rows and not v:
+        if self.entries and not v:
             raise DimensionMismatch("empty dot product")
-        terms = _terms(v)
-        return tuple(_dot(r, terms, self.ctx) for r in self.rows)
-
-    def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.rows)
+        x = _sparse(v)
+        zero = self.ctx.zero()
+        out = []
+        for r in self.entries:
+            acc = None
+            for k, a in r.items():
+                y = x.get(k)
+                if y is not None:
+                    t = a * y
+                    acc = t if acc is None else acc + t
+            out.append(zero if acc is None else acc)
+        return tuple(out)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.ctx == other.ctx and self.rows == other.rows
+        return (self.ctx == other.ctx and self.ncols == other.ncols
+                and self.entries == other.entries)
 
     def __hash__(self):
-        return hash((self.ctx, self.rows))
+        return hash((self.ctx, self.ncols,
+                     tuple(frozenset(r.items()) for r in self.entries)))
 
     def vec(self) -> Vec:
         """Row-major flattening."""
-        out: list[FieldElement] = []
-        for r in self.rows:
-            out.extend(r)
-        return tuple(out)
+        return tuple(_dense(self.ctx, _vec_row(self), self.nrows * self.ncols))
 
     @classmethod
     def unvec(cls, ctx: FieldContext, v: Sequence[FieldElement], m: int, n: int) -> "Mat":
@@ -210,59 +232,53 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols}: {body})"
 
 
-def _terms(v: Sequence[FieldElement]) -> list[tuple[int, FieldElement]]:
-    """The nonzero entries of ``v`` with their positions."""
-    return [(j, e) for j, e in enumerate(v) if not e.is_zero()]
+def _combine(coeffs: Row, rows: Sequence[Row] | dict[int, Row]) -> Row:
+    """``sum_k coeffs[k] * rows[k]``, the rows indexed by the keys of
+    ``coeffs``: a row vector times the matrix with the stored rows ``rows``."""
+    acc: Row = {}
+    for k, c in coeffs.items():
+        for j, x in rows[k].items():
+            t = c * x
+            old = acc.get(j)
+            acc[j] = t if old is None else old + t
+    return _nonzero(acc)
 
 
-def _dot(a: Sequence[FieldElement], terms: list[tuple[int, FieldElement]],
-         ctx: FieldContext) -> FieldElement:
-    """``sum a[k] * y`` over the nonzero ``(k, y)`` of the other factor."""
-    acc = None
-    for k, y in terms:
-        x = a[k]
-        if not x.is_zero():
-            term = x * y
-            acc = term if acc is None else acc + term
-    return ctx.zero() if acc is None else acc
+def _nonzero(row: Row) -> Row:
+    """``row`` without the entries that are zero."""
+    return {j: e for j, e in row.items() if not e.is_zero()}
+
+
+def _vec_row(mat: Mat) -> Row:
+    """The stored row of ``mat.vec()``."""
+    n = mat.ncols
+    return {i * n + j: e
+            for i, r in enumerate(mat.entries) for j, e in r.items()}
 
 
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product with the left factor on the coarse index."""
-    zero = a.ctx.zero()
-    rows = []
-    for i in range(a.nrows):
-        for k in range(b.nrows):
-            row = []
-            for j in range(a.ncols):
-                aij = a[i, j]
-                if aij.is_zero():
-                    row.extend([zero] * b.ncols)
-                else:
-                    row.extend(aij * b[k, l] for l in range(b.ncols))
-            rows.append(row)
-    return Mat(a.ctx, rows)
+    nb = b.ncols
+    rows = [_nonzero({j * nb + l: x * y for j, x in ra.items()
+                      for l, y in rb.items()})
+            for ra in a.entries for rb in b.entries]
+    return Mat.from_entries(a.ctx, rows, a.ncols * nb)
 
 
 def linear_combination(coeffs: Sequence[FieldElement],
                        mats: Sequence[Mat]) -> Mat:
     """``sum c_k * M_k`` over the nonzero ``c_k``; the ``M_k`` share one
-    shape, and zero entries of the ``M_k`` are skipped."""
+    shape."""
     if not mats or len(coeffs) != len(mats):
         raise DimensionMismatch(
             f"{len(coeffs)} coefficients for {len(mats)} matrices")
     first = mats[0]
-    zero = first.ctx.zero()
-    rows = [[zero] * first.ncols for _ in range(first.nrows)]
-    for c, m in zip(coeffs, mats):
+    for m in mats:
         m._same_shape(first)
-        if c.is_zero():
-            continue
-        for acc, r in zip(rows, m.rows):
-            for j, x in enumerate(r):
-                if not x.is_zero():
-                    acc[j] = acc[j] + c * x
-    return Mat(first.ctx, rows)
+    nonzero = _sparse(coeffs)
+    return Mat.from_entries(
+        first.ctx, (_combine(nonzero, rows) for rows in
+                    zip(*(m.entries for m in mats))), first.ncols)
 
 
 def slice_left(mat: Mat, dim_left: int, dim_right: int, h: int) -> Mat:
@@ -271,7 +287,8 @@ def slice_left(mat: Mat, dim_left: int, dim_right: int, h: int) -> Mat:
     if mat.nrows != dim_left * dim_right:
         raise DimensionMismatch(
             f"codomain has {mat.nrows} rows, expected {dim_left}*{dim_right}")
-    return Mat(mat.ctx, [mat.rows[h * dim_right + b] for b in range(dim_right)])
+    return Mat.from_entries(
+        mat.ctx, mat.entries[h * dim_right:(h + 1) * dim_right], mat.ncols)
 
 
 def slice_right(mat: Mat, dim_left: int, dim_right: int, k: int) -> Mat:
@@ -279,18 +296,18 @@ def slice_right(mat: Mat, dim_left: int, dim_right: int, k: int) -> Mat:
     if mat.nrows != dim_left * dim_right:
         raise DimensionMismatch(
             f"codomain has {mat.nrows} rows, expected {dim_left}*{dim_right}")
-    return Mat(mat.ctx, [mat.rows[a * dim_right + k] for a in range(dim_left)])
+    return Mat.from_entries(mat.ctx, mat.entries[k::dim_right], mat.ncols)
 
 
 def minimal_polynomial(mat: Mat) -> list[FieldElement]:
     """Monic minimal polynomial, coefficients low-to-high."""
     if mat.nrows != mat.ncols:
         raise DimensionMismatch("minimal polynomial needs a square matrix")
-    ctx = mat.ctx
-    powers = [Mat.identity(ctx, mat.nrows)]
+    ctx, n = mat.ctx, mat.nrows
+    powers = [Mat.identity(ctx, n)]
     while True:
         nxt = powers[-1] @ mat
-        body = Mat(ctx, [p.vec() for p in powers]).transpose()
+        body = Mat.from_entries(ctx, map(_vec_row, powers), n * n).transpose()
         coords = solve(body, nxt.vec())
         if coords is not None:
             return [-c for c in coords] + [ctx.one()]
@@ -304,19 +321,16 @@ def restrict_operator(op: Mat, space: Subspace) -> Mat:
     coordinates at the pivot columns; an image that its coordinates do not
     rebuild lies outside the subspace."""
     basis = space.basis()
-    rows = [_sparse(b) for b in basis]
-    pivots = [min(r) for r in rows]
-    cols = []
-    for b in basis:
-        image = op.apply(b)
-        coords = tuple(image[p] for p in pivots)
-        residual = _sparse(image)
-        for c, r in zip(coords, rows):
-            _subtract_multiple(residual, c, r)
-        if residual:
+    pivot_rows = {min(r): r for r in map(_sparse, basis)}
+    out: list[Row] = [{} for _ in basis]
+    for k, b in enumerate(basis):
+        image = _sparse(op.apply(b))
+        for i, p in enumerate(pivot_rows):
+            if p in image:
+                out[i][k] = image[p]
+        if _reduce(image, pivot_rows):
             raise DimensionMismatch("subspace is not invariant under the operator")
-        cols.append(coords)
-    return Mat.from_columns(space.ctx, cols)
+    return Mat.from_entries(space.ctx, out, len(basis))
 
 
 def eigenspace(op: Mat, value: FieldElement) -> Subspace:
@@ -328,20 +342,15 @@ def vstack(mats: Sequence[Mat]) -> Mat:
     n = mats[0].ncols
     if any(x.ncols != n for x in mats):
         raise DimensionMismatch("vstack needs equal column counts")
-    rows: list[Vec] = []
-    for x in mats:
-        rows.extend(x.rows)
-    return Mat(mats[0].ctx, rows)
+    return Mat.from_entries(mats[0].ctx,
+                            [r for x in mats for r in x.entries], n)
 
 
 # -- elimination -------------------------------------------------------------
 #
-# Every elimination below works on one sparse row format, a dict
-# {column: entry} that holds only the nonzero entries of a row, and
+# Every elimination below works on the stored row format of ``Mat``, and
 # eliminates with one helper, ``_subtract_multiple``.  ``replay.eliminate``
 # reduces its Macaulay rows, keyed by monomial, with ``_echelon`` too.
-
-Row = dict[int, FieldElement]
 
 
 def _sparse(v: Sequence[FieldElement]) -> Row:
@@ -409,9 +418,8 @@ def _echelon(rows: list[dict], cols: Iterable) -> tuple[list[dict], list]:
 
 
 def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
-    ctx, n = mat.ctx, mat.ncols
-    rows, pivots = _echelon([_sparse(r) for r in mat.rows], range(n))
-    return Mat(ctx, [_dense(ctx, r, n) for r in rows]), tuple(pivots)
+    rows, pivots = _echelon(list(map(dict, mat.entries)), range(mat.ncols))
+    return Mat.from_entries(mat.ctx, rows, mat.ncols), tuple(pivots)
 
 
 def rank(mat: Mat) -> int:
@@ -420,7 +428,7 @@ def rank(mat: Mat) -> int:
 
 def kernel(mat: Mat) -> list[Vec]:
     """Basis of the right null space, one vector per free column."""
-    return _kernel_rows(mat.ctx, [_sparse(r) for r in mat.rows], mat.ncols)
+    return _kernel_rows(mat.ctx, list(map(dict, mat.entries)), mat.ncols)
 
 
 def _kernel_rows(ctx: FieldContext, rows: list[Row], n: int) -> list[Vec]:
@@ -448,15 +456,11 @@ def solve(mat: Mat, rhs: Sequence[FieldElement]) -> Optional[Vec]:
     """One solution of ``mat @ x == rhs``, or None when inconsistent."""
     if len(rhs) != mat.nrows:
         raise DimensionMismatch(f"matrix has {mat.nrows} rows, rhs {len(rhs)}")
-    ctx = mat.ctx
-    n = mat.ncols
-    aug = []
-    for r, b in zip(mat.rows, rhs):
-        row = _sparse(r)
-        b = scal(ctx, b)
-        if not b.is_zero():
+    ctx, n = mat.ctx, mat.ncols
+    aug = list(map(dict, mat.entries))
+    for row, b in zip(aug, rhs):
+        if not (b := scal(ctx, b)).is_zero():
             row[n] = b
-        aug.append(row)
     red, pivots = _echelon(aug, range(n + 1))
     if n in pivots:
         return None  # pivot in the augmented column
@@ -470,19 +474,13 @@ def solve(mat: Mat, rhs: Sequence[FieldElement]) -> Optional[Vec]:
 def inverse(mat: Mat) -> Mat:
     if mat.nrows != mat.ncols:
         raise DimensionMismatch("only square matrices invert")
-    n = mat.nrows
-    ctx = mat.ctx
-    one = ctx.one()
-    aug = []
-    for i, r in enumerate(mat.rows):
-        row = _sparse(r)
-        row[n + i] = one
-        aug.append(row)
+    ctx, n = mat.ctx, mat.nrows
+    aug = [{**r, n + i: ctx.one()} for i, r in enumerate(mat.entries)]
     red, pivots = _echelon(aug, range(2 * n))
     if len(pivots) != n or any(p >= n for p in pivots):
         raise DimensionMismatch("matrix is singular")
-    zero = ctx.zero()
-    return Mat(ctx, [[r.get(n + j, zero) for j in range(n)] for r in red])
+    return Mat.from_entries(
+        ctx, ({j - n: e for j, e in r.items() if j >= n} for r in red), n)
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -553,18 +551,16 @@ class Subspace:
 
     def annihilator(self) -> list[Vec]:
         """Basis of the functionals vanishing on this subspace."""
-        if self.dim == 0:
-            ctx = self.ctx
-            return [basis_vector(ctx, self.ambient, j) for j in range(self.ambient)]
-        return kernel(Mat(self.ctx, self.rows))
+        return _kernel_rows(self.ctx, list(map(_sparse, self.rows)),
+                            self.ambient)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         constraints = self.annihilator() + other.annihilator()
-        if not constraints:
-            return Subspace.full(self.ctx, self.ambient)
-        return Subspace.from_vectors(self.ctx, self.ambient,
-                                     kernel(Mat(self.ctx, constraints)))
+        return Subspace.from_vectors(
+            self.ctx, self.ambient,
+            _kernel_rows(self.ctx, list(map(_sparse, constraints)),
+                         self.ambient))
 
     def preimage_under(self, mat: Mat) -> "Subspace":
         """The subspace ``{x : mat @ x in self}`` of the matrix's domain."""
@@ -574,7 +570,7 @@ class Subspace:
         ann = self.annihilator()
         if not ann:
             return Subspace.full(self.ctx, mat.ncols)
-        test = Mat(self.ctx, [f for f in ann]) @ mat
+        test = Mat(self.ctx, ann) @ mat
         return Subspace.from_vectors(self.ctx, mat.ncols, kernel(test))
 
     def _check_compatible(self, other: "Subspace"):

@@ -46,9 +46,10 @@ from .linalg import (
     Row,
     Subspace,
     Vec,
+    _combine,
     _kernel_rows,
     _subtract_multiple,
-    _terms,
+    _vec_row,
     eigenspace,
     inverse,
     kernel,
@@ -106,14 +107,14 @@ def check_module_comodule(v: RightComodModule) -> list[str]:
     problems += check_comodule(Comodule(v.hopf, v.dim, v.coaction))
     # rho(p . b) = rho(p) rho(b): the H legs multiply in H, the module leg
     # of rho(p) is acted on by the algebra leg of rho(b)
-    nh, nv, nb = v.hopf.dim, v.dim, b.dim
-    acting = tuple(tuple(tuple(_terms(v.action[i].col(m))) for i in range(nb))
-                   for m in range(nv))
+    # acting[m][i]: the stored column m of action[i]
+    acting = tuple(zip(*(m.transpose().entries for m in v.action)))
+    rho_v = v.coaction.transpose().entries
+    rho_b = b.coaction.transpose().entries
     colinear_ok = all(
-        v.coaction.apply(v.action[i].col(p)) == tensor_product(
-            v.hopf.terms, acting, v.coaction.col(p), b.coaction.col(i),
-            (nh, nv))
-        for p in range(nv) for i in range(nb))
+        _combine(acting[p][i], rho_v) == tensor_product(
+            v.hopf.terms, acting, rho_v[p], rho_b[i], v.dim)
+        for p in range(v.dim) for i in range(b.dim))
     if not colinear_ok:
         problems.append("coaction is not compatible with the action")
     return problems
@@ -140,22 +141,20 @@ def end_comodule_algebra(v: RightComodModule) -> ComoduleAlgebra:
     endo = _algebra_of_matrices(ctx, basis)
 
     s_inv = antipode_inverse(v.hopf)
+    rho = v.coaction.transpose().entries
     coaction_cols = []
     for t in basis:
         # unknowns: coefficients of lambda(T) over (H basis) x (commutant basis)
+        t_cols = t.transpose().entries
         rows = []
         rhs_all = []
         for p in range(n):
             rhs = [ctx.zero()] * (nh * n)
-            for idx, c in enumerate(v.coaction.col(p)):
-                if c.is_zero():
-                    continue
+            for idx, c in rho[p].items():
                 h1, k = divmod(idx, n)
-                shifted = v.coaction.apply(t.col(k))
                 left = s_inv.col(h1)
-                for idx2, c2 in enumerate(shifted):
-                    if c2.is_zero():
-                        continue
+                # the coaction of T(e_k)
+                for idx2, c2 in _combine(t_cols[k], rho).items():
                     a, m = divmod(idx2, n)
                     prod_h = v.hopf.multiply(v.hopf.basis_element(a), left)
                     cc = c * c2
@@ -191,8 +190,9 @@ def end_comodule_algebra(v: RightComodModule) -> ComoduleAlgebra:
 def _algebra_of_matrices(ctx: FieldContext, mats: Sequence[Mat]) -> Algebra:
     """Structure constants of a span of matrices that is closed under
     composition and contains the identity."""
-    body = Mat.from_columns(ctx, [m.vec() for m in mats])
-    unit = solve(body, Mat.identity(ctx, mats[0].nrows).vec())
+    n = mats[0].nrows
+    body = Mat.from_entries(ctx, map(_vec_row, mats), n * n).transpose()
+    unit = solve(body, Mat.identity(ctx, n).vec())
     if unit is None:
         raise HopfExactError("the identity is outside the matrix span")
     table = []
@@ -215,9 +215,9 @@ def _algebra_of_matrices(ctx: FieldContext, mats: Sequence[Mat]) -> Algebra:
 def _commutation_rows(ctx: FieldContext, pairs) -> list[Row]:
     """Sparse rows of ``vec(T) -> vec(T A - B T)``, one block per pair.
 
-    A pair gives ``A`` (d1 x d1) by the nonzero ``(k, A[k, j])`` of each
-    column j and ``B`` (d2 x d2) by the nonzero ``(p, B[i, p])`` of each row
-    i; T is d2 x d1, vecced row-major.  Row ``i*d1 + j`` of a block holds
+    A pair gives ``A`` (d1 x d1) by the stored rows of ``A^T``, ``{k: A[k,
+    j]}`` for each column j, and ``B`` (d2 x d2) by its stored rows; T is
+    d2 x d1, vecced row-major.  Row ``i*d1 + j`` of a block holds
     ``+A[k, j]`` at column ``i*d1 + k`` and ``-B[i, p]`` at column
     ``p*d1 + j``, an entry that cancels dropped: the rows of
     ``kron(I, A^T) - kron(B, I)``, written from the nonzero entries alone.
@@ -228,9 +228,9 @@ def _commutation_rows(ctx: FieldContext, pairs) -> list[Row]:
         d1 = len(a_cols)
         for i, b_row in enumerate(b_rows):
             for j, a_col in enumerate(a_cols):
-                row = {i * d1 + k: x for k, x in a_col}
+                row = {i * d1 + k: x for k, x in a_col.items()}
                 _subtract_multiple(row, one,
-                                   {p * d1 + j: x for p, x in b_row})
+                                   {p * d1 + j: x for p, x in b_row.items()})
                 rows.append(row)
     return rows
 
@@ -247,13 +247,15 @@ def _colinear_system(a: ComoduleAlgebra, b: ComoduleAlgebra) -> list[Row]:
     if a.hopf.table != b.hopf.table or a.hopf.comult != b.hopf.comult:
         raise DimensionMismatch("the two algebras live over different Hopf "
                                 "algebras")
-    na, nb = a.dim, b.dim
-    ca, cb = a.coaction, b.coaction
-    pairs = [([[(k, -x) for k in range(na)
-                if not (x := ca[h * na + k, j]).is_zero()] for j in range(na)],
-              [[(p, -x) for p, x in _terms(cb.row(h * nb + m))]
-               for m in range(nb)])
-             for h in range(a.hopf.dim)]
+    na, nb, nh = a.dim, b.dim, a.hopf.dim
+    # the columns of the negated blocks of a.coaction, from its rows
+    a_cols: list[list[Row]] = [[{} for _ in range(na)] for _ in range(nh)]
+    for idx, r in enumerate(a.coaction.entries):
+        h, k = divmod(idx, na)
+        for j, x in r.items():
+            a_cols[h][j][k] = -x
+    b_rows = [{p: -x for p, x in r.items()} for r in b.coaction.entries]
+    pairs = [(a_cols[h], b_rows[h * nb:(h + 1) * nb]) for h in range(nh)]
     return _commutation_rows(a.ctx, pairs)
 
 
@@ -375,8 +377,7 @@ def intertwiners(m1: Sequence[Mat], m2: Sequence[Mat]) -> list[Mat]:
     order, and solved by the sparse kernel of :mod:`~hopfexact.linalg`."""
     ctx = m1[0].ctx
     d1, d2 = m1[0].ncols, m2[0].nrows
-    pairs = [([_terms(r1.col(j)) for j in range(d1)],
-              [_terms(r) for r in r2.rows])
+    pairs = [(r1.transpose().entries, r2.entries)
              for r1, r2 in zip(m1, m2, strict=True)]
     rows = _commutation_rows(ctx, pairs)
     return [Mat.unvec(ctx, t, d2, d1)
@@ -463,7 +464,8 @@ def simple_modules(a: ComoduleAlgebra) -> ModuleDecomposition:
     tries first ``R_h`` for ``h`` in the isotypic part of each grouplike
     basis element of H under the coaction; those subspaces do not depend on
     the basis of ``a``.  Every smaller piece is split by its commutant
-    kernel, which is also what proves a piece simple.
+    kernel, which is also what proves a piece simple, and the simple
+    pieces are sorted into classes by their characters.
 
     Raises :class:`NotSemisimple` when the algebra has a radical, and lets
     :class:`NeedsFieldExtension` escape when a splitting needs a square root
@@ -489,17 +491,18 @@ def simple_modules(a: ComoduleAlgebra) -> ModuleDecomposition:
             continue
         for s in spaces:
             worklist.append((_restrict_action(action, s), None, []))
+    # a leaf has a commutant of scalars, so it is absolutely simple, and in
+    # characteristic zero two such modules with one character are isomorphic
     classes: list[SimpleModule] = []
+    characters: list[tuple[FieldElement, ...]] = []
     mults: list[int] = []
     for action in leaves:
-        matched = False
-        for idx, cls in enumerate(classes):
-            if cls.dim == action[0].nrows and intertwiners(action, cls.action):
-                mults[idx] += 1
-                matched = True
-                break
-        if not matched:
+        character = tuple(trace(m) for m in action)
+        if character in characters:
+            mults[characters.index(character)] += 1
+        else:
             classes.append(SimpleModule(action[0].nrows, action))
+            characters.append(character)
             mults.append(1)
     order = sorted(range(len(classes)), key=lambda k: (classes[k].dim, k))
     classes = [classes[k] for k in order]
@@ -513,7 +516,13 @@ def _extended_context(ctx: FieldContext, discriminant: FieldElement
                       ) -> FieldContext:
     """A context where the missing square root exists: bump the cyclotomic
     order to include the eighth roots of unity, then adjoin the root formally
-    if it still is not there."""
+    if it still is not there.
+
+    A root is adjoined only over an order that is a power of two, where
+    :func:`~hopfexact.field.sqrt_in_context` is complete; over any other
+    order the root may lie in the raised field already (the square roots
+    of 2, 3 and -3 all lie in Q(zeta_24)), and a formal root of a square
+    would make a ring with zero divisors, so the extension is refused."""
     if ctx.has_layer:
         raise NeedsFieldExtension(discriminant)
     order = ctx.order
@@ -524,6 +533,8 @@ def _extended_context(ctx: FieldContext, discriminant: FieldElement
         sqrt_in_context(d)
         return base
     except NeedsFieldExtension:
+        if new_order & (new_order - 1):
+            raise
         return adjoin_sqrt(base, d)
 
 
@@ -589,7 +600,8 @@ def _character_solver(chars: Mat) -> Callable[[Vec], tuple[int, ...]]:
     _, basis_rows = rref(chars.transpose())
     if len(basis_rows) != k:
         raise HopfExactError("the characters of the simples are dependent")
-    inv = inverse(Mat(ctx, [chars.row(b) for b in basis_rows]))
+    inv = inverse(Mat.from_entries(ctx, [chars.entries[b] for b in basis_rows],
+                                   k))
 
     def multiplicities(character: Vec) -> tuple[int, ...]:
         mu = inv.apply([character[b] for b in basis_rows])
@@ -630,7 +642,7 @@ def fusion_fingerprint(a: ComoduleAlgebra) -> FusionFingerprint:
     na = used.dim
     chars = [tuple(trace(m) for m in s.action) for s in dec.simples]
     multiplicities = _character_solver(Mat.from_columns(ctx, chars))
-    lam = [_terms(used.coaction.col(b)) for b in range(na)]
+    lam = used.coaction.transpose().entries
     rows = []
     for name, x_action in hmods:
         dx = x_action[0].nrows
@@ -639,7 +651,7 @@ def fusion_fingerprint(a: ComoduleAlgebra) -> FusionFingerprint:
         for m, m_char in zip(dec.simples, chars):
             character = tuple(
                 sum((c * x_char[pos // na] * m_char[pos % na]
-                     for pos, c in terms), ctx.zero())
+                     for pos, c in terms.items()), ctx.zero())
                 for terms in lam)
             mults = multiplicities(character)
             if sum(mu * s.dim for mu, s in zip(mults, dec.simples)) \

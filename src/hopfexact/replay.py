@@ -13,9 +13,9 @@ The three layers:
 
 * :func:`generic_extension` / :func:`associativity_constraints` — build the
   symbolic table and harvest the constraint polynomials;
-* :func:`forces_vanishing` — decides, by the certified linear elimination
-  :func:`~hopfexact.poly.eliminate`, whether the constraints force given
-  structure constants to vanish and returns the expressing combination as a
+* ``_vanishing_report`` — reads off the certified linear elimination
+  :func:`~hopfexact.poly.eliminate` whether the constraints force given
+  structure constants to vanish, with the expressing combination as a
   replayable certificate;
 * :func:`replay_lemma` / :func:`classify_n2_le_1` — the named collapse
   arguments as one case table run by ``_vanishing_replay``, plus the full
@@ -475,7 +475,8 @@ def verify_combination(constraints: Sequence[MultiPoly], cert: Certificate,
 
 @dataclass(frozen=True)
 class VanishingReport:
-    """Answer of :func:`forces_vanishing`, with replayable certificates.
+    """Whether constraints force target variables to zero, with replayable
+    certificates.
 
     When ``forced`` is true, ``certificates[t]`` maps constraint indices to
     polynomial multipliers whose weighted sum equals the bare variable ``t``
@@ -506,9 +507,10 @@ class VanishingReport:
         return True
 
 
-def forces_vanishing(constraints: Sequence[MultiPoly],
-                     targets: Sequence[str]) -> VanishingReport:
-    """Decide whether the constraints force every target variable to zero.
+def _vanishing_report(elim: Elimination,
+                      targets: Sequence[str]) -> VanishingReport:
+    """Whether the eliminated constraints force every target variable to
+    zero.
 
     True exactly when each target lies in the span of the constraints (after
     substituting the variables the span already pins); the certificates are
@@ -516,12 +518,6 @@ def forces_vanishing(constraints: Sequence[MultiPoly],
     False.  Undecided targets entangled with nonlinear residue raise
     :class:`~hopfexact.errors.NonlinearResidue` — never silently ignored.
     """
-    return _vanishing_report(eliminate(list(constraints)), targets)
-
-
-def _vanishing_report(elim: Elimination,
-                      targets: Sequence[str]) -> VanishingReport:
-    """The answer of :func:`forces_vanishing` read off an elimination."""
     targets = list(targets)
     if elim.contradiction is not None:
         ctx = elim.contradiction_value.ctx

@@ -13,7 +13,6 @@ from hopfexact.comodule import (
     coinvariants,
     isotypic_part,
     kp_decompose,
-    mixed_tensor_product,
     mu_decompose,
     phi_embed,
     rebase_comodule_algebra,
@@ -35,7 +34,7 @@ from hopfexact.errors import (
 )
 from hopfexact.algebra import is_algebra_isomorphism, tensor_product
 from hopfexact.field import FieldContext, FieldElement, adjoin_sqrt
-from hopfexact.linalg import (Mat, _terms, basis_vector, kron, vadd, vscale,
+from hopfexact.linalg import (Mat, _sparse, basis_vector, kron, vadd, vscale,
                               vsub)
 from hopfexact.replay import generic_extension, replay_lemma
 
@@ -105,16 +104,16 @@ def test_non_multiplicative_coaction_detected_in_a_dense_basis():
     built = _non_multiplicative_ga_x()
     bad = transport(built, random.Random("ga_x"))
     # the images of the basis under the coaction are denser than as built
-    assert (sum(len(_terms(bad.coaction.col(j))) for j in range(2))
-            > sum(len(_terms(built.coaction.col(j))) for j in range(2)))
+    assert (sum(len(_sparse(bad.coaction.col(j))) for j in range(2))
+            > sum(len(_sparse(built.coaction.col(j))) for j in range(2)))
     assert check_comodule_algebra(bad) == [
         "coaction is not an algebra morphism"]
 
 
 def test_trivial_mixed_tensor_product():
     a = CATALOG["ga_x"]
-    one = a.coaction.apply(a.unit)
-    assert mixed_tensor_product(a.hopf, a, one, one) == one
+    one = _sparse(a.coaction.apply(a.unit))
+    assert tensor_product(a.hopf.terms, a.terms, one, one, a.dim) == one
 
 
 QS = adjoin_sqrt(QI, 4)   # s**2 == 4: (2 - s)(2 + s) == 0, so zero divisors
@@ -176,8 +175,9 @@ def test_sparse_products_match_nested_loops(layered):
             x, y = (_dense_vector(rng, ctx, alg.dim) for _ in range(2))
             assert alg.multiply(x, y) == _ref_multiply(alg, x, y)
     u, v = (_dense_vector(rng, ctx, h.dim * a.dim) for _ in range(2))
-    assert mixed_tensor_product(h, a, u, v) == _ref_tensor(
-        h.table, a.table, u, v, (h.dim, a.dim))
+    assert tensor_product(h.terms, a.terms, _sparse(u), _sparse(v),
+                          a.dim) == _sparse(_ref_tensor(
+                              h.table, a.table, u, v, (h.dim, a.dim)))
 
 
 def _sparse_vector(rng, ctx, n, zero_at=()):
@@ -239,7 +239,7 @@ def _tensor_case(name):
 def test_tensor_product_matches_nested_loops(monkeypatch, name):
     left, right, u, v, shape = _tensor_case(name)
     expected = _ref_tensor(left, right, u, v, shape)
-    sparse = [tuple(tuple(tuple(_terms(e)) for e in row) for row in table)
+    sparse = [tuple(tuple(map(_sparse, row)) for row in table)
               for table in (left, right)]
     mul = FieldElement.__mul__
 
@@ -250,8 +250,8 @@ def test_tensor_product_matches_nested_loops(monkeypatch, name):
     # the kernel multiplies only nonzero coordinates, terms and sums
     with monkeypatch.context() as m:
         m.setattr(FieldElement, "__mul__", nonzero_mul)
-        got = tensor_product(*sparse, u, v, shape)
-    assert got == expected
+        got = tensor_product(*sparse, _sparse(u), _sparse(v), shape[1])
+    assert got == _sparse(expected)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_DIMS))

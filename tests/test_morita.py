@@ -32,7 +32,7 @@ from hopfexact.errors import (
     NotSemisimple,
 )
 from hopfexact.field import FieldContext, adjoin_sqrt
-from hopfexact.linalg import (Mat, _dense, _terms, basis_vector, kernel, kron,
+from hopfexact.linalg import (Mat, _dense, _sparse, basis_vector, kernel, kron,
                               linear_combination, rank, tensor_vec, vadd,
                               vscale, vstack)
 from hopfexact.morita import (
@@ -158,6 +158,37 @@ def test_a_i_xy_needs_a_square_root_then_splits():
     assert used.ctx != QI and used.ctx.has_layer
     assert [s.dim for s in dec.simples] == [1, 1, 1, 1]
     assert dec.split
+
+
+def test_no_formal_root_is_adjoined_where_the_root_may_exist():
+    # over Q(zeta_24) the square roots of 2, 3 and -3 exist, but
+    # sqrt_in_context finds only those in Q(i); a formal root of one of them
+    # would give a ring with zero divisors
+    ctx = FieldContext(12)
+    for d in (2, 3, -3):
+        with pytest.raises(NeedsFieldExtension) as info:
+            morita._extended_context(ctx, ctx.scalar(d))
+        assert info.value.discriminant == ctx.scalar(d)
+    # over a power-of-two order the refusal is a proof, and the root is
+    # adjoined
+    assert morita._extended_context(QI, QI.scalar(3)).has_layer
+
+
+def test_leaves_are_sorted_into_classes_without_an_intertwiner_kernel(
+        monkeypatch):
+    """Leaves are matched by character: every intertwiner kernel left is a
+    commutant, one module against itself."""
+    pairs = []
+    real = morita.intertwiners
+
+    def spy(m1, m2):
+        pairs.append(m1 is m2)
+        return real(m1, m2)
+
+    monkeypatch.setattr(morita, "intertwiners", spy)
+    dec = simple_modules(CATALOG["kp"])
+    assert dec.multiplicities == [1, 1, 1, 1, 2]
+    assert pairs and all(pairs)
 
 
 def test_not_semisimple_is_refused():
@@ -298,7 +329,7 @@ def _intertwiner_cells(used, dec):
         for m in dec.simples:
             product_action = []
             for idx in range(na):
-                terms = _terms(used.coaction.col(idx))
+                terms = _sparse(used.coaction.col(idx)).items()
                 product_action.append(linear_combination(
                     [c for _, c in terms],
                     [kron(x_action[pos // na], m.action[pos % na])

@@ -17,9 +17,9 @@ from hopfexact.field import FieldContext, adjoin_sqrt
 from hopfexact.linalg import Mat, kron
 from hopfexact.morita import colinear_iso_search
 from hopfexact.poly import (Elimination, MultiPoly, _addmul, _linear_quotient,
-                            _poly)
-from hopfexact.replay import (associativity_constraints, classify_n2_le_1,
-                              forces_vanishing, generic_extension,
+                            _poly, eliminate)
+from hopfexact.replay import (_vanishing_report, associativity_constraints,
+                              classify_n2_le_1, generic_extension,
                               replay_lemma, replay_names)
 
 CTX = FieldContext(4)
@@ -200,14 +200,14 @@ def test_every_vanishing_replay_is_pinned():
 def test_forces_vanishing_reads_each_outcome():
     x, y = MultiPoly.var(CTX, "x"), MultiPoly.var(CTX, "y")
     one = MultiPoly.const(CTX, 1)
-    forced = forces_vanishing([x + y, y], ["x", "y"])
+    forced = _vanishing_report(eliminate([x + y, y]), ["x", "y"])
     assert forced and forced.verify([x + y, y]) and not forced.vacuous
-    vacuous = forces_vanishing([x, x - one], ["y"])
+    vacuous = _vanishing_report(eliminate([x, x - one]), ["y"])
     assert vacuous.vacuous and vacuous.verify([x, x - one])
-    assert forces_vanishing([x - one], ["x"]).nonzero == ("x",)
-    assert forces_vanishing([x + y], ["x"]).undecided == ("x",)
+    assert _vanishing_report(eliminate([x - one]), ["x"]).nonzero == ("x",)
+    assert _vanishing_report(eliminate([x + y]), ["x"]).undecided == ("x",)
     with pytest.raises(NonlinearResidue):
-        forces_vanishing([x * y + x], ["x"])
+        _vanishing_report(eliminate([x * y + x]), ["x"])
 
 
 def test_vacuous_cases_are_contradictions_of_their_constraints_alone():
