@@ -28,12 +28,12 @@ from .field import FieldContext, FieldElement, scal
 from .linalg import (
     Mat,
     Row,
-    RrefAccumulator,
     Scalar,
     Subspace,
     Vec,
     _combine,
     _dense,
+    _insert_row,
     _nonzero,
     _sparse,
     _vec_row,
@@ -105,18 +105,24 @@ class Algebra:
     def mult_matrix(self) -> Mat:
         """Multiplication as a ``dim x dim**2`` matrix on ``x (x) y``."""
         if self._mult_matrix is None:
-            n = self.dim
-            cols = [self.table[i][j] for i in range(n) for j in range(n)]
-            self._mult_matrix = Mat.from_columns(self.ctx, cols)
+            self._mult_matrix = Mat.from_entries(
+                self.ctx, (t for row in self.terms for t in row),
+                self.dim).transpose()
         return self._mult_matrix
 
     def left_mult(self, x: Sequence[FieldElement]) -> Mat:
-        cols = [self.multiply(x, self.basis_element(j)) for j in range(self.dim)]
-        return Mat.from_columns(self.ctx, cols)
+        """``L_x``: column ``j`` is ``x e_j = sum_i x_i terms[i][j]``."""
+        xs = _sparse(x)
+        return Mat.from_entries(
+            self.ctx, (_combine(xs, col) for col in zip(*self.terms)),
+            self.dim).transpose()
 
     def right_mult(self, x: Sequence[FieldElement]) -> Mat:
-        cols = [self.multiply(self.basis_element(j), x) for j in range(self.dim)]
-        return Mat.from_columns(self.ctx, cols)
+        """``R_x``: column ``i`` is ``e_i x = sum_j x_j terms[i][j]``."""
+        xs = _sparse(x)
+        return Mat.from_entries(
+            self.ctx, (_combine(xs, row) for row in self.terms),
+            self.dim).transpose()
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, labels={list(self.labels)})"
@@ -255,10 +261,10 @@ def generated_operator_algebra(gens: Sequence[Mat]) -> list[Mat]:
     """Basis of the unital matrix algebra generated by ``gens`` (worklist
     closure).
 
-    A word joins the basis when the stored row of its ``vec`` is independent
-    of the basis so far, by :class:`~hopfexact.linalg.RrefAccumulator`'s row
-    path; the closure stops once the basis holds n**2 words, since no
-    further word can be new.
+    A word joins the basis when ``linalg._insert_row`` finds the stored row
+    of its ``vec`` independent of the fully reduced rows of the words kept;
+    the closure stops once the basis holds n**2 words, since no further word
+    can be new.
     """
     if not gens:
         raise DimensionMismatch("need at least one generator")
@@ -268,12 +274,12 @@ def generated_operator_algebra(gens: Sequence[Mat]) -> list[Mat]:
         raise DimensionMismatch("generators must be square of equal size")
     # every word in the generators is reachable by right extensions, so
     # closing the span under right multiplication by each generator suffices
-    acc = RrefAccumulator(ctx, n * n)
+    pivot_rows: dict[int, Row] = {}
     basis: list[Mat] = []
     queue = [Mat.identity(ctx, n), *gens]
     while queue and len(basis) < n * n:
         w = queue.pop()
-        if acc._add_row(_vec_row(w)):
+        if _insert_row(pivot_rows, _vec_row(w)):
             queue.extend(w @ g for g in gens)
             basis.append(w)
     return basis

@@ -37,6 +37,8 @@ from .linalg import (
     Scalar,
     Subspace,
     Vec,
+    _checked_row,
+    _insert_row,
     _kernel_rows,
     _subtract_multiple,
     basis_vector,
@@ -367,16 +369,15 @@ def coideal_generated(h: Hopf, seeds: Sequence[Vec]) -> Subspace:
     """Smallest subspace containing the seeds and the unit that is closed
     under all left coproduct slices (so its coproduct lies in H (x) itself)
     and under multiplication."""
-    from .linalg import RrefAccumulator
     n = h.dim
     ctx = h.ctx
     slices = [slice_left(h.comult, n, n, idx) for idx in range(n)]
-    acc = RrefAccumulator(ctx, n)
+    pivot_rows: dict[int, Row] = {}
     basis: list[Vec] = []
     queue: list[Vec] = [h.unit] + [tuple(s) for s in seeds]
     while queue:
         v = queue.pop()
-        if acc.add(v):
+        if _insert_row(pivot_rows, _checked_row(n, v)):
             for sl in slices:
                 queue.append(sl.apply(v))
             for b in basis:
@@ -384,7 +385,7 @@ def coideal_generated(h: Hopf, seeds: Sequence[Vec]) -> Subspace:
                 queue.append(h.multiply(b, v))
             queue.append(h.multiply(v, v))
             basis.append(v)
-    return acc.subspace()
+    return Subspace(ctx, n, pivot_rows)
 
 
 def _subalgebra_on_basis(a: Algebra, basis: Sequence[Vec]

@@ -600,6 +600,11 @@ def _power_symbol(order: int, j: int) -> str:
 class _Parser:
     """Recursive-descent parser for the scalar literal grammar.
 
+    It is kept as the inverse of :func:`render_literal`: ``scal(ctx,
+    render_literal(x)) == x`` for every element ``x`` of ``ctx``, so that a
+    rendered scalar reads back exactly and a literal such as ``"1+i"`` can
+    stand for a scalar wherever :func:`scal` reads one.
+
     expr   := term (('+'|'-') term)*
     term   := factor ('*' factor)*
     factor := '-' factor | '(' expr ')' | atom

@@ -9,17 +9,26 @@ A :class:`Mat` stores each row as a :data:`Row`, the dict ``{column:
 entry}`` of its nonzero entries, and every kernel reads and builds those
 rows: ``@`` sums rows of the right factor row by row, and ``transpose``
 moves each entry once (Gustavson, ACM TOMS 4(3), 1978); a sum or product
-that vanishes is never stored.  Elimination runs on the same rows, with one
-helper that subtracts a multiple of a pivot row.  Two drivers share it:
+that vanishes is never stored.  A :class:`Subspace` stores its canonical
+basis the same way, as the fully reduced row of each basis vector keyed by
+its pivot column, in ascending order.  The stored rows of a ``Mat`` and of
+a ``Subspace`` may be shared and are never modified; ``rows``, ``col``,
+``m[i, j]`` and ``basis()`` are dense views, computed on each read.
+
+Elimination runs on the same rows, with one helper that subtracts a
+multiple of a pivot row, and two drivers:
 
 * ``_echelon`` eliminates a list of rows column by column, in place, taking
   the first remaining nonzero row as pivot.  ``rref``/``rank``/``solve``/
   ``inverse`` run it on copies of a matrix's rows, and ``_kernel_rows``
-  reads a null-space basis from its pivot rows, for ``kernel`` and for the
-  operator-space systems that ``morita`` writes as rows.
-* :class:`RrefAccumulator` inserts one row at a time into fully reduced rows
-  keyed by pivot (``_add_row``); ``add`` takes a dense vector, and
-  ``algebra.generated_operator_algebra`` inserts the rows of its words.
+  reads a null-space basis from its pivot rows, for ``kernel``,
+  ``Subspace.annihilator`` and the operator-space systems that ``morita``
+  writes as rows.
+* ``_insert_row`` adds one row to fully reduced rows keyed by pivot,
+  reducing it with ``_reduce`` and back-substituting the new pivot row.
+  ``Subspace.from_vectors``, ``spin``, ``comodule.coideal_generated`` and
+  ``algebra.generated_operator_algebra`` build their bases with it; the
+  rows belong to the builder until they become a ``Subspace``.
 
 Exact arithmetic makes the results identical to dense elimination, entry for
 entry, pivots and basis order included.
@@ -110,10 +119,6 @@ class Mat:
         object.__setattr__(m, "ncols", ncols)
         object.__setattr__(m, "entries", tuple(entries))
         return m
-
-    @classmethod
-    def zeros(cls, ctx: FieldContext, m: int, n: int) -> "Mat":
-        return cls.from_entries(ctx, ({} for _ in range(m)), n)
 
     @classmethod
     def identity(cls, ctx: FieldContext, n: int) -> "Mat":
@@ -320,30 +325,25 @@ def restrict_operator(op: Mat, space: Subspace) -> Mat:
     The basis is fully reduced, so a vector of the subspace has its
     coordinates at the pivot columns; an image that its coordinates do not
     rebuild lies outside the subspace."""
-    basis = space.basis()
-    pivot_rows = {min(r): r for r in map(_sparse, basis)}
-    out: list[Row] = [{} for _ in basis]
-    for k, b in enumerate(basis):
-        image = _sparse(op.apply(b))
+    if op.ncols != space.ambient:
+        raise DimensionMismatch(
+            f"operator has {op.ncols} columns, subspace ambient {space.ambient}")
+    cols = op.transpose().entries
+    pivot_rows = space.pivot_rows
+    out: list[Row] = [{} for _ in pivot_rows]
+    for k, b in enumerate(pivot_rows.values()):
+        image = _combine(b, cols)
         for i, p in enumerate(pivot_rows):
             if p in image:
                 out[i][k] = image[p]
         if _reduce(image, pivot_rows):
             raise DimensionMismatch("subspace is not invariant under the operator")
-    return Mat.from_entries(space.ctx, out, len(basis))
+    return Mat.from_entries(space.ctx, out, space.dim)
 
 
 def eigenspace(op: Mat, value: FieldElement) -> Subspace:
     shifted = op - Mat.identity(op.ctx, op.nrows).scale(value)
     return Subspace.from_vectors(op.ctx, op.ncols, kernel(shifted))
-
-
-def vstack(mats: Sequence[Mat]) -> Mat:
-    n = mats[0].ncols
-    if any(x.ncols != n for x in mats):
-        raise DimensionMismatch("vstack needs equal column counts")
-    return Mat.from_entries(mats[0].ctx,
-                            [r for x in mats for r in x.entries], n)
 
 
 # -- elimination -------------------------------------------------------------
@@ -388,6 +388,31 @@ def _reduce(row: Row, pivot_rows: dict[int, Row]) -> Row:
     for p in [p for p in row if p in pivot_rows]:
         _subtract_multiple(row, row[p], pivot_rows[p])
     return row
+
+
+def _insert_row(pivot_rows: dict[int, Row], row: Row) -> bool:
+    """Insert ``row`` into the fully reduced rows ``pivot_rows``, keyed by
+    pivot, and return whether it was independent of them.  ``row`` is
+    reduced and ``pivot_rows`` back-substituted, both in place."""
+    red = _reduce(row, pivot_rows)
+    if not red:
+        return False
+    lead = min(red)
+    inv = red[lead].inverse()
+    new = {j: e * inv for j, e in red.items()}
+    for old in pivot_rows.values():
+        c = old.get(lead)
+        if c is not None:
+            _subtract_multiple(old, c, new)
+    pivot_rows[lead] = new
+    return True
+
+
+def _checked_row(ambient: int, v: Sequence[FieldElement]) -> Row:
+    """The stored row of a vector that must have ``ambient`` coordinates."""
+    if len(v) != ambient:
+        raise DimensionMismatch(f"ambient {ambient}, vector {len(v)}")
+    return _sparse(v)
 
 
 def _echelon(rows: list[dict], cols: Iterable) -> tuple[list[dict], list]:
@@ -487,14 +512,20 @@ def inverse(mat: Mat) -> Mat:
 
 
 class Subspace:
-    """A subspace of ``ctx**ambient`` held in canonical RREF basis form."""
+    """A subspace of ``ctx**ambient`` held in canonical RREF basis form.
 
-    __slots__ = ("ctx", "ambient", "rows")
+    ``pivot_rows`` maps the pivot column of each canonical basis vector, in
+    ascending order, to its fully reduced :data:`Row`; the rows are never
+    modified, and ``basis()`` is their dense view."""
 
-    def __init__(self, ctx: FieldContext, ambient: int, rows: tuple[Vec, ...]):
+    __slots__ = ("ctx", "ambient", "pivot_rows")
+
+    def __init__(self, ctx: FieldContext, ambient: int,
+                 pivot_rows: dict[int, Row]):
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "pivot_rows",
+                           {p: pivot_rows[p] for p in sorted(pivot_rows)})
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -502,56 +533,42 @@ class Subspace:
     @classmethod
     def from_vectors(cls, ctx: FieldContext, ambient: int,
                      vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
-        acc = RrefAccumulator(ctx, ambient)
+        pivot_rows: dict[int, Row] = {}
         for v in vectors:
-            acc.add(tuple(scal(ctx, e) for e in v))
-        return acc.subspace()
-
-    @classmethod
-    def zero(cls, ctx: FieldContext, ambient: int) -> "Subspace":
-        return cls(ctx, ambient, ())
+            _insert_row(pivot_rows, _checked_row(
+                ambient, [scal(ctx, e) for e in v]))
+        return cls(ctx, ambient, pivot_rows)
 
     @classmethod
     def full(cls, ctx: FieldContext, ambient: int) -> "Subspace":
-        return cls.from_vectors(ctx, ambient,
-                                [basis_vector(ctx, ambient, j) for j in range(ambient)])
+        one = ctx.one()
+        return cls(ctx, ambient, {j: {j: one} for j in range(ambient)})
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivot_rows)
 
     def basis(self) -> tuple[Vec, ...]:
-        return self.rows
+        return tuple(tuple(_dense(self.ctx, r, self.ambient))
+                     for r in self.pivot_rows.values())
 
     def contains(self, v: Sequence[FieldElement]) -> bool:
-        if len(v) != self.ambient:
-            raise DimensionMismatch(f"ambient {self.ambient}, vector {len(v)}")
-        pivot_rows = {min(r): r for r in map(_sparse, self.rows)}
-        return not _reduce(_sparse(v), pivot_rows)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.rows)
-
-    def __le__(self, other: "Subspace") -> bool:
-        return other.contains_subspace(self)
+        return not _reduce(_checked_row(self.ambient, v), self.pivot_rows)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         return (self.ctx == other.ctx and self.ambient == other.ambient
-                and self.rows == other.rows)
+                and self.pivot_rows == other.pivot_rows)
 
     def __hash__(self):
-        return hash((self.ctx, self.ambient, self.rows))
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return Subspace.from_vectors(self.ctx, self.ambient,
-                                     list(self.rows) + list(other.rows))
+        return hash((self.ctx, self.ambient,
+                     tuple((p, frozenset(r.items()))
+                           for p, r in self.pivot_rows.items())))
 
     def annihilator(self) -> list[Vec]:
         """Basis of the functionals vanishing on this subspace."""
-        return _kernel_rows(self.ctx, list(map(_sparse, self.rows)),
+        return _kernel_rows(self.ctx, list(map(dict, self.pivot_rows.values())),
                             self.ambient)
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -581,61 +598,13 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-class RrefAccumulator:
-    """Incrementally built RREF basis; reports whether each vector was new.
-
-    The rows are kept fully reduced, as sparse rows keyed by their pivot."""
-
-    def __init__(self, ctx: FieldContext, ambient: int):
-        self.ctx = ctx
-        self.ambient = ambient
-        self._rows: dict[int, Row] = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def contains(self, v: Sequence[FieldElement]) -> bool:
-        return not _reduce(_sparse(v), self._rows)
-
-    def add(self, v: Sequence[FieldElement]) -> bool:
-        if len(v) != self.ambient:
-            raise DimensionMismatch(f"ambient {self.ambient}, vector {len(v)}")
-        return self._add_row(_sparse(v))
-
-    def _add_row(self, row: Row) -> bool:
-        """Insert a sparse row of length ``ambient``, reducing it in place;
-        whether it was independent of the rows so far."""
-        red = _reduce(row, self._rows)
-        if not red:
-            return False
-        lead = min(red)
-        inv = red[lead].inverse()
-        new = {j: e * inv for j, e in red.items()}
-        # back-substitute into the existing rows
-        for row in self._rows.values():
-            c = row.get(lead)
-            if c is not None:
-                _subtract_multiple(row, c, new)
-        self._rows[lead] = new
-        return True
-
-    def basis(self) -> tuple[Vec, ...]:
-        return tuple(tuple(_dense(self.ctx, self._rows[p], self.ambient))
-                     for p in sorted(self._rows))
-
-    def subspace(self) -> Subspace:
-        return Subspace(self.ctx, self.ambient, self.basis())
-
-
 def spin(ctx: FieldContext, ambient: int, seeds: Iterable[Sequence[FieldElement]],
          operators: Sequence[Mat]) -> Subspace:
     """Smallest subspace containing the seeds and stable under the operators."""
-    acc = RrefAccumulator(ctx, ambient)
+    pivot_rows: dict[int, Row] = {}
     queue = [tuple(v) for v in seeds]
     while queue:
         v = queue.pop()
-        if acc.add(v):
-            for op in operators:
-                queue.append(op.apply(v))
-    return acc.subspace()
+        if _insert_row(pivot_rows, _checked_row(ambient, v)):
+            queue.extend(op.apply(v) for op in operators)
+    return Subspace(ctx, ambient, pivot_rows)

@@ -561,6 +561,8 @@ class ReplayCase:
     ``constraints`` is the exact polynomial system the case was decided on
     (associativity plus injected hypotheses), kept so that the certificates
     in ``report`` or ``elimination`` can be re-verified independently.
+    ``iso`` is the colinear algebra isomorphism onto kp of a full-extension
+    case that passed; it is left out of ``repr`` and of comparisons.
     """
 
     kind: str
@@ -573,6 +575,7 @@ class ReplayCase:
     report: Optional[VanishingReport] = None
     solution: Optional[dict[str, FieldElement]] = None
     elimination: Optional["Elimination"] = None
+    iso: Optional[Mat] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -876,7 +879,7 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
                                MultiPoly.var(ctx, name) - value)
             for name, value in elim.pins.items())
         solution = dict(elim.pins)
-        detail = "solved constants do not match"
+        detail, iso = "solved constants do not match", None
         if ok:
             missing = set(g.unknowns) | set(g.action_symbols)
             missing -= set(solution)
@@ -900,7 +903,7 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
             kind="ga_K", n2=2, signs=signs,
             hypotheses=("alpha_11 = 1", "alpha_12 = -1"),
             ok=ok, detail=detail, constraints=tuple(full),
-            solution=solution, elimination=elim))
+            solution=solution, elimination=elim, iso=iso if ok else None))
     return ReplayReport(
         name="group-full-extension",
         conclusion=("with two blocks of equal parity and the normalization "

@@ -378,6 +378,34 @@ def _extended_a_xy():
     return build_a_xy_gamma(ext.i(), ext)
 
 
+# the small entries of the benchmark's small-mixed workload
+_SMALL = ("k", "ga_x", "ga_y", "ga_xy", "ga_k", "a_i_xy", "kpsi")
+
+
+def _mult_inputs():
+    yield from catalog(QI).items()
+    for seed in (1, 2):
+        for name in _SMALL:
+            moved = transport(CATALOG[name], random.Random(f"{seed}:{name}"))
+            yield f"{name}@{seed}", moved
+    yield "a_i_xy over Q(zeta8)[sqrt(1+i)]", _extended_a_xy()
+
+
+@pytest.mark.parametrize("a", [pytest.param(a, id=name)
+                               for name, a in _mult_inputs()])
+def test_multiplication_matrices_match_products_column_by_column(a):
+    ctx, n = a.ctx, a.dim
+    e = [basis_vector(ctx, n, j) for j in range(n)]
+    dense = tuple(ctx.scalar(k + 2) - ctx.i() for k in range(n))
+    for x in e + [a.unit, dense]:
+        assert a.left_mult(x) == Mat.from_columns(
+            ctx, [a.multiply(x, y) for y in e])
+        assert a.right_mult(x) == Mat.from_columns(
+            ctx, [a.multiply(y, x) for y in e])
+    assert a.mult_matrix() == Mat.from_columns(
+        ctx, [a.multiply(x, y) for x in e for y in e])
+
+
 def test_phi_embed_lands_in_the_generated_coideal():
     a = _extended_a_xy()
     ctx = a.ctx

@@ -122,7 +122,7 @@ def test_antipode_inverse_is_antipode_for_involutive_cases():
 def test_singular_antipode_detected():
     h = build_klein4()
     bad = Hopf(h.ctx, h.labels, h.unit, h.table, h.comult, h.counit,
-               Mat.zeros(h.ctx, 4, 4))
+               Mat(h.ctx, [[0] * 4] * 4))
     with pytest.raises(SingularAntipode):
         antipode_inverse(bad)
 

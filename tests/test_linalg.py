@@ -9,8 +9,10 @@ from hopfexact.errors import DimensionMismatch, HopfExactError
 from hopfexact.field import FieldContext, FieldElement, adjoin_sqrt
 from hopfexact.linalg import (
     Mat,
-    RrefAccumulator,
     Subspace,
+    _insert_row,
+    _reduce,
+    _sparse,
     basis_vector,
     inverse,
     kernel,
@@ -124,10 +126,12 @@ def test_subspace_sum_and_intersection():
     z = basis_vector(Q, 3, 2)
     plane_xy = Subspace.from_vectors(Q, 3, [x, y])
     plane_yz = Subspace.from_vectors(Q, 3, [y, z])
-    assert plane_xy.sum(plane_yz) == Subspace.full(Q, 3)
+    assert (Subspace.from_vectors(Q, 3, plane_xy.basis() + plane_yz.basis())
+            == Subspace.full(Q, 3))
     line = plane_xy.intersect(plane_yz)
     assert line.dim == 1 and line.contains(y)
-    assert plane_xy.intersect(Subspace.zero(Q, 3)) == Subspace.zero(Q, 3)
+    zero = Subspace.from_vectors(Q, 3, [])
+    assert plane_xy.intersect(zero) == zero
 
 
 def test_subspace_dimension_formula_seeded():
@@ -138,7 +142,8 @@ def test_subspace_dimension_formula_seeded():
                                          for _ in range(rng.randint(0, 3))])
         t = Subspace.from_vectors(Q, n, [[rng.randint(-2, 2) for _ in range(n)]
                                          for _ in range(rng.randint(0, 3))])
-        assert s.sum(t).dim + s.intersect(t).dim == s.dim + t.dim
+        total = Subspace.from_vectors(Q, n, s.basis() + t.basis())
+        assert total.dim + s.intersect(t).dim == s.dim + t.dim
 
 
 def test_preimage_under():
@@ -180,7 +185,7 @@ def test_restrict_operator_matches_per_vector_solve(seed):
     invariant = Subspace.from_vectors(QI, n, [p.col(c) for c in range(k)])
     spun = spin(QI, n, [invariant.basis()[0]], [op])
     for space in (invariant, spun, Subspace.full(QI, n),
-                  Subspace.zero(QI, n)):
+                  Subspace.from_vectors(QI, n, [])):
         got = restrict_operator(op, space)
         assert got == _restrict_reference(op, space)
         assert (got.nrows, got.ncols) == ((space.dim, space.dim)
@@ -198,16 +203,74 @@ def test_restrict_operator_refuses_a_subspace_that_is_not_invariant():
     assert restrict_operator(rot, plane) == M(Q, [[0, -1], [1, 0]])
     axis = Subspace.from_vectors(Q, 3, [[0, 0, 1]])
     assert restrict_operator(rot, axis) == M(Q, [[1]])
+    # an operator whose columns do not match the ambient space is refused
+    for wrong in (M(Q, [[1, 0], [0, 1], [0, 0]]),
+                  M(Q, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])):
+        with pytest.raises(DimensionMismatch, match="columns"):
+            restrict_operator(wrong, plane)
 
 
-def test_accumulator_reports_new_vectors():
-    acc = RrefAccumulator(Q, 3)
-    assert acc.add((Q.one(), Q.one(), Q.zero()))
-    assert not acc.add((Q.scalar(2), Q.scalar(2), Q.zero()))
-    assert acc.add((Q.zero(), Q.one(), Q.one()))
-    assert acc.dim == 2
-    assert acc.contains((Q.one(), Q.zero(), Q.scalar(-1)))
-    assert acc.subspace() == Subspace.from_vectors(Q, 3, [[1, 1, 0], [0, 1, 1]])
+def test_insert_row_reports_new_vectors():
+    rows = {}
+    assert _insert_row(rows, _sparse((Q.one(), Q.one(), Q.zero())))
+    assert not _insert_row(rows, _sparse((Q.scalar(2), Q.scalar(2), Q.zero())))
+    assert _insert_row(rows, _sparse((Q.zero(), Q.one(), Q.one())))
+    assert len(rows) == 2
+    assert not _reduce(_sparse((Q.one(), Q.zero(), Q.scalar(-1))), rows)
+    assert Subspace(Q, 3, rows) == Subspace.from_vectors(Q, 3, [[1, 1, 0],
+                                                         [0, 1, 1]])
+
+
+def _stored(space):
+    """A copy of everything in ``space`` that could change: its row dicts
+    and its basis (field elements are immutable)."""
+    return {p: dict(r) for p, r in space.pivot_rows.items()}, space.basis()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_subspace_calls_leave_the_stored_rows_as_they_were(seed):
+    rng = random.Random(seed)
+    n = 5
+
+    def entry():
+        return QI.element([rng.randint(-3, 3), rng.randint(-3, 3)])
+
+    # the span of the first two columns of p is invariant under op
+    tri = M(QI, [[entry() if (r < 2 or c >= 2) else QI.zero()
+                  for c in range(n)] for r in range(n)])
+    while True:
+        p = M(QI, [[entry() for _ in range(n)] for _ in range(n)])
+        if rank(p) == n:
+            break
+    op = p @ tri @ inverse(p)
+    space = spin(QI, n, [p.col(0), p.col(1)], [op])
+    other = Subspace.from_vectors(QI, n, [[entry() for _ in range(n)]
+                                          for _ in range(3)])
+    before = _stored(space), _stored(other)
+    for v in space.basis() + other.basis():
+        space.contains(v)
+        other.contains(v)
+    space.annihilator()
+    space.intersect(other)
+    other.intersect(space)
+    space.preimage_under(op)
+    assert restrict_operator(op, space).nrows == space.dim == 2
+    assert (_stored(space), _stored(other)) == before
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_from_vectors_is_canonical_under_permutation(seed):
+    rng = random.Random(seed)
+    vectors = _random_rows(rng, QI, 4, 6, 0.6)
+    vectors += [[a + b for a, b in zip(vectors[0], vectors[1])],
+                [QI.zero()] * 6]
+    first = Subspace.from_vectors(QI, 6, vectors)
+    for _ in range(5):
+        rng.shuffle(vectors)
+        again = Subspace.from_vectors(QI, 6, vectors)
+        assert again == first and hash(again) == hash(first)
+        assert again.basis() == first.basis()
+        assert list(again.pivot_rows) == sorted(again.pivot_rows)
 
 
 def test_spin_closes_under_operators():
@@ -389,9 +452,10 @@ def test_kernels_match_dense_reference(ctx):
             assert all(space.contains(r) for r in rows)
             # each row is new exactly when it raises the reference rank
             ranks = [0] + [len(_ref_rref(rows[:k + 1])[1]) for k in range(m)]
-            acc = RrefAccumulator(ctx, n)
+            pivot_rows = {}
             for k, r in enumerate(rows):
-                assert acc.add(r) == (ranks[k + 1] > ranks[k])
+                assert (_insert_row(pivot_rows, _sparse(r))
+                        == (ranks[k + 1] > ranks[k]))
 
 
 def test_empty_inner_dimension_is_refused():
@@ -413,5 +477,6 @@ def test_zero_divisor_product_leaves_no_entry():
         return Mat(QS4, red), tuple(pivots)
 
     _same_or_same_error(lambda: rref(Mat(QS4, rows)), ref_rref)
-    acc = RrefAccumulator(QS4, 2)
-    assert acc.add(rows[0]) and not acc.add(rows[1])
+    pivot_rows = {}
+    assert (_insert_row(pivot_rows, _sparse(rows[0]))
+            and not _insert_row(pivot_rows, _sparse(rows[1])))

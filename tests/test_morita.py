@@ -34,7 +34,7 @@ from hopfexact.errors import (
 from hopfexact.field import FieldContext, adjoin_sqrt
 from hopfexact.linalg import (Mat, _dense, _sparse, basis_vector, kernel, kron,
                               linear_combination, rank, tensor_vec, vadd,
-                              vscale, vstack)
+                              vscale)
 from hopfexact.morita import (
     RightComodModule,
     _character_solver,
@@ -133,7 +133,7 @@ def test_simple_modules_are_actual_modules_and_distinct():
     for s in dec.simples:
         for i in range(a.dim):
             for j in range(a.dim):
-                want = Mat.zeros(a.ctx, s.dim, s.dim)
+                want = Mat(a.ctx, [[0] * s.dim] * s.dim)
                 for k, c in enumerate(a.table[i][j]):
                     if not c.is_zero():
                         want = want + s.action[k].scale(c)
@@ -215,7 +215,8 @@ def test_kp_simple_modules_are_valid_and_complete():
     for _, mats in mods:
         for i in range(8):
             for j in range(8):
-                want = Mat.zeros(QI, mats[0].nrows, mats[0].nrows)
+                d = mats[0].nrows
+                want = Mat(QI, [[0] * d] * d)
                 for k, c in enumerate(kp.table[i][j]):
                     if not c.is_zero():
                         want = want + mats[k].scale(c)
@@ -534,7 +535,9 @@ def _kron_intertwiners(m1, m2):
     i1, i2 = Mat.identity(ctx, d1), Mat.identity(ctx, d2)
     blocks = [kron(i2, r1.transpose()) - kron(r2, i1)
               for r1, r2 in zip(m1, m2, strict=True)]
-    return [Mat.unvec(ctx, t, d2, d1) for t in kernel(vstack(blocks))]
+    stacked = Mat.from_entries(ctx, [r for b in blocks for r in b.entries],
+                               d2 * d1)
+    return [Mat.unvec(ctx, t, d2, d1) for t in kernel(stacked)]
 
 
 def _block_diagonal(a, b):

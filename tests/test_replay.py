@@ -511,6 +511,20 @@ def test_the_carried_iso_is_a_colinear_algebra_isomorphism_onto_kp():
     assert replay._carried_iso(member, not_colinear, passed) is None
 
 
+def test_each_full_extension_case_keeps_its_iso_onto_kp():
+    regular = build_regular_comodule_algebra(CTX)
+    kp = regular.hopf
+    report = replay_lemma("group-full-extension", CTX)
+    assert [c.signs for c in report.cases] == [_REP_SIGNS, _MEMBER_SIGNS]
+    for case in report.cases:
+        a = replay._system("ga_K", 2, case.signs, CTX).g.specialize(
+            case.solution, kp)
+        assert case.iso is not None
+        assert is_algebra_isomorphism(a, kp, case.iso)
+        assert kp.comult @ case.iso \
+            == kron(Mat.identity(CTX, 8), case.iso) @ a.coaction
+
+
 def test_a_wrong_sign_change_is_refused_and_the_member_decided_in_full(
         monkeypatch):
     monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
