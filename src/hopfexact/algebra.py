@@ -5,8 +5,11 @@ multiplication table ``table[i][j] = e_i * e_j`` (each entry a coordinate
 vector).  The table is immutable, so the algebra also keeps it once in
 sparse form: ``terms[i][j]`` is the :data:`~hopfexact.linalg.Row` of the
 nonzero coordinates of ``e_i * e_j``, and :meth:`Algebra.multiply` and the
-axiom checks read only those.  Axioms are checked exactly on every basis
-pair or triple, so a verdict of "associative" is a proof over the
+multiplication matrix ``m`` (:meth:`Algebra.mult_matrix`) read only those.
+An axiom that is not a product of two tensor legs is checked exactly as one
+identity of sparse matrices built from ``m`` with ``kron`` and ``@``:
+associativity is ``m (m (x) id) == m (id (x) m)``.  An identity of matrices
+holds on every element, so a verdict of "associative" is a proof over the
 coefficient field, not a sample.
 
 Products of tensors go through one kernel, :func:`tensor_product`: a tensor
@@ -40,6 +43,7 @@ from .linalg import (
     basis_vector,
     kernel,
     kron,
+    solve,
     vzero,
 )
 
@@ -200,23 +204,40 @@ def multiplicative_into_tensor(phi: Mat, a: Algebra, h: Algebra,
 def check_algebra(alg: Algebra) -> list[str]:
     """Return the list of violated algebra axioms (empty means all hold).
 
-    Associativity is checked on every basis triple, which proves it for all
-    elements by trilinearity.
+    Associativity is the identity ``m (m (x) id) == m (id (x) m)`` of the
+    multiplication matrix ``m``, which proves it for all elements.
     """
     problems = []
-    n = alg.dim
-    ident = Mat.identity(alg.ctx, n)
+    ident = Mat.identity(alg.ctx, alg.dim)
     if alg.left_mult(alg.unit) != ident:
         problems.append("unit is not a left unit")
     if alg.right_mult(alg.unit) != ident:
         problems.append("unit is not a right unit")
-    t = alg.terms
-    cols = [[t[m][k] for m in range(n)] for k in range(n)]
-    assoc_ok = all(_combine(t[i][j], cols[k]) == _combine(t[j][k], t[i])
-                   for i in range(n) for j in range(n) for k in range(n))
-    if not assoc_ok:
+    m = alg.mult_matrix()
+    if m @ kron(m, ident) != m @ kron(ident, m):
         problems.append("multiplication is not associative")
     return problems
+
+
+def algebra_on_span(body: Mat, unit: Sequence[FieldElement], product: Mat
+                    ) -> tuple[Vec, list[list[Vec]]]:
+    """The unit and table of the algebra that the columns of ``body`` span,
+    in coordinates over those columns.
+
+    ``body`` has independent columns, ``unit`` is the unit of the ambient
+    algebra, and column ``i * d + j`` of ``product`` is the product of
+    columns ``i`` and ``j`` of ``body``, all in ambient coordinates.  Raises
+    :class:`NotAnAlgebra` when the span misses the unit or is not closed
+    under the product.
+    """
+    unit_coords = solve(body, unit)
+    if unit_coords is None:
+        raise NotAnAlgebra("the span misses the unit")
+    coords = [solve(body, col) for col in product.transpose().rows]
+    if any(c is None for c in coords):
+        raise NotAnAlgebra("the span is not closed under the product")
+    d = body.ncols
+    return unit_coords, [coords[i * d:(i + 1) * d] for i in range(d)]
 
 
 def trace(mat: Mat) -> FieldElement:

@@ -2,8 +2,10 @@
 
 A left coaction on V is stored as a ``(dim_H * dim_V) x dim_V`` matrix: the
 column for basis vector ``j`` holds the coordinates of its coaction image in
-H (x) V, with the Hopf leg on the coarse index.  All axioms are checked
-sparsely, basis column by basis column.
+H (x) V, with the Hopf leg on the coarse index.  The comodule laws are
+identities of sparse matrices (:func:`~hopfexact.hopf.coaction_laws`), and
+the multiplicativity of a coaction, a product of two tensor legs, goes
+through :func:`~hopfexact.algebra.tensor_product`.
 
 The module also hosts the decomposition machinery that is special to the
 eight-dimensional Hopf algebra from :func:`~hopfexact.constructions.build_kp`:
@@ -12,16 +14,22 @@ part, the involution tau exchanging the two legs of the latter, and the
 further eigenvalue decomposition of comodule algebras under their grouplike
 units.  Last come the map (id (x) chi) o coaction from a comodule algebra
 into H for a character chi, which is the shape of every colinear algebra map
-into H, and the left coideal subalgebras of H that such maps land in.
+into H, and the left coideal subalgebras of H that such maps land in.  Their
+checks are identities too: chi is multiplicative when ``chi m == chi (x)
+chi``, and the image of phi is a left coideal when ``(id (x) quotient)
+Delta phi`` vanishes, ``quotient`` being the functionals that vanish on the
+image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Sequence
 
-from .algebra import Algebra, check_algebra, multiplicative_into_tensor
+from .algebra import (Algebra, algebra_on_span, check_algebra,
+                      is_algebra_morphism, multiplicative_into_tensor)
 from .errors import (
     BadWitness,
     DimensionMismatch,
@@ -39,8 +47,7 @@ from .linalg import (
     Vec,
     _checked_row,
     _insert_row,
-    _kernel_rows,
-    _subtract_multiple,
+    _sparse,
     basis_vector,
     eigenspace,
     inverse,
@@ -138,17 +145,11 @@ def check_comodule_algebra(a: ComoduleAlgebra) -> list[str]:
 
 def isotypic_part(c: ComoduleLike, g: Sequence[FieldElement]) -> Subspace:
     """The subspace {v : coaction(v) = g (x) v} for a fixed element g of H:
-    the kernel of ``coaction - g (x) id``, whose row ``h*dim + k`` is row
-    ``h*dim + k`` of the coaction less ``g[h]`` at column k."""
+    the kernel of ``coaction - g (x) id``."""
     ctx, n = c.ctx, c.dim
-    one = ctx.one()
-    rows = []
-    for idx, r in enumerate(c.coaction.entries):
-        h, k = divmod(idx, n)
-        row = dict(r)
-        _subtract_multiple(row, g[h], {k: one})
-        rows.append(row)
-    return Subspace.from_vectors(ctx, n, _kernel_rows(ctx, rows, n))
+    shifted = c.coaction - kron(Mat.from_columns(ctx, [g]),
+                                Mat.identity(ctx, n))
+    return Subspace.from_vectors(ctx, n, kernel(shifted))
 
 
 def coinvariants(c: ComoduleLike) -> Subspace:
@@ -317,52 +318,30 @@ def phi_embed(a: ComoduleAlgebra, witness: Sequence[Scalar]) -> PhiReport:
     algebra map f: A -> H has this form, with chi = counit o f, since
     f = (id (x) counit) o comult o f = (id (x) counit o f) o coaction.
     """
-    ctx = a.ctx
-    nh, na = a.hopf.dim, a.dim
+    ctx, h = a.ctx, a.hopf
+    nh, na = h.dim, a.dim
     w = [c if isinstance(c, FieldElement) else ctx.scalar(c) for c in witness]
     if len(w) != na:
         raise BadWitness(
             f"witness has {len(w)} coordinates, the algebra has {na}")
-
-    def char(vec: Sequence[FieldElement]) -> FieldElement:
-        acc = ctx.zero()
-        for c, x in zip(w, vec):
-            acc = acc + c * x
-        return acc
-
-    if char(a.unit) != ctx.one():
+    chi = Mat(ctx, [w])
+    if chi.apply(a.unit) != (ctx.one(),):
         raise BadWitness("witness does not send the unit to 1")
-    for i in range(na):
-        for j in range(na):
-            if char(a.table[i][j]) != w[i] * w[j]:
-                raise BadWitness("witness is not multiplicative")
-    phi = kron(Mat.identity(ctx, nh), Mat(ctx, [w])) @ a.coaction
+    if chi @ a.mult_matrix() != kron(chi, chi):
+        raise BadWitness("witness is not multiplicative")
+    phi = kron(Mat.identity(ctx, nh), chi) @ a.coaction
     injective = rank(phi) == na
-    algebra_ok = (phi.apply(a.unit) == a.hopf.unit)
-    if algebra_ok:
-        for i in range(na):
-            for j in range(na):
-                if phi.apply(a.table[i][j]) != a.hopf.multiply(phi.col(i),
-                                                               phi.col(j)):
-                    algebra_ok = False
-    image = Subspace.from_vectors(ctx, nh, [phi.col(j) for j in range(na)])
-    coideal_ok = all(
-        _in_tensor_right(a.hopf, image, a.hopf.comult.apply(v))
-        for v in image.basis())
-    subalg_ok = all(image.contains(a.hopf.multiply(u, v))
-                    for u in image.basis() for v in image.basis())
+    algebra_ok = is_algebra_morphism(a, h, phi)
+    image = Subspace.from_vectors(ctx, nh, phi.transpose().rows)
+    # the functionals that vanish on the image: the image is a left coideal
+    # when (id (x) quotient) Delta phi is zero, and a subalgebra when
+    # quotient m (phi (x) phi) is
+    quotient = Mat.from_entries(ctx, map(_sparse, image.annihilator()), nh)
+    coideal_ok = not any(
+        (kron(Mat.identity(ctx, nh), quotient) @ h.comult @ phi).entries)
+    subalg_ok = not any(
+        (quotient @ h.mult_matrix() @ kron(phi, phi)).entries)
     return PhiReport(phi, injective, algebra_ok, image, coideal_ok, subalg_ok)
-
-
-def _in_tensor_right(h: Hopf, right_space: Subspace, vec_hh: Vec) -> bool:
-    """Is a vector of H (x) H inside H (x) (subspace)?"""
-    n = h.dim
-    gens = []
-    for j in range(n):
-        ej = basis_vector(h.ctx, n, j)
-        for s in right_space.basis():
-            gens.append(tensor_vec(ej, s))
-    return Subspace.from_vectors(h.ctx, n * n, gens).contains(vec_hh)
 
 
 def coideal_generated(h: Hopf, seeds: Sequence[Vec]) -> Subspace:
@@ -388,60 +367,30 @@ def coideal_generated(h: Hopf, seeds: Sequence[Vec]) -> Subspace:
     return Subspace(ctx, n, pivot_rows)
 
 
-def _subalgebra_on_basis(a: Algebra, basis: Sequence[Vec]
-                         ) -> Optional[Algebra]:
-    """Express a multiplicatively closed subspace as an algebra of its own,
-    in the coordinates over ``basis``; None when the subspace is not closed
-    under multiplication or misses the unit.
-    """
-    span = Subspace.from_vectors(a.ctx, a.dim, basis)
-    if not span.contains(a.unit):
-        return None
-    body = Mat.from_columns(a.ctx, basis)
-    unit_coords = solve(body, a.unit)
-    table = []
-    for u in basis:
-        row = []
-        for v in basis:
-            prod = a.multiply(u, v)
-            if not span.contains(prod):
-                return None
-            row.append(solve(body, prod))
-        table.append(row)
-    labels = [f"b{i}" for i in range(len(basis))]
-    return Algebra(a.ctx, labels, unit_coords, table)
-
-
 def comodule_algebra_from_subspace(h: Hopf, space: Subspace
                                    ) -> ComoduleAlgebra:
     """Realise a unital subalgebra of H that is also a left coideal as a
     comodule algebra in its own right, coacted on by the restricted coproduct.
 
+    The algebra is the span of the canonical basis of ``space``, labelled
+    ``b0, b1, ...``; the coaction column of a basis vector holds the
+    coordinates of each left slice of its coproduct over that basis.
     Raises :class:`HopfExactError` when the subspace misses the unit, is not
     closed under multiplication, or its coproduct leaves H (x) (subspace).
     """
-    basis = space.basis()
-    sub = _subalgebra_on_basis(h, basis)
-    if sub is None:
-        raise HopfExactError(
-            "subspace is not a unital subalgebra of the Hopf algebra")
-    n, d = h.dim, len(basis)
-    body = Mat.from_columns(h.ctx, basis)
-    rows: list[list[FieldElement]] = [[h.ctx.zero()] * d for _ in range(n * d)]
-    for j, v in enumerate(basis):
-        dv = h.comult.apply(v)
-        for a_idx in range(n):
-            piece = tuple(dv[a_idx * n + k] for k in range(n))
-            if all(c.is_zero() for c in piece):
-                continue
-            coords = solve(body, piece)
-            if coords is None:
-                raise HopfExactError(
-                    "coproduct of the subspace leaves H (x) (subspace)")
-            for k in range(d):
-                rows[a_idx * d + k][j] = coords[k]
-    return ComoduleAlgebra(h, sub.labels, sub.unit, sub.table,
-                           Mat(h.ctx, rows))
+    ctx, n, d = h.ctx, h.dim, space.dim
+    body = Mat.from_entries(ctx, space.pivot_rows.values(), n).transpose()
+    unit, table = algebra_on_span(body, h.unit,
+                                  h.mult_matrix() @ kron(body, body))
+    cols = []
+    for dv in (h.comult @ body).transpose().rows:
+        coords = [solve(body, dv[k * n:(k + 1) * n]) for k in range(n)]
+        if any(c is None for c in coords):
+            raise HopfExactError(
+                "coproduct of the subspace leaves H (x) (subspace)")
+        cols.append(tuple(chain.from_iterable(coords)))
+    return ComoduleAlgebra(h, [f"b{i}" for i in range(d)], unit, table,
+                           Mat.from_columns(ctx, cols))
 
 
 def rebase_comodule_algebra(a: ComoduleAlgebra,

@@ -4,11 +4,16 @@ A :class:`Hopf` extends :class:`~hopfexact.algebra.Algebra` with a
 comultiplication matrix (``dim**2 x dim``, the column for basis vector ``j``
 holding the coordinates of its coproduct with the left tensor leg on the
 coarse index), a counit functional, and an antipode matrix.  Every axiom is
-checked exactly and sparsely, basis vector by basis vector or basis pair by
-basis pair, over the nonzero structure constants only; by linearity that
-proves it for all elements.  The coalgebra laws are the comodule laws of H
-coacting on itself by its coproduct (:func:`coaction_laws`, which the
-comodule checks share), plus the counit law on the right tensor leg.
+checked exactly, and an axiom that is not a product of two tensor legs is
+one identity of sparse structure matrices, built with ``kron`` and ``@``:
+with ``m`` the multiplication matrix, the antipode law is ``m (S (x) id)
+Delta == unit counit``, and the counit is multiplicative when ``counit m ==
+counit (x) counit``.  An identity of matrices holds on every element.  The
+multiplicativity of the coproduct, a product of two tensor legs, goes
+through :func:`~hopfexact.algebra.tensor_product`.  The coalgebra laws are
+the comodule laws of H coacting on itself by its coproduct
+(:func:`coaction_laws`, which the comodule checks share), plus the counit
+law on the right tensor leg.
 """
 
 from __future__ import annotations
@@ -18,18 +23,7 @@ from typing import Sequence
 from .algebra import Algebra, check_algebra, multiplicative_into_tensor
 from .errors import DimensionMismatch, SingularAntipode
 from .field import FieldContext, FieldElement, scal
-from .linalg import (
-    Mat,
-    Scalar,
-    Vec,
-    inverse,
-    linear_combination,
-    slice_left,
-    slice_right,
-    tensor_vec,
-    vadd,
-    vscale,
-)
+from .linalg import Mat, Scalar, Vec, inverse, kron, tensor_vec
 
 
 class Hopf(Algebra):
@@ -67,41 +61,23 @@ class Hopf(Algebra):
 
 
 def coaction_laws(h: Hopf, dim: int, coaction: Mat) -> tuple[bool, bool]:
-    """Whether a left coaction of ``h`` on a space of dimension ``dim``
-    (a ``(h.dim * dim) x dim`` matrix) is coassociative and satisfies the
-    counit law, checked column by column over the nonzero entries."""
-    nh = h.dim
-    zero = h.ctx.zero()
-    comult = h.comult.transpose().entries
-    cols = coaction.transpose().entries
-    coassoc_ok = True
-    for col in cols:
-        lhs: dict[int, FieldElement] = {}
-        rhs: dict[int, FieldElement] = {}
-        for idx, coef in col.items():
-            a, k = divmod(idx, dim)
-            for idx2, c2 in comult[a].items():
-                key = idx2 * dim + k
-                lhs[key] = lhs.get(key, zero) + coef * c2
-            for idx2, c2 in cols[k].items():
-                key = a * nh * dim + idx2
-                rhs[key] = rhs.get(key, zero) + coef * c2
-        if any(lhs.get(k, zero) != rhs.get(k, zero) for k in lhs.keys() | rhs):
-            coassoc_ok = False
-            break
-    counit_ok = linear_combination(
-        h.counit, [slice_left(coaction, nh, dim, a) for a in range(nh)]
-    ) == Mat.identity(h.ctx, dim)
+    """Whether a left coaction ``lambda`` of ``h`` on a space of dimension
+    ``dim`` (a ``(h.dim * dim) x dim`` matrix) is coassociative,
+    ``(Delta (x) id) lambda == (id (x) lambda) lambda``, and satisfies the
+    counit law, ``(counit (x) id) lambda == id``."""
+    ctx = h.ctx
+    ident = Mat.identity(ctx, dim)
+    coassoc_ok = (kron(h.comult, ident) @ coaction
+                  == kron(Mat.identity(ctx, h.dim), coaction) @ coaction)
+    counit_ok = kron(Mat(ctx, [h.counit]), ident) @ coaction == ident
     return coassoc_ok, counit_ok
 
 
 def check_coalgebra(h: Hopf) -> list[str]:
     problems = []
-    n = h.dim
-    coassoc_ok, counit_left_ok = coaction_laws(h, n, h.comult)
-    counit_right_ok = linear_combination(
-        h.counit, [slice_right(h.comult, n, n, b) for b in range(n)]
-    ) == Mat.identity(h.ctx, n)
+    ident = Mat.identity(h.ctx, h.dim)
+    coassoc_ok, counit_left_ok = coaction_laws(h, h.dim, h.comult)
+    counit_right_ok = kron(ident, Mat(h.ctx, [h.counit])) @ h.comult == ident
     if not coassoc_ok:
         problems.append("comultiplication is not coassociative")
     if not counit_left_ok:
@@ -113,14 +89,12 @@ def check_coalgebra(h: Hopf) -> list[str]:
 
 def check_bialgebra_compat(h: Hopf) -> list[str]:
     problems = []
-    n = h.dim
-    counit_ok = all(h.counit_value(h.table[i][j]) == h.counit[i] * h.counit[j]
-                    for i in range(n) for j in range(n))
+    counit = Mat(h.ctx, [h.counit])
     if not multiplicative_into_tensor(h.comult, h, h, h):
         problems.append("comultiplication is not an algebra morphism")
     if h.comult.apply(h.unit) != tensor_vec(h.unit, h.unit):
         problems.append("comultiplication does not fix the unit")
-    if not counit_ok:
+    if counit @ h.mult_matrix() != kron(counit, counit):
         problems.append("counit is not an algebra morphism")
     if h.counit_value(h.unit) != h.ctx.one():
         problems.append("counit does not send the unit to 1")
@@ -128,27 +102,15 @@ def check_bialgebra_compat(h: Hopf) -> list[str]:
 
 
 def check_antipode(h: Hopf) -> list[str]:
+    """The convolution identities ``m (S (x) id) Delta == unit counit ==
+    m (id (x) S) Delta``."""
     problems = []
-    n = h.dim
-    left_ok = True
-    right_ok = True
-    for j, col in enumerate(h.comult.transpose().entries):
-        target = vscale(h.counit[j], h.unit)
-        left = h.zero()
-        right = h.zero()
-        for idx, c in col.items():
-            a, b = divmod(idx, n)
-            left = vadd(left, vscale(c, h.multiply(h.antipode.col(a),
-                                                   h.basis_element(b))))
-            right = vadd(right, vscale(c, h.multiply(h.basis_element(a),
-                                                     h.antipode.col(b))))
-        if left != target:
-            left_ok = False
-        if right != target:
-            right_ok = False
-    if not left_ok:
+    ident = Mat.identity(h.ctx, h.dim)
+    m = h.mult_matrix()
+    unit_counit = Mat.from_columns(h.ctx, [h.unit]) @ Mat(h.ctx, [h.counit])
+    if m @ kron(h.antipode, ident) @ h.comult != unit_counit:
         problems.append("antipode fails the left convolution identity")
-    if not right_ok:
+    if m @ kron(ident, h.antipode) @ h.comult != unit_counit:
         problems.append("antipode fails the right convolution identity")
     return problems
 

@@ -296,14 +296,6 @@ def slice_left(mat: Mat, dim_left: int, dim_right: int, h: int) -> Mat:
         mat.ctx, mat.entries[h * dim_right:(h + 1) * dim_right], mat.ncols)
 
 
-def slice_right(mat: Mat, dim_left: int, dim_right: int, k: int) -> Mat:
-    """Apply the k-th coordinate functional to the right tensor leg."""
-    if mat.nrows != dim_left * dim_right:
-        raise DimensionMismatch(
-            f"codomain has {mat.nrows} rows, expected {dim_left}*{dim_right}")
-    return Mat.from_entries(mat.ctx, mat.entries[k::dim_right], mat.ncols)
-
-
 def minimal_polynomial(mat: Mat) -> list[FieldElement]:
     """Monic minimal polynomial, coefficients low-to-high."""
     if mat.nrows != mat.ncols:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, permutations
 from typing import Callable, Optional, Sequence
 
-from .algebra import Algebra, tensor_product, trace, trace_radical
+from .algebra import algebra_on_span, tensor_product, trace, trace_radical
 from .comodule import (
     Comodule,
     ComoduleAlgebra,
@@ -53,13 +53,14 @@ from .linalg import (
     eigenspace,
     inverse,
     kernel,
+    kron,
     linear_combination,
     minimal_polynomial,
     rank,
     restrict_operator,
     rref,
+    slice_left,
     solve,
-    tensor_vec,
 )
 from .poly import MultiPoly, _addmul, _poly, concrete_solutions
 
@@ -123,61 +124,45 @@ def check_module_comodule(v: RightComodModule) -> list[str]:
 def end_comodule_algebra(v: RightComodModule) -> ComoduleAlgebra:
     """B-linear endomorphisms of V as a comodule algebra.
 
-    The coaction on an endomorphism T is recovered by solving
+    The coaction on an endomorphism T is recovered from
 
-        sum T(-1) (x) T(0)(p)  =  sum T(p(0))(-1) S^{-1}(p(-1)) (x) T(p(0))(0)
+        sum T(-1) (x) T(0)(p)  =  sum T(p(0))(-1) S^{-1}(p(-1)) (x) T(p(0))(0),
 
-    for every p; if that system has no unique solution for some basis
-    endomorphism, :class:`CoactionUnsolvable` is raised.
+    whose right side, as a map of p, is the matrix ``(m_op (x) id)
+    (S^{-1} (x) rho T) rho`` with ``m_op`` the opposite multiplication of H.
+    Each of its H-slices is an endomorphism of V, solved for over the
+    commutant basis ``T0, T1, ...``; if one lies outside the commutant,
+    :class:`CoactionUnsolvable` is raised.
     """
     ctx = v.ctx
     n = v.dim
-    nh = v.hopf.dim
+    h = v.hopf
     basis = _commutant(v.action)
-    d = len(basis)
-    if d == 0:
+    if not basis:
         raise CoactionUnsolvable("the commutant is zero, which cannot happen "
                                  "for a unital action")
-    endo = _algebra_of_matrices(ctx, basis)
-
-    s_inv = antipode_inverse(v.hopf)
-    rho = v.coaction.transpose().entries
+    body = Mat.from_entries(ctx, map(_vec_row, basis), n * n).transpose()
+    unit, table = algebra_on_span(
+        body, Mat.identity(ctx, n).vec(),
+        Mat.from_entries(ctx, (_vec_row(t @ u) for t in basis for u in basis),
+                         n * n).transpose())
+    rho = v.coaction
+    # column a*nh + b of m_op is the product b a
+    m_op = Mat.from_entries(ctx, chain.from_iterable(zip(*h.terms)),
+                            h.dim).transpose()
+    twist = kron(m_op, Mat.identity(ctx, n))
+    s_inv = antipode_inverse(h)
     coaction_cols = []
     for t in basis:
-        # unknowns: coefficients of lambda(T) over (H basis) x (commutant basis)
-        t_cols = t.transpose().entries
-        rows = []
-        rhs_all = []
-        for p in range(n):
-            rhs = [ctx.zero()] * (nh * n)
-            for idx, c in rho[p].items():
-                h1, k = divmod(idx, n)
-                left = s_inv.col(h1)
-                # the coaction of T(e_k)
-                for idx2, c2 in _combine(t_cols[k], rho).items():
-                    a, m = divmod(idx2, n)
-                    prod_h = v.hopf.multiply(v.hopf.basis_element(a), left)
-                    cc = c * c2
-                    for hh, hc in enumerate(prod_h):
-                        if not hc.is_zero():
-                            rhs[hh * n + m] = rhs[hh * n + m] + cc * hc
-            for a in range(nh):
-                for m in range(n):
-                    row = []
-                    for h in range(nh):
-                        for j in range(d):
-                            row.append(basis[j][m, p] if h == a else ctx.zero())
-                    rows.append(row)
-                    rhs_all.append(rhs[a * n + m])
-        system = Mat(ctx, rows)
-        sol = solve(system, tuple(rhs_all))
-        if sol is None or kernel(system):
+        rhs = twist @ kron(s_inv, rho @ t) @ rho
+        coords = [solve(body, slice_left(rhs, h.dim, n, k).vec())
+                  for k in range(h.dim)]
+        if any(c is None for c in coords):
             raise CoactionUnsolvable(
                 "the endomorphism coaction is not uniquely determined")
-        coaction_cols.append(sol)
-    coaction = Mat.from_columns(ctx, coaction_cols)
-    out = ComoduleAlgebra(v.hopf, endo.labels, endo.unit, endo.table,
-                          coaction)
+        coaction_cols.append(tuple(chain.from_iterable(coords)))
+    out = ComoduleAlgebra(h, [f"T{i}" for i in range(len(basis))], unit,
+                          table, Mat.from_columns(ctx, coaction_cols))
     problems = check_comodule_algebra(out)
     if problems:
         raise CoactionUnsolvable(
@@ -185,28 +170,6 @@ def end_comodule_algebra(v: RightComodModule) -> ComoduleAlgebra:
             "algebra (the input is not an equivariant module): "
             + "; ".join(problems))
     return out
-
-
-def _algebra_of_matrices(ctx: FieldContext, mats: Sequence[Mat]) -> Algebra:
-    """Structure constants of a span of matrices that is closed under
-    composition and contains the identity."""
-    n = mats[0].nrows
-    body = Mat.from_entries(ctx, map(_vec_row, mats), n * n).transpose()
-    unit = solve(body, Mat.identity(ctx, n).vec())
-    if unit is None:
-        raise HopfExactError("the identity is outside the matrix span")
-    table = []
-    for t in mats:
-        row = []
-        for u in mats:
-            prod = solve(body, (t @ u).vec())
-            if prod is None:
-                raise HopfExactError("the matrix span is not closed under "
-                                     "composition")
-            row.append(prod)
-        table.append(row)
-    labels = [f"T{i}" for i in range(len(mats))]
-    return Algebra(ctx, labels, unit, table)
 
 
 # -- colinear isomorphism search ------------------------------------------------
@@ -446,13 +409,12 @@ def _restrict_action(action: list[Mat], space: Subspace) -> list[Mat]:
 
 
 def _grouplikes(h: Hopf) -> list[Vec]:
-    """The basis elements g of H with Delta(g) = g (x) g."""
-    out = []
-    for j in range(h.dim):
-        g = h.basis_element(j)
-        if h.comult.col(j) == tensor_vec(g, g):
-            out.append(g)
-    return out
+    """The basis elements g of H with Delta(g) = g (x) g, read off the
+    stored columns of the coproduct."""
+    one, n = h.ctx.one(), h.dim
+    return [h.basis_element(j)
+            for j, col in enumerate(h.comult.transpose().entries)
+            if col == {j * n + j: one}]
 
 
 def simple_modules(a: ComoduleAlgebra) -> ModuleDecomposition:

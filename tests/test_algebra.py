@@ -7,6 +7,7 @@ import pytest
 from hopfexact.algebra import (
     Algebra,
     _trace_form,
+    algebra_on_span,
     check_algebra,
     direct_sum,
     generated_operator_algebra,
@@ -16,8 +17,9 @@ from hopfexact.algebra import (
     trace_radical,
 )
 from hopfexact.constructions import build_kp, catalog
+from hopfexact.errors import NotAnAlgebra
 from hopfexact.field import FieldContext
-from hopfexact.linalg import Mat, Subspace
+from hopfexact.linalg import Mat, Subspace, kron
 
 Q = FieldContext(1)
 QI = FieldContext(4)
@@ -195,3 +197,27 @@ def test_algebra_morphism_checks():
 
 def test_trace_helper():
     assert trace(Mat(Q, [[1, 5], [7, 3]])) == Q.scalar(4)
+
+
+def _span_algebra(h, labels):
+    body = Mat.from_columns(h.ctx, [h.basis_element(lab) for lab in labels])
+    return algebra_on_span(body, h.unit, h.mult_matrix() @ kron(body, body))
+
+
+def test_algebra_on_span_reads_the_table_over_the_span():
+    kp = build_kp(QI)
+    unit, table = _span_algebra(kp, ["1", "x"])
+    e0, e1 = (QI.one(), QI.zero()), (QI.zero(), QI.one())
+    assert unit == e0
+    assert table == [[e0, e1], [e1, e0]]
+
+
+def test_algebra_on_span_refuses_a_span_without_the_unit():
+    with pytest.raises(NotAnAlgebra, match="misses the unit"):
+        _span_algebra(build_kp(QI), ["x", "y", "xy"])
+
+
+def test_algebra_on_span_refuses_a_span_not_closed_under_the_product():
+    # z z = (1 + x + y - xy) / 2 lies outside span{1, z}
+    with pytest.raises(NotAnAlgebra, match="not closed under the product"):
+        _span_algebra(build_kp(QI), ["1", "z"])

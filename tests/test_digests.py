@@ -7,11 +7,15 @@ import hashlib
 import random
 
 from hopfexact import replay
-from hopfexact.constructions import (build_matrix2_trivial, catalog,
-                                     comodule_direct_sum)
+from hopfexact.comodule import (coideal_generated,
+                                comodule_algebra_from_subspace)
+from hopfexact.constructions import (build_bimodule_V, build_matrix2_trivial,
+                                     catalog, comodule_direct_sum)
 from hopfexact.exactness import check_exactness
 from hopfexact.field import FieldContext
-from hopfexact.morita import colinear_iso_search, fusion_fingerprint
+from hopfexact.linalg import vadd, vscale
+from hopfexact.morita import (RightComodModule, colinear_iso_search,
+                              end_comodule_algebra, fusion_fingerprint)
 from hopfexact.replay import classify_n2_le_1
 
 from _transport import transport
@@ -72,3 +76,33 @@ def test_every_comparison_verdict_matches_its_pinned_digest():
         ex = check_exactness(a)
         text += f"{ex.method} {ex.witness.basis()!r}\n"
     assert _digest(text) == _VERDICTS_SHA256
+
+
+# sha256 of the table, unit and coaction of End(V) over Q(i), for V each of
+# five small entries as a right module over itself and the bimodules V over
+# kpsi and ga_x, then of the comodule algebra on the left coideal of kp
+# generated by z + i zx
+_SOLVED_SHA256 = ("99118760d15a8a49adb7ff7cc17bc380"
+                  "576cd20047dcd77a547e92147176d211")
+
+
+def _structure(name, a) -> str:
+    return f"{name}: {a.table!r} {a.unit!r} {_rows(a.coaction)}\n"
+
+
+def test_every_solved_coaction_matches_its_pinned_digest():
+    text = ""
+    for name in ("ga_x", "ga_k", "kpsi", "a_i_xy", "ga_xy"):
+        b = CATALOG[name]
+        regular = RightComodModule(b, b.dim, b.coaction,
+                                   [b.right_mult(b.basis_element(i))
+                                    for i in range(b.dim)])
+        text += _structure(f"End({name})", end_comodule_algebra(regular))
+    for target in ("kpsi", "ga_x"):
+        v = build_bimodule_V(target, QI)
+        text += _structure(f"End(V {target})", end_comodule_algebra(v))
+    kp = CATALOG["kp"].hopf
+    seed = vadd(kp.basis_element("z"), vscale(QI.i(), kp.basis_element("zx")))
+    text += _structure("coideal", comodule_algebra_from_subspace(
+        kp, coideal_generated(kp, [seed])))
+    assert _digest(text) == _SOLVED_SHA256

@@ -694,6 +694,19 @@ def test_end_of_right_regular_module_recovers_the_algebra():
     assert colinear_iso_search(e, b) is not None
 
 
+@pytest.mark.parametrize("name", ["ga_k", "kpsi", "a_i_xy", "ga_xy"])
+def test_end_of_right_regular_module_recovers_each_small_algebra(name):
+    b = CATALOG[name]
+    regular = RightComodModule(b, b.dim, b.coaction,
+                               [b.right_mult(b.basis_element(i))
+                                for i in range(b.dim)])
+    assert check_module_comodule(regular) == []
+    e = end_comodule_algebra(regular)
+    assert e.dim == b.dim
+    assert check_comodule_algebra(e) == []
+    assert colinear_iso_search(e, b) is not None
+
+
 def test_end_rejects_incompatible_coaction():
     v = build_bimodule_V("kpsi", QI)
     bad_cols = [tensor_vec(basis_vector(QI, 8, 4), basis_vector(QI, 2, j))
