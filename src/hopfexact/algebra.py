@@ -43,6 +43,7 @@ from .linalg import (
     basis_vector,
     kernel,
     kron,
+    rank,
     solve,
     vzero,
 )
@@ -346,6 +347,5 @@ def is_algebra_morphism(src: Algebra, dst: Algebra, phi: Mat) -> bool:
 
 
 def is_algebra_isomorphism(src: Algebra, dst: Algebra, phi: Mat) -> bool:
-    from .linalg import rank
     return (src.dim == dst.dim and is_algebra_morphism(src, dst, phi)
             and rank(phi) == src.dim)

@@ -27,6 +27,14 @@ the classic recursive exact division ``Phi_n = (x**n - 1) / prod Phi_d``; it
 is monic with integer coefficients, so the reduction table for ``zeta**k``
 holds plain integers.
 
+The field solves no linear system.  A nonzero ``a`` in Q(zeta_n) is
+inverted as the product of its other Galois conjugates ``sigma_k(a)``
+(zeta -> zeta**k, k a unit mod n, k != 1) over its rational norm ``N(a)``,
+the product of all of them; a layer element ``a + b*s`` is inverted as
+``(a - b*s) / (a**2 - d*b**2)``, whose denominator lies in the base.  One
+map, ``zeta**j -> zeta**(j*k)``, gives both the conjugations and the
+embeddings Q(zeta_m) -> Q(zeta_n).
+
 Square roots (:func:`sqrt_in_context`) take one quadratic step per level of
 a tower.  Read ``x = a + b*t`` over the field one step down, with
 ``t**2 = d``: ``t = s`` over the base for a layer, and ``t = zeta_n``,
@@ -69,13 +77,14 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Exact quotient of polynomials given low-to-high; remainder must vanish."""
+def _poly_divmod(num: Sequence, den: Sequence) -> list:
+    """Exact quotient of polynomials given low-to-high, with coefficients
+    all :class:`~fractions.Fraction` or all :class:`FieldElement` of one
+    context; the remainder must vanish."""
     num = list(num)
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
+    q = [None] * (len(num) - len(den) + 1)
     for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        q[k] = c
+        c = q[k] = num[k + len(den) - 1] / den[-1]
         if c:
             for j, dj in enumerate(den):
                 num[k + j] -= c * dj
@@ -262,34 +271,22 @@ class FieldContext:
 
     def _inv_base(self, a: Sequence[int]) -> tuple[list[int], int]:
         """``(num, den)`` with ``a * num / den == 1``, for a nonzero integer
-        vector ``a``; the pair is not yet in canonical form."""
-        m = self.base_dim
+        vector ``a``; the pair is not yet in canonical form.
+
+        ``num`` is the product of the other Galois conjugates of ``a``, the
+        images under zeta -> zeta**k for the units k != 1 mod n, and ``den``
+        is ``a * num``, the rational norm of ``a``."""
         if not any(a):
             raise DivisionByZero("division by zero")
+        num = [1] + [0] * (self.base_dim - 1)
         if not any(a[1:]):
             # a rational number: 1 / a[0]
-            return [1] + [0] * (m - 1), a[0]
-        # Solve (multiplication-by-a matrix) x = e0 by fraction-free
-        # Gauss-Jordan elimination: cross-multiply, then divide each row by
-        # the gcd of its entries.  The result is diagonal, d_i * x_i = r_i.
-        cols = [self._mul_base(a, self._zeta_powers[j]) for j in range(m)]
-        aug = [[cols[j][i] for j in range(m)] + [1 if i == 0 else 0]
-               for i in range(m)]
-        for col in range(m):
-            piv = next((r for r in range(col, m) if aug[r][col]), None)
-            if piv is None:
-                raise DivisionByZero("non-invertible element")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            prow = aug[col]
-            p = prow[col]
-            for r in range(m):
-                f = aug[r][col]
-                if r != col and f:
-                    row = [p * x - f * y for x, y in zip(aug[r], prow)]
-                    g = gcd(*row)
-                    aug[r] = [x // g for x in row] if g > 1 else row
-        den = lcm(*(aug[i][i] for i in range(m)))
-        return [aug[i][m] * (den // aug[i][i]) for i in range(m)], den
+            return num, a[0]
+        n = self.order
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                num = self._mul_base(num, _power_map(self, a, k))
+        return num, self._mul_base(a, num)[0]
 
 
 def _packed(ctx: FieldContext, num: tuple[int, ...], den: int) -> "FieldElement":
@@ -378,13 +375,14 @@ class FieldElement:
             if target.has_layer and target.order % ctx.order == 0:
                 disc_t = ctx.discriminant.coerce(target.base_context())
                 if disc_t == target.discriminant:
-                    return _canon(target, _embed(ctx, target, a)
-                                  + _embed(ctx, target, b), self.den)
+                    k = target.order // ctx.order
+                    return _canon(target, _power_map(target, a, k)
+                                  + _power_map(target, b, k), self.den)
             raise FieldMismatch(f"cannot embed {ctx} into {target}")
         if target.order % ctx.order != 0:
             raise FieldMismatch(
                 f"no embedding of order {ctx.order} into order {target.order}")
-        out = _embed(ctx, target, a)
+        out = _power_map(target, a, target.order // ctx.order)
         if target.has_layer:
             out += [0] * target.base_dim
         return _canon(target, out, self.den)
@@ -497,9 +495,6 @@ class FieldElement:
         a, b = self._pair_with(other)
         return a * b.inverse()
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
@@ -541,15 +536,18 @@ _set_num = FieldElement.num.__set__
 _set_den = FieldElement.den.__set__
 
 
-def _embed(src: FieldContext, target: FieldContext, a: Sequence[int]) -> list[int]:
-    """Base-field numerators of ``src`` mapped into the base field of
-    ``target``, where ``src.order`` divides ``target.order``:
-    zeta_src**j goes to zeta_target**(j*step)."""
-    step = target.order // src.order
+def _power_map(target: FieldContext, a: Sequence[int], k: int) -> list[int]:
+    """Base-field numerators ``a`` with each zeta**j sent to
+    zeta_target**(j*k), reduced in the base field of ``target``.
+
+    With ``target`` the context of ``a`` and k a unit mod its order this is
+    the Galois conjugation zeta -> zeta**k; with ``a`` from Q(zeta_m) and
+    ``k = target.order // m`` it is the embedding zeta_m -> zeta_target**k."""
+    n = target.order
     out = [0] * target.base_dim
     for j, c in enumerate(a):
         if c:
-            for i, t in enumerate(target._zeta_powers[j * step]):
+            for i, t in enumerate(target._zeta_powers[j * k % n]):
                 out[i] += c * t
     return out
 
@@ -735,18 +733,6 @@ def _eval_poly(cs: Sequence["FieldElement"], x: "FieldElement") -> "FieldElement
     return acc
 
 
-def _divide_linear(cs: list["FieldElement"], root: "FieldElement") -> list["FieldElement"]:
-    """Synthetic division by (t - root); the remainder must vanish."""
-    out = [None] * (len(cs) - 1)
-    carry = cs[-1]
-    for k in range(len(cs) - 2, -1, -1):
-        out[k] = carry
-        carry = cs[k] + carry * root
-    if not carry.is_zero():
-        raise HopfExactError(f"not a root: {root}")
-    return out
-
-
 def polynomial_roots(ctx: FieldContext, coeffs: Sequence[Rat | FieldElement]
                      ) -> Optional[list["FieldElement"]]:
     """All distinct roots in ``ctx``, or None if completeness is uncertain.
@@ -808,7 +794,7 @@ def polynomial_roots(ctx: FieldContext, coeffs: Sequence[Rat | FieldElement]
         while len(cs) > 1 and _eval_poly(cs, x).is_zero():
             if x not in roots:
                 roots.append(x)
-            cs = _divide_linear(cs, x)
+            cs = _poly_divmod(cs, [-x, ctx.one()])
     remaining = low_degree(cs)
     if remaining is not None:
         for r in remaining:

@@ -167,9 +167,6 @@ class Mat:
         return linear_combination((self.ctx.one(), self.ctx.scalar(-1)),
                                   (self, other))
 
-    def __neg__(self) -> "Mat":
-        return self.scale(-1)
-
     def _same_shape(self, other: "Mat"):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch(

@@ -233,11 +233,6 @@ class MultiPoly:
         _addmul(out, self._lift(other).terms, None, negate=True)
         return _poly(self.ctx, out)
 
-    def __rsub__(self, other) -> "MultiPoly":
-        out = dict(self._lift(other).terms)
-        _addmul(out, self.terms, None, negate=True)
-        return _poly(self.ctx, out)
-
     def __mul__(self, other) -> "MultiPoly":
         out: Terms = {}
         _addmul(out, self.terms, self._lift(other).terms)

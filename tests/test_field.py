@@ -1,7 +1,7 @@
 """Exact-arithmetic kernel: cyclotomic contexts, literals, square roots."""
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 import random
 
 import pytest
@@ -17,7 +17,7 @@ from hopfexact.errors import (
 )
 from hopfexact.field import (
     FieldContext,
-    _divide_linear,
+    FieldElement,
     _poly_divmod,
     adjoin_sqrt,
     cyclotomic_polynomial,
@@ -111,7 +111,7 @@ def test_inexact_divisions_raise_typed_errors():
     with pytest.raises(HopfExactError):
         _poly_divmod([F(1), F(0), F(1)], [F(-1), F(1)])
     with pytest.raises(HopfExactError):
-        _divide_linear([Q.scalar(-1), Q.one()], Q.scalar(2))
+        _poly_divmod([Q.scalar(-1), Q.one()], [Q.scalar(-2), Q.one()])
     assert _poly_divmod([F(-1), F(0), F(1)], [F(-1), F(1)]) == [F(1), F(1)]
 
 
@@ -707,3 +707,114 @@ def test_perfect_square_layer_has_zero_divisors_everywhere():
             x.inverse()
         with pytest.raises(DivisionByZero):
             ext.one() / x
+
+
+# -- the conjugate-product inverse against the Gauss-Jordan it replaced ---------
+#
+# ``_ref_inv_base`` is the earlier fraction-free Gauss-Jordan solve of
+# (multiplication-by-a matrix) x = e0, and ``_ref_inverse_packed`` applies it
+# through ``_canon`` exactly as ``FieldElement.inverse`` does.  An inverse is
+# unique and the packed form canonical, so both give the same ``(num, den)``.
+
+def _ref_inv_base(ctx, a):
+    m = ctx.base_dim
+    if not any(a):
+        raise DivisionByZero("division by zero")
+    if not any(a[1:]):
+        return [1] + [0] * (m - 1), a[0]
+    cols = [ctx._mul_base(a, ctx._zeta_powers[j]) for j in range(m)]
+    aug = [[cols[j][i] for j in range(m)] + [1 if i == 0 else 0]
+           for i in range(m)]
+    for col in range(m):
+        piv = next((r for r in range(col, m) if aug[r][col]), None)
+        if piv is None:
+            raise DivisionByZero("non-invertible element")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        prow = aug[col]
+        p = prow[col]
+        for r in range(m):
+            f = aug[r][col]
+            if r != col and f:
+                row = [p * x - f * y for x, y in zip(aug[r], prow)]
+                g = gcd(*row)
+                aug[r] = [x // g for x in row] if g > 1 else row
+    den = lcm(*(aug[i][i] for i in range(m)))
+    return [aug[i][m] * (den // aug[i][i]) for i in range(m)], den
+
+
+def _ref_inverse_packed(x):
+    ctx = x.ctx
+    if x.is_zero():
+        raise DivisionByZero("division by zero")
+    if ctx._disc is None:
+        num, den = _ref_inv_base(ctx, x.num)
+        return field._canon(ctx, [c * x.den for c in num], den)
+    m = ctx.base_dim
+    a, b = x.num[:m], x.num[m:]
+    dn, dd = ctx._disc
+    mul = ctx._mul_base
+    norm = [dd * p - q for p, q in zip(mul(a, a), mul(mul(b, b), dn))]
+    if not any(norm):
+        raise DivisionByZero(f"zero divisor in quadratic layer: {x}")
+    u, w = _ref_inv_base(ctx, norm)
+    k = x.den * dd
+    return field._canon(ctx, [k * c for c in mul(a, u)]
+                        + [-k * c for c in mul(b, u)], w)
+
+
+def _sparse_element(ctx, rng):
+    """A seeded element with about 30 % of its coordinates zero."""
+    return ctx.element([F(0) if rng.random() < 0.3
+                        else F(rng.randint(-9, 9), rng.randint(1, 6))
+                        for _ in range(ctx.dim)])
+
+
+def _outcome(fn, x):
+    try:
+        y = fn(x)
+    except DivisionByZero as exc:
+        return ("refused", str(exc))
+    return (y.num, y.den)
+
+
+_INV_FIELDS = [(n, None) for n in (1, 2, 3, 4, 5, 6, 8, 12, 16, 20, 24)] + [
+    (4, "4"), (4, "1+i"), (8, "2"), (1, "4"), (12, "3")]
+
+
+@pytest.mark.parametrize("order,disc", _INV_FIELDS,
+                         ids=[f"{n}[{d}]" for n, d in _INV_FIELDS])
+def test_inverse_matches_the_gauss_jordan_reference(order, disc):
+    base = FieldContext(order)
+    ctx = base if disc is None else adjoin_sqrt(base, disc)
+    rng = random.Random(f"conjugates:{order}:{disc}")
+    refused = 0
+    for _ in range(200):
+        x = _sparse_element(ctx, rng)
+        got = _outcome(FieldElement.inverse, x)
+        assert got == _outcome(_ref_inverse_packed, x)
+        if got[0] == "refused":
+            refused += not x.is_zero()
+            continue
+        assert x * x.inverse() == ctx.one()
+    # Q(i)[sqrt 4] and Q[sqrt 4] have nonzero zero divisors among the samples
+    assert (refused > 0) == (disc == "4")
+
+
+def test_layer_to_layer_coercion_commutes_with_arithmetic():
+    src = adjoin_sqrt(QI, "1+i")
+    dst = adjoin_sqrt(Q8, "1+i")
+    assert src.sqrt_symbol().coerce(dst) == dst.sqrt_symbol()
+    assert QI.i().coerce(src).coerce(dst) == dst.zeta(2)
+    rng = random.Random("layer-coercion")
+    pool = [_sparse_element(src, rng) for _ in range(30)]
+    for x, y in zip(pool, pool[1:]):
+        xd, yd = x.coerce(dst), y.coerce(dst)
+        assert xd.ctx is dst
+        assert (x * y).coerce(dst) == xd * yd
+        assert (x + y).coerce(dst) == xd + yd
+        if not x.is_zero():
+            assert x.inverse().coerce(dst) == xd.inverse()
+    with pytest.raises(FieldMismatch):
+        dst.sqrt_symbol().coerce(src)
+    with pytest.raises(FieldMismatch):
+        src.sqrt_symbol().coerce(adjoin_sqrt(Q8, "2"))

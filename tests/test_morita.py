@@ -23,6 +23,7 @@ from hopfexact.constructions import (
     build_matrix2_trivial,
     build_twisted_group_algebra,
     catalog,
+    with_trivial_coaction,
 )
 from hopfexact.errors import (
     CoactionUnsolvable,
@@ -203,6 +204,41 @@ def test_not_semisimple_is_refused():
                                             [[one, t], [t, zero]]))
     with pytest.raises(NotSemisimple):
         simple_modules(dual)
+
+
+def _q_times_gaussian():
+    """Q x Q(i) over Q on f0 = (1, 1), f1 = (1, i), f2 = (0, i), with the
+    trivial coaction of kp over Q."""
+    q = FieldContext(1)
+    f0, f1, f2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    minus_one = (-1, 1, -1)     # (0, -1) = f1*f2 = f2*f2
+    table = [[f0, f1, f2], [f1, (-1, 2, -2), minus_one],
+             [f2, minus_one, minus_one]]
+    return with_trivial_coaction(
+        build_kp(q), algebra.Algebra(q, ("f0", "f1", "f2"), f0, table))
+
+
+def test_split_peels_a_rational_eigenspace_and_keeps_the_rest_as_a_block():
+    # R_f1 has minimal polynomial (t - 1)(t**2 + 1): its one rational root
+    # covers one dimension, and the kernel of R_f1 - 1 is peeled off beside
+    # the invariant plane on which t**2 + 1 acts
+    a = _q_times_gaussian()
+    lefts = [a.left_mult(a.basis_element(i)) for i in range(3)]
+    rights = [a.right_mult(a.basis_element(i)) for i in range(3)]
+    assert linalg.minimal_polynomial(rights[1]) == [
+        a.ctx.scalar(c) for c in (-1, 1, -1, 1)]
+    spaces = morita._split_once(lefts, rights)
+    assert [s.dim for s in spaces] == [1, 2]
+    for s in spaces:
+        restricted = [linalg.restrict_operator(m, s) for m in lefts]
+        assert restricted[0] == Mat.identity(a.ctx, s.dim)
+    with pytest.raises(NeedsFieldExtension) as exc:
+        simple_modules(a)
+    assert exc.value.discriminant == -1
+    rebased, dec = simple_modules_split(a)
+    assert rebased.ctx == FieldContext(8)
+    assert [m.dim for m in dec.simples] == [1, 1, 1]
+    assert dec.multiplicities == [1, 1, 1] and dec.split
 
 
 # -- the five built-in simple modules of the eight-dimensional Hopf algebra -----
