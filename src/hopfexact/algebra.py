@@ -6,11 +6,14 @@ vector).  The table is immutable, so the algebra also keeps it once in
 sparse form: ``terms[i][j]`` is the :data:`~hopfexact.linalg.Row` of the
 nonzero coordinates of ``e_i * e_j``, and :meth:`Algebra.multiply` and the
 multiplication matrix ``m`` (:meth:`Algebra.mult_matrix`) read only those.
-An axiom that is not a product of two tensor legs is checked exactly as one
-identity of sparse matrices built from ``m`` with ``kron`` and ``@``:
-associativity is ``m (m (x) id) == m (id (x) m)``.  An identity of matrices
-holds on every element, so a verdict of "associative" is a proof over the
-coefficient field, not a sample.
+An axiom that is not a product of two tensor legs is checked exactly as
+identities of sparse matrices built from ``m`` with ``kron`` and ``@``, on a
+generating set G of the algebra (:meth:`Algebra.generators`): associativity
+is Light's test ``L_g m == m (L_g (x) id)`` for each g in G
+(:func:`is_associative`).  An identity of matrices holds on every element,
+and the set of elements on which an associativity or multiplicativity law
+holds is a subalgebra, so holding on G proves it over the coefficient
+field, not on a sample.
 
 Products of tensors go through one kernel, :func:`tensor_product`: a tensor
 with two legs multiplies leg by leg when each leg has its own sparse product
@@ -24,7 +27,8 @@ applied to it after.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from itertools import chain, islice
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NotAnAlgebra
 from .field import FieldContext, FieldElement, scal
@@ -45,6 +49,7 @@ from .linalg import (
     kron,
     rank,
     solve,
+    spin,
     vzero,
 )
 
@@ -73,6 +78,7 @@ class Algebra:
                                   for row in self.table)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._mult_matrix: Optional[Mat] = None
+        self._generators: Optional[tuple[int, ...]] = None
 
     def _as_vec(self, v: Sequence[Scalar]) -> Vec:
         if len(v) != len(self.labels):
@@ -114,6 +120,24 @@ class Algebra:
                 self.ctx, (t for row in self.terms for t in row),
                 self.dim).transpose()
         return self._mult_matrix
+
+    def generators(self) -> tuple[int, ...]:
+        """The basis indices G whose nonempty words ``g_1(g_2(...g_k))``
+        span the algebra, computed once.  An index joins G when its basis
+        vector lies outside the span of the words of G so far; the unit is
+        tried last, as powers of the others usually span it.  No unit law
+        is used, and G spans, since each of its indices is a word."""
+        if self._generators is None:
+            ctx, n, unit = self.ctx, self.dim, _sparse(self.unit)
+            gens: list[int] = []
+            words = Subspace(ctx, n, {})
+            for i in sorted(range(n), key=lambda i: unit == {i: ctx.one()}):
+                if not words.contains(self.basis_element(i)):
+                    gens.append(i)
+                    seeds = [self.basis_element(g) for g in gens]
+                    words = spin(ctx, n, seeds, list(map(self.left_mult, seeds)))
+            self._generators = tuple(gens)
+        return self._generators
 
     def left_mult(self, x: Sequence[FieldElement]) -> Mat:
         """``L_x``: column ``j`` is ``x e_j = sum_i x_i terms[i][j]``."""
@@ -192,21 +216,42 @@ def tensor_product(left: Table, right: Table, u: Row, v: Row,
 
 
 def multiplicative_into_tensor(phi: Mat, a: Algebra, h: Algebra,
-                               b: Algebra) -> bool:
-    """Whether ``phi: A -> H (x) B`` sends the product of every pair of basis
-    vectors of A to the product of their images, which by bilinearity
-    makes it multiplicative."""
+                               b: Algebra,
+                               first: Optional[Iterable[int]] = None) -> bool:
+    """Whether ``phi: A -> H (x) B`` sends ``e_i e_j`` to the product of the
+    images for each ``i`` in ``first`` (default: every index) and every
+    ``j``.  On the whole basis that is multiplicativity, by bilinearity; so
+    is it on ``first = a.generators()`` when A and H (x) B are associative,
+    as the x with ``phi(xb) = phi(x) phi(b)`` for all b then form a
+    subalgebra S: ``phi((xy)b) = phi(x(yb)) = phi(x) (phi(y) phi(b)) =
+    (phi(x) phi(y)) phi(b) = phi(xy) phi(b)`` for x, y in S."""
     images = phi.transpose().entries
     return all(_combine(a.terms[i][j], images)
-               == tensor_product(h.terms, b.terms, x, y, b.dim)
-               for i, x in enumerate(images) for j, y in enumerate(images))
+               == tensor_product(h.terms, b.terms, images[i], y, b.dim)
+               for i in (range(a.dim) if first is None else first)
+               for j, y in enumerate(images))
+
+
+NOT_ASSOCIATIVE = "multiplication is not associative"
+
+
+def is_associative(alg: Algebra) -> bool:
+    """Light's test: ``L_g m == m (L_g (x) id)``, that is ``g(xy) ==
+    (gx)y``, for each g in ``alg.generators()``.  The x with ``(xb)c ==
+    x(bc)`` for all b, c form a subspace T, and for x, y in T ``((xy)b)c =
+    (x(yb))c = x((yb)c) = x(y(bc)) = (xy)(bc)``: T is a subalgebra, holds
+    G and so is all of A (Clifford and Preston, The Algebraic Theory of
+    Semigroups I, 1961, section 1.2)."""
+    m, ident = alg.mult_matrix(), Mat.identity(alg.ctx, alg.dim)
+    lefts = (alg.left_mult(alg.basis_element(g)) for g in alg.generators())
+    return all(left @ m == m @ kron(left, ident) for left in lefts)
 
 
 def check_algebra(alg: Algebra) -> list[str]:
     """Return the list of violated algebra axioms (empty means all hold).
 
-    Associativity is the identity ``m (m (x) id) == m (id (x) m)`` of the
-    multiplication matrix ``m``, which proves it for all elements.
+    Associativity is Light's test on a generating set
+    (:func:`is_associative`), which proves it for all elements.
     """
     problems = []
     ident = Mat.identity(alg.ctx, alg.dim)
@@ -214,9 +259,8 @@ def check_algebra(alg: Algebra) -> list[str]:
         problems.append("unit is not a left unit")
     if alg.right_mult(alg.unit) != ident:
         problems.append("unit is not a right unit")
-    m = alg.mult_matrix()
-    if m @ kron(m, ident) != m @ kron(ident, m):
-        problems.append("multiplication is not associative")
+    if not is_associative(alg):
+        problems.append(NOT_ASSOCIATIVE)
     return problems
 
 
@@ -280,13 +324,13 @@ def trace_radical(alg: Algebra) -> Subspace:
 
 
 def generated_operator_algebra(gens: Sequence[Mat]) -> list[Mat]:
-    """Basis of the unital matrix algebra generated by ``gens`` (worklist
-    closure).
-
-    A word joins the basis when ``linalg._insert_row`` finds the stored row
-    of its ``vec`` independent of the fully reduced rows of the words kept;
-    the closure stops once the basis holds n**2 words, since no further word
-    can be new.
+    """Basis of the unital matrix algebra generated by ``gens``, shortest
+    words first: the candidates are I, ``gens``, then ``w @ g`` for each
+    kept word ``w`` other than I, in the order kept, and each ``g``, each
+    formed only when it is tried.  A word is kept when
+    ``linalg._insert_row`` finds its ``vec`` independent of the words kept.
+    Their span holds I and is closed under right multiplication by
+    ``gens``; the closure stops at n**2 words, as no further word is new.
     """
     if not gens:
         raise DimensionMismatch("need at least one generator")
@@ -294,16 +338,15 @@ def generated_operator_algebra(gens: Sequence[Mat]) -> list[Mat]:
     n = gens[0].nrows
     if any(g.nrows != n or g.ncols != n or g.ctx != ctx for g in gens):
         raise DimensionMismatch("generators must be square of equal size")
-    # every word in the generators is reachable by right extensions, so
-    # closing the span under right multiplication by each generator suffices
     pivot_rows: dict[int, Row] = {}
     basis: list[Mat] = []
-    queue = [Mat.identity(ctx, n), *gens]
-    while queue and len(basis) < n * n:
-        w = queue.pop()
+    # I @ g is g; the list iterator sees the words kept after it was made
+    products = (w @ g for w in islice(basis, 1, None) for g in gens)
+    for w in chain([Mat.identity(ctx, n)], gens, products):
         if _insert_row(pivot_rows, _vec_row(w)):
-            queue.extend(w @ g for g in gens)
             basis.append(w)
+            if len(basis) == n * n:
+                break
     return basis
 
 

@@ -5,7 +5,8 @@ column for basis vector ``j`` holds the coordinates of its coaction image in
 H (x) V, with the Hopf leg on the coarse index.  The comodule laws are
 identities of sparse matrices (:func:`~hopfexact.hopf.coaction_laws`), and
 the multiplicativity of a coaction, a product of two tensor legs, goes
-through :func:`~hopfexact.algebra.tensor_product`.
+through :func:`~hopfexact.algebra.tensor_product`, on A's generators once A
+and H are associative.
 
 The module also hosts the decomposition machinery that is special to the
 eight-dimensional Hopf algebra from :func:`~hopfexact.constructions.build_kp`:
@@ -28,8 +29,9 @@ from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
-from .algebra import (Algebra, algebra_on_span, check_algebra,
-                      is_algebra_morphism, multiplicative_into_tensor)
+from .algebra import (NOT_ASSOCIATIVE, Algebra, algebra_on_span,
+                      check_algebra, is_algebra_morphism, is_associative,
+                      multiplicative_into_tensor)
 from .errors import (
     BadWitness,
     DimensionMismatch,
@@ -132,8 +134,13 @@ def check_comodule(c: ComoduleLike) -> list[str]:
 
 
 def check_comodule_algebra(a: ComoduleAlgebra) -> list[str]:
-    problems = check_algebra(a) + check_comodule(a)
-    if not multiplicative_into_tensor(a.coaction, a, a.hopf, a):
+    """The algebra and comodule laws, and that the coaction is a unital
+    algebra map, on A's generators if A and H are associative."""
+    algebra = check_algebra(a)
+    problems = algebra + check_comodule(a)
+    associative = NOT_ASSOCIATIVE not in algebra and is_associative(a.hopf)
+    if not multiplicative_into_tensor(a.coaction, a, a.hopf, a,
+                                      a.generators() if associative else None):
         problems.append("coaction is not an algebra morphism")
     if a.coaction.apply(a.unit) != tensor_vec(a.hopf.unit, a.unit):
         problems.append("coaction does not send the unit to 1 (x) 1")

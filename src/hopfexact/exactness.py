@@ -71,7 +71,8 @@ def check_exactness(a: ComoduleAlgebra) -> ExactnessVerdict:
     ops = costable_operators(a)
     n = a.dim
     coinv_dim = coinvariants(a).dim
-    generated = generated_operator_algebra(ops)
+    # slices first: with them the shortest words reach n**2 soonest
+    generated = generated_operator_algebra(ops[n:] + ops[:n])
     if len(generated) == n * n:
         return ExactnessVerdict(
             right_h_simple=True,

@@ -27,8 +27,9 @@ multiple of a pivot row, and two drivers:
 * ``_insert_row`` adds one row to fully reduced rows keyed by pivot,
   reducing it with ``_reduce`` and back-substituting the new pivot row.
   ``Subspace.from_vectors``, ``spin``, ``comodule.coideal_generated`` and
-  ``algebra.generated_operator_algebra`` build their bases with it; the
-  rows belong to the builder until they become a ``Subspace``.
+  ``algebra.generated_operator_algebra`` (shortest words first) build their
+  bases with it; the rows belong to the builder until they become a
+  ``Subspace``.
 
 Exact arithmetic makes the results identical to dense elimination, entry for
 entry, pivots and basis order included.

@@ -476,9 +476,9 @@ def simple_modules(a: ComoduleAlgebra) -> ModuleDecomposition:
 
 def _extended_context(ctx: FieldContext, discriminant: FieldElement
                       ) -> FieldContext:
-    """A context where the missing square root exists: bump the cyclotomic
-    order to include the eighth roots of unity, then adjoin the root formally
-    if it still is not there.
+    """A context where the missing square root exists: raise the cyclotomic
+    order to include the fourth roots of unity, then the eighth, and adjoin
+    the root formally if it still is not there.
 
     A root is adjoined only over an order that is a power of two, where
     :func:`~hopfexact.field.sqrt_in_context` is complete; over any other
@@ -487,17 +487,17 @@ def _extended_context(ctx: FieldContext, discriminant: FieldElement
     would make a ring with zero divisors, so the extension is refused."""
     if ctx.has_layer:
         raise NeedsFieldExtension(discriminant)
-    order = ctx.order
-    new_order = order * 8 // math.gcd(order, 8)
-    base = FieldContext(new_order)
-    d = discriminant.coerce(base)
-    try:
-        sqrt_in_context(d)
-        return base
-    except NeedsFieldExtension:
-        if new_order & (new_order - 1):
-            raise
-        return adjoin_sqrt(base, d)
+    for order in dict.fromkeys(math.lcm(ctx.order, k) for k in (4, 8)):
+        base = FieldContext(order)
+        d = discriminant.coerce(base)
+        try:
+            sqrt_in_context(d)
+            return base
+        except NeedsFieldExtension as exc:
+            refusal = exc
+    if order & (order - 1):
+        raise refusal
+    return adjoin_sqrt(base, d)
 
 
 def simple_modules_split(a: ComoduleAlgebra

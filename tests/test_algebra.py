@@ -18,8 +18,11 @@ from hopfexact.algebra import (
 )
 from hopfexact.constructions import build_kp, catalog
 from hopfexact.errors import NotAnAlgebra
+from hopfexact.exactness import costable_operators
 from hopfexact.field import FieldContext
 from hopfexact.linalg import Mat, Subspace, kron
+
+from _transport import transport
 
 Q = FieldContext(1)
 QI = FieldContext(4)
@@ -159,19 +162,94 @@ def _seeded_generators(seed, ctx):
             for _ in range(rng.randint(1, 3))]
 
 
+def _same_closure(basis, reference):
+    """Bases of one algebra: as many words, spanning the same space."""
+    ctx, n = reference[0].ctx, reference[0].nrows
+
+    def span(words):
+        return Subspace.from_vectors(ctx, n * n, [w.vec() for w in words])
+
+    return len(basis) == len(reference) and span(basis) == span(reference)
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("ctx", [Q, QI], ids=["Q", "Q(i)"])
 def test_generated_operator_algebra_matches_dense_closure(ctx, seed):
     gens = _seeded_generators(seed, ctx)
-    assert generated_operator_algebra(gens) == _reference_closure(gens)
+    assert _same_closure(generated_operator_algebra(gens),
+                         _reference_closure(gens))
 
 
 def test_generated_operator_algebra_of_kp_regular_action():
     kp = build_kp()
     gens = [kp.left_mult(kp.basis_element(i)) for i in range(kp.dim)]
     basis = generated_operator_algebra(gens)
-    assert basis == _reference_closure(gens)
+    assert _same_closure(basis, _reference_closure(gens))
     assert len(basis) == kp.dim
+
+
+def test_closure_forms_only_the_products_it_tries(monkeypatch):
+    # the costable operators of kp, slices first, generate all 64 operators
+    # on it; trying the shortest words first reaches them in at most 128
+    # products, where extending every kept word by every generator at once
+    # forms 1,024
+    kp = catalog(QI)["kp"]
+    ops = costable_operators(kp)
+    products = []
+    matmul = Mat.__matmul__
+
+    def counted(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", counted)
+    basis = generated_operator_algebra(ops[kp.dim:] + ops[:kp.dim])
+    assert len(basis) == kp.dim ** 2
+    assert len(products) <= 128
+
+
+def _word_rank(alg, gens):
+    """Dense rank of the words ``g_1(g_2(...g_k))`` of ``gens``, k <= dim.
+
+    Words of length k + 1 are ``g w`` for the words w of length k, so their
+    span is the span of the ``g v``, v a basis of the span of the words of
+    length at most k."""
+    echelon, frontier = [], [alg.basis_element(g) for g in gens]
+    for _ in range(alg.dim):
+        frontier = [v for v in frontier if _extends(echelon, v)]
+        frontier = [alg.multiply(alg.basis_element(g), v)
+                    for g in gens for v in frontier]
+    return len(echelon)
+
+
+def test_generators_span_every_catalog_entry_and_its_transports():
+    for name, a in catalog(QI).items():
+        moved = [transport(a, random.Random(f"{seed}:{name}"))
+                 for seed in (1, 2, 3)]
+        for alg in [a, *moved]:
+            assert _word_rank(alg, alg.generators()) == alg.dim, name
+
+
+def test_each_generator_of_kp_widens_the_words_before_it():
+    kp = build_kp(QI)
+    gens = kp.generators()
+    assert gens == (1, 2, 4)  # x, y, z; the unit is a power of x
+    assert [_word_rank(kp, gens[:k]) for k in (1, 2, 3)] == [2, 4, 8]
+    # without z the words stay in the group algebra; G is irredundant in
+    # its order, not minimal: z z = (1 + x + y - xy) / 2, so y and z alone
+    # generate kp
+    assert _word_rank(kp, gens[:2]) < kp.dim
+    assert _word_rank(kp, gens[1:]) == kp.dim
+
+
+def test_generators_span_a_table_whose_unit_laws_fail():
+    # test_broken_unit_detected's table: 1 t = 2t, so 1 is not a unit, and
+    # t t = 0, so t alone spans only itself
+    bad = Algebra(Q, ("1", "t"), (1, 0),
+                  [[(1, 0), (0, 2)],
+                   [(0, 1), (0, 0)]])
+    assert bad.generators() == (1, 0)
+    assert _word_rank(bad, bad.generators()) == bad.dim
 
 
 def test_direct_sum_blocks():

@@ -12,11 +12,13 @@ import random
 
 import pytest
 
-from hopfexact.algebra import _combine, multiplicative_into_tensor
+from hopfexact.algebra import (NOT_ASSOCIATIVE, Algebra, _combine,
+                               check_algebra, multiplicative_into_tensor)
 from hopfexact.comodule import (ComoduleAlgebra, check_comodule,
-                                check_comodule_algebra, phi_embed)
+                                check_comodule_algebra, phi_embed,
+                                rebase_comodule_algebra)
 from hopfexact.constructions import catalog
-from hopfexact.field import FieldContext
+from hopfexact.field import FieldContext, adjoin_sqrt
 from hopfexact.hopf import AXIOM_FAMILIES, Hopf, hopf_axiom_report
 from hopfexact.linalg import (Mat, Subspace, basis_vector, linear_combination,
                               slice_left, tensor_vec, vadd, vscale)
@@ -255,3 +257,110 @@ def test_phi_embed_image_of_a_coaction_that_is_not_coassociative():
     assert report.algebra_morphism is False
     assert report.image_is_left_coideal is False
     assert _loop_left_coideal(KP, report.image) is False
+
+
+# -- the checks reduced to generators ------------------------------------------
+#
+# check_algebra proves associativity by Light's test on A's generators, and
+# the coproduct and coaction are tested for multiplicativity on the products
+# of the generators with the basis once both legs are associative.  The loop
+# reports test every triple and every pair, so each reduced report must
+# equal its loop report, whether or not the legs are associative.
+
+_SMALL = ("k", "ga_x", "ga_y", "ga_xy", "ga_k", "a_i_xy", "kpsi")
+
+
+def _moved(name):
+    """kp as built, or a small entry moved by the seeded basis change of
+    seed 1."""
+    if name == "kp":
+        return CATALOG["kp"]
+    return transport(CATALOG[name], random.Random(f"1:{name}"))
+
+
+def _flipped_table(a, rng):
+    """``a`` with 1 added to one seeded coordinate of one product."""
+    n = a.dim
+    table = [[list(cell) for cell in row] for row in a.table]
+    i, j, k = (rng.randrange(n) for _ in range(3))
+    table[i][j][k] = table[i][j][k] + a.ctx.one()
+    return ComoduleAlgebra(a.hopf, a.labels, a.unit, table, a.coaction)
+
+
+def _non_associative_flip(a, rng):
+    """A flip of ``a``'s table, drawn again until the loop finds it not
+    associative; every flip of a one-dimensional table is associative, and
+    the first is taken."""
+    while True:
+        flipped = _flipped_table(a, rng)
+        if a.dim == 1 or not _loop_associative(flipped):
+            return flipped
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", ("kp",) + _SMALL)
+def test_flipped_algebra_table_reports_agree_with_the_loops(name, seed):
+    flipped = _non_associative_flip(_moved(name),
+                                    random.Random(f"{seed}:table:{name}"))
+    report = check_comodule_algebra(flipped)
+    assert report == _loop_comodule_algebra_report(flipped)
+    assert (NOT_ASSOCIATIVE in report) == (flipped.dim > 1)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", _COACTED)
+def test_coaction_over_a_flipped_hopf_table_agrees_with_the_loops(name, seed):
+    a = _moved(name)
+    h = _flipped_kp("table", random.Random(f"{seed}:hopf:{name}"))
+    assert not _loop_associative(h)
+    over_flipped = ComoduleAlgebra(h, a.labels, a.unit, a.table, a.coaction)
+    report = check_comodule_algebra(over_flipped)
+    assert report == _loop_comodule_algebra_report(over_flipped)
+
+
+def test_reports_over_the_quadratic_layer_agree_with_the_loops():
+    layer = adjoin_sqrt(QI, QI.one() + QI.i())
+    a = rebase_comodule_algebra(_moved("a_i_xy"), layer)
+    assert check_comodule_algebra(a) == _loop_comodule_algebra_report(a) == []
+    rng = random.Random("layer")
+    for bad in (_non_associative_flip(a, rng),
+                ComoduleAlgebra(a.hopf, a.labels, a.unit, a.table,
+                                _flip(a.coaction, rng))):
+        report = check_comodule_algebra(bad)
+        assert report != [] and report == _loop_comodule_algebra_report(bad)
+
+
+def test_light_test_sees_failures_outside_the_generator_triples():
+    # 1, a, b with a a = -1 - b, a b = b a = b b = 1 + a - b: the unit laws
+    # hold and a alone generates, but (a a) a == a (a a), so no triple of
+    # generators fails; (a a) b != a (a b) does
+    q = FieldContext(1)
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    ab = (1, 1, -1)
+    alg = Algebra(q, ("1", "a", "b"), e[0],
+                  [e, [e[1], (-1, 0, -1), ab], [e[2], ab, ab]])
+    assert alg.generators() == (1,)
+    a, b = alg.basis_element("a"), alg.basis_element("b")
+    aa = alg.multiply(a, a)
+    assert alg.multiply(aa, a) == alg.multiply(a, aa)
+    assert alg.multiply(aa, b) != alg.multiply(a, alg.multiply(a, b))
+    assert check_algebra(alg) == _loop_algebra(alg) == [NOT_ASSOCIATIVE]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_flipped_unit_row_of_kp_agrees_with_the_loops(seed):
+    # a flip of 1 e_j leaves G = (x, y, z), which misses the unit, and on G
+    # the coproduct still looks multiplicative; H is not associative, so
+    # the report tests every pair of basis vectors and finds the failure
+    rng = random.Random(f"{seed}:unit-row")
+    table = [[list(cell) for cell in row] for row in KP.table]
+    j, k = rng.randrange(KP.dim), rng.randrange(KP.dim)
+    table[0][j][k] = table[0][j][k] + QI.one()
+    h = Hopf(QI, KP.labels, KP.unit, table, KP.comult, KP.counit,
+             KP.antipode)
+    assert h.generators() == (1, 2, 4)
+    assert multiplicative_into_tensor(h.comult, h, h, h, h.generators())
+    report = hopf_axiom_report(h)
+    assert report == _loop_hopf_report(h)
+    assert "comultiplication is not an algebra morphism" \
+        in report["comult-morphism"]

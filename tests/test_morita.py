@@ -236,7 +236,7 @@ def test_split_peels_a_rational_eigenspace_and_keeps_the_rest_as_a_block():
         simple_modules(a)
     assert exc.value.discriminant == -1
     rebased, dec = simple_modules_split(a)
-    assert rebased.ctx == FieldContext(8)
+    assert rebased.ctx == FieldContext(4)
     assert [m.dim for m in dec.simples] == [1, 1, 1]
     assert dec.multiplicities == [1, 1, 1] and dec.split
 
