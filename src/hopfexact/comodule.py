@@ -47,8 +47,6 @@ from .linalg import (
     Scalar,
     Subspace,
     Vec,
-    _checked_row,
-    _insert_row,
     _sparse,
     basis_vector,
     eigenspace,
@@ -58,6 +56,7 @@ from .linalg import (
     rank,
     slice_left,
     solve,
+    spin,
     tensor_vec,
     vscale,
 )
@@ -352,26 +351,18 @@ def phi_embed(a: ComoduleAlgebra, witness: Sequence[Scalar]) -> PhiReport:
 
 
 def coideal_generated(h: Hopf, seeds: Sequence[Vec]) -> Subspace:
-    """Smallest subspace containing the seeds and the unit that is closed
-    under all left coproduct slices (so its coproduct lies in H (x) itself)
-    and under multiplication."""
-    n = h.dim
-    ctx = h.ctx
+    """Smallest subalgebra of H that contains the seeds and is a left
+    coideal, as two spins: the seeds and the unit under the left coproduct
+    slices span the smallest left coideal C containing them, and the unit
+    and C under left multiplication by the basis of C span words(C), the
+    subalgebra that C generates.  It is a left coideal, since
+    Delta(c_1...c_k) = Delta(c_1)...Delta(c_k) lies in H (x) words(C) when
+    each Delta(c_i) lies in H (x) C; and a left coideal subalgebra that
+    contains the seeds contains C, and so words(C)."""
+    n, ctx = h.dim, h.ctx
     slices = [slice_left(h.comult, n, n, idx) for idx in range(n)]
-    pivot_rows: dict[int, Row] = {}
-    basis: list[Vec] = []
-    queue: list[Vec] = [h.unit] + [tuple(s) for s in seeds]
-    while queue:
-        v = queue.pop()
-        if _insert_row(pivot_rows, _checked_row(n, v)):
-            for sl in slices:
-                queue.append(sl.apply(v))
-            for b in basis:
-                queue.append(h.multiply(v, b))
-                queue.append(h.multiply(b, v))
-            queue.append(h.multiply(v, v))
-            basis.append(v)
-    return Subspace(ctx, n, pivot_rows)
+    coideal = spin(ctx, n, [h.unit, *seeds], slices).basis()
+    return spin(ctx, n, [h.unit, *coideal], [h.left_mult(c) for c in coideal])
 
 
 def comodule_algebra_from_subspace(h: Hopf, space: Subspace

@@ -12,6 +12,10 @@ The recurring cast:
   group algebra of K by an element z with  z**2 = (1 + x + y - xy)/2,
   x*z = z*y,  y*z = z*x, and the mixing coproduct
   2*comult(z) = (z + zx) (x) z + (z - zx) (x) zy.
+* one builder per catalog entry, each over the kp it is given:
+  ``trivial_comodule_algebra_over`` (k), ``group_algebra_comodule_over``
+  (the ga_*), ``a_xy_gamma_over`` (a_i_xy), ``regular_comodule_algebra``
+  (kp) and ``twisted_group_algebra_over`` (kpsi); ``catalog`` calls each.
 """
 
 from __future__ import annotations
@@ -126,28 +130,19 @@ def trivial_comodule_algebra_over(h: Hopf) -> ComoduleAlgebra:
 
 
 def regular_comodule_algebra(h: Hopf) -> ComoduleAlgebra:
-    """A Hopf algebra coacting on itself by its own coproduct."""
-    return ComoduleAlgebra(h, h.labels, h.unit,
-                           [[h.table[i][j] for j in range(h.dim)]
-                            for i in range(h.dim)],
-                           h.comult)
-
-
-def build_group_algebra_comodule(masks: Sequence[int],
-                                 ctx: Optional[FieldContext] = None
-                                 ) -> ComoduleAlgebra:
-    """Group algebra of a subgroup of the Klein four-group, graded by itself.
-
-    ``masks`` lists the subgroup's elements (bit 0 = x, bit 1 = y); it must be
-    closed under the group operation and contain the identity.  The result
-    coacts under the eight-dimensional Hopf algebra.
-    """
-    return group_algebra_comodule_over(build_kp(ctx), masks)
+    """A Hopf algebra coacting on itself by its own coproduct; over kp this
+    is the eight-dimensional comodule algebra ``kp`` of the catalog."""
+    return ComoduleAlgebra(h, h.labels, h.unit, h.table, h.comult)
 
 
 def group_algebra_comodule_over(h: Hopf, masks: Sequence[int]
                                 ) -> ComoduleAlgebra:
-    """:func:`build_group_algebra_comodule` over the given kp."""
+    """Group algebra of a subgroup of the Klein four-group, graded by itself.
+
+    ``masks`` lists the subgroup's elements (bit 0 = x, bit 1 = y); it must be
+    closed under the group operation and contain the identity.  The result
+    coacts under ``h``, which must be kp.
+    """
     masks = list(masks)
     if 0 not in masks or any((g ^ k) not in masks for g in masks for k in masks):
         raise ValueError(f"masks {masks} do not form a subgroup")
@@ -170,24 +165,17 @@ PSI_STANDARD: dict[tuple[int, int], int] = {
 }
 
 
-def build_twisted_group_algebra(psi: Optional[Mapping[tuple[int, int], Scalar]]
-                                = None,
-                                ctx: Optional[FieldContext] = None
-                                ) -> ComoduleAlgebra:
-    """Klein-four group algebra with multiplication twisted by a 2-cocycle.
+def twisted_group_algebra_over(h: Hopf,
+                               psi: Optional[Mapping[tuple[int, int], Scalar]]
+                               = None) -> ComoduleAlgebra:
+    """Klein-four group algebra with multiplication twisted by a 2-cocycle,
+    graded by the group and coacted on by ``h``, which must be kp.
 
     ``psi`` maps pairs of group masks to nonzero scalars; pairs involving the
     identity may be omitted (they must be 1 if present).  The default is the
     sign table :data:`PSI_STANDARD`, which yields an algebra isomorphic to
     2x2 matrices.
     """
-    return twisted_group_algebra_over(build_kp(ctx), psi)
-
-
-def twisted_group_algebra_over(h: Hopf,
-                               psi: Optional[Mapping[tuple[int, int], Scalar]]
-                               = None) -> ComoduleAlgebra:
-    """:func:`build_twisted_group_algebra` over the given kp."""
     ctx = h.ctx
     if psi is None:
         psi = PSI_STANDARD
@@ -236,9 +224,10 @@ def kp_corep_columns(h: Hopf, v: Vec, w: Vec) -> tuple[Vec, Vec]:
     return col_v, col_w
 
 
-def build_a_xy_gamma(gamma: Union[Scalar, FieldElement],
-                     ctx: Optional[FieldContext] = None) -> ComoduleAlgebra:
-    """The four-dimensional comodule algebra with basis {1, exy, v, w}.
+def a_xy_gamma_over(h: Hopf, gamma: Union[Scalar, FieldElement]
+                    ) -> ComoduleAlgebra:
+    """The four-dimensional comodule algebra over ``h`` = kp with basis
+    {1, exy, v, w}.
 
     ``gamma`` must square to -1.  The grouplike unit exy sits in degree xy,
     and v, w span a single 2-dimensional corepresentation with
@@ -247,12 +236,6 @@ def build_a_xy_gamma(gamma: Union[Scalar, FieldElement],
         v*v = 1 + gamma*exy,   v*w = w*v = 1 - gamma*exy,
         w*w = -(1 + gamma*exy).
     """
-    return a_xy_gamma_over(build_kp(ctx), gamma)
-
-
-def a_xy_gamma_over(h: Hopf, gamma: Union[Scalar, FieldElement]
-                    ) -> ComoduleAlgebra:
-    """:func:`build_a_xy_gamma` over the given kp."""
     ctx = h.ctx
     g = gamma if isinstance(gamma, FieldElement) else ctx.scalar(gamma)
     if g * g != ctx.scalar(-1):
@@ -278,17 +261,9 @@ def a_xy_gamma_over(h: Hopf, gamma: Union[Scalar, FieldElement]
     return ComoduleAlgebra(h, ("1", "exy", "v", "w"), one, table, coaction)
 
 
-def build_regular_comodule_algebra(ctx: Optional[FieldContext] = None
-                                   ) -> ComoduleAlgebra:
-    """The eight-dimensional Hopf algebra coacting on itself by its coproduct."""
-    return regular_comodule_algebra(build_kp(ctx))
-
-
 def with_trivial_coaction(hopf: Hopf, alg: "Algebra") -> ComoduleAlgebra:
     """Wrap a plain algebra as a comodule algebra with coaction a -> 1 (x) a."""
-    return ComoduleAlgebra(hopf, alg.labels, alg.unit,
-                           [[alg.table[i][j] for j in range(alg.dim)]
-                            for i in range(alg.dim)],
+    return ComoduleAlgebra(hopf, alg.labels, alg.unit, alg.table,
                            _graded_coaction(hopf, alg.dim, lambda j: 0))
 
 
@@ -316,10 +291,7 @@ def comodule_direct_sum(a: ComoduleAlgebra, b: ComoduleAlgebra
     if a.hopf is not b.hopf and a.hopf.table != b.hopf.table:
         raise DimensionMismatch("summands live over different Hopf algebras")
     plain = direct_sum(a, b)
-    n = a.dim + b.dim
-    return ComoduleAlgebra(a.hopf, plain.labels, plain.unit,
-                           [[plain.table[i][j] for j in range(n)]
-                            for i in range(n)],
+    return ComoduleAlgebra(a.hopf, plain.labels, plain.unit, plain.table,
                            direct_sum_coaction(a.hopf.dim, a.coaction,
                                                b.coaction))
 
@@ -339,9 +311,9 @@ def build_bimodule_V(target: str, ctx: Optional[FieldContext] = None
     """
     from .morita import RightComodModule
     if target == "kpsi":
-        b = build_twisted_group_algebra(None, ctx)
+        b = twisted_group_algebra_over(build_kp(ctx))
     elif target == "ga_x":
-        b = build_group_algebra_comodule((0, 1), ctx)
+        b = group_algebra_comodule_over(build_kp(ctx), (0, 1))
     else:
         raise ValueError(f"build_bimodule_V target must be 'kpsi' or 'ga_x', "
                          f"got {target!r}")

@@ -26,10 +26,10 @@ multiple of a pivot row, and two drivers:
   writes as rows.
 * ``_insert_row`` adds one row to fully reduced rows keyed by pivot,
   reducing it with ``_reduce`` and back-substituting the new pivot row.
-  ``Subspace.from_vectors``, ``spin``, ``comodule.coideal_generated`` and
+  ``Subspace.from_vectors``, ``spin`` and
   ``algebra.generated_operator_algebra`` (shortest words first) build their
-  bases with it; the rows belong to the builder until they become a
-  ``Subspace``.
+  bases with it, and ``comodule.coideal_generated`` is two spins; the rows
+  belong to the builder until they become a ``Subspace``.
 
 Exact arithmetic makes the results identical to dense elimination, entry for
 entry, pivots and basis order included.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations
+from itertools import chain, permutations
 from typing import Callable, Optional, Sequence
 
 from .algebra import algebra_on_span, tensor_product, trace, trace_radical
@@ -357,18 +357,17 @@ def _split_once(action: list[Mat], comm: Sequence[Mat],
     or None when the module is simple (a commutant of scalars only).
 
     ``comm`` is a basis of the commutant of ``action``.  The candidates are
-    ``first``, then the basis, then its pairwise sums; the eigenspaces of the
-    first candidate that splits are returned.  Nothing here checks that a
-    candidate commutes with the action: a piece that is not invariant is
+    ``first``, then that basis; the eigenspaces of the first candidate that
+    splits are returned, with the rest of the module as one more block when
+    the eigenvalues in the field do not cover it.  Nothing here checks that
+    a candidate commutes with the action: a piece that is not invariant is
     refused when the action is restricted to it."""
     if len(comm) == 1:
         return None
     ctx = action[0].ctx
     d = action[0].nrows
-    candidates = chain(first, comm,
-                       (s + t for s, t in combinations(comm, 2)))
     pending_quadratic = None
-    for t in candidates:
+    for t in chain(first, comm):
         scalar = t[0, 0]
         if t == Mat.identity(ctx, d).scale(scalar):
             continue
@@ -422,12 +421,12 @@ def simple_modules(a: ComoduleAlgebra) -> ModuleDecomposition:
 
     The commutant of the left regular module is the right multiplications:
     a map commuting with every ``L_b`` is ``R_c`` with ``c`` the image of
-    the unit.  So the first split reads its candidates off the table, and
-    tries first ``R_h`` for ``h`` in the isotypic part of each grouplike
-    basis element of H under the coaction; those subspaces do not depend on
-    the basis of ``a``.  Every smaller piece is split by its commutant
-    kernel, which is also what proves a piece simple, and the simple
-    pieces are sorted into classes by their characters.
+    the unit, so the first split reads its commutant off the table.  Each
+    piece tries first the ``R_h`` for ``h`` homogeneous under the coaction
+    (in the isotypic part of a grouplike of H), restricted to the piece
+    where they leave it invariant; they do not depend on the basis of ``a``.
+    Then it tries its commutant kernel, which also proves a piece simple,
+    and the simple pieces are sorted into classes by their characters.
 
     Raises :class:`NotSemisimple` when the algebra has a radical, and lets
     :class:`NeedsFieldExtension` escape when a splitting needs a square root
@@ -452,7 +451,13 @@ def simple_modules(a: ComoduleAlgebra) -> ModuleDecomposition:
             leaves.append(action)
             continue
         for s in spaces:
-            worklist.append((_restrict_action(action, s), None, []))
+            handed = []
+            for t in first:
+                try:
+                    handed.append(restrict_operator(t, s))
+                except DimensionMismatch:
+                    pass  # t does not leave s invariant
+            worklist.append((_restrict_action(action, s), None, handed))
     # a leaf has a commutant of scalars, so it is absolutely simple, and in
     # characteristic zero two such modules with one character are isomorphic
     classes: list[SimpleModule] = []

@@ -54,9 +54,8 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .algebra import is_algebra_isomorphism
 from .comodule import ComoduleAlgebra, check_comodule_algebra
-from .constructions import (PSI_STANDARD, build_kp,
-                            build_regular_comodule_algebra, catalog,
-                            kp_corep_columns)
+from .constructions import (PSI_STANDARD, build_kp, catalog, kp_corep_columns,
+                            regular_comodule_algebra)
 from .errors import HopfExactError, InvalidKind, NonlinearResidue
 from .exactness import check_exactness
 from .field import FieldContext, FieldElement
@@ -859,7 +858,7 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
     """
     _require_associative_base("ga_K", ctx)
     cases = []
-    regular = build_regular_comodule_algebra(ctx)
+    regular = regular_comodule_algebra(build_kp(ctx))
     passed: dict = {}
     for signs in (((1, 1), (-1, -1)), ((1, -1), (-1, 1))):
         # the normalised system is eliminated whole: an elimination of the

@@ -19,11 +19,12 @@ from hopfexact.comodule import (
 )
 from hopfexact.constructions import (
     PSI_STANDARD,
-    build_a_xy_gamma,
-    build_group_algebra_comodule,
+    a_xy_gamma_over,
     build_klein4,
-    build_twisted_group_algebra,
+    build_kp,
     catalog,
+    group_algebra_comodule_over,
+    twisted_group_algebra_over,
 )
 from hopfexact.errors import (
     BadWitness,
@@ -34,8 +35,9 @@ from hopfexact.errors import (
 )
 from hopfexact.algebra import is_algebra_isomorphism, tensor_product
 from hopfexact.field import FieldContext, FieldElement, adjoin_sqrt
-from hopfexact.linalg import (Mat, _sparse, basis_vector, kron, vadd, vscale,
-                              vsub)
+from hopfexact.linalg import (Mat, Subspace, _checked_row, _insert_row,
+                              _sparse, basis_vector, kron, slice_left, vadd,
+                              vscale, vsub)
 from hopfexact.replay import generic_extension, replay_lemma
 
 from _transport import transport
@@ -63,11 +65,11 @@ def test_catalog_builds_every_entry_over_one_kp():
     # nothing multiplied yet: a pass that starts from this catalog starts cold
     assert all(a._mult_matrix is None for a in [*cat.values(), kp])
     assert all(a.hopf is KP for a in catalog(kp=KP).values())
-    # the entries are those of the builders that build their own kp
+    # the entries are those of the same builders over a kp built apart
     for name, built in [
-            ("ga_xy", build_group_algebra_comodule((0, 3), QI)),
-            ("a_i_xy", build_a_xy_gamma(QI.i(), QI)),
-            ("kpsi", build_twisted_group_algebra(None, QI))]:
+            ("ga_xy", group_algebra_comodule_over(build_kp(QI), (0, 3))),
+            ("a_i_xy", a_xy_gamma_over(build_kp(QI), QI.i())),
+            ("kpsi", twisted_group_algebra_over(build_kp(QI)))]:
         assert built.hopf is not kp and built.hopf.table == kp.table
         assert (cat[name].table, cat[name].coaction) \
             == (built.table, built.coaction)
@@ -79,7 +81,7 @@ def test_catalog_entries_satisfy_all_axioms(name):
 
 
 def test_broken_coaction_is_detected():
-    a = build_a_xy_gamma(QI.i(), QI)
+    a = a_xy_gamma_over(build_kp(QI), QI.i())
     rows = [list(r) for r in a.coaction.rows]
     rows[2][2] = rows[2][2] + QI.scalar(Fraction(1, 3))
     bad = Comodule(a.hopf, a.dim, Mat(QI, rows))
@@ -344,29 +346,29 @@ def test_twisted_builder_rejects_bad_tables():
     broken = dict(PSI_STANDARD)
     broken[(1, 2)] = -1
     with pytest.raises(NotACocycle):
-        build_twisted_group_algebra(broken, QI)
+        twisted_group_algebra_over(build_kp(QI), broken)
     zeroed = dict(PSI_STANDARD)
     zeroed[(3, 3)] = 0
     with pytest.raises(NotACocycle):
-        build_twisted_group_algebra(zeroed, QI)
+        twisted_group_algebra_over(build_kp(QI), zeroed)
     missing = dict(PSI_STANDARD)
     del missing[(2, 3)]
     with pytest.raises(NotACocycle):
-        build_twisted_group_algebra(missing, QI)
+        twisted_group_algebra_over(build_kp(QI), missing)
 
 
 def test_gamma_must_be_a_primitive_fourth_root():
     with pytest.raises(GammaNotPrimitiveFourthRoot):
-        build_a_xy_gamma(1, QI)
+        a_xy_gamma_over(build_kp(QI), 1)
     with pytest.raises(GammaNotPrimitiveFourthRoot):
-        build_a_xy_gamma(-1, QI)
-    other = build_a_xy_gamma(QI.scalar(-1) * QI.i(), QI)
+        a_xy_gamma_over(build_kp(QI), -1)
+    other = a_xy_gamma_over(build_kp(QI), QI.scalar(-1) * QI.i())
     assert check_comodule_algebra(other) == []
 
 
 def test_group_algebra_builder_needs_a_subgroup():
     with pytest.raises(ValueError):
-        build_group_algebra_comodule((0, 1, 2), QI)
+        group_algebra_comodule_over(build_kp(QI), (0, 1, 2))
 
 
 # -- phi -----------------------------------------------------------------------
@@ -375,7 +377,7 @@ def test_group_algebra_builder_needs_a_subgroup():
 def _extended_a_xy():
     ctx8 = FieldContext(8)
     ext = adjoin_sqrt(ctx8, ctx8.one() + ctx8.i())
-    return build_a_xy_gamma(ext.i(), ext)
+    return a_xy_gamma_over(build_kp(ext), ext.i())
 
 
 # the small entries of the benchmark's small-mixed workload
@@ -473,6 +475,62 @@ def test_coideal_generated_by_one_slope():
     partner = vadd(KP.basis_element("zy"),
                    vscale(QI.scalar(-1) * i, KP.basis_element("zxy")))
     assert c.contains(partner)
+
+
+def _coideal_by_queue(h, seeds):
+    """The closure loop that coideal_generated ran before it was two spins:
+    one queue of vectors, each new one followed by its left coproduct
+    slices and its products with every vector kept so far."""
+    n = h.dim
+    slices = [slice_left(h.comult, n, n, idx) for idx in range(n)]
+    pivot_rows, basis = {}, []
+    queue = [h.unit] + [tuple(s) for s in seeds]
+    while queue:
+        v = queue.pop()
+        if _insert_row(pivot_rows, _checked_row(n, v)):
+            queue.extend(sl.apply(v) for sl in slices)
+            for b in basis:
+                queue.append(h.multiply(v, b))
+                queue.append(h.multiply(b, v))
+            queue.append(h.multiply(v, v))
+            basis.append(v)
+    return Subspace(h.ctx, n, pivot_rows)
+
+
+def _sparse_seed(ctx, rng):
+    """An element of kp on one to three basis vectors, with coefficients
+    among +-1, 2 and the powers of the context's root of unity."""
+    coeffs = [ctx.one(), ctx.scalar(-1), ctx.scalar(2),
+              *(ctx.zeta(k) for k in range(1, ctx.order))]
+    v = [ctx.zero()] * 8
+    for idx in rng.sample(range(8), rng.randint(1, 3)):
+        v[idx] = rng.choice(coeffs)
+    return tuple(v)
+
+
+@pytest.mark.parametrize("order", [4, 8])
+def test_coideal_generated_matches_the_queue_closure(order):
+    ctx = FieldContext(order)
+    kp = build_kp(ctx)
+    rng = random.Random(order)
+    dims = set()
+    for _ in range(60):
+        seeds = [_sparse_seed(ctx, rng) for _ in range(rng.randint(1, 2))]
+        got = coideal_generated(kp, seeds)
+        assert got == _coideal_by_queue(kp, seeds)
+        dims.add(got.dim)
+    # the seed sets reach proper coideal subalgebras as well as all of kp
+    assert len(dims) > 2 and 8 in dims
+
+
+def test_the_slope_coideal_matches_the_queue_closure():
+    i = QI.i()
+    seed = vadd(KP.basis_element("z"), vscale(i, KP.basis_element("zx")))
+    assert coideal_generated(KP, [seed]) == _coideal_by_queue(KP, [seed])
+    a = _extended_a_xy()
+    h, i = a.hopf, a.ctx.i()
+    seed = vadd(h.basis_element("z"), vscale(i, h.basis_element("zx")))
+    assert coideal_generated(h, [seed]) == _coideal_by_queue(h, [seed])
 
 
 def test_coaction_slice_of_graded_algebra_is_a_projector():

@@ -17,12 +17,13 @@ from hopfexact.comodule import (
 )
 from hopfexact.constructions import (
     PSI_STANDARD,
-    build_a_xy_gamma,
+    a_xy_gamma_over,
     build_bimodule_V,
     build_kp,
     build_matrix2_trivial,
-    build_twisted_group_algebra,
     catalog,
+    comodule_direct_sum,
+    twisted_group_algebra_over,
     with_trivial_coaction,
 )
 from hopfexact.errors import (
@@ -32,6 +33,7 @@ from hopfexact.errors import (
     NeedsFieldExtension,
     NotSemisimple,
 )
+from hopfexact.exactness import check_exactness
 from hopfexact.field import FieldContext, adjoin_sqrt
 from hopfexact.linalg import (Mat, _dense, _sparse, basis_vector, kernel, kron,
                               linear_combination, rank, tensor_vec, vadd,
@@ -232,9 +234,11 @@ def test_split_peels_a_rational_eigenspace_and_keeps_the_rest_as_a_block():
     for s in spaces:
         restricted = [linalg.restrict_operator(m, s) for m in lefts]
         assert restricted[0] == Mat.identity(a.ctx, s.dim)
+    # the plane is handed the restriction of R_f1, whose minimal polynomial
+    # t**2 + 1 has discriminant -4, in the square class of -1
     with pytest.raises(NeedsFieldExtension) as exc:
         simple_modules(a)
-    assert exc.value.discriminant == -1
+    assert exc.value.discriminant == -4
     rebased, dec = simple_modules_split(a)
     assert rebased.ctx == FieldContext(4)
     assert [m.dim for m in dec.simples] == [1, 1, 1]
@@ -356,6 +360,52 @@ def test_a_non_commuting_top_level_candidate_is_refused(monkeypatch):
         simple_modules(a)
 
 
+# -- splits under a change of basis ------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _moved_kp():
+    return transport(CATALOG["kp"], random.Random(2))
+
+
+def test_moved_kp_has_the_verdicts_of_kp():
+    """Every piece of the split is handed the right multiplications by the
+    homogeneous elements that leave it invariant, so moved kp is split as
+    kp is: its fingerprint is kp's up to a relabelling of the simples."""
+    kp, moved = CATALOG["kp"], _moved_kp()
+    assert not fingerprint_distinguishes(fusion_fingerprint(moved),
+                                         fusion_fingerprint(kp))
+    got, want = check_exactness(moved), check_exactness(kp)
+    assert (got.method, got.am_exact, got.coinvariants_dim) \
+        == (want.method, want.am_exact, want.coinvariants_dim)
+    assert check_comodule_algebra(moved) == []
+
+
+def test_the_top_level_candidates_alone_do_not_split_moved_kp(monkeypatch):
+    """The mutation of the rule: with the homogeneous candidates at the top
+    level only, a lower piece of moved kp is left to its commutant basis,
+    whose cubic minimal polynomials are not factored."""
+    real = morita._split_once
+    n = CATALOG["kp"].dim
+
+    def top_only(action, comm, first=()):
+        return real(action, comm, first if action[0].nrows == n else ())
+
+    monkeypatch.setattr(morita, "_split_once", top_only)
+    with pytest.raises(HopfExactError, match="cannot split"):
+        fusion_fingerprint(_moved_kp())
+
+
+@pytest.mark.parametrize("left, right, seed",
+                         [("ga_k", "ga_k", 2), ("kpsi", "ga_k", 4)])
+def test_moved_direct_sums_split_as_built(left, right, seed):
+    built = comodule_direct_sum(CATALOG[left], CATALOG[right])
+    _, want = simple_modules_split(built)
+    _, got = simple_modules_split(transport(built, random.Random(seed)))
+    assert [s.dim for s in got.simples] == [s.dim for s in want.simples]
+    assert got.multiplicities == want.multiplicities
+
+
 def _intertwiner_cells(used, dec):
     """The fusion cells from intertwiners: the action on X (x) M built with
     kron through the coaction, and one intertwiner kernel per target."""
@@ -427,7 +477,7 @@ def test_dependent_simple_characters_are_refused():
 
 def test_iso_search_finds_gamma_conjugate():
     a = CATALOG["a_i_xy"]
-    b = build_a_xy_gamma(-QI.i(), QI)
+    b = a_xy_gamma_over(build_kp(QI), -QI.i())
     t = colinear_iso_search(a, b)
     assert t is not None
     assert is_algebra_isomorphism(a, b, t)
@@ -437,7 +487,7 @@ def test_iso_search_finds_gamma_conjugate():
 def test_explicit_gamma_conjugate_map_is_an_isomorphism():
     # 1 -> 1, exy -> -exy, v -> -v, w -> -w
     a = CATALOG["a_i_xy"]
-    b = build_a_xy_gamma(-QI.i(), QI)
+    b = a_xy_gamma_over(build_kp(QI), -QI.i())
     minus = QI.scalar(-1)
     t = Mat.from_columns(QI, [
         b.basis_element("1"),
@@ -469,7 +519,7 @@ def test_iso_search_matches_the_generated_coideal_over_the_right_field():
                  vscale(ext.i(), basis_vector(ext, 8, 5)))
     coideal8 = comodule_algebra_from_subspace(kp8,
                                               coideal_generated(kp8, [seed8]))
-    a8 = build_a_xy_gamma(ext.i(), ext)
+    a8 = a_xy_gamma_over(build_kp(ext), ext.i())
     t = colinear_iso_search(a8, coideal8)
     assert t is not None
     assert is_algebra_isomorphism(a8, coideal8, t)
@@ -642,7 +692,7 @@ def test_cohomologous_cocycles_give_isomorphic_twists():
     beta = {0: 1, 1: -1, 2: 1, 3: 1}
     twisted = {pair: val * beta[pair[0]] * beta[pair[1]] * beta[pair[0] ^ pair[1]]
                for pair, val in PSI_STANDARD.items()}
-    other = build_twisted_group_algebra(twisted, QI)
+    other = twisted_group_algebra_over(build_kp(QI), twisted)
     t = colinear_iso_search(CATALOG["kpsi"], other)
     assert t is not None
     assert is_algebra_isomorphism(CATALOG["kpsi"], other, t)
@@ -765,12 +815,12 @@ def test_check_module_comodule_reports_broken_colinearity():
 
 ORACLE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
 # the ops refused on small-mixed seeds, exactly: a refusal that comes back
-# and one that goes away both fail the test.  The first split tries right
-# multiplication by the homogeneous elements of the coaction, which do not
-# depend on the basis, so no seed refuses anything.  Splitting from the
-# commutant basis and its pairwise sums alone refuses
-# fusion_fingerprint(a_i_xy') on each of these seeds but 25, and
-# fusion_fingerprint(ga_k') on seeds 1, 11, 14 and 18
+# and one that goes away both fail the test.  Every piece of a split tries
+# first right multiplication by the homogeneous elements of the coaction,
+# which do not depend on the basis, so no seed refuses anything.  The seeds
+# are those on which a top level split from the commutant basis and its
+# pairwise sums alone refuses fusion_fingerprint(a_i_xy') (each seed but
+# 25) or fusion_fingerprint(ga_k') (seeds 1, 11, 14 and 18)
 KNOWN_REFUSALS = {seed: set() for seed in (1, 2, 5, 11, 14, 18, 25)}
 
 

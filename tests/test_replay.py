@@ -9,8 +9,8 @@ import pytest
 
 from hopfexact import replay
 from hopfexact.algebra import is_algebra_isomorphism
-from hopfexact.constructions import (PSI_STANDARD,
-                                     build_regular_comodule_algebra, catalog,
+from hopfexact.constructions import (PSI_STANDARD, build_kp, catalog,
+                                     regular_comodule_algebra,
                                      with_trivial_coaction)
 from hopfexact.errors import HopfExactError, NonlinearResidue
 from hopfexact.field import FieldContext, adjoin_sqrt
@@ -353,8 +353,9 @@ def test_a_refused_action_builds_every_system_directly(refused_run):
     # the 44 of the vanishing replays and the full extension's two
     assert len(refused_run.eliminations) == 46
     assert _carried_count(refused_run.cache) == 0
-    # the full extension specialises over its regular algebra's kp
-    assert refused_run.kp == []
+    # the full extension builds one kp, its regular algebra's, and
+    # specialises over it
+    assert refused_run.kp == [CTX]
 
 
 @pytest.mark.parametrize("name", replay_names())
@@ -491,7 +492,7 @@ def test_a_forced_fallback_decides_the_carried_case_alike(monkeypatch):
 
 
 def test_the_carried_iso_is_a_colinear_algebra_isomorphism_onto_kp():
-    regular = build_regular_comodule_algebra(CTX)
+    regular = regular_comodule_algebra(build_kp(CTX))
     rep = replay._system("ga_K", 2, _REP_SIGNS, CTX)
     member = replay._system("ga_K", 2, _MEMBER_SIGNS, CTX)
     rep_alg, alg = (s.g.specialize(s.elimination(_NORMALISATION).pins,
@@ -512,7 +513,7 @@ def test_the_carried_iso_is_a_colinear_algebra_isomorphism_onto_kp():
 
 
 def test_each_full_extension_case_keeps_its_iso_onto_kp():
-    regular = build_regular_comodule_algebra(CTX)
+    regular = regular_comodule_algebra(build_kp(CTX))
     kp = regular.hopf
     report = replay_lemma("group-full-extension", CTX)
     assert [c.signs for c in report.cases] == [_REP_SIGNS, _MEMBER_SIGNS]
