@@ -79,6 +79,7 @@ class Algebra:
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._mult_matrix: Optional[Mat] = None
         self._generators: Optional[tuple[int, ...]] = None
+        self._associative: Optional[bool] = None
 
     def _as_vec(self, v: Sequence[Scalar]) -> Vec:
         if len(v) != len(self.labels):
@@ -241,10 +242,15 @@ def is_associative(alg: Algebra) -> bool:
     x(bc)`` for all b, c form a subspace T, and for x, y in T ``((xy)b)c =
     (x(yb))c = x((yb)c) = x(y(bc)) = (xy)(bc)``: T is a subalgebra, holds
     G and so is all of A (Clifford and Preston, The Algebraic Theory of
-    Semigroups I, 1961, section 1.2)."""
-    m, ident = alg.mult_matrix(), Mat.identity(alg.ctx, alg.dim)
-    lefts = (alg.left_mult(alg.basis_element(g)) for g in alg.generators())
-    return all(left @ m == m @ kron(left, ident) for left in lefts)
+    Semigroups I, 1961, section 1.2).  The verdict is computed once per
+    algebra, as its table never changes."""
+    if alg._associative is None:
+        m, ident = alg.mult_matrix(), Mat.identity(alg.ctx, alg.dim)
+        lefts = (alg.left_mult(alg.basis_element(g))
+                 for g in alg.generators())
+        alg._associative = all(left @ m == m @ kron(left, ident)
+                               for left in lefts)
+    return alg._associative
 
 
 def check_algebra(alg: Algebra) -> list[str]:

@@ -224,6 +224,20 @@ def kp_corep_columns(h: Hopf, v: Vec, w: Vec) -> tuple[Vec, Vec]:
     return col_v, col_w
 
 
+def paper_map_f(kp: Algebra) -> Mat:
+    """The paper's isomorphism f: A -> H_8 of the full extension, from A's
+    basis 1, ex, ey, exy, v1, v2, w1, w2 onto the labels of ``kp``: f(g) =
+    g on K, f(v1) = yz + z, f(v2) = yz - z, and w_i goes to minus the
+    paper's image (the replay's convention w_i -> -w_i), so f(w1) = xz -
+    xyz, f(w2) = -xyz - xz.  In kp's basis yz = zx, xz = zy, xyz = zxy."""
+    e = kp.basis_element
+    return Mat.from_columns(kp.ctx, [
+        e("1"), e("x"), e("y"), e("xy"),
+        vadd(e("zx"), e("z")), vsub(e("zx"), e("z")),
+        vsub(e("zy"), e("zxy")),
+        vscale(kp.ctx.scalar(-1), vadd(e("zxy"), e("zy")))])
+
+
 def a_xy_gamma_over(h: Hopf, gamma: Union[Scalar, FieldElement]
                     ) -> ComoduleAlgebra:
     """The four-dimensional comodule algebra over ``h`` = kp with basis

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from itertools import chain, permutations
 from typing import Callable, Optional, Sequence
 
-from .algebra import algebra_on_span, tensor_product, trace, trace_radical
+from .algebra import (algebra_on_span, is_algebra_isomorphism, is_associative,
+                      tensor_product, trace, trace_radical)
 from .comodule import (
     Comodule,
     ComoduleAlgebra,
@@ -241,6 +242,16 @@ def colinear_iso_search(a: ComoduleAlgebra, b: ComoduleAlgebra
     field.  A system outside the supported reduction rules (the linear pass,
     univariate roots and linear isolation) is refused with a typed
     :class:`HopfExactError` rather than answered.
+
+    ``T(e_i e_j) = T(e_i) T(e_j)`` is written for i in ``a.generators()``
+    only when A and B are associative (:func:`is_associative`), else for
+    every i.  With T(1) = 1 the x with ``T(xy) = T(x) T(y)`` for all y form
+    a subalgebra: for x, x' in it ``T((xx')y) = T(x) (T(x') T(y)) =
+    T(xx') T(y)``.  It holds G, so it is A.
+
+    The map depends on A and B alone: the identity when it is a solution,
+    else the least invertible one, comparing entries in row-major order,
+    each by its rational coordinates over the field's basis.
     """
     if a.dim != b.dim:
         return None
@@ -287,8 +298,10 @@ def colinear_iso_search(a: ComoduleAlgebra, b: ComoduleAlgebra
     # the image of basis vector j is column j of the symbolic map; these
     # term dicts are shared and only read
     images = [[row[j] for row in symbolic] for j in range(n)]
+    associative = is_associative(a) and is_associative(b)
     eqs = []
-    for i, ti in enumerate(images):
+    for i in a.generators() if associative else range(n):
+        ti = images[i]
         for j, tj in enumerate(images):
             lhs = apply_symbolic(a.table[i][j])
             # product of the two symbolic images inside b
@@ -304,14 +317,25 @@ def colinear_iso_search(a: ComoduleAlgebra, b: ComoduleAlgebra
             for m in range(n):
                 _addmul(lhs[m], rhs[m], None, negate=True)
                 eqs.append(_poly(ctx, lhs[m]))
-    solutions = concrete_solutions(eqs, ctx)
-    for sol in solutions:
+    ident, found = Mat.identity(ctx, n), []
+    for sol in concrete_solutions(eqs, ctx):
         t = t0
         for name, d in zip(names, directions):
             t = t + d.scale(sol[name])
-        if rank(t) == n:
+        if t == ident:
             return t
-    return None
+        found.append(t)
+    found.sort(key=lambda t: [x.coeffs for row in t.rows for x in row])
+    return next((t for t in found if rank(t) == n), None)
+
+
+def is_colinear_isomorphism(a: ComoduleAlgebra, b: ComoduleAlgebra, t: Mat
+                            ) -> bool:
+    """Is ``t`` an algebra isomorphism from A onto B with ``lambda_b t =
+    (id (x) t) lambda_a``?"""
+    ident = Mat.identity(a.ctx, a.hopf.dim)
+    return (b.coaction @ t == kron(ident, t) @ a.coaction
+            and is_algebra_isomorphism(a, b, t))
 
 
 # -- simple modules --------------------------------------------------------------

@@ -52,16 +52,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .algebra import is_algebra_isomorphism
 from .comodule import ComoduleAlgebra, check_comodule_algebra
 from .constructions import (PSI_STANDARD, build_kp, catalog, kp_corep_columns,
-                            regular_comodule_algebra)
+                            paper_map_f, regular_comodule_algebra)
 from .errors import HopfExactError, InvalidKind, NonlinearResidue
 from .exactness import check_exactness
 from .field import FieldContext, FieldElement
 from .hopf import Hopf
-from .linalg import Mat, basis_vector, kron, tensor_vec
-from .morita import colinear_iso_search
+from .linalg import Mat, basis_vector, tensor_vec
+from .morita import colinear_iso_search, is_colinear_isomorphism
 from .poly import (Certificate, Elimination, MultiPoly, _addterms,
                    _column_key, _mono_degree, _poly, _product_terms,
                    concrete_solutions, eliminate)
@@ -833,14 +832,11 @@ def _carried_iso(system: _System, algebra: ComoduleAlgebra,
     if rep.g.signs not in passed:
         return None
     rep_algebra, iso = passed[rep.g.signs]
-    ctx, signs = algebra.ctx, _basis_signs(system.g, eps)
-    d = Mat(ctx, [[s if i == j else 0 for j in range(len(signs))]
-                  for i, s in enumerate(signs)])
-    colinear = algebra.coaction @ d \
-        == kron(Mat.identity(ctx, algebra.hopf.dim), d) @ rep_algebra.coaction
-    if not (colinear and is_algebra_isomorphism(rep_algebra, algebra, d)):
-        return None
-    return iso @ d
+    signs = _basis_signs(system.g, eps)
+    d = Mat(algebra.ctx, [[s if i == j else 0 for j in range(len(signs))]
+                          for i, s in enumerate(signs)])
+    return iso @ d if is_colinear_isomorphism(rep_algebra, algebra, d) \
+        else None
 
 
 def _full_extension_report(ctx: FieldContext) -> ReplayReport:
@@ -851,16 +847,17 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
     certificates that check again, and its specialised algebra must be a
     comodule algebra that is exact and colinearly isomorphic to kp.  The
     two cases lie in one orbit under the character (1, -1) of K.  The first,
-    the orbit's representative, is decided in full: axioms, exactness and an
-    iso search.  The second is carried from it by :func:`_carried_iso` when
-    its system was carried and the representative passed; otherwise, or when
-    the check of the sign change fails, it is decided in full as well.
+    the representative, is the paper's: its axioms and exactness are checked
+    and its iso is the paper's f, checked.  The second is carried by
+    :func:`_carried_iso` when it can be; otherwise it is decided in full with
+    an iso search, as the paper gives f for its own case only.
     """
     _require_associative_base("ga_K", ctx)
     cases = []
     regular = regular_comodule_algebra(build_kp(ctx))
     passed: dict = {}
-    for signs in (((1, 1), (-1, -1)), ((1, -1), (-1, 1))):
+    paper = ((1, 1), (-1, -1))
+    for signs in (paper, ((1, -1), (-1, 1))):
         # the normalised system is eliminated whole: an elimination of the
         # constraints alone would be done for nothing
         system = _system("ga_K", 2, signs, ctx)
@@ -890,7 +887,12 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
                 if iso is None:
                     problems = check_comodule_algebra(algebra)
                     exact = check_exactness(algebra)
-                    iso = colinear_iso_search(algebra, regular)
+                    if signs == paper:
+                        f = paper_map_f(regular)
+                        iso = f if is_colinear_isomorphism(
+                            algebra, regular, f) else None
+                    else:
+                        iso = colinear_iso_search(algebra, regular)
                     ok = not problems and exact.am_exact and iso is not None
                 if ok:
                     passed[signs] = (algebra, iso)

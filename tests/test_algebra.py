@@ -13,9 +13,11 @@ from hopfexact.algebra import (
     generated_operator_algebra,
     is_algebra_isomorphism,
     is_algebra_morphism,
+    is_associative,
     trace,
     trace_radical,
 )
+from hopfexact.comodule import check_comodule_algebra
 from hopfexact.constructions import build_kp, catalog
 from hopfexact.errors import NotAnAlgebra
 from hopfexact.exactness import costable_operators
@@ -250,6 +252,29 @@ def test_generators_span_a_table_whose_unit_laws_fail():
                    [(0, 1), (0, 0)]])
     assert bad.generators() == (1, 0)
     assert _word_rank(bad, bad.generators()) == bad.dim
+
+
+def test_lights_verdict_is_computed_once_per_algebra(monkeypatch):
+    kp, bad = build_kp(QI), Algebra(Q, ("1", "u", "v"), (1, 0, 0),
+                                    [[(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                                     [(0, 1, 0), (0, 0, 1), (1, 0, 0)],
+                                     [(0, 0, 1), (0, 0, 0), (0, 0, 0)]])
+    lefts = []
+    real = Algebra.left_mult
+
+    def left_mult(self, x):
+        lefts.append(self)
+        return real(self, x)
+
+    monkeypatch.setattr(Algebra, "left_mult", left_mult)
+    assert [is_associative(a) for a in (kp, bad, kp, bad)] \
+        == [True, False, True, False]
+    # Light's test forms L_g for each g in G on the first call only
+    assert {id(a) for a in lefts} == {id(kp), id(bad)}
+    lefts.clear()
+    # the comodule check of an entry over kp reads kp's verdict
+    assert check_comodule_algebra(catalog(QI, kp)["ga_x"]) == []
+    assert all(a is not kp for a in lefts)
 
 
 def test_direct_sum_blocks():

@@ -24,6 +24,7 @@ from hopfexact.constructions import (
     build_kp,
     catalog,
     group_algebra_comodule_over,
+    paper_map_f,
     twisted_group_algebra_over,
 )
 from hopfexact.errors import (
@@ -463,6 +464,11 @@ def test_phi_embed_rebuilds_the_papers_map_f():
     with pytest.raises(BadWitness):
         phi_embed(a, [KP.counit_value(unchanged.col(j))
                       for j in range(a.dim)])
+
+
+def test_paper_map_f_is_the_papers_f_with_w_negated():
+    assert paper_map_f(KP) == _paper_f(QI.scalar(-1))
+    assert paper_map_f(CATALOG["kp"]) == _paper_f(QI.scalar(-1))
 
 
 def test_coideal_generated_by_one_slope():

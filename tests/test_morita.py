@@ -1,6 +1,9 @@
 import functools
 import importlib.util
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -8,8 +11,10 @@ from types import SimpleNamespace
 import pytest
 
 from hopfexact import algebra, linalg, morita
-from hopfexact.algebra import is_algebra_isomorphism, trace, trace_radical
+from hopfexact.algebra import (is_algebra_isomorphism, is_associative, trace,
+                               trace_radical)
 from hopfexact.comodule import (
+    ComoduleAlgebra,
     check_comodule_algebra,
     coideal_generated,
     comodule_algebra_from_subspace,
@@ -36,8 +41,8 @@ from hopfexact.errors import (
 from hopfexact.exactness import check_exactness
 from hopfexact.field import FieldContext, adjoin_sqrt
 from hopfexact.linalg import (Mat, _dense, _sparse, basis_vector, kernel, kron,
-                              linear_combination, rank, tensor_vec, vadd,
-                              vscale)
+                              linear_combination, rank, solve, tensor_vec,
+                              vadd, vscale)
 from hopfexact.morita import (
     RightComodModule,
     _character_solver,
@@ -54,6 +59,7 @@ from hopfexact.morita import (
     simple_modules,
     simple_modules_split,
 )
+from hopfexact.poly import MultiPoly, concrete_solutions
 
 from _transport import transport
 
@@ -574,6 +580,155 @@ def test_iso_search_finds_a_kp_automorphism(monkeypatch):
                    for i in range(kp.dim) for j in range(kp.dim))
         characters.add(tuple(repr(c) for c in chi))
     assert len(characters) == 4
+
+
+# -- the search on generators, and its one canonical map -------------------------
+
+
+def _every_pair_search(a, b):
+    """The search as it ran before it wrote its equations on generators:
+    ``T(e_i e_j) = T(e_i) T(e_j)`` for every pair (i, j), and the first
+    invertible solution in the solver's order."""
+    if a.dim != b.dim:
+        return None
+    ctx, n = a.ctx, a.dim
+    maps = colinear_maps(a, b)
+    if not maps:
+        return None
+    unit_images = Mat.from_columns(ctx, [t.apply(a.unit) for t in maps])
+    particular = solve(unit_images, b.unit)
+    if particular is None:
+        return None
+    t0 = linear_combination(particular, maps)
+    directions = [linear_combination(hv, maps) for hv in kernel(unit_images)]
+    names = [f"s{i}" for i in range(len(directions))]
+    symbolic = [[MultiPoly.const(ctx, t0[i, j]) for j in range(n)]
+                for i in range(n)]
+    for name, d in zip(names, directions):
+        for i in range(n):
+            for j in range(n):
+                symbolic[i][j] = symbolic[i][j] + MultiPoly.var(ctx, name) \
+                    * d[i, j]
+
+    zero = MultiPoly.const(ctx, ctx.zero())
+    images = [[row[j] for row in symbolic] for j in range(n)]
+    eqs = []
+    for i in range(n):
+        for j in range(n):
+            lhs = [sum((p * x for p, x in zip(row, a.table[i][j])), zero)
+                   for row in symbolic]
+            rhs = [zero] * n
+            for p in range(n):
+                for q in range(n):
+                    prod = images[i][p] * images[j][q]
+                    rhs = [r if c.is_zero() else r + prod * c
+                           for r, c in zip(rhs, b.table[p][q])]
+            eqs += [left - right for left, right in zip(lhs, rhs)]
+    for sol in concrete_solutions(eqs, ctx):
+        t = t0
+        for name, d in zip(names, directions):
+            t = t + d.scale(sol[name])
+        if rank(t) == n:
+            return t
+    return None
+
+
+def _iso_pairs(ctx):
+    """Every catalog pair of equal dimension, then each entry moved by
+    seeds 1-3 against the entry as built, kp by seed 1 only."""
+    cat = catalog(ctx)
+    pairs = [(cat[x], cat[y]) for x in cat for y in cat
+             if cat[x].dim == cat[y].dim]
+    for seed in (1, 2, 3):
+        pairs += [(transport(a, random.Random(f"{seed}:{name}")), a)
+                  for name, a in cat.items() if name != "kp" or seed == 1]
+    return pairs
+
+
+def _verdict(search, a, b):
+    try:
+        return search(a, b) is not None
+    except HopfExactError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("ctx", [QI, FieldContext(8)], ids=["Q(i)", "Q(z8)"])
+def test_iso_search_on_generators_matches_the_every_pair_search(ctx):
+    for a, b in _iso_pairs(ctx):
+        assert is_associative(a) and is_associative(b)
+        want = _verdict(_every_pair_search, a, b)
+        assert want in (True, False)
+        t = colinear_iso_search(a, b)
+        assert (t is not None) == want, (a.labels, b.labels)
+        if t is not None:
+            assert is_algebra_isomorphism(a, b, t)
+            assert _is_colinear(a, b, t)
+
+
+def test_every_catalog_entry_is_its_own_identity():
+    for name, a in CATALOG.items():
+        assert colinear_iso_search(a, a) == Mat.identity(QI, a.dim), name
+
+
+def test_the_map_does_not_depend_on_the_order_of_the_equations(monkeypatch):
+    pairs = [(transport(CATALOG[name], random.Random(f"{seed}:{name}")),
+              CATALOG[name]) for seed in (1, 2) for name in SMALL]
+    pairs.append((CATALOG["a_i_xy"], a_xy_gamma_over(KP, -QI.i())))
+    want = [colinear_iso_search(a, b) for a, b in pairs]
+    # some map is not the identity, so the choice among solutions is made
+    assert any(t is not None and t != Mat.identity(QI, t.nrows)
+               for t in want)
+    real = morita.concrete_solutions
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+
+        def shuffled(eqs, ctx):
+            eqs = list(eqs)
+            rng.shuffle(eqs)
+            return real(eqs, ctx)[::-1]
+
+        monkeypatch.setattr(morita, "concrete_solutions", shuffled)
+        assert [colinear_iso_search(a, b) for a, b in pairs] == want
+
+
+def test_a_non_associative_input_takes_every_pair(monkeypatch):
+    # ga_k with e_x e_y doubled: (e_x e_x) e_y = e_y but e_x (e_x e_y) = 2 e_y
+    ga_k = CATALOG["ga_k"]
+    table = [list(row) for row in ga_k.table]
+    table[1][2] = vscale(QI.scalar(2), table[1][2])
+    a = ComoduleAlgebra(KP, ga_k.labels, ga_k.unit, table, ga_k.coaction)
+    assert not is_associative(a) and len(a.generators()) < a.dim
+    sizes = []
+    real = morita.concrete_solutions
+
+    def spy(eqs, ctx):
+        sizes.append(len(eqs))
+        return real(eqs, ctx)
+
+    monkeypatch.setattr(morita, "concrete_solutions", spy)
+    assert colinear_iso_search(a, a) == Mat.identity(QI, 4)
+    assert colinear_iso_search(ga_k, ga_k) == Mat.identity(QI, 4)
+    # one equation per pair and output coordinate, then per generator
+    assert sizes == [4 ** 3, len(ga_k.generators()) * 4 ** 2]
+
+
+def test_the_map_does_not_depend_on_the_hash_seed():
+    script = ("import random\n"
+              "from hopfexact.constructions import catalog\n"
+              "from hopfexact.field import FieldContext\n"
+              "from hopfexact.morita import colinear_iso_search\n"
+              "from _transport import transport\n"
+              "kp = catalog(FieldContext(4))['kp']\n"
+              "moved = transport(kp, random.Random('1:kp'))\n"
+              "print(colinear_iso_search(moved, kp).rows)\n")
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    texts = [subprocess.run([sys.executable, "-c", script], check=True,
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path,
+                                 "PYTHONHASHSEED": seed}).stdout
+             for seed in ("0", "1")]
+    assert texts[0] == texts[1] and texts[0].startswith("((")
 
 
 def test_ga_x_and_ga_y_have_no_colinear_maps_at_all():

@@ -10,11 +10,11 @@ import pytest
 from hopfexact import replay
 from hopfexact.algebra import is_algebra_isomorphism
 from hopfexact.constructions import (PSI_STANDARD, build_kp, catalog,
-                                     regular_comodule_algebra,
+                                     paper_map_f, regular_comodule_algebra,
                                      with_trivial_coaction)
 from hopfexact.errors import HopfExactError, NonlinearResidue
 from hopfexact.field import FieldContext, adjoin_sqrt
-from hopfexact.linalg import Mat, kron
+from hopfexact.linalg import Mat, kron, vscale
 from hopfexact.morita import colinear_iso_search
 from hopfexact.poly import (Elimination, MultiPoly, _addmul, _linear_quotient,
                             _poly, eliminate)
@@ -447,11 +447,18 @@ def test_kp_is_built_once_per_classification(monkeypatch):
 # -- the full extension: one case decided, the other carried ------------------
 
 _FULL_CHECKS = ("check_comodule_algebra", "check_exactness",
-                "colinear_iso_search")
+                "colinear_iso_search", "paper_map_f")
 # the signs of the full extension's two cases: the representative first
 _REP_SIGNS, _MEMBER_SIGNS = ((1, 1), (-1, -1)), ((1, -1), (-1, 1))
 _NORMALISATION = (MultiPoly.var(CTX, "alpha_11") - 1,
                   MultiPoly.var(CTX, "alpha_12") + 1)
+
+
+def _decided_in_full(cases):
+    """The calls of ``cases`` cases decided in full: the paper's case takes
+    the paper's map f, and every other one searches."""
+    return {"check_comodule_algebra": cases, "check_exactness": cases,
+            "colinear_iso_search": cases - 1, "paper_map_f": 1}
 
 
 def _count_full_checks(monkeypatch):
@@ -470,7 +477,7 @@ def test_a_cold_full_extension_decides_one_case_in_full(monkeypatch):
     calls = _count_full_checks(monkeypatch)
     report = replay_lemma("group-full-extension", CTX)
     assert report.passed
-    assert calls == dict.fromkeys(_FULL_CHECKS, 1)
+    assert calls == _decided_in_full(1)
     member = replay._system("ga_K", 2, _MEMBER_SIGNS, CTX)
     assert member.source[0] is replay._system("ga_K", 2, _REP_SIGNS, CTX)
 
@@ -482,7 +489,7 @@ def test_a_forced_fallback_decides_the_carried_case_alike(monkeypatch):
     monkeypatch.setattr(replay, "_carried_iso", lambda *args: None)
     calls = _count_full_checks(monkeypatch)
     full = replay_lemma("group-full-extension", CTX)
-    assert calls == dict.fromkeys(_FULL_CHECKS, 2)
+    assert calls == _decided_in_full(2)
     assert full.passed
     for got, want in zip(full.cases, carried.cases):
         assert (got.ok, got.detail, got.solution) \
@@ -526,6 +533,27 @@ def test_each_full_extension_case_keeps_its_iso_onto_kp():
             == kron(Mat.identity(CTX, 8), case.iso) @ a.coaction
 
 
+def test_the_papers_case_holds_the_papers_map_f_as_its_iso(monkeypatch):
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    report = replay_lemma("group-full-extension", CTX)
+    assert report.cases[0].signs == _REP_SIGNS
+    assert report.cases[0].iso == paper_map_f(build_kp(CTX))
+    # with the sign of f(v1) flipped f is no algebra map: the paper's case
+    # fails, and the member, no longer carried, is searched and passes
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+
+    def flipped(kp):
+        f = paper_map_f(kp)
+        return Mat.from_columns(CTX, [
+            vscale(CTX.scalar(-1), f.col(j)) if j == 4 else f.col(j)
+            for j in range(f.ncols)])
+
+    monkeypatch.setattr(replay, "paper_map_f", flipped)
+    report = replay_lemma("group-full-extension", CTX)
+    assert [c.ok for c in report.cases] == [False, True]
+    assert report.cases[0].iso is None and not report.passed
+
+
 def test_a_wrong_sign_change_is_refused_and_the_member_decided_in_full(
         monkeypatch):
     monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
@@ -543,7 +571,7 @@ def test_a_wrong_sign_change_is_refused_and_the_member_decided_in_full(
     monkeypatch.setattr(replay, "_basis_signs", flipped)
     calls = _count_full_checks(monkeypatch)
     assert repr(replay_lemma("group-full-extension", CTX)) == want
-    assert calls == dict.fromkeys(_FULL_CHECKS, 2)
+    assert calls == _decided_in_full(2)
 
 
 def test_a_failed_representative_is_not_carried(monkeypatch):
@@ -561,7 +589,7 @@ def test_a_failed_representative_is_not_carried(monkeypatch):
     report = replay_lemma("group-full-extension", CTX)
     assert [c.ok for c in report.cases] == [False, True]
     assert report.cases[0].detail.endswith("['refused for the test']")
-    assert calls == dict.fromkeys(_FULL_CHECKS, 2)
+    assert calls == _decided_in_full(2)
 
 
 # sha256 of the repr of every replay report, in replay_names() order, and of
