@@ -27,6 +27,17 @@ the classic recursive exact division ``Phi_n = (x**n - 1) / prod Phi_d``; it
 is monic with integer coefficients, so the reduction table for ``zeta**k``
 holds plain integers.
 
+Every product of base-field vectors, in every context of order n (the base
+products, the products inside a layer and the conjugate products of an
+inverse), runs through one straight-line function per order, generated from
+that table and compiled once (:func:`_mul_kernel`): it unpacks both vectors
+into locals, forms each coefficient of the unreduced product as one sum of
+products, and folds each coefficient of degree >= phi(n) into the lower
+ones with the table's integers.  No loop runs per product.  The generated
+source is safe to compile: it is assembled from nothing but fixed text,
+coordinate indices and the integers of the table for Phi_n, never from a
+value passed in by a caller.
+
 The field solves no linear system.  A nonzero ``a`` in Q(zeta_n) is
 inverted as the product of its other Galois conjugates ``sigma_k(a)``
 (zeta -> zeta**k, k a unit mod n, k != 1) over its rational norm ``N(a)``,
@@ -51,7 +62,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     AlreadyExtended,
@@ -115,6 +126,69 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
+@lru_cache(maxsize=None)
+def _zeta_power_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_n**k over the power basis, as integer vectors, for every k below
+    both 2*phi(n) - 1 (the degrees of a product of two reduced vectors) and
+    n (direct zeta(k) lookups).  Phi_n is monic and integral, so every entry
+    is an int."""
+    m = euler_phi(n)
+    phi = [int(c) for c in cyclotomic_polynomial(n)]
+    powers = [(1,) + (0,) * (m - 1)]
+    for _ in range(1, max(2 * m - 1, n)):
+        prev = powers[-1]
+        shifted = [0] + list(prev[:m - 1])
+        top = prev[m - 1]
+        if top:
+            for j in range(m):
+                shifted[j] -= top * phi[j]
+        powers.append(tuple(shifted))
+    return tuple(powers)
+
+
+def _mul_kernel_source(n: int) -> str:
+    """The source of the straight-line product of two base-field integer
+    vectors of Q(zeta_n), reduced modulo Phi_n.
+
+    With m = phi(n), it names every coordinate (``a0 .. a{m-1}``), forms the
+    coefficient ``p_k`` of x**k for each k >= m as one sum of products, and
+    returns, for each j < m, the sum of the products of degree j plus
+    ``c * p_k`` over the entries ``(j, c)`` of the reduction table row for
+    zeta**k (its nonzero coordinates).  Over Q(i) it reads ``p2 = a1*b1``
+    and returns ``(a0*b0 - p2, a0*b1 + a1*b0)``."""
+    m = euler_phi(n)
+    powers = _zeta_power_table(n)
+    reduction = {k: [(j, c) for j, c in enumerate(powers[k]) if c]
+                 for k in range(m, 2 * m - 1)}
+
+    def degree(k: int) -> str:
+        return " + ".join(f"a{i}*b{k - i}"
+                          for i in range(max(0, k - m + 1), min(k, m - 1) + 1))
+
+    out = [degree(j) for j in range(m)]
+    for k, row in reduction.items():
+        for j, c in row:
+            sign = "-" if c < 0 else "+"
+            out[j] += f" {sign} p{k}" if abs(c) == 1 else \
+                f" {sign} {abs(c)}*p{k}"
+    return "\n".join(
+        [f"def _mul_base_{n}(a, b):",
+         f"    {', '.join(f'a{i}' for i in range(m))}, = a",
+         f"    {', '.join(f'b{i}' for i in range(m))}, = b"]
+        + [f"    p{k} = {degree(k)}" for k in reduction]
+        + [f"    return ({', '.join(out)},)"])
+
+
+@lru_cache(maxsize=None)
+def _mul_kernel(n: int) -> Callable[[Sequence[int], Sequence[int]],
+                                    tuple[int, ...]]:
+    """The function of :func:`_mul_kernel_source`, compiled once per order;
+    the denominators are the caller's."""
+    namespace: dict = {}
+    exec(_mul_kernel_source(n), namespace)
+    return namespace[f"_mul_base_{n}"]
+
+
 def _as_fraction(x: Rat) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -149,28 +223,10 @@ class FieldContext:
             self._base = FieldContext(cyclotomic_order)
         self.dim = self.base_dim * (2 if self.has_layer else 1)
         self._hash = hash(self._key())
-        # Integer power table zeta**k long enough both for reducing products
-        # of two reduced polynomials (2*base_dim - 1) and for direct zeta(k)
-        # lookups (k < order).  Phi_n is monic and integral, so every entry
-        # is an int.
-        m = self.base_dim
-        phi = [int(c) for c in cyclotomic_polynomial(cyclotomic_order)]
-        powers: list[tuple[int, ...]] = []
-        for k in range(max(2 * m - 1, cyclotomic_order)):
-            if k == 0:
-                powers.append((1,) + (0,) * (m - 1))
-                continue
-            prev = powers[k - 1]
-            shifted = [0] + list(prev[: m - 1])
-            top = prev[m - 1]
-            if top:
-                for j in range(m):
-                    shifted[j] -= top * phi[j]
-            powers.append(tuple(shifted))
-        self._zeta_powers = powers
-        # for each k < 2*base_dim - 1, the nonzero (j, c) entries of zeta**k
-        self._reduction = [[(j, c) for j, c in enumerate(powers[k]) if c]
-                           for k in range(2 * m - 1)]
+        self._zeta_powers = _zeta_power_table(cyclotomic_order)
+        # the straight-line product of base-field vectors, shared by every
+        # context of this order (see _mul_kernel)
+        self._mul_base = _mul_kernel(cyclotomic_order)
         self._zero = _packed(self, (0,) * self.dim, 1)
         self._one = _packed(self, (1,) + (0,) * (self.dim - 1), 1)
         self._minus_one_num = (-1,) + (0,) * (self.dim - 1)
@@ -247,27 +303,6 @@ class FieldContext:
         return _packed(self, tuple(num), 1)
 
     # -- base-field arithmetic on integer coefficient vectors --------------
-
-    def _mul_base(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        """The product of two base-field integer vectors, reduced modulo
-        Phi_n (the denominators are the caller's)."""
-        m = self.base_dim
-        if m == 1:
-            return [a[0] * b[0]]
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        out = prod[:m]
-        reduction = self._reduction
-        for k in range(m, 2 * m - 1):
-            c = prod[k]
-            if c:
-                for j, t in reduction[k]:
-                    out[j] += c * t
-        return out
 
     def _inv_base(self, a: Sequence[int]) -> tuple[list[int], int]:
         """``(num, den)`` with ``a * num / den == 1``, for a nonzero integer

@@ -48,6 +48,7 @@ from .linalg import (
     Subspace,
     Vec,
     _combine,
+    _dense,
     _kernel_rows,
     _subtract_multiple,
     _vec_row,
@@ -617,11 +618,21 @@ def fusion_fingerprint(a: ComoduleAlgebra) -> FusionFingerprint:
     Entry ``table[r][i][j]`` is the multiplicity of the j-th simple A-module
     inside X_r (x) M_i, where the A-action on the product twists through the
     coaction.  The multiplicities come from characters: the character of
-    X (x) M at b is the sum of ``c tr X(h) tr M(a)`` over the terms
-    ``c (h (x) a)`` of lambda(b), and it is solved against the characters of
-    the simples, which are independent for a split semisimple algebra in
-    characteristic zero.  A cell without a unique natural solution, or whose
-    multiplicities do not add up to ``dim X * dim M``, is refused.
+    X (x) M at b is ``(tr X (x) tr M)(lambda(b))``, solved against the
+    characters of the simples, which are independent for a split semisimple
+    algebra in characteristic zero.  A cell without a unique natural
+    solution, or whose multiplicities do not add up to ``dim X * dim M``, is
+    refused.
+
+    The cells are read by contraction.  For each simple M the tr M leg is
+    contracted once: ``(id (x) tr M) lambda`` is a table with a row per
+    basis element h of H and a column per b, whose row h is the sum of
+    ``tr M(a)`` times the coaction's row for ``h (x) a`` (its coefficients
+    by b).  The character of each X (x) M is then the sum of ``tr X(h)``
+    times row h, over the h with ``tr X(h) != 0``; both sums run over
+    stored nonzero entries only.  The ring is commutative, so this
+    regrouping gives each character its exact value, in a layer with zero
+    divisors too.
     """
     _require_over_kp(a)
     used, dec = simple_modules_split(a)
@@ -633,18 +644,19 @@ def fusion_fingerprint(a: ComoduleAlgebra) -> FusionFingerprint:
     na = used.dim
     chars = [tuple(trace(m) for m in s.action) for s in dec.simples]
     multiplicities = _character_solver(Mat.from_columns(ctx, chars))
-    lam = used.coaction.transpose().entries
+    # row h * na + a of the coaction: the coefficients of h (x) a, by b
+    lam = used.coaction.entries
+    contracted = [
+        [_combine({h * na + a: t for a, t in enumerate(m_char) if t}, lam)
+         for h in range(used.hopf.dim)]
+        for m_char in chars]
     rows = []
     for name, x_action in hmods:
         dx = x_action[0].nrows
-        x_char = [trace(m) for m in x_action]
+        x_char = {h: t for h, t in enumerate(map(trace, x_action)) if t}
         row = []
-        for m, m_char in zip(dec.simples, chars):
-            character = tuple(
-                sum((c * x_char[pos // na] * m_char[pos % na]
-                     for pos, c in terms.items()), ctx.zero())
-                for terms in lam)
-            mults = multiplicities(character)
+        for m, table in zip(dec.simples, contracted):
+            mults = multiplicities(_dense(ctx, _combine(x_char, table), na))
             if sum(mu * s.dim for mu, s in zip(mults, dec.simples)) \
                     != dx * m.dim:
                 raise HopfExactError(

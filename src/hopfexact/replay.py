@@ -61,7 +61,7 @@ from .field import FieldContext, FieldElement
 from .hopf import Hopf
 from .linalg import Mat, basis_vector, tensor_vec
 from .morita import colinear_iso_search, is_colinear_isomorphism
-from .poly import (Certificate, Elimination, MultiPoly, _addterms,
+from .poly import (Certificate, Elimination, MultiPoly, _addmul, _addterms,
                    _column_key, _mono_degree, _poly, _product_terms,
                    concrete_solutions, eliminate)
 
@@ -398,9 +398,24 @@ def associativity_constraints(g: GenericExtension) -> list[MultiPoly]:
     of a pair of ids is formed once per call, as the list of its terms.  The
     loop adds those terms one by one, in the order in which ``_addmul`` would
     form them, so every constraint keeps the same terms in the same order.
+
+    When row 0 and column 0 of the table are the identity with coefficient 1
+    (``e_0 e_j == e_j == e_j e_0`` exactly), the triples that contain index
+    0 are skipped.  Both association orders of such a triple read the same
+    entry (``e_j e_k``, ``e_i e_k`` or ``e_i e_j``), so the loop would add
+    each of its terms and subtract it again, and the triple would add
+    nothing to the output.  Any other table keeps every triple.
     """
     dim = g.dim
     ctx = g.ctx
+    one = MultiPoly.const(ctx, 1).terms
+
+    def unit_vec(vec: SymVec, j: int) -> bool:
+        return all(p.terms == (one if m == j else {})
+                   for m, p in enumerate(vec))
+
+    first = int(all(unit_vec(g.table[0][j], j) and unit_vec(g.table[j][0], j)
+                    for j in range(dim)))
     out: list[MultiPoly] = []
     seen: set = set()
     # raw constraints already met, term for term: most of them repeat, and
@@ -420,10 +435,10 @@ def associativity_constraints(g: GenericExtension) -> list[MultiPoly]:
                  if p.terms] for vec in row] for row in g.table]
     entries = [dict(key) for key in ids]
     products: dict[tuple[int, int], list] = {}
-    for i in range(dim):
-        for j in range(dim):
+    for i in range(first, dim):
+        for j in range(first, dim):
             tij = sparse[i][j]
-            for k in range(dim):
+            for k in range(first, dim):
                 acc: list[dict] = [{} for _ in range(dim)]
                 pairs = [(c, t, p) for m, c in tij for t, p in sparse[m][k]]
                 pairs += [(c, t, p) for m, c in negated[j][k]
@@ -464,11 +479,10 @@ def verify_combination(constraints: Sequence[MultiPoly], cert: Certificate,
     """Check that the certified combination of constraints equals ``expected``."""
     if not cert:
         return False
-    ctx = expected.ctx
-    total = MultiPoly(ctx, {})
+    terms: dict = {}
     for idx, mult in cert.items():
-        total = total + mult * constraints[idx]
-    return total == expected
+        _addmul(terms, mult.terms, constraints[idx].terms)
+    return _poly(expected.ctx, terms) == expected
 
 
 @dataclass(frozen=True)

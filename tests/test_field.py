@@ -1,8 +1,10 @@
 """Exact-arithmetic kernel: cyclotomic contexts, literals, square roots."""
 
 from fractions import Fraction
+import io
 from math import gcd, isqrt, lcm
 import random
+import tokenize
 
 import pytest
 
@@ -591,7 +593,7 @@ def _random_coeffs(dim, rng):
 _DIFF_FIELDS = [
     (1, None), (1, "2"), (1, "4"),
     (3, None), (3, "z(3,1)"),
-    (4, None), (4, "1+i"),
+    (4, None), (4, "1+i"), (4, "4"),
     (5, None), (5, "2 + z(5,1)"),
     (8, None), (8, "1+i"),
     (12, None), (12, "3 - z(12,1)"),
@@ -613,7 +615,9 @@ def test_packed_arithmetic_matches_fraction_reference(order, disc):
     pool = [ctx.zero(), ctx.one(), ctx.scalar(-1), ctx.scalar(F(-7, 3))]
     pool += [ctx.element(_random_coeffs(dim, rng)) for _ in range(12)]
     if disc is not None:
-        pool.append(ctx.sqrt_symbol())
+        # s - 2 and s + 2 are zero divisors when d = 4
+        root = ctx.sqrt_symbol()
+        pool += [root, root - 2, root + 2]
     for x in pool:
         _assert_canonical(x)
     # a factor of 1 or -1 on either side, against the reference product
@@ -818,3 +822,58 @@ def test_layer_to_layer_coercion_commutes_with_arithmetic():
         dst.sqrt_symbol().coerce(src)
     with pytest.raises(FieldMismatch):
         src.sqrt_symbol().coerce(adjoin_sqrt(Q8, "2"))
+
+
+# -- the straight-line multiply kernel against the looped reference ------------
+
+_KERNEL_ORDERS = (1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24)
+
+
+def _integer_vector(m, rng):
+    """A seeded integer vector: sparse, small, or with large entries."""
+    shape = rng.randrange(3)
+    if shape == 0:
+        return tuple(0 if rng.random() < 0.6 else rng.randint(-9, 9)
+                     for _ in range(m))
+    if shape == 1:
+        return tuple(rng.randint(-3, 3) for _ in range(m))
+    return tuple(rng.randint(-10**12, 10**12) for _ in range(m))
+
+
+@pytest.mark.parametrize("order", _KERNEL_ORDERS)
+def test_mul_kernel_matches_the_looped_reference(order):
+    ctx = FieldContext(order)
+    m = ctx.base_dim
+    mul = ctx._mul_base
+    rng = random.Random(f"kernel:{order}")
+    units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    vectors = [_integer_vector(m, rng) for _ in range(40)]
+    for a in units + vectors:
+        for b in units + vectors[:10]:
+            got = mul(a, b)
+            assert type(got) is tuple and len(got) == m
+            assert all(type(c) is int for c in got)
+            assert got == _ref_mul_base(a, b, order)
+            # list inputs, as the conjugate products pass them, read alike
+            assert mul(list(a), list(b)) == got
+
+
+@pytest.mark.parametrize("order", _KERNEL_ORDERS)
+def test_mul_kernel_source_holds_only_the_tables_integers(order):
+    """The source is fixed text, coordinate names and the integers of the
+    reduction table: no string literal, no loop, no other number."""
+    source = field._mul_kernel_source(order)
+    m = euler_phi(order)
+    powers = field._zeta_power_table(order)
+    table = {abs(c) for k in range(m, 2 * m - 1) for c in powers[k] if c}
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    numbers = {int(t.string) for t in tokens if t.type == tokenize.NUMBER}
+    names = {t.string for t in tokens if t.type == tokenize.NAME}
+    assert numbers <= table
+    assert not any(t.type == tokenize.STRING for t in tokens)
+    assert names.isdisjoint({"for", "while", "import", "lambda"})
+    # one kernel per order, shared by every context of that order
+    layered = adjoin_sqrt(FieldContext(order), 2)
+    assert FieldContext(order)._mul_base is field._mul_kernel(order)
+    assert layered._mul_base is field._mul_kernel(order)
+    assert "_mul_base" not in vars(FieldContext)

@@ -44,6 +44,7 @@ from hopfexact.linalg import (Mat, _dense, _sparse, basis_vector, kernel, kron,
                               linear_combination, rank, solve, tensor_vec,
                               vadd, vscale)
 from hopfexact.morita import (
+    FusionFingerprint,
     RightComodModule,
     _character_solver,
     _colinear_system,
@@ -446,6 +447,41 @@ def test_character_cells_match_the_intertwiner_cells_on_moved_entries(seed):
         used, dec = simple_modules_split(moved)
         assert fusion_fingerprint(moved).table \
             == _intertwiner_cells(used, dec)
+
+
+def _per_cell_fingerprint(a):
+    """``fusion_fingerprint`` as it was before the tr M leg was contracted
+    once per simple: two products per coaction term, per (X, M) cell."""
+    used, dec = simple_modules_split(a)
+    ctx, na = used.ctx, used.dim
+    hmods = kp_simple_modules(ctx)
+    chars = [tuple(trace(m) for m in s.action) for s in dec.simples]
+    multiplicities = _character_solver(Mat.from_columns(ctx, chars))
+    lam = used.coaction.transpose().entries
+    rows = []
+    for _, x_action in hmods:
+        x_char = [trace(m) for m in x_action]
+        rows.append(tuple(
+            multiplicities(tuple(
+                sum((c * x_char[pos // na] * m_char[pos % na]
+                     for pos, c in terms.items()), ctx.zero())
+                for terms in lam))
+            for m_char in chars))
+    return FusionFingerprint(tuple(name for name, _ in hmods),
+                             tuple(s.dim for s in dec.simples), tuple(rows))
+
+
+@pytest.mark.parametrize("ctx", [QI, FieldContext(8)], ids=["Q(i)", "Q(z8)"])
+def test_contracted_cells_match_the_per_cell_sums(ctx):
+    """Every catalog entry over Q(i) and Q(zeta_8), then, over Q(i), moved
+    kp and the small entries moved by seeds 1-3."""
+    inputs = list(catalog(ctx).values())
+    if ctx is QI:
+        inputs.append(_moved_kp())
+        inputs += [moved for seed in (1, 2, 3)
+                   for moved in _small_mixed_inputs(seed).values()]
+    for a in inputs:
+        assert fusion_fingerprint(a) == _per_cell_fingerprint(a)
 
 
 def _simple_characters(a):

@@ -1,6 +1,7 @@
 """The symbolic classification replays: constraint harvesting, certified
 eliminations, the n2 <= 1 classification and negative controls."""
 
+import dataclasses
 import hashlib
 import random
 from types import SimpleNamespace
@@ -16,11 +17,12 @@ from hopfexact.errors import HopfExactError, NonlinearResidue
 from hopfexact.field import FieldContext, adjoin_sqrt
 from hopfexact.linalg import Mat, kron, vscale
 from hopfexact.morita import colinear_iso_search
-from hopfexact.poly import (Elimination, MultiPoly, _addmul, _linear_quotient,
-                            _poly, eliminate)
-from hopfexact.replay import (_vanishing_report, associativity_constraints,
-                              classify_n2_le_1, generic_extension,
-                              replay_lemma, replay_names)
+from hopfexact.poly import (Elimination, MultiPoly, _addmul, _addterms,
+                            _linear_quotient, _poly, _product_terms,
+                            eliminate)
+from hopfexact.replay import (_sign_cases, _vanishing_report,
+                              associativity_constraints, classify_n2_le_1,
+                              generic_extension, replay_lemma, replay_names)
 
 CTX = FieldContext(4)
 # a formal square root of a perfect square: a ring with zero divisors
@@ -111,6 +113,106 @@ def test_constraints_match_the_plain_triple_loop(kind, n2, signs, ctx):
         assert p.terms[min(p.terms)] == ctx.one()
 
 
+def _every_triple_constraints(g, first=0):
+    """A copy of ``associativity_constraints`` as it was before unit triples
+    were skipped: every triple with indices from ``first`` up is run."""
+    dim, ctx = g.dim, g.ctx
+    out, seen, seen_raw, ids = [], set(), set(), {}
+
+    def entry_id(terms):
+        return ids.setdefault(tuple(terms.items()), len(ids))
+
+    sparse = [[[(m, entry_id(p.terms)) for m, p in enumerate(vec) if p.terms]
+               for vec in row] for row in g.table]
+    negated = [[[(m, entry_id((-p).terms)) for m, p in enumerate(vec)
+                 if p.terms] for vec in row] for row in g.table]
+    entries = [dict(key) for key in ids]
+    products = {}
+    for i in range(first, dim):
+        for j in range(first, dim):
+            tij = sparse[i][j]
+            for k in range(first, dim):
+                acc = [{} for _ in range(dim)]
+                pairs = [(c, t, p) for m, c in tij for t, p in sparse[m][k]]
+                pairs += [(c, t, p) for m, c in negated[j][k]
+                          for t, p in sparse[i][m]]
+                for c, t, p in pairs:
+                    prods = products.get((c, p))
+                    if prods is None:
+                        prods = products[c, p] = _product_terms(entries[c],
+                                                                entries[p])
+                    _addterms(acc[t], prods)
+                for terms in acc:
+                    raw = tuple(terms.items())
+                    if not terms or raw in seen_raw:
+                        continue
+                    seen_raw.add(raw)
+                    norm = replay._normalize(_poly(ctx, terms))
+                    key = tuple(sorted(norm.terms.items()))
+                    if key not in seen:
+                        seen.add(key)
+                        out.append(norm)
+    return out
+
+
+def _term_lists(polys):
+    return [(p.ctx, list(p.terms.items())) for p in polys]
+
+
+# with no blocks the one sign case is the empty one, passed as None
+_EVERY_SYSTEM = [(kind, n2, signs or None) for kind in replay.KINDS
+                 for n2 in (0, 1, 2) for signs in _sign_cases(kind, n2)]
+
+
+def _pair_count(g, first):
+    """The products of entry pairs that the triples with indices from
+    ``first`` up accumulate."""
+    nonzero = [[[m for m, p in enumerate(vec) if p.terms] for vec in row]
+               for row in g.table]
+    span = range(first, g.dim)
+    return sum(sum(len(nonzero[m][k]) for m in nonzero[i][j])
+               + sum(len(nonzero[i][m]) for m in nonzero[j][k])
+               for i in span for j in span for k in span)
+
+
+@pytest.mark.parametrize("kind", replay.KINDS)
+def test_skipping_unit_triples_keeps_every_constraint_in_order(kind,
+                                                               monkeypatch):
+    """Every n2 <= 2 and every sign case: the same polynomials, term for
+    term, in the same order as the loop over every triple, from the pairs
+    of the triples without index 0 alone."""
+    systems = [(n2, signs) for k, n2, signs in _EVERY_SYSTEM if k == kind]
+    assert len(systems) == (21 if kind in ("ga_K", "kpsi") else 3)
+    calls = []
+    monkeypatch.setattr(replay, "_addterms",
+                        lambda acc, prods: calls.append(_addterms(acc, prods)))
+    for n2, signs in systems:
+        g = generic_extension(kind, n2, signs, CTX)
+        calls.clear()
+        got = associativity_constraints(g)
+        assert len(calls) == _pair_count(g, first=1) < _pair_count(g, 0)
+        assert _term_lists(got) == _term_lists(_every_triple_constraints(g))
+
+
+@pytest.mark.parametrize("where", ["column", "row"])
+def test_a_perturbed_unit_keeps_its_unit_triples(where):
+    """With e_1 e_0 (or e_0 e_1) scaled by 1 + u, index 0 is no unit with
+    coefficient 1, and the triples through it are run: they give
+    constraints that the other triples do not."""
+    g = generic_extension("ga_K", 1, ((1, -1),), CTX)
+    table = [list(row) for row in g.table]
+    i, j = (1, 0) if where == "column" else (0, 1)
+    vec = list(table[i][j])
+    vec[1] = vec[1] * (MultiPoly.var(CTX, "u") + 1)
+    table[i][j] = tuple(vec)
+    bent = dataclasses.replace(g, table=tuple(tuple(r) for r in table))
+    got = associativity_constraints(bent)
+    assert _term_lists(got) == _term_lists(_every_triple_constraints(bent))
+    assert _term_lists(got) \
+        != _term_lists(_every_triple_constraints(bent, first=1))
+    assert any("u" in repr(p) for p in got)
+
+
 @pytest.mark.parametrize("name", replay_names())
 def test_replay_passes_and_certificates_reverify(name):
     report = replay_lemma(name, CTX)
@@ -131,6 +233,50 @@ def test_replay_passes_and_certificates_reverify(name):
                 assert replay.verify_combination(
                     constraints, elim.certificates[var],
                     MultiPoly.var(CTX, var) - value)
+
+
+def _summed_combination(constraints, cert, expected):
+    """``verify_combination`` as it was: one MultiPoly sum per multiplier."""
+    if not cert:
+        return False
+    total = MultiPoly(expected.ctx, {})
+    for idx, mult in cert.items():
+        total = total + mult * constraints[idx]
+    return total == expected
+
+
+def _replay_certificates(name):
+    """Every (constraints, certificate, expected) of one replay's cases."""
+    for case in replay_lemma(name, CTX).cases:
+        constraints = list(case.constraints)
+        if case.report is not None:
+            for target, cert in case.report.certificates.items():
+                yield constraints, cert, MultiPoly.var(CTX, target)
+        elim = case.elimination
+        if elim is not None:
+            for var, value in elim.pins.items():
+                yield (constraints, elim.certificates[var],
+                       MultiPoly.var(CTX, var) - value)
+            if elim.contradiction is not None:
+                yield (constraints, elim.contradiction,
+                       MultiPoly.const(CTX, elim.contradiction_value))
+
+
+@pytest.mark.parametrize("name", replay_names())
+def test_verify_combination_matches_the_summed_check(name):
+    """The same verdict as the sum of MultiPoly products on every replay
+    certificate, and a refusal once one multiplier is altered."""
+    checked = 0
+    for constraints, cert, expected in _replay_certificates(name):
+        assert replay.verify_combination(constraints, cert, expected)
+        assert _summed_combination(constraints, cert, expected)
+        idx = min(cert)
+        altered = dict(cert)
+        altered[idx] = cert[idx] + MultiPoly.const(CTX, 1)
+        assert not replay.verify_combination(constraints, altered, expected)
+        assert not _summed_combination(constraints, altered, expected)
+        checked += 1
+    assert checked
 
 
 # the sign pairs (a, b) in the order of the case table
