@@ -47,6 +47,7 @@ from .linalg import (
     basis_vector,
     kernel,
     kron,
+    kron_matmul,
     rank,
     solve,
     spin,
@@ -238,18 +239,21 @@ NOT_ASSOCIATIVE = "multiplication is not associative"
 
 def is_associative(alg: Algebra) -> bool:
     """Light's test: ``L_g m == m (L_g (x) id)``, that is ``g(xy) ==
-    (gx)y``, for each g in ``alg.generators()``.  The x with ``(xb)c ==
+    (gx)y``, for each g in ``alg.generators()``, compared transposed as
+    ``m^T L_g^T == (L_g^T (x) id) m^T``.  The x with ``(xb)c ==
     x(bc)`` for all b, c form a subspace T, and for x, y in T ``((xy)b)c =
     (x(yb))c = x((yb)c) = x(y(bc)) = (xy)(bc)``: T is a subalgebra, holds
     G and so is all of A (Clifford and Preston, The Algebraic Theory of
     Semigroups I, 1961, section 1.2).  The verdict is computed once per
     algebra, as its table never changes."""
     if alg._associative is None:
-        m, ident = alg.mult_matrix(), Mat.identity(alg.ctx, alg.dim)
-        lefts = (alg.left_mult(alg.basis_element(g))
+        # m^T, whose row i*n + j is e_i e_j, and L_g^T, whose row j is g e_j
+        ctx, n = alg.ctx, alg.dim
+        mt = Mat.from_entries(ctx, chain.from_iterable(alg.terms), n)
+        lefts = (Mat.from_entries(ctx, alg.terms[g], n)
                  for g in alg.generators())
-        alg._associative = all(left @ m == m @ kron(left, ident)
-                               for left in lefts)
+        alg._associative = all(mt @ lt == kron_matmul(lt, None, mt)
+                               for lt in lefts)
     return alg._associative
 
 

@@ -53,6 +53,7 @@ from .linalg import (
     inverse,
     kernel,
     kron,
+    kron_matmul,
     rank,
     slice_left,
     solve,
@@ -335,7 +336,7 @@ def phi_embed(a: ComoduleAlgebra, witness: Sequence[Scalar]) -> PhiReport:
         raise BadWitness("witness does not send the unit to 1")
     if chi @ a.mult_matrix() != kron(chi, chi):
         raise BadWitness("witness is not multiplicative")
-    phi = kron(Mat.identity(ctx, nh), chi) @ a.coaction
+    phi = kron_matmul(None, chi, a.coaction)
     injective = rank(phi) == na
     algebra_ok = is_algebra_morphism(a, h, phi)
     image = Subspace.from_vectors(ctx, nh, phi.transpose().rows)
@@ -344,7 +345,7 @@ def phi_embed(a: ComoduleAlgebra, witness: Sequence[Scalar]) -> PhiReport:
     # quotient m (phi (x) phi) is
     quotient = Mat.from_entries(ctx, map(_sparse, image.annihilator()), nh)
     coideal_ok = not any(
-        (kron(Mat.identity(ctx, nh), quotient) @ h.comult @ phi).entries)
+        kron_matmul(None, quotient, h.comult @ phi).entries)
     subalg_ok = not any(
         (quotient @ h.mult_matrix() @ kron(phi, phi)).entries)
     return PhiReport(phi, injective, algebra_ok, image, coideal_ok, subalg_ok)

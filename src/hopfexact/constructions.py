@@ -21,7 +21,7 @@ The recurring cast:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .algebra import Algebra, direct_sum
 from .comodule import ComoduleAlgebra, direct_sum_coaction
@@ -111,22 +111,37 @@ def build_kp(ctx: Optional[FieldContext] = None) -> Hopf:
 # -- comodule algebras over the eight-dimensional Hopf algebra ----------------
 
 
-def _graded_coaction(hopf: Hopf, dim: int, h_index_of: Callable[[int], int]
-                     ) -> Mat:
-    """Coaction sending the j-th basis vector to (one H basis vector) (x) it."""
-    ctx = hopf.ctx
-    cols = []
-    for j in range(dim):
-        cols.append(tensor_vec(basis_vector(ctx, hopf.dim, h_index_of(j)),
-                               basis_vector(ctx, dim, j)))
-    return Mat.from_columns(ctx, cols)
+def basis_coaction(h: Hopf, dim: int, grouplikes: Sequence[int],
+                   blocks: Sequence[tuple[int, int]] = ()) -> Mat:
+    """The coaction on a space with basis e_0, ..., e_{dim-1} that sends
+    e_j to h_g (x) e_j for the j-th index g of ``grouplikes`` (an H basis
+    element that is grouplike), and makes each pair (v, w) of ``blocks``
+    a copy of the two-dimensional simple corepresentation of kp:
+
+        2 v -> (z + zx) (x) v + (z - zx) (x) w,
+        2 w -> (zy - zxy) (x) v + (zy + zxy) (x) w.
+
+    The columns are written from their nonzero entries."""
+    ctx = h.ctx
+    one = ctx.one()
+    cols = [{g * dim + j: one} for j, g in enumerate(grouplikes)]
+    cols += [{} for _ in range(dim - len(cols))]
+    if blocks:
+        half = ctx.scalar(Fraction(1, 2))
+        z, zx, zy, zxy = (h.label_index(lab) * dim
+                          for lab in ("z", "zx", "zy", "zxy"))
+        for v, w in blocks:
+            cols[v] = {z + v: half, zx + v: half, z + w: half, zx + w: -half}
+            cols[w] = {zy + v: half, zxy + v: -half, zy + w: half,
+                       zxy + w: half}
+    return Mat.from_entries(ctx, cols, h.dim * dim).transpose()
 
 
 def trivial_comodule_algebra_over(h: Hopf) -> ComoduleAlgebra:
     """The base field with the trivial coaction, over the given Hopf algebra."""
     unit = (h.ctx.one(),)
     return ComoduleAlgebra(h, ("1",), unit, [[unit]],
-                           _graded_coaction(h, 1, lambda j: 0))
+                           basis_coaction(h, 1, [0]))
 
 
 def regular_comodule_algebra(h: Hopf) -> ComoduleAlgebra:
@@ -152,7 +167,7 @@ def group_algebra_comodule_over(h: Hopf, masks: Sequence[int]
     table = [[e[pos[g ^ k]] for k in masks] for g in masks]
     labels = [_KLEIN_LABELS[m] for m in masks]
     return ComoduleAlgebra(h, labels, e[pos[0]], table,
-                           _graded_coaction(h, n, lambda j: masks[j]))
+                           basis_coaction(h, n, masks))
 
 
 #: the sign table realized by e_x -> E11 - E22, e_y -> E12 + E21 in 2x2
@@ -205,23 +220,7 @@ def twisted_group_algebra_over(h: Hopf,
     table = [[vscale(val(g, k), e[g ^ k]) for k in range(4)] for g in range(4)]
     labels = ["e" + lab if lab != "1" else "1" for lab in _KLEIN_LABELS]
     return ComoduleAlgebra(h, labels, e[0], table,
-                           _graded_coaction(h, 4, lambda j: j))
-
-
-def kp_corep_columns(h: Hopf, v: Vec, w: Vec) -> tuple[Vec, Vec]:
-    """The coaction columns of v and w when they span a copy of the
-    two-dimensional simple corepresentation of kp:
-
-        2 v -> (z + zx) (x) v + (z - zx) (x) w,
-        2 w -> (zy - zxy) (x) v + (zy + zxy) (x) w.
-    """
-    half = h.ctx.scalar(Fraction(1, 2))
-    hz = [h.basis_element(lab) for lab in ("z", "zx", "zy", "zxy")]
-    col_v = vscale(half, vadd(tensor_vec(vadd(hz[0], hz[1]), v),
-                              tensor_vec(vsub(hz[0], hz[1]), w)))
-    col_w = vscale(half, vadd(tensor_vec(vsub(hz[2], hz[3]), v),
-                              tensor_vec(vadd(hz[2], hz[3]), w)))
-    return col_v, col_w
+                           basis_coaction(h, 4, range(4)))
 
 
 def paper_map_f(kp: Algebra) -> Mat:
@@ -267,18 +266,14 @@ def a_xy_gamma_over(h: Hopf, gamma: Union[Scalar, FieldElement]
         [v, gw, one_plus, one_minus],
         [w, mgv, one_minus, vscale(ctx.scalar(-1), one_plus)],
     ]
-    coaction = Mat.from_columns(ctx, [
-        tensor_vec(h.unit, one),
-        tensor_vec(h.basis_element("xy"), exy),
-        *kp_corep_columns(h, v, w),
-    ])
+    coaction = basis_coaction(h, n, [0, h.label_index("xy")], [(2, 3)])
     return ComoduleAlgebra(h, ("1", "exy", "v", "w"), one, table, coaction)
 
 
 def with_trivial_coaction(hopf: Hopf, alg: "Algebra") -> ComoduleAlgebra:
     """Wrap a plain algebra as a comodule algebra with coaction a -> 1 (x) a."""
     return ComoduleAlgebra(hopf, alg.labels, alg.unit, alg.table,
-                           _graded_coaction(hopf, alg.dim, lambda j: 0))
+                           basis_coaction(hopf, alg.dim, [0] * alg.dim))
 
 
 def build_matrix2_trivial(ctx: Optional[FieldContext] = None
@@ -340,9 +335,7 @@ def build_bimodule_V(target: str, ctx: Optional[FieldContext] = None
     # right action composes contravariantly: the matrix for e_xy = ex*ey is
     # R(ey) after R(ex)
     action = [ident, rx, ry, ry @ rx] if target == "kpsi" else [ident, rx]
-    v, w = basis_vector(ctx, 2, 0), basis_vector(ctx, 2, 1)
-    coaction = Mat.from_columns(ctx, kp_corep_columns(h, v, w))
-    return RightComodModule(b, 2, coaction, action)
+    return RightComodModule(b, 2, basis_coaction(h, 2, [], [(0, 1)]), action)
 
 
 def catalog(ctx: Optional[FieldContext] = None, kp: Optional[Hopf] = None

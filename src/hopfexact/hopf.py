@@ -5,13 +5,14 @@ comultiplication matrix (``dim**2 x dim``, the column for basis vector ``j``
 holding the coordinates of its coproduct with the left tensor leg on the
 coarse index), a counit functional, and an antipode matrix.  Every axiom is
 checked exactly, and an axiom that is not a product of two tensor legs is
-one identity of sparse structure matrices, built with ``kron`` and ``@``:
-with ``m`` the multiplication matrix, the antipode law is ``m (S (x) id)
-Delta == unit counit``, and the counit is multiplicative when ``counit m ==
-counit (x) counit``.  An identity of matrices holds on every element.  The
-multiplicativity of the coproduct, a product of two tensor legs, goes
-through :func:`~hopfexact.algebra.tensor_product`, on H's generators once
-Light's test finds H associative.  The coalgebra laws are
+one identity of sparse structure matrices, built with ``kron`` and ``@``,
+or with :func:`~hopfexact.linalg.kron_matmul` where a tensor factor is the
+identity: with ``m`` the multiplication matrix, the antipode law is ``m (S
+(x) id) Delta == unit counit``, and the counit is multiplicative when
+``counit m == counit (x) counit``.  An identity of matrices holds on every
+element.  The multiplicativity of the coproduct, a product of two tensor
+legs, goes through :func:`~hopfexact.algebra.tensor_product`, on H's
+generators once Light's test finds H associative.  The coalgebra laws are
 the comodule laws of H coacting on itself by its coproduct
 (:func:`coaction_laws`, which the comodule checks share), plus the counit
 law on the right tensor leg.
@@ -25,7 +26,7 @@ from .algebra import (NOT_ASSOCIATIVE, Algebra, check_algebra,
                       multiplicative_into_tensor)
 from .errors import DimensionMismatch, SingularAntipode
 from .field import FieldContext, FieldElement, scal
-from .linalg import Mat, Scalar, Vec, inverse, kron, tensor_vec
+from .linalg import Mat, Scalar, Vec, inverse, kron, kron_matmul, tensor_vec
 
 
 class Hopf(Algebra):
@@ -67,11 +68,10 @@ def coaction_laws(h: Hopf, dim: int, coaction: Mat) -> tuple[bool, bool]:
     ``dim`` (a ``(h.dim * dim) x dim`` matrix) is coassociative,
     ``(Delta (x) id) lambda == (id (x) lambda) lambda``, and satisfies the
     counit law, ``(counit (x) id) lambda == id``."""
-    ctx = h.ctx
-    ident = Mat.identity(ctx, dim)
-    coassoc_ok = (kron(h.comult, ident) @ coaction
-                  == kron(Mat.identity(ctx, h.dim), coaction) @ coaction)
-    counit_ok = kron(Mat(ctx, [h.counit]), ident) @ coaction == ident
+    coassoc_ok = (kron_matmul(h.comult, None, coaction)
+                  == kron_matmul(None, coaction, coaction))
+    counit_ok = (kron_matmul(Mat(h.ctx, [h.counit]), None, coaction)
+                 == Mat.identity(h.ctx, dim))
     return coassoc_ok, counit_ok
 
 
@@ -79,7 +79,8 @@ def check_coalgebra(h: Hopf) -> list[str]:
     problems = []
     ident = Mat.identity(h.ctx, h.dim)
     coassoc_ok, counit_left_ok = coaction_laws(h, h.dim, h.comult)
-    counit_right_ok = kron(ident, Mat(h.ctx, [h.counit])) @ h.comult == ident
+    counit_right_ok = kron_matmul(None, Mat(h.ctx, [h.counit]),
+                                  h.comult) == ident
     if not coassoc_ok:
         problems.append("comultiplication is not coassociative")
     if not counit_left_ok:
@@ -110,12 +111,11 @@ def check_antipode(h: Hopf) -> list[str]:
     """The convolution identities ``m (S (x) id) Delta == unit counit ==
     m (id (x) S) Delta``."""
     problems = []
-    ident = Mat.identity(h.ctx, h.dim)
     m = h.mult_matrix()
     unit_counit = Mat.from_columns(h.ctx, [h.unit]) @ Mat(h.ctx, [h.counit])
-    if m @ kron(h.antipode, ident) @ h.comult != unit_counit:
+    if m @ kron_matmul(h.antipode, None, h.comult) != unit_counit:
         problems.append("antipode fails the left convolution identity")
-    if m @ kron(ident, h.antipode) @ h.comult != unit_counit:
+    if m @ kron_matmul(None, h.antipode, h.comult) != unit_counit:
         problems.append("antipode fails the right convolution identity")
     return problems
 

@@ -268,6 +268,34 @@ def kron(a: Mat, b: Mat) -> Mat:
     return Mat.from_entries(a.ctx, rows, a.ncols * nb)
 
 
+def kron_matmul(a: Optional[Mat], b: Optional[Mat], m: Mat) -> Mat:
+    """``kron(a, b) @ m`` without forming the Kronecker product; ``None``
+    is an identity factor, of the size that ``m`` leaves for it.
+
+    Row ``j*cb + l`` of ``m`` is its (j, l) row, with ``cb`` the columns of
+    ``b``.  The b leg is contracted first, row by row: ``r[j][k] = sum_l
+    b[k, l] m[j*cb + l]``, one ``_combine`` each; then row ``i*rb + k`` of
+    the result is ``sum_j a[i, j] r[j][k]``.  An identity leg only relabels
+    rows and multiplies nothing."""
+    if a is None and b is None:
+        raise DimensionMismatch("at most one factor may be the identity")
+    ca = a.ncols if a is not None else m.nrows // b.ncols
+    cb = b.ncols if b is not None else m.nrows // ca
+    if ca * cb != m.nrows:
+        raise DimensionMismatch(
+            f"kron with {ca * cb} columns times {m.nrows} rows")
+    rows = m.entries
+    blocks = [rows[j * cb:(j + 1) * cb] for j in range(ca)]
+    if b is not None:
+        blocks = [[_combine(r, block) for r in b.entries] for block in blocks]
+    if a is None:
+        out = [r for block in blocks for r in block]
+    else:
+        by_k = list(zip(*blocks))
+        out = [_combine(ra, col) for ra in a.entries for col in by_k]
+    return Mat.from_entries(m.ctx, out, m.ncols)
+
+
 def linear_combination(coeffs: Sequence[FieldElement],
                        mats: Sequence[Mat]) -> Mat:
     """``sum c_k * M_k`` over the nonzero ``c_k``; the ``M_k`` share one

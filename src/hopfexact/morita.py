@@ -56,6 +56,7 @@ from .linalg import (
     inverse,
     kernel,
     kron,
+    kron_matmul,
     linear_combination,
     minimal_polynomial,
     rank,
@@ -152,11 +153,10 @@ def end_comodule_algebra(v: RightComodModule) -> ComoduleAlgebra:
     # column a*nh + b of m_op is the product b a
     m_op = Mat.from_entries(ctx, chain.from_iterable(zip(*h.terms)),
                             h.dim).transpose()
-    twist = kron(m_op, Mat.identity(ctx, n))
     s_inv = antipode_inverse(h)
     coaction_cols = []
     for t in basis:
-        rhs = twist @ kron(s_inv, rho @ t) @ rho
+        rhs = kron_matmul(m_op, None, kron(s_inv, rho @ t) @ rho)
         coords = [solve(body, slice_left(rhs, h.dim, n, k).vec())
                   for k in range(h.dim)]
         if any(c is None for c in coords):
@@ -200,6 +200,12 @@ def _commutation_rows(ctx: FieldContext, pairs) -> list[Row]:
     return rows
 
 
+def _require_same_hopf(a: ComoduleAlgebra, b: ComoduleAlgebra) -> None:
+    if a.hopf.table != b.hopf.table or a.hopf.comult != b.hopf.comult:
+        raise DimensionMismatch("the two algebras live over different Hopf "
+                                "algebras")
+
+
 def _colinear_system(a: ComoduleAlgebra, b: ComoduleAlgebra) -> list[Row]:
     """The sparse rows of vec(T) -> lambda_b T - (id (x) T) lambda_a.
 
@@ -209,9 +215,7 @@ def _colinear_system(a: ComoduleAlgebra, b: ComoduleAlgebra) -> list[Row]:
     h this is ``T A - B T`` with ``A``, ``B`` the negated h-th blocks of the
     two coactions.
     """
-    if a.hopf.table != b.hopf.table or a.hopf.comult != b.hopf.comult:
-        raise DimensionMismatch("the two algebras live over different Hopf "
-                                "algebras")
+    _require_same_hopf(a, b)
     na, nb, nh = a.dim, b.dim, a.hopf.dim
     # the columns of the negated blocks of a.coaction, from its rows
     a_cols: list[list[Row]] = [[{} for _ in range(na)] for _ in range(nh)]
@@ -234,6 +238,9 @@ def colinear_maps(a: ComoduleAlgebra, b: ComoduleAlgebra) -> list[Mat]:
 def colinear_iso_search(a: ComoduleAlgebra, b: ComoduleAlgebra
                         ) -> Optional[Mat]:
     """An invertible unital algebra map commuting with the coactions, or None.
+
+    The identity is tried first, with :func:`is_colinear_isomorphism`; it
+    is the answer whenever it is one, so A against itself solves nothing.
 
     Every candidate lives in the (finite-dimensional) space of colinear maps,
     the unit condition cuts out an affine subspace, and the remaining
@@ -259,8 +266,12 @@ def colinear_iso_search(a: ComoduleAlgebra, b: ComoduleAlgebra
     if a.dim > 8:
         raise UnsupportedDimension(
             f"isomorphism search is supported up to dimension 8, got {a.dim}")
+    _require_same_hopf(a, b)
     ctx = a.ctx
     n = a.dim
+    ident = Mat.identity(ctx, n)
+    if is_colinear_isomorphism(a, b, ident):
+        return ident
     maps = colinear_maps(a, b)
     if not maps:
         return None
@@ -318,7 +329,7 @@ def colinear_iso_search(a: ComoduleAlgebra, b: ComoduleAlgebra
             for m in range(n):
                 _addmul(lhs[m], rhs[m], None, negate=True)
                 eqs.append(_poly(ctx, lhs[m]))
-    ident, found = Mat.identity(ctx, n), []
+    found = []
     for sol in concrete_solutions(eqs, ctx):
         t = t0
         for name, d in zip(names, directions):
@@ -334,8 +345,7 @@ def is_colinear_isomorphism(a: ComoduleAlgebra, b: ComoduleAlgebra, t: Mat
                             ) -> bool:
     """Is ``t`` an algebra isomorphism from A onto B with ``lambda_b t =
     (id (x) t) lambda_a``?"""
-    ident = Mat.identity(a.ctx, a.hopf.dim)
-    return (b.coaction @ t == kron(ident, t) @ a.coaction
+    return (b.coaction @ t == kron_matmul(None, t, a.coaction)
             and is_algebra_isomorphism(a, b, t))
 
 

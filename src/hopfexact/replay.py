@@ -53,13 +53,13 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .comodule import ComoduleAlgebra, check_comodule_algebra
-from .constructions import (PSI_STANDARD, build_kp, catalog, kp_corep_columns,
+from .constructions import (PSI_STANDARD, basis_coaction, build_kp, catalog,
                             paper_map_f, regular_comodule_algebra)
 from .errors import HopfExactError, InvalidKind, NonlinearResidue
 from .exactness import check_exactness
 from .field import FieldContext, FieldElement
 from .hopf import Hopf
-from .linalg import Mat, basis_vector, tensor_vec
+from .linalg import Mat, basis_vector
 from .morita import colinear_iso_search, is_colinear_isomorphism
 from .poly import (Certificate, Elimination, MultiPoly, _addmul, _addterms,
                    _column_key, _mono_degree, _poly, _product_terms,
@@ -76,7 +76,6 @@ _BASE_MASKS = {
     "kpsi": (0, 1, 2, 3),
 }
 _MASK_LABEL = {0: "1", 1: "ex", 2: "ey", 3: "exy"}
-_MASK_GROUPLIKE = {0: "1", 1: "x", 2: "y", 3: "xy"}
 
 # Grouplike-component signs of the four block products, solved once from
 # colinearity of the block coaction: the (1, e_x, e_y, e_xy) coefficients of
@@ -154,14 +153,15 @@ def _specialize(self: GenericExtension, values: Mapping,
                 h: Hopf) -> ComoduleAlgebra:
     ctx = self.ctx
     assignment = _scalarize(ctx, values)
-    dim = self.dim
+    dim, zero = self.dim, ctx.zero()
     table = []
     for row in self.table:
         new_row = []
         for vec in row:
             coords = []
             for p in vec:
-                c = p.substitute(assignment).as_constant()
+                c = p.substitute(assignment).as_constant() if p.terms \
+                    else zero
                 if c is None:
                     missing = sorted(p.variables() - set(assignment))
                     raise HopfExactError(
@@ -169,19 +169,13 @@ def _specialize(self: GenericExtension, values: Mapping,
                 coords.append(c)
             new_row.append(coords)
         table.append(new_row)
-    unit = basis_vector(ctx, dim, 0)
-    cols = []
-    masks = _BASE_MASKS[self.kind]
-    for pos, mask in enumerate(masks):
-        cols.append(tensor_vec(h.basis_element(_MASK_GROUPLIKE[mask]),
-                               basis_vector(ctx, dim, pos)))
-    all_cols = list(cols) + [None] * (2 * self.n2)
-    for i in range(1, self.n2 + 1):
-        vi, wi = self.v_index(i), self.w_index(i)
-        all_cols[vi], all_cols[wi] = kp_corep_columns(
-            h, basis_vector(ctx, dim, vi), basis_vector(ctx, dim, wi))
-    coaction = Mat.from_columns(ctx, all_cols)
-    return ComoduleAlgebra(h, self.labels, unit, table, coaction)
+    # the coaction does not depend on the values: the base elements are
+    # graded by their masks, and each v_i, w_i is a block
+    coaction = basis_coaction(
+        h, dim, _BASE_MASKS[self.kind],
+        [(self.v_index(i), self.w_index(i)) for i in range(1, self.n2 + 1)])
+    return ComoduleAlgebra(h, self.labels, basis_vector(ctx, dim, 0), table,
+                           coaction)
 
 
 def _base_coeff(kind: str, g: int, h: int) -> int:
@@ -861,10 +855,21 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
     certificates that check again, and its specialised algebra must be a
     comodule algebra that is exact and colinearly isomorphic to kp.  The
     two cases lie in one orbit under the character (1, -1) of K.  The first,
-    the representative, is the paper's: its axioms and exactness are checked
-    and its iso is the paper's f, checked.  The second is carried by
-    :func:`_carried_iso` when it can be; otherwise it is decided in full with
-    an iso search, as the paper gives f for its own case only.
+    the representative, is the paper's, and its iso is the paper's f.  The
+    second is carried by :func:`_carried_iso` when it can be; otherwise it
+    is decided in full with an iso search, as the paper gives f for its own
+    case only.
+
+    A case decided in full finds its map onto kp first: f, checked with
+    :func:`~hopfexact.morita.is_colinear_isomorphism`, or the searched map,
+    which is one.  When there is a map, the axioms and exactness are checked
+    on kp, the replay's ``regular``, and not on A: A's product, unit and
+    coaction are kp's carried back along the map, so each law holds on A
+    exactly when it holds on kp, and a costable subspace of one is carried
+    to a costable subspace of the other, as are the coinvariants.  So the
+    verdicts and their fixed problem messages are A's, and kp's sparse
+    basis is cheaper to check than A's dense one.  When there is no map, A
+    is checked itself.
     """
     _require_associative_base("ga_K", ctx)
     cases = []
@@ -899,14 +904,16 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
                 problems = []
                 iso = _carried_iso(system, algebra, passed)
                 if iso is None:
-                    problems = check_comodule_algebra(algebra)
-                    exact = check_exactness(algebra)
                     if signs == paper:
                         f = paper_map_f(regular)
                         iso = f if is_colinear_isomorphism(
                             algebra, regular, f) else None
                     else:
                         iso = colinear_iso_search(algebra, regular)
+                    # along an iso the verdicts are kp's
+                    checked = algebra if iso is None else regular
+                    problems = check_comodule_algebra(checked)
+                    exact = check_exactness(checked)
                     ok = not problems and exact.am_exact and iso is not None
                 if ok:
                     passed[signs] = (algebra, iso)

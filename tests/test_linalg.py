@@ -17,6 +17,7 @@ from hopfexact.linalg import (
     inverse,
     kernel,
     kron,
+    kron_matmul,
     linear_combination,
     rank,
     restrict_operator,
@@ -480,3 +481,24 @@ def test_zero_divisor_product_leaves_no_entry():
     pivot_rows = {}
     assert (_insert_row(pivot_rows, _sparse(rows[0]))
             and not _insert_row(pivot_rows, _sparse(rows[1])))
+
+
+@pytest.mark.parametrize("ctx", [Q, QI, QS4], ids=["Q", "Q(i)", "Q[s], s^2=4"])
+def test_kron_matmul_matches_the_formed_product(ctx):
+    rng = random.Random(31)
+    for _ in range(12):
+        shapes = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(2)]
+        density = rng.choice((1.0, 0.4))
+        a, b = (Mat(ctx, _random_rows(rng, ctx, r, c, density))
+                for r, c in shapes)
+        m = Mat(ctx, _random_rows(rng, ctx, a.ncols * b.ncols,
+                                  rng.randint(1, 4), density))
+        assert _exact(kron_matmul(a, b, m)) == _exact(kron(a, b) @ m)
+        ia, ib = (Mat.identity(ctx, x.ncols) for x in (a, b))
+        assert kron_matmul(None, b, m) == kron(ia, b) @ m
+        assert kron_matmul(a, None, m) == kron(a, ib) @ m
+    with pytest.raises(DimensionMismatch):
+        kron_matmul(None, None, Mat.identity(Q, 4))
+    with pytest.raises(DimensionMismatch):
+        kron_matmul(Mat.identity(Q, 2), Mat.identity(Q, 2),
+                    Mat.identity(Q, 3))

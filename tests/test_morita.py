@@ -576,13 +576,22 @@ def test_iso_search_negatives():
     assert colinear_iso_search(CATALOG["k"], CATALOG["ga_x"]) is None
 
 
+def _general_search(monkeypatch):
+    """Switch off the search's identity-first check, so that it solves its
+    system even where the identity is the answer."""
+    monkeypatch.setattr(morita, "is_colinear_isomorphism",
+                        lambda a, b, t: False)
+
+
 def test_iso_search_finds_a_kp_automorphism(monkeypatch):
     """The (kp, kp) system has four solutions, one per character of kp;
     each solves every equation, and the map built from it is a colinear
-    algebra automorphism."""
+    algebra automorphism.  The identity-first check is switched off, so
+    the system is solved."""
     kp = CATALOG["kp"]
     calls = []
     real = morita.concrete_solutions
+    _general_search(monkeypatch)
 
     def spy(eqs, ctx):
         sols = real(eqs, ctx)
@@ -742,6 +751,7 @@ def test_a_non_associative_input_takes_every_pair(monkeypatch):
         return real(eqs, ctx)
 
     monkeypatch.setattr(morita, "concrete_solutions", spy)
+    _general_search(monkeypatch)
     assert colinear_iso_search(a, a) == Mat.identity(QI, 4)
     assert colinear_iso_search(ga_k, ga_k) == Mat.identity(QI, 4)
     # one equation per pair and output coordinate, then per generator
@@ -771,6 +781,64 @@ def test_ga_x_and_ga_y_have_no_colinear_maps_at_all():
     maps = colinear_maps(CATALOG["ga_x"], CATALOG["ga_y"])
     # gradings sit over different grouplikes, so only the unit lines match
     assert len(maps) == 1
+
+
+# -- the identity before the system --------------------------------------------
+
+
+@pytest.mark.parametrize("ctx", [QI, FieldContext(8)], ids=["Q(i)", "Q(z8)"])
+def test_the_identity_first_is_the_systems_map(ctx, monkeypatch):
+    """Every catalog entry and two direct sums against themselves: the
+    identity, with no system solved, and the system's own answer."""
+    cat = catalog(ctx)
+    inputs = [*cat.values(), comodule_direct_sum(cat["ga_k"], cat["ga_k"]),
+              comodule_direct_sum(cat["kpsi"], cat["ga_k"])]
+    calls = []
+    real = morita.concrete_solutions
+
+    def spy(eqs, ctx):
+        calls.append(eqs)
+        return real(eqs, ctx)
+
+    monkeypatch.setattr(morita, "concrete_solutions", spy)
+    first = [colinear_iso_search(a, a) for a in inputs]
+    assert first == [Mat.identity(ctx, a.dim) for a in inputs]
+    # kp moved by seed 1, whose own system the solver cannot reduce
+    moved = transport(cat["kp"], random.Random(1))
+    assert colinear_iso_search(moved, moved) == Mat.identity(ctx, 8)
+    assert not calls
+    _general_search(monkeypatch)
+    assert [colinear_iso_search(a, a) for a in inputs] == first
+    assert len(calls) == len(inputs)
+
+
+def test_an_algebra_with_a_radical_has_no_map_onto_kp():
+    # k[t]/(t**8), with the trivial coaction: t spans a nilpotent ideal
+    n = 8
+    powers = [basis_vector(QI, n, k) for k in range(n)]
+    zero = tuple(QI.zero() for _ in range(n))
+    table = [[powers[i + j] if i + j < n else zero for j in range(n)]
+             for i in range(n)]
+    a = with_trivial_coaction(KP, algebra.Algebra(
+        QI, [f"t{k}" for k in range(n)], powers[0], table))
+    assert colinear_iso_search(a, CATALOG["kp"]) is None
+
+
+def test_a_target_that_the_identity_does_not_reach_solves_one_system(
+        monkeypatch):
+    calls = []
+    real = morita.concrete_solutions
+
+    def spy(eqs, ctx):
+        calls.append(eqs)
+        return real(eqs, ctx)
+
+    monkeypatch.setattr(morita, "concrete_solutions", spy)
+    kp = CATALOG["kp"]
+    moved = transport(kp, random.Random(1))
+    assert not morita.is_colinear_isomorphism(kp, moved, Mat.identity(QI, 8))
+    assert colinear_iso_search(kp, moved) is not None
+    assert len(calls) == 1
 
 
 def _kron_colinear_system(a, b) -> Mat:

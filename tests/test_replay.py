@@ -4,18 +4,23 @@ eliminations, the n2 <= 1 classification and negative controls."""
 import dataclasses
 import hashlib
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from hopfexact import replay
 from hopfexact.algebra import is_algebra_isomorphism
-from hopfexact.constructions import (PSI_STANDARD, build_kp, catalog,
-                                     paper_map_f, regular_comodule_algebra,
+from hopfexact.comodule import check_comodule_algebra
+from hopfexact.constructions import (PSI_STANDARD, build_bimodule_V, build_kp,
+                                     catalog, paper_map_f,
+                                     regular_comodule_algebra,
                                      with_trivial_coaction)
 from hopfexact.errors import HopfExactError, NonlinearResidue
+from hopfexact.exactness import check_exactness
 from hopfexact.field import FieldContext, adjoin_sqrt
-from hopfexact.linalg import Mat, kron, vscale
+from hopfexact.linalg import (Mat, basis_vector, kron, tensor_vec, vadd, vscale,
+                              vsub)
 from hopfexact.morita import colinear_iso_search
 from hopfexact.poly import (Elimination, MultiPoly, _addmul, _addterms,
                             _linear_quotient, _poly, _product_terms,
@@ -736,6 +741,128 @@ def test_a_failed_representative_is_not_carried(monkeypatch):
     assert [c.ok for c in report.cases] == [False, True]
     assert report.cases[0].detail.endswith("['refused for the test']")
     assert calls == _decided_in_full(2)
+
+
+def _is_kp(a):
+    """Is ``a`` kp coacting on itself by its coproduct?"""
+    h = a.hopf
+    return a.table == h.table and a.unit == h.unit and a.coaction == h.comult
+
+
+def _spy_checked(monkeypatch):
+    """The algebras that the full extension checks, in call order."""
+    seen = []
+    for name in ("check_comodule_algebra", "check_exactness"):
+        def wrapper(a, _real=getattr(replay, name), _name=name):
+            seen.append((_name, a))
+            return _real(a)
+        monkeypatch.setattr(replay, name, wrapper)
+    return seen
+
+
+def test_an_accepted_map_moves_the_checks_onto_kp(monkeypatch):
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    seen = _spy_checked(monkeypatch)
+    calls = _count_full_checks(monkeypatch)
+    assert replay_lemma("group-full-extension", CTX).passed
+    assert calls == _decided_in_full(1)
+    assert [name for name, _ in seen] \
+        == ["check_comodule_algebra", "check_exactness"]
+    # the replay's regular kp, not A
+    assert all(_is_kp(a) for _, a in seen)
+    # with f(v1) negated f is refused, so the paper's case checks A, and the
+    # member, searched, checks kp along the map it found
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    seen.clear()
+    real = paper_map_f
+
+    def flipped(kp):
+        f = real(kp)
+        return Mat.from_columns(CTX, [
+            vscale(CTX.scalar(-1), f.col(j)) if j == 4 else f.col(j)
+            for j in range(f.ncols)])
+
+    monkeypatch.setattr(replay, "paper_map_f", flipped)
+    report = replay_lemma("group-full-extension", CTX)
+    assert [c.ok for c in report.cases] == [False, True]
+    assert [_is_kp(a) for _, a in seen] \
+        == [False, False, True, True]
+    assert seen[0][1].labels == ("1", "ex", "ey", "exy", "v1", "v2", "w1",
+                                 "w2")
+    # the verdicts along the map are each case's own
+    regular = regular_comodule_algebra(build_kp(CTX))
+    on_kp = (check_comodule_algebra(regular), check_exactness(regular))
+    for signs in (_REP_SIGNS, _MEMBER_SIGNS):
+        system = replay._system("ga_K", 2, signs, CTX)
+        a = system.g.specialize(system.elimination(_NORMALISATION).pins,
+                                regular.hopf)
+        exact = check_exactness(a)
+        assert check_comodule_algebra(a) == on_kp[0] == []
+        assert (exact.am_exact, exact.coinvariants_dim) \
+            == (on_kp[1].am_exact, on_kp[1].coinvariants_dim)
+
+
+def _dense_corep_columns(h, v, w):
+    """The coaction columns of a block pair v, w as dense tensors:
+    2 v -> (z + zx) (x) v + (z - zx) (x) w and 2 w -> (zy - zxy) (x) v +
+    (zy + zxy) (x) w."""
+    half = h.ctx.scalar(Fraction(1, 2))
+    z, zx, zy, zxy = (h.basis_element(lab) for lab in ("z", "zx", "zy", "zxy"))
+    return (vscale(half, vadd(tensor_vec(vadd(z, zx), v),
+                              tensor_vec(vsub(z, zx), w))),
+            vscale(half, vadd(tensor_vec(vsub(zy, zxy), v),
+                              tensor_vec(vadd(zy, zxy), w))))
+
+
+def _dense_specialize(g, values, h):
+    """The specialisation as it was written before, with every table entry
+    substituted and the coaction built from dense tensors."""
+    ctx, dim = g.ctx, g.dim
+    table = [[[p.substitute(values).as_constant() for p in vec]
+              for vec in row] for row in g.table]
+    labels = {0: "1", 1: "x", 2: "y", 3: "xy"}
+    cols = [tensor_vec(h.basis_element(labels[m]), basis_vector(ctx, dim, pos))
+            for pos, m in enumerate(replay._BASE_MASKS[g.kind])]
+    cols += [None] * (2 * g.n2)
+    for i in range(1, g.n2 + 1):
+        vi, wi = g.v_index(i), g.w_index(i)
+        cols[vi], cols[wi] = _dense_corep_columns(
+            h, basis_vector(ctx, dim, vi), basis_vector(ctx, dim, wi))
+    return table, Mat.from_columns(ctx, cols)
+
+
+def test_catalog_coactions_match_the_dense_build():
+    kp = build_kp(CTX)
+    cat = catalog(CTX, kp)
+    e = [basis_vector(CTX, 4, j) for j in range(4)]
+    graded = {"k": (0,), "ga_x": (0, 1), "ga_y": (0, 2), "ga_xy": (0, 3),
+              "ga_k": (0, 1, 2, 3), "kpsi": (0, 1, 2, 3)}
+    for name, masks in graded.items():
+        n = len(masks)
+        want = [tensor_vec(kp.basis_element(g), basis_vector(CTX, n, j))
+                for j, g in enumerate(masks)]
+        assert cat[name].coaction == Mat.from_columns(CTX, want), name
+    want = [tensor_vec(kp.unit, e[0]), tensor_vec(kp.basis_element("xy"), e[1]),
+            *_dense_corep_columns(kp, e[2], e[3])]
+    assert cat["a_i_xy"].coaction == Mat.from_columns(CTX, want)
+    bimodule = build_bimodule_V("kpsi", CTX)
+    assert bimodule.coaction == Mat.from_columns(CTX, _dense_corep_columns(
+        bimodule.hopf, basis_vector(CTX, 2, 0), basis_vector(CTX, 2, 1)))
+
+
+@pytest.mark.parametrize("kind", replay.KINDS)
+def test_specialisations_match_the_dense_build(kind):
+    kp = build_kp(CTX)
+    rng = random.Random(kind)
+    for n2 in (0, 1, 2):
+        for signs in _sign_cases(kind, n2):
+            g = generic_extension(kind, n2, signs or None, CTX)
+            values = {name: CTX.scalar(rng.randint(-3, 3))
+                      for name in g.unknowns + g.action_symbols}
+            a = g.specialize(values, kp)
+            table, coaction = _dense_specialize(g, values, kp)
+            assert [[list(vec) for vec in row] for row in a.table] == table
+            assert a.coaction == coaction
 
 
 # sha256 of the repr of every replay report, in replay_names() order, and of
