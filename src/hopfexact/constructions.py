@@ -16,6 +16,8 @@ The recurring cast:
   ``trivial_comodule_algebra_over`` (k), ``group_algebra_comodule_over``
   (the ga_*), ``a_xy_gamma_over`` (a_i_xy), ``regular_comodule_algebra``
   (kp) and ``twisted_group_algebra_over`` (kpsi); ``catalog`` calls each.
+* ``block_patterns`` — the signs that colinearity forces on the products
+  of kp's two-dimensional block with grouplikes and with itself.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .algebra import Algebra, direct_sum
-from .comodule import ComoduleAlgebra, direct_sum_coaction
-from .errors import DimensionMismatch, GammaNotPrimitiveFourthRoot, NotACocycle
+from .algebra import Algebra, direct_sum, tensor_product
+from .comodule import Comodule, ComoduleAlgebra, direct_sum_coaction
+from .errors import (DimensionMismatch, GammaNotPrimitiveFourthRoot,
+                     NotACocycle, NotOverKp)
 from .field import FieldContext, FieldElement
 from .hopf import Hopf
 from .linalg import (Mat, Scalar, Vec, basis_vector, tensor_vec, vadd, vscale,
@@ -33,6 +36,8 @@ from .linalg import (Mat, Scalar, Vec, basis_vector, tensor_vec, vadd, vscale,
 
 #: basis masks for the Klein four-group; bit 0 is x, bit 1 is y
 _KLEIN_LABELS = ("1", "x", "y", "xy")
+#: the basis labels of kp: index g < 4 is a group element, 4 + g is z times it
+_KP_LABELS = _KLEIN_LABELS + ("z", "zx", "zy", "zxy")
 
 
 def _phi(mask: int) -> int:
@@ -62,8 +67,6 @@ def build_kp(ctx: Optional[FieldContext] = None) -> Hopf:
     """
     ctx = ctx or FieldContext(4)
     n = 8
-    labels = list(_KLEIN_LABELS) + ["z" + (lab if lab != "1" else "")
-                                    for lab in _KLEIN_LABELS]
     e = [basis_vector(ctx, n, j) for j in range(n)]
     half = ctx.scalar(Fraction(1, 2))
     q_coeffs = {0: half, 1: half, 2: half, 3: -half}
@@ -105,7 +108,7 @@ def build_kp(ctx: Optional[FieldContext] = None) -> Hopf:
     counit = [1] * n
     antipode = Mat.from_columns(
         ctx, [e[g] for g in range(4)] + [e[4 + _phi(g)] for g in range(4)])
-    return Hopf(ctx, labels, e[0], table, comult, counit, antipode)
+    return Hopf(ctx, _KP_LABELS, e[0], table, comult, counit, antipode)
 
 
 # -- comodule algebras over the eight-dimensional Hopf algebra ----------------
@@ -121,20 +124,70 @@ def basis_coaction(h: Hopf, dim: int, grouplikes: Sequence[int],
         2 v -> (z + zx) (x) v + (z - zx) (x) w,
         2 w -> (zy - zxy) (x) v + (zy + zxy) (x) w.
 
-    The columns are written from their nonzero entries."""
+    The columns are written from their nonzero entries.  Blocks need ``h``
+    to be kp: its labels must be those of :func:`build_kp`, else
+    :class:`~hopfexact.errors.NotOverKp` is raised."""
     ctx = h.ctx
     one = ctx.one()
     cols = [{g * dim + j: one} for j, g in enumerate(grouplikes)]
     cols += [{} for _ in range(dim - len(cols))]
     if blocks:
+        if h.labels != _KP_LABELS:
+            raise NotOverKp(f"blocks need kp's basis {list(_KP_LABELS)}, "
+                            f"got {list(h.labels)}")
         half = ctx.scalar(Fraction(1, 2))
-        z, zx, zy, zxy = (h.label_index(lab) * dim
-                          for lab in ("z", "zx", "zy", "zxy"))
+        z, zx, zy, zxy = (k * dim for k in range(4, 8))
         for v, w in blocks:
             cols[v] = {z + v: half, zx + v: half, z + w: half, zx + w: -half}
             cols[w] = {zy + v: half, zxy + v: -half, zy + w: half,
                        zxy + w: half}
     return Mat.from_entries(ctx, cols, h.dim * dim).transpose()
+
+
+def _tensor_comodule(a: Comodule, b: Comodule) -> Comodule:
+    """A (x) B, coacted on by a (x) b -> a_(-1) b_(-1) (x) a_(0) (x) b_(0)."""
+    h, n, one = a.hopf, a.dim * b.dim, a.ctx.one()
+    # pairs[k][l] is the basis element a_k (x) b_l
+    pairs = [[{k * b.dim + l: one} for l in range(b.dim)]
+             for k in range(a.dim)]
+    cols = [tensor_product(h.terms, pairs, x, y, n)
+            for x in a.coaction.transpose().entries
+            for y in b.coaction.transpose().entries]
+    return Comodule(h, n, Mat.from_entries(h.ctx, cols, h.dim * n).transpose())
+
+
+def block_patterns(ctx: Optional[FieldContext] = None
+                   ) -> dict[tuple[str, int], tuple[tuple[int, int], ...]]:
+    """The sign patterns that colinearity forces on products with the block
+    V = span{v, w} of :func:`basis_coaction`, solved over one kp.
+
+    For each grouplike mask g, with C_g the line coacted on by g, the
+    colinear maps C_g (x) V -> V (key ``("l", g)``: e_g acting on the left),
+    V (x) C_g -> V (``("r", g)``) and V (x) V -> C_g (``("p", g)``: the e_g
+    component of a block product) each form a line.  Its spanning map is
+    given as the table P, P[s][t] the coefficient of leg t in the image of
+    leg s, or of e_g in the product of legs s and t (leg 0 is v, leg 1 is
+    w), scaled so that the image of v, or of v (x) v, has first nonzero
+    coordinate 1: every entry is then 1, -1 or 0."""
+    from .morita import colinear_maps
+    h = build_kp(ctx)
+    one = h.ctx.one()
+    as_int = {one: 1, -one: -1, h.ctx.zero(): 0}
+    block = Comodule(h, 2, basis_coaction(h, 2, [], [(0, 1)]))
+    square = _tensor_comodule(block, block)
+    out = {}
+    for g in range(4):
+        line = Comodule(h, 1, basis_coaction(h, 1, [g]))
+        for key, src, dst in (("l", _tensor_comodule(line, block), block),
+                              ("r", _tensor_comodule(block, line), block),
+                              ("p", square, line)):
+            (t,) = colinear_maps(src, dst)
+            # the images of the source's basis, one after the other
+            cells = t.transpose().vec()
+            lead = next(c for c in cells if not c.is_zero()).inverse()
+            ints = [as_int[c * lead] for c in cells]
+            out[key, g] = (tuple(ints[:2]), tuple(ints[2:]))
+    return out
 
 
 def trivial_comodule_algebra_over(h: Hopf) -> ComoduleAlgebra:

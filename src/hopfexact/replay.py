@@ -4,8 +4,9 @@ Every comodule algebra studied in this package decomposes as a grouplike base
 ``A_K`` (one of six kinds) plus ``n_2`` copies of the two-dimensional simple
 corepresentation, spanned by pairs ``v_i, w_i``.  This module builds the
 *generic* such algebra: a multiplication table whose block products carry
-indeterminate structure constants, with every coefficient pattern pre-solved
-from colinearity of the standard block coaction.  Associativity then becomes
+indeterminate structure constants, with every coefficient pattern derived
+from ``basis_coaction``, by colinearity of the standard block coaction
+(:func:`~hopfexact.constructions.block_patterns`).  Associativity then becomes
 a system of polynomial constraints, and the classification arguments reduce
 to exact linear eliminations over those constraints.
 
@@ -50,11 +51,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .comodule import ComoduleAlgebra, check_comodule_algebra
-from .constructions import (PSI_STANDARD, basis_coaction, build_kp, catalog,
-                            paper_map_f, regular_comodule_algebra)
+from .constructions import (PSI_STANDARD, basis_coaction, block_patterns,
+                            build_kp, catalog, paper_map_f,
+                            regular_comodule_algebra)
 from .errors import HopfExactError, InvalidKind, NonlinearResidue
 from .exactness import check_exactness
 from .field import FieldContext, FieldElement
@@ -76,20 +79,6 @@ _BASE_MASKS = {
     "kpsi": (0, 1, 2, 3),
 }
 _MASK_LABEL = {0: "1", 1: "ex", 2: "ey", 3: "exy"}
-
-# Grouplike-component signs of the four block products, solved once from
-# colinearity of the block coaction: the (1, e_x, e_y, e_xy) coefficients of
-# v_i*v_j are (alpha, beta, gamma, delta), and the three partner products
-# carry the same scalars with these signs.
-_COMPONENT_SIGNS = {
-    ("v", "v"): (1, 1, 1, 1),
-    ("v", "w"): (1, -1, 1, -1),
-    ("w", "v"): (1, 1, -1, -1),
-    ("w", "w"): (-1, 1, 1, -1),
-}
-
-_EXTRA_CONSTANT = {"trivial": None, "ga_x": "beta", "ga_y": "gamma",
-                   "ga_xy": "delta"}
 
 SymVec = tuple[MultiPoly, ...]
 
@@ -134,48 +123,38 @@ class GenericExtension:
                                                     Fraction]],
                    hopf: Hopf) -> ComoduleAlgebra:
         """Substitute concrete values for every symbol and build the algebra
-        over ``hopf``, which is kp over the same context."""
-        return _specialize(self, values, hopf)
+        over ``hopf``, which must be kp over the same context (with blocks,
+        any other Hopf algebra raises :class:`~hopfexact.errors.NotOverKp`)."""
+        ctx, zero = self.ctx, self.ctx.zero()
+        assignment = {name: val if isinstance(val, FieldElement)
+                      else ctx.scalar(val) for name, val in values.items()}
+        table = []
+        for row in self.table:
+            new_row = []
+            for vec in row:
+                coords = []
+                for p in vec:
+                    c = p.substitute(assignment).as_constant() if p.terms \
+                        else zero
+                    if c is None:
+                        missing = sorted(p.variables() - set(assignment))
+                        raise HopfExactError(
+                            f"cannot specialize: unresolved symbols {missing}")
+                    coords.append(c)
+                new_row.append(coords)
+            table.append(new_row)
+        # the coaction does not depend on the values: the base elements are
+        # graded by their masks, and each v_i, w_i is a block
+        coaction = basis_coaction(
+            hopf, self.dim, _BASE_MASKS[self.kind],
+            [(self.v_index(i), self.w_index(i))
+             for i in range(1, self.n2 + 1)])
+        return ComoduleAlgebra(hopf, self.labels,
+                               basis_vector(ctx, self.dim, 0), table, coaction)
 
     def __repr__(self) -> str:
         return (f"GenericExtension(kind={self.kind!r}, n2={self.n2}, "
                 f"signs={self.signs}, dim={self.dim})")
-
-
-def _scalarize(ctx: FieldContext, values: Mapping) -> dict[str, FieldElement]:
-    out = {}
-    for name, val in values.items():
-        out[name] = val if isinstance(val, FieldElement) else ctx.scalar(val)
-    return out
-
-
-def _specialize(self: GenericExtension, values: Mapping,
-                h: Hopf) -> ComoduleAlgebra:
-    ctx = self.ctx
-    assignment = _scalarize(ctx, values)
-    dim, zero = self.dim, ctx.zero()
-    table = []
-    for row in self.table:
-        new_row = []
-        for vec in row:
-            coords = []
-            for p in vec:
-                c = p.substitute(assignment).as_constant() if p.terms \
-                    else zero
-                if c is None:
-                    missing = sorted(p.variables() - set(assignment))
-                    raise HopfExactError(
-                        f"cannot specialize: unresolved symbols {missing}")
-                coords.append(c)
-            new_row.append(coords)
-        table.append(new_row)
-    # the coaction does not depend on the values: the base elements are
-    # graded by their masks, and each v_i, w_i is a block
-    coaction = basis_coaction(
-        h, dim, _BASE_MASKS[self.kind],
-        [(self.v_index(i), self.w_index(i)) for i in range(1, self.n2 + 1)])
-    return ComoduleAlgebra(h, self.labels, basis_vector(ctx, dim, 0), table,
-                           coaction)
 
 
 def _base_coeff(kind: str, g: int, h: int) -> int:
@@ -193,6 +172,11 @@ def generic_extension(kind: str, n2: int,
     eigenvalues of right multiplication by e_x and left multiplication by
     e_y on v_i; it is required exactly for the four-dimensional base kinds
     (``ga_K``, ``kpsi``) with ``n2 > 0`` and must be omitted otherwise.
+
+    The signs of every product with a block element are derived from
+    ``basis_coaction`` (:func:`~hopfexact.constructions.block_patterns`,
+    once per run); the kind enters only through its base masks, its
+    cocycle and, over ga_K and kpsi, the sign pairs.
     """
     _require_kind(kind)
     ctx = ctx or FieldContext(4)
@@ -222,143 +206,102 @@ def generic_extension(kind: str, n2: int,
         + tuple(f"w{i}" for i in range(1, n2 + 1))
 
     zero = MultiPoly(ctx, {})
-    one = MultiPoly.const(ctx, 1)
 
+    @cache
     def const(x) -> MultiPoly:
         return MultiPoly.const(ctx, x)
 
     def var(name: str) -> MultiPoly:
         return MultiPoly.var(ctx, name)
 
-    def unit_vec(idx: int, coeff: MultiPoly) -> list[MultiPoly]:
-        vec = [zero] * dim
-        vec[idx] = coeff
-        return vec
+    def leg(s: int, i: int) -> int:
+        # v_{i+1} is leg 0 of block i, w_{i+1} its leg 1
+        return base_dim + s * n2 + i
 
-    table = [[None] * dim for _ in range(dim)]
+    def matmul(x, y, start):
+        return [[sum((p * q for p, q in zip(row, col)), start)
+                 for col in zip(*y)] for row in x]
 
     # base x base: group law, twisted for kpsi
-    pos_of = {m: p for p, m in enumerate(masks)}
-    for p, gm in enumerate(masks):
-        for q, hm in enumerate(masks):
-            coeff = _base_coeff(kind, gm, hm)
-            table[p][q] = unit_vec(pos_of[gm ^ hm], const(coeff))
-
+    table = [[None] * dim for _ in range(dim)]
+    for p, g in enumerate(masks):
+        for q, h in enumerate(masks):
+            table[p][q] = [const(_base_coeff(kind, g, h)) if m == g ^ h
+                           else zero for m in masks] + [zero] * (2 * n2)
     unknowns: list[str] = []
     action_symbols: list[str] = []
-    rng = range(1, n2 + 1)
-    vi = lambda i: base_dim + (i - 1)
-    wi = lambda i: base_dim + n2 + (i - 1)
+    blocks = range(n2)
+    # the sign patterns, derived from basis_coaction once per run and kept
+    # in the module's one cache
+    key = ("block patterns", ctx)
+    patterns = _REPLAY_CACHE.get(key)
+    if patterns is None:
+        patterns = _REPLAY_CACHE[key] = block_patterns(ctx)
 
-    # unit acts as identity on the blocks
-    for i in rng:
-        for idx in (vi(i), wi(i)):
-            table[0][idx] = unit_vec(idx, one)
-            table[idx][0] = unit_vec(idx, one)
+    # the unit and the generators e_g of the base act on the blocks: each
+    # side of e_g takes leg r of block i to sum_{t, m} P[r][t] M[i][m] (leg
+    # t of block m), P the derived pattern and M an n2 x n2 matrix of
+    # symbols.  M is fixed on the sides whose P is diagonal for the unit
+    # (the identity) and, over ga_K and kpsi, for e_x and e_y (the sign
+    # hypotheses: diag(a_i) on the right, diag(b_i) on the left).  There
+    # e_xy = psi(x, y) e_x e_y acts through e_x and e_y, with the products
+    # of their patterns and of their matrices.
+    fixed = {0: (1,) * n2}
+    if needs_signs:
+        fixed.update(zip((1, 2), zip(*signs)))
+    actions = {}
+    for g in masks[:3]:
+        for side in "lr":
+            pattern = patterns[side, g]
+            if g in fixed and not pattern[0][1]:
+                mat = [[const(fixed[g][i]) if i == m else zero
+                        for m in blocks] for i in blocks]
+            else:
+                names = [[f"{side}{_MASK_LABEL[g][1:]}_{i + 1}{m + 1}"
+                          for m in blocks] for i in blocks]
+                action_symbols += itertools.chain(*names)
+                mat = [[var(x) for x in row] for row in names]
+            actions[side, g] = (pattern, mat)
+    if len(masks) == 4:
+        psi = _base_coeff(kind, 1, 2)
+        for side, first, then in (("l", 2, 1), ("r", 1, 2)):
+            (p1, m1), (p2, m2) = actions[side, first], actions[side, then]
+            actions[side, 3] = ([[psi * c for c in row]
+                                 for row in matmul(p1, p2, 0)],
+                                matmul(m1, m2, zero))
+    for (side, g), (pattern, mat) in actions.items():
+        for r, i in itertools.product((0, 1), blocks):
+            vec = [zero] * base_dim + [const(c) * x if c and x.terms
+                                       else zero
+                                       for c in pattern[r] for x in mat[i]]
+            if side == "l":
+                table[masks.index(g)][leg(r, i)] = vec
+            else:
+                table[leg(r, i)][masks.index(g)] = vec
 
-    def matrix_symbols(prefix: str) -> dict[tuple[int, int], MultiPoly]:
-        out = {}
-        for i in rng:
-            for m in rng:
-                name = f"{prefix}_{i}{m}"
-                action_symbols.append(name)
-                out[(i, m)] = var(name)
-        return out
-
-    def span(coeffs: dict[int, MultiPoly], which: str) -> list[MultiPoly]:
-        vec = [zero] * dim
-        at = vi if which == "v" else wi
-        for m, c in coeffs.items():
-            vec[at(m)] = c
-        return vec
-
-    # base action on the blocks.  The sign patterns (which of the four maps
-    # V->V, V->W acquire a minus on the w-side) are forced by colinearity of
-    # the block coaction, exactly like the component signs of the products.
-    if kind in ("ga_K", "kpsi"):
-        lx = matrix_symbols("lx")
-        ry = matrix_symbols("ry")
-        a = {i: signs[i - 1][0] for i in rng}
-        b = {i: signs[i - 1][1] for i in rng}
-        px, py, pxy = pos_of[1], pos_of[2], pos_of[3]
-        for i in rng:
-            table[px][vi(i)] = span({m: lx[(i, m)] for m in rng}, "w")
-            table[px][wi(i)] = span({m: lx[(i, m)] for m in rng}, "v")
-            table[vi(i)][px] = unit_vec(vi(i), const(a[i]))
-            table[wi(i)][px] = unit_vec(wi(i), const(-a[i]))
-            table[py][vi(i)] = unit_vec(vi(i), const(b[i]))
-            table[py][wi(i)] = unit_vec(wi(i), const(-b[i]))
-            table[vi(i)][py] = span({m: ry[(i, m)] for m in rng}, "w")
-            table[wi(i)][py] = span({m: ry[(i, m)] for m in rng}, "v")
-            # e_xy rows via e_x(e_y .) and (. e_x)e_y; in the twisted base
-            # e_x e_y is still e_xy, so the same composites apply.
-            table[pxy][vi(i)] = span(
-                {m: const(b[i]) * lx[(i, m)] for m in rng}, "w")
-            table[pxy][wi(i)] = span(
-                {m: const(-b[i]) * lx[(i, m)] for m in rng}, "v")
-            table[vi(i)][pxy] = span(
-                {m: const(a[i]) * ry[(i, m)] for m in rng}, "w")
-            table[wi(i)][pxy] = span(
-                {m: const(-a[i]) * ry[(i, m)] for m in rng}, "v")
-    elif kind == "ga_x":
-        lx = matrix_symbols("lx")
-        rx = matrix_symbols("rx")
-        px = pos_of[1]
-        for i in rng:
-            table[px][vi(i)] = span({m: lx[(i, m)] for m in rng}, "w")
-            table[px][wi(i)] = span({m: lx[(i, m)] for m in rng}, "v")
-            table[vi(i)][px] = span({m: rx[(i, m)] for m in rng}, "v")
-            table[wi(i)][px] = span({m: -rx[(i, m)] for m in rng}, "w")
-    elif kind == "ga_y":
-        ly = matrix_symbols("ly")
-        ry = matrix_symbols("ry")
-        py = pos_of[2]
-        for i in rng:
-            table[py][vi(i)] = span({m: ly[(i, m)] for m in rng}, "v")
-            table[py][wi(i)] = span({m: -ly[(i, m)] for m in rng}, "w")
-            table[vi(i)][py] = span({m: ry[(i, m)] for m in rng}, "w")
-            table[wi(i)][py] = span({m: ry[(i, m)] for m in rng}, "v")
-    elif kind == "ga_xy":
-        lxy = matrix_symbols("lxy")
-        rxy = matrix_symbols("rxy")
-        pxy = pos_of[3]
-        for i in rng:
-            table[pxy][vi(i)] = span({m: lxy[(i, m)] for m in rng}, "w")
-            table[pxy][wi(i)] = span({m: -lxy[(i, m)] for m in rng}, "v")
-            table[vi(i)][pxy] = span({m: rxy[(i, m)] for m in rng}, "w")
-            table[wi(i)][pxy] = span({m: -rxy[(i, m)] for m in rng}, "v")
-
-    # block x block products: four grouplike components per pair (i, j),
-    # shared across the v/w combinations up to the fixed component signs.
-    extra = _EXTRA_CONSTANT.get(kind)
-    for i in rng:
-        for j in rng:
-            alpha = var(f"alpha_{i}{j}")
-            unknowns.append(f"alpha_{i}{j}")
-            comps = [zero, zero, zero, zero]
-            comps[0] = alpha
-            if kind in ("ga_K", "kpsi"):
-                aj = const(signs[j - 1][0])
-                bi = const(signs[i - 1][1])
-                eps = const(-1) if kind == "kpsi" else one
-                comps[1] = aj * alpha
-                comps[2] = bi * alpha
-                comps[3] = eps * aj * bi * alpha
-            elif extra is not None:
-                name = f"{extra}_{i}{j}"
-                unknowns.append(name)
-                slot = {"beta": 1, "gamma": 2, "delta": 3}[extra]
-                comps[slot] = var(name)
-            for (s, si), (t, tj) in itertools.product(
-                    (("v", vi(i)), ("w", wi(i))),
-                    (("v", vi(j)), ("w", wi(j)))):
-                sgn = _COMPONENT_SIGNS[(s, t)]
-                vec = [zero] * dim
-                for mask in masks:
-                    if comps[mask].is_zero():
-                        continue
-                    vec[pos_of[mask]] = const(sgn[mask]) * comps[mask]
-                table[si][tj] = vec
+    # block x block: the product of legs s and t of blocks i and j has e_g
+    # component P[s][t] c_g, with P the derived pattern of e_g.  The c_g
+    # are alpha_ij on the unit and beta_ij, gamma_ij or delta_ij on e_x,
+    # e_y or e_xy; over ga_K and kpsi they are alpha_ij times a_j, b_i and
+    # psi(y, x) a_j b_i.
+    for i, j in itertools.product(blocks, repeat=2):
+        ij = f"{i + 1}{j + 1}"
+        if needs_signs:
+            alpha = var(f"alpha_{ij}")
+            unknowns.append(f"alpha_{ij}")
+            a_j, b_i = fixed[1][j], fixed[2][i]
+            comps = [alpha, const(a_j) * alpha, const(b_i) * alpha,
+                     const(_base_coeff(kind, 2, 1) * a_j * b_i) * alpha]
+        else:
+            names = [f"{('alpha', 'beta', 'gamma', 'delta')[g]}_{ij}"
+                     for g in masks]
+            unknowns += names
+            comps = [var(x) for x in names]
+        for s, t in itertools.product((0, 1), repeat=2):
+            table[leg(s, i)][leg(t, j)] = [
+                const(patterns["p", g][s][t]) * c
+                for g, c in zip(masks, comps)
+            ] + [zero] * (2 * n2)
 
     frozen = tuple(tuple(tuple(vec) for vec in row) for row in table)
     return GenericExtension(kind=kind, n2=n2,
@@ -996,10 +939,11 @@ _REPLAYS = {
     "group-full-extension": _full_extension_report,
 }
 
-# replay reports under (name, ctx), and the sign-case systems of _system under
-# (kind, n2, signs, ctx): one cache, so that a check for a cold cache and a
-# reset of the cache cover both
-_REPLAY_CACHE: dict[tuple, Union[ReplayReport, _System]] = {}
+# replay reports under (name, ctx), the sign-case systems of _system under
+# (kind, n2, signs, ctx) and generic_extension's block patterns under
+# ("block patterns", ctx): one cache, so that a check for a cold cache and a
+# reset of the cache cover all three
+_REPLAY_CACHE: dict[tuple, Union[ReplayReport, _System, dict]] = {}
 
 
 def replay_names() -> tuple[str, ...]:

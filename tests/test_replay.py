@@ -3,6 +3,7 @@ eliminations, the n2 <= 1 classification and negative controls."""
 
 import dataclasses
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,13 +11,15 @@ from types import SimpleNamespace
 import pytest
 
 from hopfexact import replay
-from hopfexact.algebra import is_algebra_isomorphism
+from hopfexact.algebra import (is_algebra_isomorphism,
+                               multiplicative_into_tensor)
 from hopfexact.comodule import check_comodule_algebra
-from hopfexact.constructions import (PSI_STANDARD, build_bimodule_V, build_kp,
+from hopfexact.constructions import (PSI_STANDARD, block_patterns,
+                                     build_bimodule_V, build_klein4, build_kp,
                                      catalog, paper_map_f,
                                      regular_comodule_algebra,
                                      with_trivial_coaction)
-from hopfexact.errors import HopfExactError, NonlinearResidue
+from hopfexact.errors import HopfExactError, NonlinearResidue, NotOverKp
 from hopfexact.exactness import check_exactness
 from hopfexact.field import FieldContext, adjoin_sqrt
 from hopfexact.linalg import (Mat, basis_vector, kron, tensor_vec, vadd, vscale,
@@ -1111,49 +1114,287 @@ def test_sign_cases_of_zero_one_and_two_blocks(kind):
         ((-1, -1), (-1, -1))]
 
 
-# flipping slot 0 or slot 3 of one product's component signs breaks the
-# classification; slots 1 and 2 are not seen at n2 <= 1
-_FLIPS = [(key, slot) for key in replay._COMPONENT_SIGNS for slot in (0, 3)]
+def _flip_pattern(monkeypatch, key, s, t):
+    """Derive the block patterns with cell (s, t) of ``key`` negated, and
+    empty the replay cache, so that the next generic extension reads them."""
+    real = replay.block_patterns
+
+    def flipped(ctx=None):
+        patterns = real(ctx)
+        cells = [list(row) for row in patterns[key]]
+        cells[s][t] = -cells[s][t]
+        return {**patterns, key: tuple(map(tuple, cells))}
+
+    monkeypatch.setattr(replay, "block_patterns", flipped)
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
 
 
-@pytest.mark.parametrize("key,slot", _FLIPS,
-                         ids=[f"{a}{b}-{s}" for (a, b), s in _FLIPS])
-def test_flipped_component_sign_is_caught(monkeypatch, key, slot):
-    signs = list(replay._COMPONENT_SIGNS[key])
-    signs[slot] = -signs[slot]
-    monkeypatch.setitem(replay._COMPONENT_SIGNS, key, tuple(signs))
+def _legs(s, t):
+    return "vw"[s] + "vw"[t]
+
+
+# flipping the sign of the unit or the e_xy component of one product of two
+# block legs breaks the classification; e_x and e_y are not seen at n2 <= 1
+_FLIPS = [(s, t, g) for s in (0, 1) for t in (0, 1) for g in (0, 3)]
+
+
+@pytest.mark.parametrize("s,t,g", _FLIPS,
+                         ids=[f"{_legs(s, t)}-{g}" for s, t, g in _FLIPS])
+def test_flipped_component_sign_is_caught(monkeypatch, s, t, g):
+    _flip_pattern(monkeypatch, ("p", g), s, t)
     with pytest.raises(HopfExactError, match="classification shape"):
         classify_n2_le_1(CTX)
 
 
-# flipping slot 1 or slot 2 of one product's component signs leaves the
-# classification and the collapse lemmas standing, but makes the normalised
-# system of the full extension contradictory
-_PIN_FLIPS = [(("v", "w"), 1), (("w", "v"), 2)]
+# flipping the e_x component of v_i w_j or the e_y component of w_i v_j
+# leaves the classification and the collapse lemmas standing, but makes the
+# normalised system of the full extension contradictory; so does flipping
+# the w-side sign of e_x acting on the left (w -> v)
+_PIN_FLIPS = [(("p", 1), 0, 1), (("p", 2), 1, 0), (("l", 1), 1, 0)]
 
 
-@pytest.mark.parametrize("key,slot", _PIN_FLIPS,
-                         ids=[f"{a}{b}-{s}" for (a, b), s in _PIN_FLIPS])
+def _flip_id(key, s, t):
+    side, g = key
+    return f"{_legs(s, t)}-{g}" if side == "p" else f"{side}{g}-{_legs(s, t)}"
+
+
+@pytest.mark.parametrize("key,s,t", _PIN_FLIPS,
+                         ids=[_flip_id(*flip) for flip in _PIN_FLIPS])
 def test_flipped_component_sign_breaks_the_full_extension(monkeypatch, key,
-                                                          slot):
-    signs = list(replay._COMPONENT_SIGNS[key])
-    signs[slot] = -signs[slot]
-    monkeypatch.setitem(replay._COMPONENT_SIGNS, key, tuple(signs))
-    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+                                                          s, t):
+    _flip_pattern(monkeypatch, key, s, t)
     assert not replay_lemma("group-full-extension", CTX).passed
 
 
 def test_a_cache_reset_drops_the_shared_systems(monkeypatch):
     monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
     replay_lemma("group-null-product", CTX)
-    # the full extension's first sign case is one of the warmed systems
+    # the full extension's first sign case is one of the warmed systems, and
+    # the block patterns are kept beside it
     assert ("ga_K", 2, ((1, 1), (-1, -1)), CTX) in replay._REPLAY_CACHE
-    key, slot = _PIN_FLIPS[0]
-    signs = list(replay._COMPONENT_SIGNS[key])
-    signs[slot] = -signs[slot]
-    monkeypatch.setitem(replay._COMPONENT_SIGNS, key, tuple(signs))
-    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    assert ("block patterns", CTX) in replay._REPLAY_CACHE
+    _flip_pattern(monkeypatch, *_PIN_FLIPS[0])
     assert not replay_lemma("group-full-extension", CTX).passed
+
+
+# The generic extension as it was written by hand before its sign patterns
+# were derived from the block coaction: the grouplike-component signs of the
+# four products of block legs, the extra constant of each two-dimensional
+# base, and one action branch per kind.
+_HAND_COMPONENT_SIGNS = {
+    ("v", "v"): (1, 1, 1, 1),
+    ("v", "w"): (1, -1, 1, -1),
+    ("w", "v"): (1, 1, -1, -1),
+    ("w", "w"): (-1, 1, 1, -1),
+}
+_HAND_EXTRA_CONSTANT = {"trivial": None, "ga_x": "beta", "ga_y": "gamma",
+                        "ga_xy": "delta"}
+
+
+def _hand_written_extension(kind, n2, signs, ctx):
+    """Labels, table, unknowns and action symbols of the hand-written
+    builder."""
+    masks = replay._BASE_MASKS[kind]
+    base_dim = len(masks)
+    dim = base_dim + 2 * n2
+    labels = tuple(replay._MASK_LABEL[m] for m in masks) \
+        + tuple(f"v{i}" for i in range(1, n2 + 1)) \
+        + tuple(f"w{i}" for i in range(1, n2 + 1))
+    zero, one = MultiPoly(ctx, {}), MultiPoly.const(ctx, 1)
+
+    def const(x):
+        return MultiPoly.const(ctx, x)
+
+    def unit_vec(idx, coeff):
+        vec = [zero] * dim
+        vec[idx] = coeff
+        return vec
+
+    table = [[None] * dim for _ in range(dim)]
+    pos_of = {m: p for p, m in enumerate(masks)}
+    for p, gm in enumerate(masks):
+        for q, hm in enumerate(masks):
+            table[p][q] = unit_vec(pos_of[gm ^ hm],
+                                   const(replay._base_coeff(kind, gm, hm)))
+    unknowns, action_symbols = [], []
+    rng = range(1, n2 + 1)
+
+    def vi(i):
+        return base_dim + (i - 1)
+
+    def wi(i):
+        return base_dim + n2 + (i - 1)
+
+    for i in rng:
+        for idx in (vi(i), wi(i)):
+            table[0][idx] = unit_vec(idx, one)
+            table[idx][0] = unit_vec(idx, one)
+
+    def matrix_symbols(prefix):
+        out = {}
+        for i in rng:
+            for m in rng:
+                action_symbols.append(f"{prefix}_{i}{m}")
+                out[(i, m)] = MultiPoly.var(ctx, f"{prefix}_{i}{m}")
+        return out
+
+    def span(coeffs, which):
+        vec = [zero] * dim
+        for m, c in coeffs.items():
+            vec[(vi if which == "v" else wi)(m)] = c
+        return vec
+
+    if kind in ("ga_K", "kpsi"):
+        lx, ry = matrix_symbols("lx"), matrix_symbols("ry")
+        a = {i: signs[i - 1][0] for i in rng}
+        b = {i: signs[i - 1][1] for i in rng}
+        px, py, pxy = pos_of[1], pos_of[2], pos_of[3]
+        for i in rng:
+            table[px][vi(i)] = span({m: lx[(i, m)] for m in rng}, "w")
+            table[px][wi(i)] = span({m: lx[(i, m)] for m in rng}, "v")
+            table[vi(i)][px] = unit_vec(vi(i), const(a[i]))
+            table[wi(i)][px] = unit_vec(wi(i), const(-a[i]))
+            table[py][vi(i)] = unit_vec(vi(i), const(b[i]))
+            table[py][wi(i)] = unit_vec(wi(i), const(-b[i]))
+            table[vi(i)][py] = span({m: ry[(i, m)] for m in rng}, "w")
+            table[wi(i)][py] = span({m: ry[(i, m)] for m in rng}, "v")
+            table[pxy][vi(i)] = span(
+                {m: const(b[i]) * lx[(i, m)] for m in rng}, "w")
+            table[pxy][wi(i)] = span(
+                {m: const(-b[i]) * lx[(i, m)] for m in rng}, "v")
+            table[vi(i)][pxy] = span(
+                {m: const(a[i]) * ry[(i, m)] for m in rng}, "w")
+            table[wi(i)][pxy] = span(
+                {m: const(-a[i]) * ry[(i, m)] for m in rng}, "v")
+    elif kind == "ga_x":
+        lx, rx = matrix_symbols("lx"), matrix_symbols("rx")
+        px = pos_of[1]
+        for i in rng:
+            table[px][vi(i)] = span({m: lx[(i, m)] for m in rng}, "w")
+            table[px][wi(i)] = span({m: lx[(i, m)] for m in rng}, "v")
+            table[vi(i)][px] = span({m: rx[(i, m)] for m in rng}, "v")
+            table[wi(i)][px] = span({m: -rx[(i, m)] for m in rng}, "w")
+    elif kind == "ga_y":
+        ly, ry = matrix_symbols("ly"), matrix_symbols("ry")
+        py = pos_of[2]
+        for i in rng:
+            table[py][vi(i)] = span({m: ly[(i, m)] for m in rng}, "v")
+            table[py][wi(i)] = span({m: -ly[(i, m)] for m in rng}, "w")
+            table[vi(i)][py] = span({m: ry[(i, m)] for m in rng}, "w")
+            table[wi(i)][py] = span({m: ry[(i, m)] for m in rng}, "v")
+    elif kind == "ga_xy":
+        lxy, rxy = matrix_symbols("lxy"), matrix_symbols("rxy")
+        pxy = pos_of[3]
+        for i in rng:
+            table[pxy][vi(i)] = span({m: lxy[(i, m)] for m in rng}, "w")
+            table[pxy][wi(i)] = span({m: -lxy[(i, m)] for m in rng}, "v")
+            table[vi(i)][pxy] = span({m: rxy[(i, m)] for m in rng}, "w")
+            table[wi(i)][pxy] = span({m: -rxy[(i, m)] for m in rng}, "v")
+
+    extra = _HAND_EXTRA_CONSTANT.get(kind)
+    for i in rng:
+        for j in rng:
+            alpha = MultiPoly.var(ctx, f"alpha_{i}{j}")
+            unknowns.append(f"alpha_{i}{j}")
+            comps = [zero, zero, zero, zero]
+            comps[0] = alpha
+            if kind in ("ga_K", "kpsi"):
+                aj = const(signs[j - 1][0])
+                bi = const(signs[i - 1][1])
+                eps = const(-1) if kind == "kpsi" else one
+                comps[1] = aj * alpha
+                comps[2] = bi * alpha
+                comps[3] = eps * aj * bi * alpha
+            elif extra is not None:
+                unknowns.append(f"{extra}_{i}{j}")
+                slot = {"beta": 1, "gamma": 2, "delta": 3}[extra]
+                comps[slot] = MultiPoly.var(ctx, f"{extra}_{i}{j}")
+            for (s, si), (t, tj) in itertools.product(
+                    (("v", vi(i)), ("w", wi(i))),
+                    (("v", vi(j)), ("w", wi(j)))):
+                sgn = _HAND_COMPONENT_SIGNS[(s, t)]
+                vec = [zero] * dim
+                for mask in masks:
+                    if not comps[mask].is_zero():
+                        vec[pos_of[mask]] = const(sgn[mask]) * comps[mask]
+                table[si][tj] = vec
+    return labels, table, tuple(unknowns), tuple(action_symbols)
+
+
+@pytest.mark.parametrize("ctx", [CTX, FieldContext(8)], ids=["Q(i)", "Q(z8)"])
+@pytest.mark.parametrize("kind", replay.KINDS)
+def test_the_derived_extension_is_the_hand_written_one(kind, ctx):
+    count = 0
+    for n2 in range(4):
+        for signs in _sign_cases(kind, n2):
+            signs = signs or None
+            g = generic_extension(kind, n2, signs, ctx)
+            labels, table, unknowns, symbols = _hand_written_extension(
+                kind, n2, signs, ctx)
+            assert (g.labels, g.unknowns, g.action_symbols) \
+                == (labels, unknowns, symbols)
+            assert [[_terms(vec) for vec in row] for row in g.table] \
+                == [[_terms(vec) for vec in row] for row in table]
+            count += 1
+    assert count == (85 if kind in ("ga_K", "kpsi") else 4)
+
+
+def _coaction_is_multiplicative(kind, kp):
+    """Whether a seeded specialisation of every generic extension of
+    ``kind`` with one or two blocks has a multiplicative coaction."""
+    rng = random.Random(kind)
+    for n2 in (1, 2):
+        for signs in _sign_cases(kind, n2):
+            g = generic_extension(kind, n2, signs, CTX)
+            a = g.specialize({name: rng.randint(1, 9) for name
+                              in g.unknowns + g.action_symbols}, kp)
+            if not multiplicative_into_tensor(a.coaction, a, kp, a, None):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("kind", replay.KINDS)
+def test_every_generic_extension_has_a_colinear_product(kind):
+    assert _coaction_is_multiplicative(kind, build_kp(CTX))
+
+
+# the w-side sign of every pattern that a generic extension reads: the
+# actions of e_x, e_y and e_xy on either side and the block products
+_PATTERN_KEYS = [(side, g) for side in "lr" for g in (1, 2, 3)] \
+    + [("p", g) for g in range(4)]
+
+
+@pytest.mark.parametrize("key", _PATTERN_KEYS,
+                         ids=[f"{side}{g}" for side, g in _PATTERN_KEYS])
+def test_a_flipped_pattern_breaks_the_colinearity(monkeypatch, key):
+    w_image = block_patterns(CTX)[key][1]
+    _flip_pattern(monkeypatch, key, 1, w_image.index(next(filter(None,
+                                                                w_image))))
+    kp = build_kp(CTX)
+    assert not all(_coaction_is_multiplicative(kind, kp)
+                   for kind in replay.KINDS)
+
+
+def test_the_block_patterns_are_derived_once_per_run(monkeypatch):
+    calls = []
+    real = replay.block_patterns
+
+    def counted(ctx=None):
+        calls.append(ctx)
+        return real(ctx)
+
+    monkeypatch.setattr(replay, "block_patterns", counted)
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    for name in ("plain-base-collapse", "diagonal-base-pair-bound"):
+        replay_lemma(name, CTX)
+    assert calls == [CTX]
+
+
+def test_specialize_over_a_hopf_algebra_that_is_not_kp_is_refused():
+    g = generic_extension("ga_xy", 1, None, CTX)
+    values = dict.fromkeys(g.unknowns + g.action_symbols, 1)
+    with pytest.raises(NotOverKp):
+        g.specialize(values, build_klein4(CTX))
 
 
 # flipping any one entry of the twisted base's cocycle makes the base itself
