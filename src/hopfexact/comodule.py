@@ -8,38 +8,27 @@ the multiplicativity of a coaction, a product of two tensor legs, goes
 through :func:`~hopfexact.algebra.tensor_product`, on A's generators once A
 and H are associative.
 
-The module also hosts the decomposition machinery that is special to the
-eight-dimensional Hopf algebra from :func:`~hopfexact.constructions.build_kp`:
-splitting a comodule into its group-graded part and the 2-dimensional-corep
-part, the involution tau exchanging the two legs of the latter, and the
-further eigenvalue decomposition of comodule algebras under their grouplike
-units.  Last come the map (id (x) chi) o coaction from a comodule algebra
-into H for a character chi, which is the shape of every colinear algebra map
-into H, and the left coideal subalgebras of H that such maps land in.  Their
-checks are identities too: chi is multiplicative when ``chi m == chi (x)
-chi``, and the image of phi is a left coideal when ``(id (x) quotient)
-Delta phi`` vanishes, ``quotient`` being the functionals that vanish on the
-image.
+The module also reads off the isotypic parts of a coaction, the vectors v
+with coaction(v) = g (x) v for a fixed g of H.  Last come the map (id (x)
+chi) o coaction from a comodule algebra into H for a character chi, which
+is the shape of every colinear algebra map into H, and the left coideal
+subalgebras of H that such maps land in.  Their checks are identities too:
+chi is multiplicative when ``chi m == chi (x) chi``, and the image of phi is
+a left coideal when ``(id (x) quotient) Delta phi`` vanishes, ``quotient``
+being the functionals that vanish on the image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
 from .algebra import (NOT_ASSOCIATIVE, Algebra, algebra_on_span,
                       check_algebra, is_algebra_morphism, is_associative,
                       multiplicative_into_tensor)
-from .errors import (
-    BadWitness,
-    DimensionMismatch,
-    HopfExactError,
-    MissingGrouplikeUnits,
-    NotOverKp,
-)
-from .field import FieldContext, FieldElement, sqrt_in_context
+from .errors import BadWitness, DimensionMismatch, HopfExactError
+from .field import FieldContext, FieldElement
 from .hopf import Hopf, coaction_laws, rebase_hopf
 from .linalg import (
     Mat,
@@ -48,9 +37,6 @@ from .linalg import (
     Subspace,
     Vec,
     _sparse,
-    basis_vector,
-    eigenspace,
-    inverse,
     kernel,
     kron,
     kron_matmul,
@@ -59,7 +45,6 @@ from .linalg import (
     solve,
     spin,
     tensor_vec,
-    vscale,
 )
 
 
@@ -162,143 +147,6 @@ def isotypic_part(c: ComoduleLike, g: Sequence[FieldElement]) -> Subspace:
 def coinvariants(c: ComoduleLike) -> Subspace:
     """Vectors on which the coaction is trivial."""
     return isotypic_part(c, c.hopf.unit)
-
-
-def graded_component_span(c: ComoduleLike, h_subspace: Subspace) -> Subspace:
-    """The preimage of (subspace of H) (x) V under the coaction."""
-    nh, nv = c.hopf.dim, c.dim
-    gens = []
-    for hv in h_subspace.basis():
-        for j in range(nv):
-            gens.append(tensor_vec(hv, basis_vector(c.ctx, nv, j)))
-    target = Subspace.from_vectors(c.ctx, nh * nv, gens)
-    return target.preimage_under(c.coaction)
-
-
-# -- decomposition over the eight-dimensional Hopf algebra --------------------
-
-
-@dataclass
-class KpParts:
-    """Comodule split over the 8-dimensional Hopf algebra: the group-graded
-    part, the 2-corep part with its two canonical legs, and the exchange
-    involution tau (given as an operator on the whole comodule that is zero
-    on the group-graded part)."""
-    group_part: Subspace
-    two_part: Subspace
-    v_leg: Subspace
-    w_leg: Subspace
-    tau: Mat
-
-
-@lru_cache(maxsize=None)
-def _reference_kp(ctx: FieldContext) -> Hopf:
-    """The standard kp over ``ctx``, built once per context."""
-    from .constructions import build_kp
-    return build_kp(ctx)
-
-
-def _require_over_kp(c: ComoduleLike) -> Hopf:
-    h = c.hopf
-    reference = _reference_kp(h.ctx)
-    same = (h.dim == reference.dim and h.table == reference.table
-            and h.comult == reference.comult and h.counit == reference.counit
-            and h.antipode == reference.antipode)
-    if not same:
-        raise NotOverKp(
-            "this decomposition needs the 8-dimensional Hopf algebra with its "
-            "standard basis order")
-    return h
-
-
-def kp_decompose(c: ComoduleLike) -> KpParts:
-    h = _require_over_kp(c)
-    ctx = c.ctx
-    n = c.dim
-    group_span = Subspace.from_vectors(ctx, 8,
-                                       [basis_vector(ctx, 8, j) for j in range(4)])
-    z_span = Subspace.from_vectors(ctx, 8,
-                                   [basis_vector(ctx, 8, 4 + j) for j in range(4)])
-    group_part = graded_component_span(c, group_span)
-    two_part = graded_component_span(c, z_span)
-    if group_part.dim + two_part.dim != n:
-        raise HopfExactError(
-            "comodule does not split into group-graded and 2-corep parts")
-    iz, izx, izy, izxy = (h.label_index(lab) for lab in ("z", "zx", "zy", "zxy"))
-    v_leg = two_part.intersect(
-        Subspace.from_vectors(ctx, n, kernel(coaction_slice(c, izy))))
-    w_leg = two_part.intersect(
-        Subspace.from_vectors(ctx, n, kernel(coaction_slice(c, iz))))
-    if v_leg.dim + w_leg.dim != two_part.dim:
-        raise HopfExactError("the two legs of the 2-corep part do not split it")
-    tau_on_v = coaction_slice(c, iz) - coaction_slice(c, izx)
-    tau_on_w = coaction_slice(c, izy) - coaction_slice(c, izxy)
-    columns_in = (list(v_leg.basis()) + list(w_leg.basis())
-                  + list(group_part.basis()))
-    columns_out = ([tau_on_v.apply(v) for v in v_leg.basis()]
-                   + [tau_on_w.apply(w) for w in w_leg.basis()]
-                   + [tuple(ctx.zero() for _ in range(n))
-                      for _ in group_part.basis()])
-    base = Mat.from_columns(ctx, columns_in)
-    tau = Mat.from_columns(ctx, columns_out) @ inverse(base)
-    return KpParts(group_part, two_part, v_leg, w_leg, tau)
-
-
-@dataclass
-class MuParts:
-    """Eigen-decomposition of the 2-corep legs of a comodule algebra under
-    right multiplication by the x-unit and left multiplication by the y-unit.
-    Keys are (right-x eigenvalue, left-y eigenvalue) as integers +-1."""
-    x_unit: Vec
-    y_unit: Vec
-    v_parts: dict[tuple[int, int], Subspace]
-    w_parts: dict[tuple[int, int], Subspace]
-
-
-def _normalized_grouplike_unit(a: ComoduleAlgebra, label: str) -> Vec:
-    g = a.hopf.basis_element(label)
-    part = isotypic_part(a, g)
-    if part.dim != 1:
-        raise MissingGrouplikeUnits(
-            f"the {label}-graded component has dimension {part.dim}, need 1")
-    u = part.basis()[0]
-    square = a.multiply(u, u)
-    coeff = None
-    for c, unit_c in zip(square, a.unit):
-        if unit_c.is_zero():
-            if not c.is_zero():
-                raise MissingGrouplikeUnits(
-                    f"the square of the {label}-graded generator is not scalar")
-        else:
-            coeff = c / unit_c
-    if coeff is None or coeff.is_zero():
-        raise MissingGrouplikeUnits(
-            f"the {label}-graded generator squares to zero")
-    if vscale(coeff, a.unit) != square:
-        raise MissingGrouplikeUnits(
-            f"the square of the {label}-graded generator is not scalar")
-    root = sqrt_in_context(coeff)
-    return vscale(root.inverse(), u)
-
-
-def mu_decompose(a: ComoduleAlgebra) -> MuParts:
-    parts = kp_decompose(a)
-    ex = _normalized_grouplike_unit(a, "x")
-    ey = _normalized_grouplike_unit(a, "y")
-    right_x = a.right_mult(ex)
-    left_y = a.left_mult(ey)
-    ctx = a.ctx
-    one, minus = ctx.one(), ctx.scalar(-1)
-    v_parts = {}
-    w_parts = {}
-    for s_r, ev_r in ((1, one), (-1, minus)):
-        for s_l, ev_l in ((1, one), (-1, minus)):
-            cell = eigenspace(right_x, ev_r).intersect(eigenspace(left_y, ev_l))
-            v_parts[(s_r, s_l)] = parts.v_leg.intersect(cell)
-            w_parts[(s_r, s_l)] = parts.w_leg.intersect(cell)
-    if sum(s.dim for s in v_parts.values()) != parts.v_leg.dim:
-        raise HopfExactError("the 2-corep leg is not split by the unit actions")
-    return MuParts(ex, ey, v_parts, w_parts)
 
 
 # -- the map phi into H and the coideal subalgebras it lands in --------------

@@ -23,10 +23,12 @@ The recurring cast:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .algebra import Algebra, direct_sum, tensor_product
-from .comodule import Comodule, ComoduleAlgebra, direct_sum_coaction
+from .comodule import (Comodule, ComoduleAlgebra, ComoduleLike,
+                       direct_sum_coaction)
 from .errors import (DimensionMismatch, GammaNotPrimitiveFourthRoot,
                      NotACocycle, NotOverKp)
 from .field import FieldContext, FieldElement
@@ -109,6 +111,26 @@ def build_kp(ctx: Optional[FieldContext] = None) -> Hopf:
     antipode = Mat.from_columns(
         ctx, [e[g] for g in range(4)] + [e[4 + _phi(g)] for g in range(4)])
     return Hopf(ctx, _KP_LABELS, e[0], table, comult, counit, antipode)
+
+
+@cache
+def _reference_kp(ctx: FieldContext) -> Hopf:
+    """The standard kp over ``ctx``, built once per context."""
+    return build_kp(ctx)
+
+
+def _require_over_kp(c: ComoduleLike) -> None:
+    """Raise :class:`~hopfexact.errors.NotOverKp` unless ``c`` is over kp
+    itself: the structure of :func:`build_kp`, in its basis order."""
+    h = c.hopf
+    reference = _reference_kp(h.ctx)
+    same = (h.dim == reference.dim and h.table == reference.table
+            and h.comult == reference.comult and h.counit == reference.counit
+            and h.antipode == reference.antipode)
+    if not same:
+        raise NotOverKp(
+            "this needs the 8-dimensional Hopf algebra kp with its standard "
+            "basis order")
 
 
 # -- comodule algebras over the eight-dimensional Hopf algebra ----------------

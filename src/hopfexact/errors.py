@@ -45,11 +45,6 @@ class NotOverKp(HopfExactError):
     received a comodule algebra over some other Hopf algebra."""
 
 
-class MissingGrouplikeUnits(HopfExactError):
-    """The grouplike-graded components needed for a mu-decomposition are
-    missing, not one-dimensional, or not normalizable to square one."""
-
-
 class BadWitness(HopfExactError):
     """A witness fails its check: a claimed character that is not a unital
     algebra map, or a spun subspace that is not costable."""

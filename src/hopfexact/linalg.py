@@ -589,29 +589,6 @@ class Subspace:
         return _kernel_rows(self.ctx, list(map(dict, self.pivot_rows.values())),
                             self.ambient)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        constraints = self.annihilator() + other.annihilator()
-        return Subspace.from_vectors(
-            self.ctx, self.ambient,
-            _kernel_rows(self.ctx, list(map(_sparse, constraints)),
-                         self.ambient))
-
-    def preimage_under(self, mat: Mat) -> "Subspace":
-        """The subspace ``{x : mat @ x in self}`` of the matrix's domain."""
-        if mat.nrows != self.ambient:
-            raise DimensionMismatch(
-                f"map lands in dimension {mat.nrows}, subspace ambient {self.ambient}")
-        ann = self.annihilator()
-        if not ann:
-            return Subspace.full(self.ctx, mat.ncols)
-        test = Mat(self.ctx, ann) @ mat
-        return Subspace.from_vectors(self.ctx, mat.ncols, kernel(test))
-
-    def _check_compatible(self, other: "Subspace"):
-        if self.ctx != other.ctx or self.ambient != other.ambient:
-            raise DimensionMismatch("subspaces live in different ambient spaces")
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 

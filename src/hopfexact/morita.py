@@ -25,12 +25,12 @@ from .algebra import (algebra_on_span, is_algebra_isomorphism, is_associative,
 from .comodule import (
     Comodule,
     ComoduleAlgebra,
-    _require_over_kp,
     check_comodule,
     check_comodule_algebra,
     isotypic_part,
     rebase_comodule_algebra,
 )
+from .constructions import _require_over_kp
 from .errors import (
     CoactionUnsolvable,
     DimensionMismatch,

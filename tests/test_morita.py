@@ -24,10 +24,13 @@ from hopfexact.constructions import (
     PSI_STANDARD,
     a_xy_gamma_over,
     build_bimodule_V,
+    build_klein4,
     build_kp,
     build_matrix2_trivial,
     catalog,
     comodule_direct_sum,
+    group_algebra_comodule_over,
+    trivial_comodule_algebra_over,
     twisted_group_algebra_over,
     with_trivial_coaction,
 )
@@ -36,10 +39,12 @@ from hopfexact.errors import (
     DimensionMismatch,
     HopfExactError,
     NeedsFieldExtension,
+    NotOverKp,
     NotSemisimple,
 )
 from hopfexact.exactness import check_exactness
 from hopfexact.field import FieldContext, adjoin_sqrt
+from hopfexact.hopf import Hopf
 from hopfexact.linalg import (Mat, _dense, _sparse, basis_vector, kernel, kron,
                               linear_combination, rank, solve, tensor_vec,
                               vadd, vscale)
@@ -330,6 +335,28 @@ def test_fingerprint_distinguishability_verdicts():
     assert fingerprint_distinguishes(fx, fxy)
     assert fingerprint_distinguishes(fk, fa)
     assert not fingerprint_distinguishes(fx, fy)
+
+
+def test_fingerprint_refuses_a_coaction_over_klein4():
+    k4 = build_klein4(QI)
+    with pytest.raises(NotOverKp):
+        fusion_fingerprint(group_algebra_comodule_over(k4, range(4)))
+
+
+def test_fingerprint_refuses_kp_labels_on_another_structure():
+    # kp's labels, with the z (x) z coefficient of Delta(z) negated: the
+    # labels pass, the structure check does not
+    kp = build_kp(QI)
+    rows = [dict(r) for r in kp.comult.entries]
+    z = kp.label_index("z")
+    rows[z * kp.dim + z][z] = -rows[z * kp.dim + z][z]
+    bent = Hopf(QI, kp.labels, kp.unit, kp.table,
+                Mat.from_entries(QI, rows, kp.dim), kp.counit, kp.antipode)
+    assert bent.labels == kp.labels and bent.comult != kp.comult
+    with pytest.raises(NotOverKp):
+        fusion_fingerprint(trivial_comodule_algebra_over(bent))
+    assert fusion_fingerprint(trivial_comodule_algebra_over(kp)) \
+        == fusion_fingerprint(CATALOG["k"])
 
 
 def test_regular_module_is_split_without_a_commutant_kernel(monkeypatch):

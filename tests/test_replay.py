@@ -447,7 +447,8 @@ def test_the_table_check_accepts_exactly_each_characters_image(kind):
 
 
 def test_a_swapped_action_is_refused_where_it_differs(monkeypatch):
-    # lx signed by e2 and ry by e1: the table check refuses exactly the
+    # the rule with x and y exchanged, so lx is signed by e2 and ry by e1:
+    # the table check refuses exactly the
     # members reached by a character with e1 != e2; under (-1, -1) the
     # swapped action is the true one
     members = []
@@ -458,7 +459,9 @@ def test_a_swapped_action_is_refused_where_it_differs(monkeypatch):
                 members.append((replay._system(kind, 2, rep_signs, CTX),
                                 generic_extension(kind, 2, signs, CTX),
                                 _character(signs, rep_signs)))
-    monkeypatch.setattr(replay, "_CHARACTER_SLOT", {"lx": 1, "ry": 0})
+    real, swap = replay._symbol_mask, {0: 0, 1: 2, 2: 1, 3: 3}
+    monkeypatch.setattr(replay, "_symbol_mask",
+                        lambda name: swap[real(name)])
     refused = [eps for rep, g, eps in members
                if replay._carried_system(rep, g, eps) is None]
     assert len(members) == 24
@@ -493,7 +496,7 @@ def refused_run():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(replay, "_REPLAY_CACHE", run.cache)
-        mp.setattr(replay, "_CHARACTER_SLOT", {})
+        mp.setattr(replay, "_symbol_mask", lambda name: 0)
         mp.setattr(replay, "associativity_constraints", constraints)
         mp.setattr(replay, "eliminate", eliminate)
         mp.setattr(replay, "build_kp", build_kp)
