@@ -10,12 +10,21 @@ Fails on three things:
   package, other than a dunder, whose name is read by no name, attribute,
   import or string constant of any Python file under ``src/``, ``tests/``,
   ``perfbench/`` or ``.github/``; the assignment that binds a name does not
-  count as a use of it.
+  count as a use of it;
+* a cross-reference in a docstring of the package (``:func:``, ``:class:``,
+  ``:meth:``, ``:data:``, ``:exc:`` or ``:mod:``, with or without ``~``)
+  whose target does not exist.  A target under ``hopfexact.`` names its
+  module; a bare one, such as ``Algebra.multiply``, is looked up among the
+  names that the docstring's module defines or imports, and a name
+  imported from another module of the package is followed there.  A
+  target under a standard-library module, such as ``fractions.Fraction``,
+  is left alone.
 
 Run it from the repository root: ``python3 .github/check_dead_names.py``.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -118,12 +127,97 @@ def unused_definitions(paths: list[Path]) -> list[str]:
             if name not in used]
 
 
+XREF = re.compile(r":(func|class|meth|data|exc|mod):`~?([\w.]+)`")
+
+
+def _module_names(tree: ast.Module):
+    """The top-level names of a module, each class with the names its body
+    binds and every other name with None, and the names that its imports
+    bind anywhere, each with ``(module, name)`` of its source; the module
+    is relative to the package, or None outside it."""
+    tops = {}
+    for stmt in tree.body:
+        members = None
+        if isinstance(stmt, ast.ClassDef):
+            members = {name for node in stmt.body
+                       for name in _bound_names(node)}
+        for name in _bound_names(stmt):
+            tops[name] = members
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module if node.level else None
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (source, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = (
+                    None, alias.name)
+    return tops, imported
+
+
+def _resolves(index: dict, module: str, parts: list[str]) -> bool:
+    """Does ``parts`` name a definition in ``module`` or, followed through
+    its imports, in another module of the package?"""
+    tops, imported = index[module]
+    head, rest = parts[0], parts[1:]
+    if head in tops:
+        return not rest or (tops[head] is not None and len(rest) == 1
+                            and rest[0] in tops[head])
+    if head in imported:
+        source, name = imported[head]
+        return source not in index or _resolves(index, source, [name] + rest)
+    return False
+
+
+def _docstrings(tree: ast.Module):
+    """``(line, text)`` of the module's docstrings, its own and those of
+    its classes and functions."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) \
+                    and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                yield first.lineno, first.value.value
+
+
+def stale_references(paths: list[Path]) -> list[str]:
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    index = {path.stem: _module_names(tree) for path, tree in trees.items()}
+    problems = []
+    for path, tree in trees.items():
+        for line, text in _docstrings(tree):
+            for match in XREF.finditer(text):
+                role, target = match.groups()
+                parts = target.split(".")
+                if parts[0] == "hopfexact":
+                    module, parts = (parts[1] if len(parts) > 1 else None,
+                                     parts[2:])
+                    ok = module in index and (
+                        not parts if role == "mod"
+                        else bool(parts) and _resolves(index, module, parts))
+                elif parts[0] in sys.stdlib_module_names:
+                    continue
+                else:
+                    ok = (len(parts) == 1 and parts[0] in index
+                          if role == "mod"
+                          else _resolves(index, path.stem, parts))
+                if not ok:
+                    at = line + text[:match.start()].count("\n")
+                    problems.append(f"{path}:{at}: '{match.group(0)}' names "
+                                    "nothing in the package")
+    return problems
+
+
 def main() -> int:
     paths = sorted(PACKAGE.glob("*.py"))
     problems = [p for path in paths + sorted(TESTS.glob("*.py"))
                 for p in unused_imports(path)]
     problems += unraised_errors(paths)
     problems += unused_definitions(paths)
+    problems += stale_references(paths)
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

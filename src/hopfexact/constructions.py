@@ -190,9 +190,11 @@ def block_patterns(ctx: Optional[FieldContext] = None
     given as the table P, P[s][t] the coefficient of leg t in the image of
     leg s, or of e_g in the product of legs s and t (leg 0 is v, leg 1 is
     w), scaled so that the image of v, or of v (x) v, has first nonzero
-    coordinate 1: every entry is then 1, -1 or 0."""
+    coordinate 1: every entry is then 1, -1 or 0.  Only these integers
+    leave the function, so it solves over the reference kp of the context,
+    built once per context."""
     from .morita import colinear_maps
-    h = build_kp(ctx)
+    h = _reference_kp(ctx or FieldContext(4))
     one = h.ctx.one()
     as_int = {one: 1, -one: -1, h.ctx.zero(): 0}
     block = Comodule(h, 2, basis_coaction(h, 2, [], [(0, 1)]))

@@ -482,10 +482,12 @@ def concrete_solutions(eqs: Sequence[MultiPoly], ctx: FieldContext
     Each system, the given one and each branch's, first goes through one
     linear pass of :func:`eliminate`; a contradiction closes it.  The solver
     then branches over the roots of a univariate residual row, each branch
-    ``pins + residual + [x - root]``, or else isolates a variable that
-    occurs linearly with an invertible constant coefficient.  An isolated
-    expression mentions only variables still in the system, so one pass in
-    reverse isolation order resolves them.  Keys come in sorted order.
+    ``residual + [x - root]``, or else isolates a variable that occurs
+    linearly with an invertible constant coefficient.  The residual holds
+    no pinned variable, so a branch carries its system's pins beside it
+    instead of eliminating them again.  An isolated expression mentions
+    only variables still in the system, so one pass in reverse isolation
+    order resolves them.  Keys come in sorted order.
 
     The enumeration is complete: every returned assignment is a solution and
     every solution appears.  Raises when the system is underdetermined or
@@ -494,17 +496,17 @@ def concrete_solutions(eqs: Sequence[MultiPoly], ctx: FieldContext
     """
     all_vars = sorted({v for eq in eqs for v in eq.variables()})
     solutions: list[dict[str, FieldElement]] = []
-    stack: list[tuple[list[MultiPoly], list[tuple[str, MultiPoly]]]] = [
-        (list(eqs), [])]
+    stack: list[tuple[list[MultiPoly], dict[str, FieldElement],
+                      list[tuple[str, MultiPoly]]]] = [(list(eqs), {}, [])]
     while stack:
-        system, isolated = stack.pop()
+        system, pins, isolated = stack.pop()
         elim = eliminate(system)
         if elim.contradiction is not None:
             continue
-        pins = [MultiPoly.var(ctx, x) - v for x, v in elim.pins.items()]
+        pins = {**pins, **elim.pins}
         residual = elim.residual
         if not residual:
-            values = dict(elim.pins)
+            values = dict(pins)
             for name, expr in reversed(isolated):
                 value = expr.substitute(values).as_constant()
                 if value is not None:
@@ -520,9 +522,9 @@ def concrete_solutions(eqs: Sequence[MultiPoly], ctx: FieldContext
             roots = None if uni is None else polynomial_roots(ctx, uni[1])
             if roots is not None:
                 for root in roots:
-                    stack.append((pins + residual
+                    stack.append((residual
                                   + [MultiPoly.var(ctx, uni[0]) - root],
-                                  isolated))
+                                  pins, isolated))
                 break
         else:
             found = _find_linear_isolation(residual)
@@ -532,5 +534,5 @@ def concrete_solutions(eqs: Sequence[MultiPoly], ctx: FieldContext
             idx, name, expr = found
             rest = [eq.substitute({name: expr})
                     for k, eq in enumerate(residual) if k != idx]
-            stack.append((pins + rest, isolated + [(name, expr)]))
+            stack.append((rest, pins, isolated + [(name, expr)]))
     return solutions

@@ -42,14 +42,15 @@ shown that the member's own table is the representative's under the
 character (the equivariance is checked, not assumed: Gatermann, LNM 1728,
 2000).  A member that fails the check is built directly, and every case's
 certificates are checked again against its own constraints.  The full
-extension carries its second case's verdicts too, along a sign change that
-is checked to be a colinear algebra isomorphism.
+extension's second case is the paper's moved by a character, and its map
+onto kp is the paper's f after that character's sign change, checked to be
+a colinear algebra isomorphism.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from typing import Mapping, Optional, Sequence, Union
@@ -511,7 +512,8 @@ class ReplayCase:
     (associativity plus injected hypotheses), kept so that the certificates
     in ``report`` or ``elimination`` can be re-verified independently.
     ``iso`` is the colinear algebra isomorphism onto kp of a full-extension
-    case that passed; it is left out of ``repr`` and of comparisons.
+    case that passed, the paper's f after the case's sign change; it is
+    left out of ``repr`` and of comparisons.
     """
 
     kind: str
@@ -626,9 +628,7 @@ class _System:
     eps, row signs)`` in ``source``: its constraint i is ``row signs[i]``
     times the image under ``eps`` of the representative's, and it carries
     every elimination whose hypotheses ``eps`` fixes from the
-    representative's elimination of the same hypotheses.  The full extension
-    reads ``source`` to carry a member's verdicts as well
-    (:func:`_carried_iso`)."""
+    representative's elimination of the same hypotheses."""
 
     g: GenericExtension
     constraints: list[MultiPoly]
@@ -692,12 +692,10 @@ def _system(kind: str, n2: int, signs, ctx: FieldContext) -> _System:
     characters of K (:func:`_representative`) is built and eliminated.
     Every other member is carried from it by exact sign changes, after a
     check that the member's own table is the representative's under the
-    character; a member that fails the check is built directly.  Only the
-    full extension carries more than eliminations: its member's axioms,
-    exactness and iso follow from the representative's, once the sign change
-    passes the checks of :func:`_carried_iso`.  The base checks and the
-    one-block systems of :func:`classify_n2_le_1` do not go through it: they
-    are built afresh on every call, so a changed table is always seen."""
+    character; a member that fails the check is built directly.  The base
+    checks and the one-block systems of :func:`classify_n2_le_1` do not go
+    through it: they are built afresh on every call, so a changed table is
+    always seen."""
     key = (kind, n2, signs, ctx)
     if key not in _REPLAY_CACHE:
         g = generic_extension(kind, n2, signs, ctx)
@@ -778,63 +776,37 @@ def _dependent_pair(ctx: FieldContext) -> tuple[str, MultiPoly]:
     return ("alpha_11 - c*alpha_21 = 0", alpha_11 - c * alpha_21)
 
 
-def _carried_iso(system: _System, algebra: ComoduleAlgebra,
-                 passed: dict) -> Optional[Mat]:
-    """A colinear algebra isomorphism from ``algebra``, the specialisation
-    of a carried system, onto kp, carried from its representative's case.
-
-    ``passed`` maps the signs of each case that passed in full to its
-    algebra and that algebra's iso onto kp.  The sign change D of the
-    system's character (:func:`_basis_signs`) must be an algebra isomorphism
-    from the representative's algebra onto ``algebra``, and colinear.  Then
-    ``algebra`` is the representative's transported along D, so its axioms
-    and exactness hold as the representative's do, and ``iso @ D`` is its
-    iso onto kp, since D is its own inverse.  None when the system was not
-    carried, its representative did not pass, or either check of D fails.
-    """
-    if system.source is None:
-        return None
-    rep, eps, _ = system.source
-    if rep.g.signs not in passed:
-        return None
-    rep_algebra, iso = passed[rep.g.signs]
-    signs = _basis_signs(system.g, eps)
-    d = Mat(algebra.ctx, [[s if i == j else 0 for j in range(len(signs))]
-                          for i, s in enumerate(signs)])
-    return iso @ d if is_colinear_isomorphism(rep_algebra, algebra, d) \
-        else None
-
-
 def _full_extension_report(ctx: FieldContext) -> ReplayReport:
     """The paper's full extension: two blocks over ga_K, of equal parity,
     normalised by alpha_11 = 1 and alpha_12 = -1.
 
     Each of the two sign cases must pin every structure constant with
-    certificates that check again, and its specialised algebra must be a
-    comodule algebra that is exact and colinearly isomorphic to kp.  The
-    two cases lie in one orbit under the character (1, -1) of K.  The first,
-    the representative, is the paper's, and its iso is the paper's f.  The
-    second is carried by :func:`_carried_iso` when it can be; otherwise it
-    is decided in full with an iso search, as the paper gives f for its own
-    case only.
+    certificates that check again, and its specialised algebra A must be
+    colinearly isomorphic to kp along one map, ``f @ D``: the paper's f
+    after the sign change D (:func:`_basis_signs`) of the character eps of
+    K that takes the paper's signs to the case's.  The first case is the
+    paper's, with eps = (1, 1) and D the identity; the second is the
+    paper's moved by eps = (1, -1), the paper's "without loss of
+    generality".  The map is checked with
+    :func:`~hopfexact.morita.is_colinear_isomorphism`, never assumed.
 
-    A case decided in full finds its map onto kp first: f, checked with
-    :func:`~hopfexact.morita.is_colinear_isomorphism`, or the searched map,
-    which is one.  When there is a map, the axioms and exactness are checked
-    on kp, the replay's ``regular``, and not on A: A's product, unit and
-    coaction are kp's carried back along the map, so each law holds on A
-    exactly when it holds on kp, and a costable subspace of one is carried
-    to a costable subspace of the other, as are the coinvariants.  So the
-    verdicts and their fixed problem messages are A's, and kp's sparse
-    basis is cheaper to check than A's dense one.  When there is no map, A
-    is checked itself.
+    Along that map A's product, unit and coaction are kp's carried back, so
+    each law holds on A exactly when it holds on kp, and a costable subspace
+    of one is carried to a costable subspace of the other, as are the
+    coinvariants.  So the axioms and exactness are decided on kp, the
+    replay's ``regular``, once per report, when the first case's map
+    passes.  A case whose map fails is not exact/iso.
     """
     _require_associative_base("ga_K", ctx)
     cases = []
+    # regular's scalars share ctx with the specialised algebras, so that
+    # their products need no coercion
     regular = regular_comodule_algebra(build_kp(ctx))
-    passed: dict = {}
+    f = paper_map_f(regular)
+    verdict = None
     paper = ((1, 1), (-1, -1))
-    for signs in (paper, ((1, -1), (-1, 1))):
+    for eps in ((1, 1), (1, -1)):
+        signs = tuple((eps[0] * a, eps[1] * b) for a, b in paper)
         # the normalised system is eliminated whole: an elimination of the
         # constraints alone would be done for nothing
         system = _system("ga_K", 2, signs, ctx)
@@ -859,22 +831,18 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
             ok = not missing
             if ok:
                 algebra = g.specialize(solution, regular.hopf)
+                d = _basis_signs(g, eps)
+                iso = f @ Mat(ctx, [[s if i == j else 0 for j in range(g.dim)]
+                                    for i, s in enumerate(d)])
                 problems = []
-                iso = _carried_iso(system, algebra, passed)
-                if iso is None:
-                    if signs == paper:
-                        f = paper_map_f(regular)
-                        iso = f if is_colinear_isomorphism(
-                            algebra, regular, f) else None
-                    else:
-                        iso = colinear_iso_search(algebra, regular)
-                    # along an iso the verdicts are kp's
-                    checked = algebra if iso is None else regular
-                    problems = check_comodule_algebra(checked)
-                    exact = check_exactness(checked)
-                    ok = not problems and exact.am_exact and iso is not None
+                ok = is_colinear_isomorphism(algebra, regular, iso)
                 if ok:
-                    passed[signs] = (algebra, iso)
+                    # along the map the verdicts are kp's
+                    if verdict is None:
+                        verdict = (check_comodule_algebra(regular),
+                                   check_exactness(regular).am_exact)
+                    problems, exact = verdict
+                    ok = not problems and exact
                 detail = ("unique solution: the eight-dimensional extension, "
                           "isomorphic to the ambient Hopf algebra as a "
                           "comodule algebra") if ok else \
@@ -1072,10 +1040,7 @@ def classify_n2_le_1(ctx: Optional[FieldContext] = None
             raise HopfExactError(
                 f"family {fam.kind!r} n2={fam.n2} matches no catalog entry")
         matched[match] = f"{fam.kind}/{fam.n2}"
-        final.append(SolutionFamily(
-            kind=fam.kind, n2=fam.n2, signs=fam.signs,
-            constants=fam.constants, presentations=fam.presentations,
-            algebra=fam.algebra, catalog_match=match))
+        final.append(replace(fam, catalog_match=match))
     if set(matched) != set(cat):
         raise HopfExactError(
             f"catalog entries {sorted(set(cat) - set(matched))} have no "

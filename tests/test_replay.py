@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hopfexact import replay
+from hopfexact import constructions, replay
 from hopfexact.algebra import (is_algebra_isomorphism,
                                multiplicative_into_tensor)
 from hopfexact.comodule import check_comodule_algebra
@@ -24,7 +24,7 @@ from hopfexact.exactness import check_exactness
 from hopfexact.field import FieldContext, adjoin_sqrt
 from hopfexact.linalg import (Mat, basis_vector, kron, tensor_vec, vadd, vscale,
                               vsub)
-from hopfexact.morita import colinear_iso_search
+from hopfexact.morita import fusion_fingerprint, is_colinear_isomorphism
 from hopfexact.poly import (Elimination, MultiPoly, _addmul, _addterms,
                             _linear_quotient, _poly, _product_terms,
                             eliminate)
@@ -601,21 +601,20 @@ def test_kp_is_built_once_per_classification(monkeypatch):
 
 
 
-# -- the full extension: one case decided, the other carried ------------------
+# -- the full extension: each case's map is the paper's f after its sign change
 
 _FULL_CHECKS = ("check_comodule_algebra", "check_exactness",
                 "colinear_iso_search", "paper_map_f")
-# the signs of the full extension's two cases: the representative first
+# the calls of one report: f formed once, no search, and kp's two verdicts
+# decided once
+_ONE_REPORT = {"check_comodule_algebra": 1, "check_exactness": 1,
+               "colinear_iso_search": 0, "paper_map_f": 1}
+# the signs of the full extension's two cases, the paper's first, and the
+# character of K that takes the paper's signs to each
 _REP_SIGNS, _MEMBER_SIGNS = ((1, 1), (-1, -1)), ((1, -1), (-1, 1))
+_CASE_EPS = {_REP_SIGNS: (1, 1), _MEMBER_SIGNS: (1, -1)}
 _NORMALISATION = (MultiPoly.var(CTX, "alpha_11") - 1,
                   MultiPoly.var(CTX, "alpha_12") + 1)
-
-
-def _decided_in_full(cases):
-    """The calls of ``cases`` cases decided in full: the paper's case takes
-    the paper's map f, and every other one searches."""
-    return {"check_comodule_algebra": cases, "check_exactness": cases,
-            "colinear_iso_search": cases - 1, "paper_map_f": 1}
 
 
 def _count_full_checks(monkeypatch):
@@ -629,51 +628,60 @@ def _count_full_checks(monkeypatch):
     return calls
 
 
+def _sign_change(signs):
+    """D of a full-extension case: the diagonal matrix of the signs that
+    the case's character gives the basis."""
+    g = replay._system("ga_K", 2, signs, CTX).g
+    d = replay._basis_signs(g, _CASE_EPS[signs])
+    return Mat(CTX, [[s if i == j else 0 for j in range(g.dim)]
+                     for i, s in enumerate(d)])
+
+
+def _specialized(signs, hopf):
+    """The specialised algebra A of a full-extension case."""
+    system = replay._system("ga_K", 2, signs, CTX)
+    return system.g.specialize(system.elimination(_NORMALISATION).pins, hopf)
+
+
+def _flip_v1(monkeypatch):
+    """Make ``replay`` read the paper's f with f(v1) negated, which is no
+    algebra map, from a cold cache."""
+    real = replay.paper_map_f
+
+    def flipped(kp):
+        f = real(kp)
+        return Mat.from_columns(CTX, [
+            vscale(CTX.scalar(-1), f.col(j)) if j == 4 else f.col(j)
+            for j in range(f.ncols)])
+
+    monkeypatch.setattr(replay, "paper_map_f", flipped)
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+
+
 def test_a_cold_full_extension_decides_one_case_in_full(monkeypatch):
     monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
     calls = _count_full_checks(monkeypatch)
     report = replay_lemma("group-full-extension", CTX)
     assert report.passed
-    assert calls == _decided_in_full(1)
+    assert calls == _ONE_REPORT
     member = replay._system("ga_K", 2, _MEMBER_SIGNS, CTX)
     assert member.source[0] is replay._system("ga_K", 2, _REP_SIGNS, CTX)
 
 
-def test_a_forced_fallback_decides_the_carried_case_alike(monkeypatch):
-    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
-    carried = replay_lemma("group-full-extension", CTX)
-    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
-    monkeypatch.setattr(replay, "_carried_iso", lambda *args: None)
-    calls = _count_full_checks(monkeypatch)
-    full = replay_lemma("group-full-extension", CTX)
-    assert calls == _decided_in_full(2)
-    assert full.passed
-    for got, want in zip(full.cases, carried.cases):
-        assert (got.ok, got.detail, got.solution) \
-            == (want.ok, want.detail, want.solution)
-        assert repr(got.elimination) == repr(want.elimination)
-    assert repr(full) == repr(carried)
-
-
 def test_the_carried_iso_is_a_colinear_algebra_isomorphism_onto_kp():
     regular = regular_comodule_algebra(build_kp(CTX))
-    rep = replay._system("ga_K", 2, _REP_SIGNS, CTX)
-    member = replay._system("ga_K", 2, _MEMBER_SIGNS, CTX)
-    rep_alg, alg = (s.g.specialize(s.elimination(_NORMALISATION).pins,
-                                   regular.hopf) for s in (rep, member))
-    passed = {_REP_SIGNS: (rep_alg, colinear_iso_search(rep_alg, regular))}
-    iso = replay._carried_iso(member, alg, passed)
-    assert iso is not None
+    alg = _specialized(_MEMBER_SIGNS, regular.hopf)
+    f = paper_map_f(regular)
+    iso = f @ _sign_change(_MEMBER_SIGNS)
+    assert is_colinear_isomorphism(alg, regular, iso)
     assert is_algebra_isomorphism(alg, regular, iso)
     assert regular.coaction @ iso \
         == kron(Mat.identity(CTX, 8), iso) @ alg.coaction
-    # nothing is carried without a representative that passed, to the
-    # representative itself, or to an algebra whose coaction is not the
-    # representative's carried along D
-    assert replay._carried_iso(member, alg, {}) is None
-    assert replay._carried_iso(rep, rep_alg, passed) is None
+    # the moved case needs its sign change: f alone is not its map, and the
+    # map is refused for an algebra whose coaction is not A's
+    assert not is_colinear_isomorphism(alg, regular, f)
     not_colinear = with_trivial_coaction(alg.hopf, alg)
-    assert replay._carried_iso(member, not_colinear, passed) is None
+    assert not is_colinear_isomorphism(not_colinear, regular, iso)
 
 
 def test_each_full_extension_case_keeps_its_iso_onto_kp():
@@ -684,7 +692,8 @@ def test_each_full_extension_case_keeps_its_iso_onto_kp():
     for case in report.cases:
         a = replay._system("ga_K", 2, case.signs, CTX).g.specialize(
             case.solution, kp)
-        assert case.iso is not None
+        assert case.iso == paper_map_f(kp) @ _sign_change(case.signs)
+        assert is_colinear_isomorphism(a, regular, case.iso)
         assert is_algebra_isomorphism(a, kp, case.iso)
         assert kp.comult @ case.iso \
             == kron(Mat.identity(CTX, 8), case.iso) @ a.coaction
@@ -694,59 +703,72 @@ def test_the_papers_case_holds_the_papers_map_f_as_its_iso(monkeypatch):
     monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
     report = replay_lemma("group-full-extension", CTX)
     assert report.cases[0].signs == _REP_SIGNS
+    assert _sign_change(_REP_SIGNS) == Mat.identity(CTX, 8)
     assert report.cases[0].iso == paper_map_f(build_kp(CTX))
-    # with the sign of f(v1) flipped f is no algebra map: the paper's case
-    # fails, and the member, no longer carried, is searched and passes
-    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
-
-    def flipped(kp):
-        f = paper_map_f(kp)
-        return Mat.from_columns(CTX, [
-            vscale(CTX.scalar(-1), f.col(j)) if j == 4 else f.col(j)
-            for j in range(f.ncols)])
-
-    monkeypatch.setattr(replay, "paper_map_f", flipped)
+    # with the sign of f(v1) flipped f is no algebra map, and neither is f
+    # after the sign change: both cases fail, and nothing is checked on A
+    # or on kp
+    _flip_v1(monkeypatch)
+    calls = _count_full_checks(monkeypatch)
     report = replay_lemma("group-full-extension", CTX)
-    assert [c.ok for c in report.cases] == [False, True]
-    assert report.cases[0].iso is None and not report.passed
+    assert [c.ok for c in report.cases] == [False, False]
+    assert [c.iso for c in report.cases] == [None, None]
+    assert all(c.detail == "specialization failed: not exact/iso"
+               for c in report.cases)
+    assert calls == {**_ONE_REPORT, "check_comodule_algebra": 0,
+                     "check_exactness": 0}
 
 
-def test_a_wrong_sign_change_is_refused_and_the_member_decided_in_full(
-        monkeypatch):
+def test_a_wrong_sign_change_fails_only_the_moved_case(monkeypatch):
     monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
-    want = repr(replay_lemma("group-full-extension", CTX))
-    # the systems stay carried; only the report is formed again, with e_x's
-    # sign flipped in D, which keeps D colinear but not multiplicative
+    want = replay_lemma("group-full-extension", CTX)
+    # the systems stay cached; only the report is formed again, with e_x's
+    # sign flipped in the moved case's D, which keeps D colinear but not
+    # multiplicative
     del replay._REPLAY_CACHE[("group-full-extension", CTX)]
     real = replay._basis_signs
 
     def flipped(g, eps):
         signs = real(g, eps)
-        signs[1] = -signs[1]
+        if eps != (1, 1):
+            signs[1] = -signs[1]
         return signs
 
     monkeypatch.setattr(replay, "_basis_signs", flipped)
     calls = _count_full_checks(monkeypatch)
-    assert repr(replay_lemma("group-full-extension", CTX)) == want
-    assert calls == _decided_in_full(2)
+    report = replay_lemma("group-full-extension", CTX)
+    assert [c.ok for c in report.cases] == [True, False]
+    assert report.cases[0] == want.cases[0]
+    assert report.cases[1].iso is None
+    assert report.cases[1].detail == "specialization failed: not exact/iso"
+    # the moved case's elimination is untouched: only its map failed
+    assert repr(report.cases[1].elimination) \
+        == repr(want.cases[1].elimination)
+    assert calls == _ONE_REPORT
 
 
-def test_a_failed_representative_is_not_carried(monkeypatch):
+# a refused verdict on kp, and the detail that both cases give for it
+_KP_REFUSALS = {
+    "check_comodule_algebra": (lambda a: ["refused for the test"],
+                               "specialization failed: "
+                               "['refused for the test']"),
+    "check_exactness": (lambda a: SimpleNamespace(am_exact=False),
+                        "specialization failed: not exact/iso"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KP_REFUSALS))
+def test_a_refused_kp_check_fails_both_cases(monkeypatch, name):
+    refusal, detail = _KP_REFUSALS[name]
     monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
-    real = replay.check_comodule_algebra
-    seen = []
-
-    def check_comodule_algebra(a):
-        seen.append(a)
-        return ["refused for the test"] if len(seen) == 1 else real(a)
-
-    monkeypatch.setattr(replay, "check_comodule_algebra",
-                        check_comodule_algebra)
+    monkeypatch.setattr(replay, name, refusal)
     calls = _count_full_checks(monkeypatch)
     report = replay_lemma("group-full-extension", CTX)
-    assert [c.ok for c in report.cases] == [False, True]
-    assert report.cases[0].detail.endswith("['refused for the test']")
-    assert calls == _decided_in_full(2)
+    assert [c.ok for c in report.cases] == [False, False]
+    assert [c.iso for c in report.cases] == [None, None]
+    assert [c.detail for c in report.cases] == [detail, detail]
+    # one verdict on kp, read by both cases
+    assert calls == _ONE_REPORT
 
 
 def _is_kp(a):
@@ -769,39 +791,16 @@ def _spy_checked(monkeypatch):
 def test_an_accepted_map_moves_the_checks_onto_kp(monkeypatch):
     monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
     seen = _spy_checked(monkeypatch)
-    calls = _count_full_checks(monkeypatch)
     assert replay_lemma("group-full-extension", CTX).passed
-    assert calls == _decided_in_full(1)
+    # once per report, on the replay's regular kp, not on either A
     assert [name for name, _ in seen] \
         == ["check_comodule_algebra", "check_exactness"]
-    # the replay's regular kp, not A
     assert all(_is_kp(a) for _, a in seen)
-    # with f(v1) negated f is refused, so the paper's case checks A, and the
-    # member, searched, checks kp along the map it found
-    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
-    seen.clear()
-    real = paper_map_f
-
-    def flipped(kp):
-        f = real(kp)
-        return Mat.from_columns(CTX, [
-            vscale(CTX.scalar(-1), f.col(j)) if j == 4 else f.col(j)
-            for j in range(f.ncols)])
-
-    monkeypatch.setattr(replay, "paper_map_f", flipped)
-    report = replay_lemma("group-full-extension", CTX)
-    assert [c.ok for c in report.cases] == [False, True]
-    assert [_is_kp(a) for _, a in seen] \
-        == [False, False, True, True]
-    assert seen[0][1].labels == ("1", "ex", "ey", "exy", "v1", "v2", "w1",
-                                 "w2")
     # the verdicts along the map are each case's own
     regular = regular_comodule_algebra(build_kp(CTX))
     on_kp = (check_comodule_algebra(regular), check_exactness(regular))
     for signs in (_REP_SIGNS, _MEMBER_SIGNS):
-        system = replay._system("ga_K", 2, signs, CTX)
-        a = system.g.specialize(system.elimination(_NORMALISATION).pins,
-                                regular.hopf)
+        a = _specialized(signs, regular.hopf)
         exact = check_exactness(a)
         assert check_comodule_algebra(a) == on_kp[0] == []
         assert (exact.am_exact, exact.coinvariants_dim) \
@@ -1391,6 +1390,27 @@ def test_the_block_patterns_are_derived_once_per_run(monkeypatch):
     for name in ("plain-base-collapse", "diagonal-base-pair-bound"):
         replay_lemma(name, CTX)
     assert calls == [CTX]
+
+
+def test_the_block_patterns_use_the_reference_kp(monkeypatch):
+    regular = regular_comodule_algebra(build_kp(CTX))
+    calls = []
+    real = constructions.build_kp
+
+    def counted(ctx=None):
+        calls.append(ctx)
+        return real(ctx)
+
+    monkeypatch.setattr(constructions, "build_kp", counted)
+    constructions._reference_kp.cache_clear()
+    fusion_fingerprint(regular)
+    patterns = block_patterns(CTX)
+    # the fingerprint's kp check builds the reference kp, and the patterns
+    # are solved over it
+    assert calls == [CTX]
+    assert patterns == block_patterns(FieldContext(4))
+    assert {c for table in patterns.values() for row in table
+            for c in row} == {-1, 0, 1}
 
 
 def test_specialize_over_a_hopf_algebra_that_is_not_kp_is_refused():
