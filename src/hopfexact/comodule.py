@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .algebra import (NOT_ASSOCIATIVE, Algebra, algebra_on_span,
                       check_algebra, is_algebra_morphism, is_associative,
@@ -81,6 +81,10 @@ class ComoduleAlgebra(Algebra):
                 f"{coaction.nrows}x{coaction.ncols}")
         self.hopf = hopf
         self.coaction = coaction
+        # the verdicts of check_comodule_algebra and check_exactness, each
+        # decided once per object
+        self._axiom_problems: Optional[tuple[str, ...]] = None
+        self._exactness = None
 
     def __repr__(self):
         return (f"ComoduleAlgebra(dim={self.dim}, labels={list(self.labels)}, "
@@ -120,16 +124,22 @@ def check_comodule(c: ComoduleLike) -> list[str]:
 
 def check_comodule_algebra(a: ComoduleAlgebra) -> list[str]:
     """The algebra and comodule laws, and that the coaction is a unital
-    algebra map, on A's generators if A and H are associative."""
-    algebra = check_algebra(a)
-    problems = algebra + check_comodule(a)
-    associative = NOT_ASSOCIATIVE not in algebra and is_associative(a.hopf)
-    if not multiplicative_into_tensor(a.coaction, a, a.hopf, a,
-                                      a.generators() if associative else None):
-        problems.append("coaction is not an algebra morphism")
-    if a.coaction.apply(a.unit) != tensor_vec(a.hopf.unit, a.unit):
-        problems.append("coaction does not send the unit to 1 (x) 1")
-    return problems
+    algebra map, on A's generators if A and H are associative.
+
+    The verdict is decided once and stored on ``a``, whose table, coaction
+    and Hopf algebra never change; each call returns a fresh list."""
+    if a._axiom_problems is None:
+        algebra = check_algebra(a)
+        problems = algebra + check_comodule(a)
+        associative = NOT_ASSOCIATIVE not in algebra and is_associative(a.hopf)
+        if not multiplicative_into_tensor(
+                a.coaction, a, a.hopf, a,
+                a.generators() if associative else None):
+            problems.append("coaction is not an algebra morphism")
+        if a.coaction.apply(a.unit) != tensor_vec(a.hopf.unit, a.unit):
+            problems.append("coaction does not send the unit to 1 (x) 1")
+        a._axiom_problems = tuple(problems)
+    return list(a._axiom_problems)
 
 
 # -- invariants and isotypic parts -------------------------------------------

@@ -23,7 +23,6 @@ The recurring cast:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .algebra import Algebra, direct_sum, tensor_product
@@ -59,6 +58,10 @@ def build_klein4(ctx: Optional[FieldContext] = None) -> Hopf:
     return Hopf(ctx, _KLEIN_LABELS, e[0], table, comult, counit, antipode)
 
 
+#: kp per field context, keyed by context equality: :func:`build_kp`
+_KP: dict[FieldContext, Hopf] = {}
+
+
 def build_kp(ctx: Optional[FieldContext] = None) -> Hopf:
     """The eight-dimensional Hopf algebra on basis {1, x, y, xy, z, zx, zy, zxy}.
 
@@ -66,8 +69,14 @@ def build_kp(ctx: Optional[FieldContext] = None) -> Hopf:
     times that group element.  Products follow the normal form
     (z^d g)(h) = z^d (gh)  and  g(z h) = z(phi(g) h), with
     (z g)(z h) = Q phi(g) h  for  Q = (1 + x + y - xy)/2.
+
+    It is built once per context per run: every call with an equal context
+    returns the same object, so the verdicts stored on it and on its
+    regular comodule algebra are decided once.
     """
     ctx = ctx or FieldContext(4)
+    if ctx in _KP:
+        return _KP[ctx]
     n = 8
     e = [basis_vector(ctx, n, j) for j in range(n)]
     half = ctx.scalar(Fraction(1, 2))
@@ -110,20 +119,16 @@ def build_kp(ctx: Optional[FieldContext] = None) -> Hopf:
     counit = [1] * n
     antipode = Mat.from_columns(
         ctx, [e[g] for g in range(4)] + [e[4 + _phi(g)] for g in range(4)])
-    return Hopf(ctx, _KP_LABELS, e[0], table, comult, counit, antipode)
-
-
-@cache
-def _reference_kp(ctx: FieldContext) -> Hopf:
-    """The standard kp over ``ctx``, built once per context."""
-    return build_kp(ctx)
+    h = _KP[ctx] = Hopf(ctx, _KP_LABELS, e[0], table, comult, counit,
+                        antipode)
+    return h
 
 
 def _require_over_kp(c: ComoduleLike) -> None:
     """Raise :class:`~hopfexact.errors.NotOverKp` unless ``c`` is over kp
     itself: the structure of :func:`build_kp`, in its basis order."""
     h = c.hopf
-    reference = _reference_kp(h.ctx)
+    reference = build_kp(h.ctx)
     same = (h.dim == reference.dim and h.table == reference.table
             and h.comult == reference.comult and h.counit == reference.counit
             and h.antipode == reference.antipode)
@@ -191,10 +196,10 @@ def block_patterns(ctx: Optional[FieldContext] = None
     leg s, or of e_g in the product of legs s and t (leg 0 is v, leg 1 is
     w), scaled so that the image of v, or of v (x) v, has first nonzero
     coordinate 1: every entry is then 1, -1 or 0.  Only these integers
-    leave the function, so it solves over the reference kp of the context,
-    built once per context."""
+    leave the function, so it solves over the kp of the context
+    (:func:`build_kp`)."""
     from .morita import colinear_maps
-    h = _reference_kp(ctx or FieldContext(4))
+    h = build_kp(ctx)
     one = h.ctx.one()
     as_int = {one: 1, -one: -1, h.ctx.zero(): 0}
     block = Comodule(h, 2, basis_coaction(h, 2, [], [(0, 1)]))
@@ -223,8 +228,13 @@ def trivial_comodule_algebra_over(h: Hopf) -> ComoduleAlgebra:
 
 def regular_comodule_algebra(h: Hopf) -> ComoduleAlgebra:
     """A Hopf algebra coacting on itself by its own coproduct; over kp this
-    is the eight-dimensional comodule algebra ``kp`` of the catalog."""
-    return ComoduleAlgebra(h, h.labels, h.unit, h.table, h.comult)
+    is the eight-dimensional comodule algebra ``kp`` of the catalog.
+
+    It is built once per Hopf algebra per run and stored on ``h``, so every
+    caller over one kp reads the verdicts decided on one object."""
+    if h._regular is None:
+        h._regular = ComoduleAlgebra(h, h.labels, h.unit, h.table, h.comult)
+    return h._regular
 
 
 def group_algebra_comodule_over(h: Hopf, masks: Sequence[int]

@@ -34,7 +34,7 @@ def costable_operators(a: ComoduleAlgebra) -> list[Mat]:
     return ops
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExactnessVerdict:
     right_h_simple: bool
     coinvariants_dim: int
@@ -67,7 +67,16 @@ def _witness_search(a: ComoduleAlgebra, ops: list[Mat]) -> Optional[Subspace]:
 
 
 def check_exactness(a: ComoduleAlgebra) -> ExactnessVerdict:
-    """Decide right H-simplicity and measure the coinvariants."""
+    """Decide right H-simplicity and measure the coinvariants.
+
+    The verdict is decided once and stored on ``a``, whose table, coaction
+    and Hopf algebra never change; a refusal is not stored."""
+    if a._exactness is None:
+        a._exactness = _decide_exactness(a)
+    return a._exactness
+
+
+def _decide_exactness(a: ComoduleAlgebra) -> ExactnessVerdict:
     ops = costable_operators(a)
     n = a.dim
     coinv_dim = coinvariants(a).dim

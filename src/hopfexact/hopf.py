@@ -49,6 +49,9 @@ class Hopf(Algebra):
         self.comult = comult
         self.counit: Vec = tuple(scal(ctx, c) for c in counit)
         self.antipode = antipode
+        # H coacting on itself, built once by
+        # constructions.regular_comodule_algebra
+        self._regular: Optional[Algebra] = None
 
     def counit_value(self, v: Sequence[FieldElement]) -> FieldElement:
         acc = self.ctx.zero()

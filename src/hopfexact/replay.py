@@ -793,17 +793,16 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
     Along that map A's product, unit and coaction are kp's carried back, so
     each law holds on A exactly when it holds on kp, and a costable subspace
     of one is carried to a costable subspace of the other, as are the
-    coinvariants.  So the axioms and exactness are decided on kp, the
-    replay's ``regular``, once per report, when the first case's map
-    passes.  A case whose map fails is not exact/iso.
+    coinvariants.  So each case whose map passes reads the axioms and
+    exactness of kp, the replay's ``regular``, whose verdicts are stored
+    on it.  A case whose map fails is not exact/iso.
     """
     _require_associative_base("ga_K", ctx)
     cases = []
-    # regular's scalars share ctx with the specialised algebras, so that
-    # their products need no coercion
+    # the one kp of the context and its one regular comodule algebra: the
+    # catalog's kp, whose verdicts an earlier stage may have stored
     regular = regular_comodule_algebra(build_kp(ctx))
     f = paper_map_f(regular)
-    verdict = None
     paper = ((1, 1), (-1, -1))
     for eps in ((1, 1), (1, -1)):
         signs = tuple((eps[0] * a, eps[1] * b) for a, b in paper)
@@ -838,11 +837,8 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
                 ok = is_colinear_isomorphism(algebra, regular, iso)
                 if ok:
                     # along the map the verdicts are kp's
-                    if verdict is None:
-                        verdict = (check_comodule_algebra(regular),
-                                   check_exactness(regular).am_exact)
-                    problems, exact = verdict
-                    ok = not problems and exact
+                    problems = check_comodule_algebra(regular)
+                    ok = not problems and check_exactness(regular).am_exact
                 detail = ("unique solution: the eight-dimensional extension, "
                           "isomorphic to the ambient Hopf algebra as a "
                           "comodule algebra") if ok else \

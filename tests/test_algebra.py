@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hopfexact import constructions
 from hopfexact.algebra import (
     Algebra,
     _trace_form,
@@ -255,6 +256,8 @@ def test_generators_span_a_table_whose_unit_laws_fail():
 
 
 def test_lights_verdict_is_computed_once_per_algebra(monkeypatch):
+    # a kp of its own, which no earlier test can have decided
+    monkeypatch.setattr(constructions, "_KP", {})
     kp, bad = build_kp(QI), Algebra(Q, ("1", "u", "v"), (1, 0, 0),
                                     [[(1, 0, 0), (0, 1, 0), (0, 0, 1)],
                                      [(0, 1, 0), (0, 0, 1), (1, 0, 0)],

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hopfexact import constructions
 from hopfexact.comodule import (
     Comodule,
     ComoduleAlgebra,
@@ -18,6 +19,7 @@ from hopfexact.comodule import (
 from hopfexact.constructions import (
     PSI_STANDARD,
     a_xy_gamma_over,
+    basis_coaction,
     build_kp,
     catalog,
     group_algebra_comodule_over,
@@ -54,7 +56,9 @@ def test_catalog_names_and_dims():
         assert a.dim == EXPECTED_DIMS[name]
 
 
-def test_catalog_builds_every_entry_over_one_kp():
+def test_catalog_builds_every_entry_over_one_kp(monkeypatch):
+    # a kp of its own, which no earlier test can have multiplied
+    monkeypatch.setattr(constructions, "_KP", {})
     cat = catalog(QI)
     kp = cat["kp"].hopf
     assert all(a.hopf is kp for a in cat.values())
@@ -62,6 +66,7 @@ def test_catalog_builds_every_entry_over_one_kp():
     assert all(a._mult_matrix is None for a in [*cat.values(), kp])
     assert all(a.hopf is KP for a in catalog(kp=KP).values())
     # the entries are those of the same builders over a kp built apart
+    monkeypatch.setattr(constructions, "_KP", {})
     for name, built in [
             ("ga_xy", group_algebra_comodule_over(build_kp(QI), (0, 3))),
             ("a_i_xy", a_xy_gamma_over(build_kp(QI), QI.i())),
@@ -96,6 +101,33 @@ def _non_multiplicative_ga_x():
 def test_non_multiplicative_coaction_detected():
     assert check_comodule_algebra(_non_multiplicative_ga_x()) == [
         "coaction is not an algebra morphism"]
+
+
+def test_an_equal_table_with_another_coaction_gets_its_own_verdict():
+    good = CATALOG["ga_x"]
+    # e_x coacted on by z, which is not grouplike: not coassociative
+    bad = ComoduleAlgebra(good.hopf, good.labels, good.unit, good.table,
+                          basis_coaction(good.hopf, 2, [0, 4]))
+    assert check_comodule_algebra(good) == []
+    assert "coaction is not coassociative" in check_comodule_algebra(bad)
+    assert check_comodule_algebra(good) == []
+    # and in the other order, on objects that no call has decided
+    fresh = ComoduleAlgebra(good.hopf, good.labels, good.unit, good.table,
+                            good.coaction)
+    assert (check_comodule_algebra(bad) != []
+            and check_comodule_algebra(fresh) == [])
+
+
+def test_a_changed_problem_list_leaves_the_stored_verdict_alone():
+    bad = _non_multiplicative_ga_x()
+    first = check_comodule_algebra(bad)
+    first.append("noted by the caller")
+    first.clear()
+    assert check_comodule_algebra(bad) == [
+        "coaction is not an algebra morphism"]
+    good = check_comodule_algebra(CATALOG["kp"])
+    good.append("noted by the caller")
+    assert check_comodule_algebra(CATALOG["kp"]) == []
 
 
 def test_non_multiplicative_coaction_detected_in_a_dense_basis():

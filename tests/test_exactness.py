@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from hopfexact import exactness
@@ -6,8 +8,9 @@ from hopfexact.constructions import (
     build_matrix2_trivial,
     catalog,
     comodule_direct_sum,
+    with_trivial_coaction,
 )
-from hopfexact.errors import BadWitness
+from hopfexact.errors import BadWitness, HopfExactError
 from hopfexact.exactness import check_exactness, costable_operators
 from hopfexact.field import FieldContext
 from hopfexact.linalg import Subspace
@@ -24,6 +27,31 @@ def test_every_catalog_entry_is_exact(name):
     assert verdict.am_exact
     assert verdict.method == "burnside"
     assert verdict.witness is None
+
+
+def test_an_equal_table_with_another_coaction_gets_its_own_verdict():
+    ga_k = CATALOG["ga_k"]
+    trivial = with_trivial_coaction(ga_k.hopf, ga_k)
+    assert trivial.table == ga_k.table
+    assert check_exactness(ga_k).am_exact
+    # every element is coinvariant under the trivial coaction, so it is not
+    # exact; the standard seeds find no witness, and the refusal is not
+    # stored, so each call refuses again, and never with ga_k's verdict
+    assert coinvariants(trivial).dim == 4
+    for _ in range(2):
+        with pytest.raises(HopfExactError, match="cannot certify"):
+            check_exactness(trivial)
+    assert trivial._exactness is None
+    assert check_exactness(ga_k).coinvariants_dim == 1
+
+
+def test_the_verdict_is_stored_and_cannot_be_changed():
+    a = comodule_direct_sum(CATALOG["ga_x"], CATALOG["ga_y"])
+    verdict = check_exactness(a)
+    assert check_exactness(a) is verdict
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        verdict.am_exact = True
+    assert not check_exactness(a).am_exact
 
 
 def test_matrix_algebra_with_trivial_coaction_is_not_exact():

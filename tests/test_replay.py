@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hopfexact import constructions, replay
+from hopfexact import algebra, constructions, exactness, morita, replay
 from hopfexact.algebra import (is_algebra_isomorphism,
                                multiplicative_into_tensor)
 from hopfexact.comodule import check_comodule_algebra
@@ -24,7 +24,9 @@ from hopfexact.exactness import check_exactness
 from hopfexact.field import FieldContext, adjoin_sqrt
 from hopfexact.linalg import (Mat, basis_vector, kron, tensor_vec, vadd, vscale,
                               vsub)
-from hopfexact.morita import fusion_fingerprint, is_colinear_isomorphism
+from hopfexact.hopf import check_hopf
+from hopfexact.morita import (colinear_iso_search, fusion_fingerprint,
+                            is_colinear_isomorphism)
 from hopfexact.poly import (Elimination, MultiPoly, _addmul, _addterms,
                             _linear_quotient, _poly, _product_terms,
                             eliminate)
@@ -606,8 +608,8 @@ def test_kp_is_built_once_per_classification(monkeypatch):
 _FULL_CHECKS = ("check_comodule_algebra", "check_exactness",
                 "colinear_iso_search", "paper_map_f")
 # the calls of one report: f formed once, no search, and kp's two verdicts
-# decided once
-_ONE_REPORT = {"check_comodule_algebra": 1, "check_exactness": 1,
+# read by each of the two cases, whose maps pass
+_ONE_REPORT = {"check_comodule_algebra": 2, "check_exactness": 2,
                "colinear_iso_search": 0, "paper_map_f": 1}
 # the signs of the full extension's two cases, the paper's first, and the
 # character of K that takes the paper's signs to each
@@ -744,22 +746,26 @@ def test_a_wrong_sign_change_fails_only_the_moved_case(monkeypatch):
     # the moved case's elimination is untouched: only its map failed
     assert repr(report.cases[1].elimination) \
         == repr(want.cases[1].elimination)
-    assert calls == _ONE_REPORT
+    # kp's verdicts are read by the paper's case alone
+    assert calls == {**_ONE_REPORT, "check_comodule_algebra": 1,
+                     "check_exactness": 1}
 
 
-# a refused verdict on kp, and the detail that both cases give for it
+# a refused verdict on kp, the detail that both cases give for it, and the
+# calls that differ from a passing report's
 _KP_REFUSALS = {
     "check_comodule_algebra": (lambda a: ["refused for the test"],
                                "specialization failed: "
-                               "['refused for the test']"),
+                               "['refused for the test']",
+                               {"check_exactness": 0}),
     "check_exactness": (lambda a: SimpleNamespace(am_exact=False),
-                        "specialization failed: not exact/iso"),
+                        "specialization failed: not exact/iso", {}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_KP_REFUSALS))
 def test_a_refused_kp_check_fails_both_cases(monkeypatch, name):
-    refusal, detail = _KP_REFUSALS[name]
+    refusal, detail, calls_differing = _KP_REFUSALS[name]
     monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
     monkeypatch.setattr(replay, name, refusal)
     calls = _count_full_checks(monkeypatch)
@@ -767,8 +773,9 @@ def test_a_refused_kp_check_fails_both_cases(monkeypatch, name):
     assert [c.ok for c in report.cases] == [False, False]
     assert [c.iso for c in report.cases] == [None, None]
     assert [c.detail for c in report.cases] == [detail, detail]
-    # one verdict on kp, read by both cases
-    assert calls == _ONE_REPORT
+    # each case asks kp for its verdict; exactness is not asked once the
+    # axioms fail
+    assert calls == {**_ONE_REPORT, **calls_differing}
 
 
 def _is_kp(a):
@@ -792,9 +799,9 @@ def test_an_accepted_map_moves_the_checks_onto_kp(monkeypatch):
     monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
     seen = _spy_checked(monkeypatch)
     assert replay_lemma("group-full-extension", CTX).passed
-    # once per report, on the replay's regular kp, not on either A
+    # once per case, on the replay's regular kp, not on either A
     assert [name for name, _ in seen] \
-        == ["check_comodule_algebra", "check_exactness"]
+        == ["check_comodule_algebra", "check_exactness"] * 2
     assert all(_is_kp(a) for _, a in seen)
     # the verdicts along the map are each case's own
     regular = regular_comodule_algebra(build_kp(CTX))
@@ -1392,25 +1399,82 @@ def test_the_block_patterns_are_derived_once_per_run(monkeypatch):
     assert calls == [CTX]
 
 
+def _kp_builds(monkeypatch) -> list:
+    """The contexts of the kp structures built from here on, starting from
+    an empty cache of kp."""
+    builds = []
+    real = constructions.Hopf
+
+    def counted(ctx, labels, *rest):
+        if tuple(labels) == constructions._KP_LABELS:
+            builds.append(ctx)
+        return real(ctx, labels, *rest)
+
+    monkeypatch.setattr(constructions, "Hopf", counted)
+    monkeypatch.setattr(constructions, "_KP", {})
+    return builds
+
+
 def test_the_block_patterns_use_the_reference_kp(monkeypatch):
     regular = regular_comodule_algebra(build_kp(CTX))
-    calls = []
-    real = constructions.build_kp
-
-    def counted(ctx=None):
-        calls.append(ctx)
-        return real(ctx)
-
-    monkeypatch.setattr(constructions, "build_kp", counted)
-    constructions._reference_kp.cache_clear()
+    builds = _kp_builds(monkeypatch)
     fusion_fingerprint(regular)
     patterns = block_patterns(CTX)
-    # the fingerprint's kp check builds the reference kp, and the patterns
-    # are solved over it
-    assert calls == [CTX]
+    # regular's kp is not the cached one, so the fingerprint's kp check
+    # builds the kp of the context, and the patterns are solved over it
+    assert builds == [CTX]
     assert patterns == block_patterns(FieldContext(4))
     assert {c for table in patterns.values() for row in table
             for c in row} == {-1, 0, 1}
+    # the cached kp passes the structural check with no kp built
+    fusion_fingerprint(regular_comodule_algebra(build_kp(FieldContext(4))))
+    assert builds == [CTX]
+
+
+def test_one_kp_per_context_over_a_kp_dim8_and_a_replay_symbolic_pass(
+        monkeypatch):
+    builds = _kp_builds(monkeypatch)
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    # the verdicts of a kp-dim8 pass, over the catalog of a fresh context;
+    # the replay makes a context of its own
+    kp = catalog(FieldContext(4))["kp"]
+    assert check_hopf(kp.hopf) == [] and check_comodule_algebra(kp) == []
+    assert check_exactness(kp).am_exact
+    fusion_fingerprint(kp)
+    assert colinear_iso_search(kp, kp) is not None
+    assert replay_lemma("group-full-extension").passed
+    assert builds == [CTX]
+    # a replay-symbolic pass, from a run of its own
+    builds.clear()
+    monkeypatch.setattr(constructions, "_KP", {})
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    catalog(FieldContext(4))
+    for name in replay_names():
+        if name != "group-full-extension":
+            assert replay_lemma(name).passed
+    classify_n2_le_1()
+    assert builds == [CTX]
+
+
+def test_the_full_extension_reads_the_exactness_verdict_of_the_pass(
+        monkeypatch):
+    monkeypatch.setattr(constructions, "_KP", {})
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    closures = []
+    real = algebra.generated_operator_algebra
+
+    def counted(gens, *args, **kwargs):
+        closures.append(len(gens))
+        return real(gens, *args, **kwargs)
+
+    for module in (algebra, exactness, morita, replay):
+        if hasattr(module, "generated_operator_algebra"):
+            monkeypatch.setattr(module, "generated_operator_algebra", counted)
+    kp = catalog(CTX)["kp"]
+    assert check_exactness(kp).am_exact
+    assert replay_lemma("group-full-extension").passed
+    # the replay's kp is the catalog's, whose verdict is already decided
+    assert closures == [16]
 
 
 def test_specialize_over_a_hopf_algebra_that_is_not_kp_is_refused():
