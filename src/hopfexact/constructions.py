@@ -425,13 +425,11 @@ def build_bimodule_V(target: str, ctx: Optional[FieldContext] = None
     return RightComodModule(b, 2, basis_coaction(h, 2, [], [(0, 1)]), action)
 
 
-def catalog(ctx: Optional[FieldContext] = None, kp: Optional[Hopf] = None
-            ) -> dict[str, ComoduleAlgebra]:
+def catalog(ctx: Optional[FieldContext] = None) -> dict[str, ComoduleAlgebra]:
     """All the built-in comodule algebras, keyed by their short names.
 
-    Every entry coacts under one kp: ``kp`` when given (its context is
-    used), else kp built once over ``ctx``."""
-    h = kp or build_kp(ctx)
+    Every entry coacts under the context's one kp (:func:`build_kp`)."""
+    h = build_kp(ctx)
     return {
         "k": trivial_comodule_algebra_over(h),
         "ga_x": group_algebra_comodule_over(h, (0, 1)),

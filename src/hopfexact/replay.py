@@ -33,18 +33,18 @@ fourth roots of unity keep everything linear, and a system that still needs
 nonlinear reasoning raises :class:`~hopfexact.errors.NonlinearResidue` rather
 than guessing.
 
-The characters of K act on the two-block sign cases over ga_K and kpsi, and
-the 16 cases form 4 orbits of 4 (the paper's "without loss of generality";
-McKay, J. Algorithms 26, 1998).  The replays build and eliminate one system
-per orbit, its first case.  Every other member's constraints and
-eliminations are carried from it by exact sign changes, once a check has
-shown that the member's own table is the representative's under the
-character (the equivariance is checked, not assumed: Gatermann, LNM 1728,
-2000).  A member that fails the check is built directly, and every case's
-certificates are checked again against its own constraints.  The full
-extension's second case is the paper's moved by a character, and its map
-onto kp is the paper's f after that character's sign change, checked to be
-a colinear algebra isomorphism.
+The characters of K act on the sign cases over ga_K and kpsi: the 16
+two-block cases form 4 orbits of 4, and the 4 one-block cases one orbit (the
+paper's "without loss of generality"; McKay, J. Algorithms 26, 1998).
+``_system`` builds one system per orbit, its first case.  Every other
+member's constraints and eliminations are carried from it by exact sign
+changes, once a check has shown that the member's own table is the
+representative's under the character (the equivariance is checked, not
+assumed: Gatermann, LNM 1728, 2000).  A member that fails the check is built
+directly, and every case's certificates are checked again against its own
+constraints.  The full extension's second case is the paper's moved by a
+character, and its map onto kp is the paper's f after that character's sign
+change, checked to be a colinear algebra isomorphism.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from .constructions import (PSI_STANDARD, basis_coaction, block_patterns,
 from .errors import HopfExactError, InvalidKind, NonlinearResidue
 from .exactness import check_exactness
 from .field import FieldContext, FieldElement
-from .hopf import Hopf
 from .linalg import Mat, basis_vector
 from .morita import colinear_iso_search, is_colinear_isomorphism
 from .poly import (Certificate, Elimination, MultiPoly, _addmul, _addterms,
@@ -121,11 +120,10 @@ class GenericExtension:
         return self.base_dim + self.n2 + (i - 1)
 
     def specialize(self, values: Mapping[str, Union[FieldElement, int,
-                                                    Fraction]],
-                   hopf: Hopf) -> ComoduleAlgebra:
+                                                    Fraction]]
+                   ) -> ComoduleAlgebra:
         """Substitute concrete values for every symbol and build the algebra
-        over ``hopf``, which must be kp over the same context (with blocks,
-        any other Hopf algebra raises :class:`~hopfexact.errors.NotOverKp`)."""
+        over ``build_kp(self.ctx)``, the context's one kp."""
         ctx, zero = self.ctx, self.ctx.zero()
         assignment = {name: val if isinstance(val, FieldElement)
                       else ctx.scalar(val) for name, val in values.items()}
@@ -146,6 +144,7 @@ class GenericExtension:
             table.append(new_row)
         # the coaction does not depend on the values: the base elements are
         # graded by their masks, and each v_i, w_i is a block
+        hopf = build_kp(ctx)
         coaction = basis_coaction(
             hopf, self.dim, _BASE_MASKS[self.kind],
             [(self.v_index(i), self.w_index(i))
@@ -398,15 +397,6 @@ def associativity_constraints(g: GenericExtension) -> list[MultiPoly]:
                         seen.add(key)
                         out.append(norm)
     return out
-
-
-def _require_associative_base(kind: str, ctx: FieldContext) -> None:
-    """Refuse a base kind whose own table is not associative: over such a
-    base every case of a replay would hold vacuously, on the base's own
-    contradiction, and prove nothing about the blocks."""
-    if associativity_constraints(generic_extension(kind, 0, None, ctx)):
-        raise HopfExactError(
-            f"base kind {kind!r} is not associative on its own")
 
 
 # -- certified vanishing -------------------------------------------------------
@@ -685,19 +675,22 @@ def _carried_system(rep: _System, g: GenericExtension, eps
 
 
 def _system(kind: str, n2: int, signs, ctx: FieldContext) -> _System:
-    """The system of one sign case, built once per run: it is kept in
-    ``_REPLAY_CACHE`` under the key ``(kind, n2, signs, ctx)``.
+    """The system of one sign case, built once per run and kept in
+    ``_REPLAY_CACHE`` under ``(kind, n2, signs, ctx)``: the one place where
+    this module builds a generic extension and its constraints.  Blocks
+    over a base kind whose own system has constraints are refused: every
+    case would hold vacuously, on the base's own contradiction.
 
     Only the representative of each orbit of sign assignments under the
     characters of K (:func:`_representative`) is built and eliminated.
     Every other member is carried from it by exact sign changes, after a
     check that the member's own table is the representative's under the
-    character; a member that fails the check is built directly.  The base
-    checks and the one-block systems of :func:`classify_n2_le_1` do not go
-    through it: they are built afresh on every call, so a changed table is
-    always seen."""
+    character; a member that fails the check is built directly."""
     key = (kind, n2, signs, ctx)
     if key not in _REPLAY_CACHE:
+        if n2 and _system(kind, 0, None, ctx).constraints:
+            raise HopfExactError(
+                f"base kind {kind!r} is not associative on its own")
         g = generic_extension(kind, n2, signs, ctx)
         system = None
         rep_signs = _representative(kind, n2, signs) if signs else signs
@@ -733,8 +726,6 @@ def _vanishing_replay(name: str, conclusion: str, forced_detail: str,
     orbit when the characters fix its hypotheses, as every variant here
     does, and once per case otherwise.
     """
-    for kind in dict.fromkeys(kind for kind, _, _ in cases):
-        _require_associative_base(kind, ctx)
     out = []
     for kind, signs, variants in cases:
         system = _system(kind, 2, signs, ctx)
@@ -797,7 +788,6 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
     exactness of kp, the replay's ``regular``, whose verdicts are stored
     on it.  A case whose map fails is not exact/iso.
     """
-    _require_associative_base("ga_K", ctx)
     cases = []
     # the one kp of the context and its one regular comodule algebra: the
     # catalog's kp, whose verdicts an earlier stage may have stored
@@ -829,7 +819,7 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
             missing -= set(solution)
             ok = not missing
             if ok:
-                algebra = g.specialize(solution, regular.hopf)
+                algebra = g.specialize(solution)
                 d = _basis_signs(g, eps)
                 iso = f @ Mat(ctx, [[s if i == j else 0 for j in range(g.dim)]
                                     for i, s in enumerate(d)])
@@ -918,10 +908,11 @@ _REPLAYS = {
     "group-full-extension": _full_extension_report,
 }
 
-# replay reports under (name, ctx), the sign-case systems of _system under
-# (kind, n2, signs, ctx) and generic_extension's block patterns under
-# ("block patterns", ctx): one cache, so that a check for a cold cache and a
-# reset of the cache cover all three
+# replay reports under (name, ctx), the systems of _system, those of the
+# replays and of classify_n2_le_1, under (kind, n2, signs, ctx) and
+# generic_extension's block patterns under ("block patterns", ctx): one
+# cache, so that a check for a cold cache and a reset of the cache cover all
+# three; a test that changes a table empties it first
 _REPLAY_CACHE: dict[tuple, Union[ReplayReport, _System, dict]] = {}
 
 
@@ -965,29 +956,28 @@ def classify_n2_le_1(ctx: Optional[FieldContext] = None
     For every base kind and n2 in {0, 1} the associativity constraints are
     solved exactly, under the scale normalization alpha_11 = 1 (one block
     generator can always be rescaled; families differing only by that scale
-    are identified).  Solutions related by a colinear isomorphism are merged
-    into a single family.  The result is checked two ways before returning:
-    every family specializes to an algebra that passes the comodule-algebra
-    axioms and is exact, and the families are in bijection with the built-in
-    catalog entries of dimension below eight.
+    are identified).  Over ga_K and kpsi the four one-block sign cases are
+    one orbit, of which :func:`_system` builds one and carries three.
+    Solutions related by a colinear isomorphism are merged into a single
+    family.  The result is checked two ways before returning: every family
+    specializes to an algebra that passes the comodule-algebra axioms and is
+    exact, and the families are in bijection with the built-in catalog
+    entries of dimension below eight.
     """
     ctx = ctx or FieldContext(4)
-    kp = build_kp(ctx)
+    scale = MultiPoly.var(ctx, "alpha_11") - 1
     families: list[SolutionFamily] = []
     for kind in KINDS:
-        _require_associative_base(kind, ctx)
-        base_algebra = generic_extension(kind, 0, None, ctx).specialize({}, kp)
         families.append(SolutionFamily(
             kind=kind, n2=0, signs=None, constants={}, presentations=({},),
-            algebra=base_algebra, catalog_match=""))
+            algebra=_system(kind, 0, None, ctx).g.specialize({}),
+            catalog_match=""))
         # one block
         found: list[tuple] = []
         for signs in _sign_cases(kind, 1):
-            g = generic_extension(kind, 1, signs, ctx)
-            cons = associativity_constraints(g)
-            normalized = cons + [MultiPoly.var(ctx, "alpha_11") - 1]
-            for sol in concrete_solutions(normalized, ctx):
-                found.append((signs, sol, g.specialize(sol, kp)))
+            system = _system(kind, 1, signs, ctx)
+            for sol in concrete_solutions(system.constraints + [scale], ctx):
+                found.append((signs, sol, system.g.specialize(sol)))
         # merge presentations of isomorphic algebras into one family each
         groups: list[list[tuple]] = []
         for item in found:
@@ -1021,7 +1011,7 @@ def classify_n2_le_1(ctx: Optional[FieldContext] = None
             f"classification shape {sorted(shape)} does not match the "
             f"expected list {sorted(expected)}")
     # bijection against the catalog entries of dimension < 8
-    cat = {k: v for k, v in catalog(ctx, kp).items() if v.dim < 8}
+    cat = {k: v for k, v in catalog(ctx).items() if v.dim < 8}
     matched: dict[str, str] = {}
     final: list[SolutionFamily] = []
     for fam in families:

@@ -276,7 +276,7 @@ def test_lights_verdict_is_computed_once_per_algebra(monkeypatch):
     assert {id(a) for a in lefts} == {id(kp), id(bad)}
     lefts.clear()
     # the comodule check of an entry over kp reads kp's verdict
-    assert check_comodule_algebra(catalog(QI, kp)["ga_x"]) == []
+    assert check_comodule_algebra(catalog(QI)["ga_x"]) == []
     assert all(a is not kp for a in lefts)
 
 

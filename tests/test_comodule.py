@@ -20,6 +20,7 @@ from hopfexact.constructions import (
     PSI_STANDARD,
     a_xy_gamma_over,
     basis_coaction,
+    build_klein4,
     build_kp,
     catalog,
     group_algebra_comodule_over,
@@ -30,6 +31,7 @@ from hopfexact.errors import (
     BadWitness,
     GammaNotPrimitiveFourthRoot,
     NotACocycle,
+    NotOverKp,
 )
 from hopfexact.algebra import is_algebra_isomorphism, tensor_product
 from hopfexact.field import FieldContext, FieldElement, adjoin_sqrt
@@ -64,7 +66,8 @@ def test_catalog_builds_every_entry_over_one_kp(monkeypatch):
     assert all(a.hopf is kp for a in cat.values())
     # nothing multiplied yet: a pass that starts from this catalog starts cold
     assert all(a._mult_matrix is None for a in [*cat.values(), kp])
-    assert all(a.hopf is KP for a in catalog(kp=KP).values())
+    # a second catalog over the context builds over the same kp
+    assert all(a.hopf is kp for a in catalog(QI).values())
     # the entries are those of the same builders over a kp built apart
     monkeypatch.setattr(constructions, "_KP", {})
     for name, built in [
@@ -329,6 +332,12 @@ def test_gamma_must_be_a_primitive_fourth_root():
     assert check_comodule_algebra(other) == []
 
 
+def test_a_block_over_a_hopf_algebra_that_is_not_kp_is_refused():
+    # basis_coaction's own check: a_i_xy's block needs kp's basis
+    with pytest.raises(NotOverKp):
+        a_xy_gamma_over(build_klein4(QI), QI.i())
+
+
 def test_group_algebra_builder_needs_a_subgroup():
     with pytest.raises(ValueError):
         group_algebra_comodule_over(build_kp(QI), (0, 1, 2))
@@ -414,7 +423,7 @@ def test_phi_embed_rebuilds_the_papers_map_f():
     case = replay_lemma("group-full-extension", QI).cases[0]
     assert case.signs == ((1, 1), (-1, -1))
     a = generic_extension("ga_K", 2, case.signs, QI).specialize(
-        case.solution, KP)
+        case.solution)
     f = _paper_f(QI.scalar(-1))
     counit_of_f = [KP.counit_value(f.col(j)) for j in range(a.dim)]
     assert phi_embed(a, counit_of_f).matrix == f

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -15,11 +16,11 @@ from hopfexact.algebra import (is_algebra_isomorphism,
                                multiplicative_into_tensor)
 from hopfexact.comodule import check_comodule_algebra
 from hopfexact.constructions import (PSI_STANDARD, block_patterns,
-                                     build_bimodule_V, build_klein4, build_kp,
+                                     build_bimodule_V, build_kp,
                                      catalog, paper_map_f,
                                      regular_comodule_algebra,
                                      with_trivial_coaction)
-from hopfexact.errors import HopfExactError, NonlinearResidue, NotOverKp
+from hopfexact.errors import HopfExactError, NonlinearResidue
 from hopfexact.exactness import check_exactness
 from hopfexact.field import FieldContext, adjoin_sqrt
 from hopfexact.linalg import (Mat, basis_vector, kron, tensor_vec, vadd, vscale,
@@ -406,6 +407,31 @@ def test_vanishing_replays_build_and_eliminate_each_system_once(monkeypatch):
     assert _carried_count(replay._REPLAY_CACHE) == 24
 
 
+def test_every_system_of_a_replay_symbolic_pass_is_built_by_system(
+        monkeypatch):
+    # the seven vanishing replays and the classification from a cold cache:
+    # each base kind's system is built once and shared by the base checks
+    # and the classification's base algebras, and over ga_K and kpsi the
+    # four one-block sign cases are one orbit, so one is built and three
+    # are carried
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    built, callers = [], set()
+    for name in ("generic_extension", "associativity_constraints"):
+        def wrapper(*args, _real=getattr(replay, name), _name=name):
+            callers.add((_name, sys._getframe(1).f_code.co_name))
+            if _name == "associativity_constraints":
+                built.append(args[0].n2)
+            return _real(*args)
+        monkeypatch.setattr(replay, name, wrapper)
+    for name in sorted(_VACUOUS):
+        replay_lemma(name, CTX)
+    classify_n2_le_1(CTX)
+    assert sorted(built) == [0] * 6 + [1] * 6 + [2] * 12
+    assert _carried_count(replay._REPLAY_CACHE) == 30
+    assert callers == {("generic_extension", "_system"),
+                       ("associativity_constraints", "_system")}
+
+
 def _carried_count(cache):
     """The systems in a replay cache carried from an orbit representative."""
     return sum(isinstance(s, replay._System) and s.source is not None
@@ -474,14 +500,15 @@ def test_a_swapped_action_is_refused_where_it_differs(monkeypatch):
 
 @pytest.fixture(scope="module")
 def refused_run():
-    """Every replay under an action that leaves the symbols unsigned.  The
-    table check refuses it on every member, so every system is built and
-    eliminated directly, as without the orbit path.  Holds the reports'
-    reprs by name, the replay cache, and the systems built, the
-    eliminations run and the kp built by the replays."""
-    run = SimpleNamespace(cache={}, built=[], eliminations=[], kp=[])
-    real_constraints, real_eliminate, real_kp = (
-        replay.associativity_constraints, replay.eliminate, replay.build_kp)
+    """Every replay and the classification under an action that leaves the
+    symbols unsigned.  The table check refuses it on every member, so every
+    system is built and eliminated directly, as without the orbit path.
+    Holds the reports' reprs by name, the classification's repr, the replay
+    cache, and the two-block systems built, the eliminations run and the kp
+    structures built by the replays and the classification."""
+    run = SimpleNamespace(cache={}, built=[], eliminations=[])
+    real_constraints, real_eliminate = (replay.associativity_constraints,
+                                        replay.eliminate)
 
     def constraints(g):
         if g.n2 == 2:
@@ -492,18 +519,15 @@ def refused_run():
         run.eliminations.append(len(rows))
         return real_eliminate(rows)
 
-    def build_kp(ctx=None):
-        run.kp.append(ctx)
-        return real_kp(ctx)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(replay, "_REPLAY_CACHE", run.cache)
         mp.setattr(replay, "_symbol_mask", lambda name: 0)
         mp.setattr(replay, "associativity_constraints", constraints)
         mp.setattr(replay, "eliminate", eliminate)
-        mp.setattr(replay, "build_kp", build_kp)
+        run.kp = _kp_builds(mp)
         run.reports = {name: repr(replay_lemma(name, CTX))
                        for name in replay_names()}
+        run.classified = repr(classify_n2_le_1(CTX))
     return run
 
 
@@ -512,14 +536,18 @@ def test_a_refused_action_builds_every_system_directly(refused_run):
     # the 44 of the vanishing replays and the full extension's two
     assert len(refused_run.eliminations) == 46
     assert _carried_count(refused_run.cache) == 0
-    # the full extension builds one kp, its regular algebra's, and
-    # specialises over it
+    # one kp is built, the full extension's regular algebra's, and every
+    # specialisation is over it
     assert refused_run.kp == [CTX]
 
 
 @pytest.mark.parametrize("name", replay_names())
 def test_reports_match_the_direct_build(refused_run, name):
     assert repr(replay_lemma(name, CTX)) == refused_run.reports[name]
+
+
+def test_the_classification_matches_the_direct_build(refused_run):
+    assert repr(classify_n2_le_1(CTX)) == refused_run.classified
 
 
 def _terms(polys):
@@ -538,13 +566,16 @@ _ALL_VARIANT_ORBITS = (((1, 1), (-1, 1)), ((1, 1), (-1, -1)))
 
 @pytest.mark.parametrize("kind", ["ga_K", "kpsi"])
 def test_carried_systems_match_the_direct_build(refused_run, kind):
+    # the two-block members of the replays, and the one-block members of
+    # the classification with its normalisation
     direct_cache = refused_run.cache
     carried = 0
-    for signs in replay._sign_cases(kind, 2):
-        direct = direct_cache[(kind, 2, signs, CTX)]
-        system = replay._system(kind, 2, signs, CTX)
+    for n2, signs in [(n2, signs) for n2 in (1, 2)
+                      for signs in replay._sign_cases(kind, n2)]:
+        direct = direct_cache[(kind, n2, signs, CTX)]
+        system = replay._system(kind, n2, signs, CTX)
         assert direct.source is None
-        if replay._representative(kind, 2, signs) == signs:
+        if replay._representative(kind, n2, signs) == signs:
             assert system.source is None
             continue
         carried += 1
@@ -552,14 +583,16 @@ def test_carried_systems_match_the_direct_build(refused_run, kind):
         assert system.source[1] == _character(signs, rep_signs)
         # the same constraints, term order included
         assert _terms(system.constraints) == _terms(direct.constraints)
-        for hyps in [()] + _VARIANTS * (rep_signs in _ALL_VARIANT_ORBITS):
+        variants = [(MultiPoly.var(CTX, "alpha_11") - 1,)] if n2 == 1 \
+            else _VARIANTS * (rep_signs in _ALL_VARIANT_ORBITS)
+        for hyps in [()] + variants:
             got, want = system.elimination(hyps), direct.elimination(hyps)
             assert list(got.pins.items()) == list(want.pins.items())
             assert got.certificates == want.certificates
             assert _terms(got.residual) == _terms(want.residual)
             assert got.contradiction == want.contradiction
             assert got.contradiction_value == want.contradiction_value
-    assert carried == 12
+    assert carried == 3 + 12
 
 
 def test_a_hypothesis_the_character_moves_is_eliminated_directly(monkeypatch):
@@ -581,16 +614,9 @@ def test_a_hypothesis_the_character_moves_is_eliminated_directly(monkeypatch):
 
 
 def test_kp_is_built_once_per_classification(monkeypatch):
-    calls = []
-    real = replay.build_kp
-
-    def build_kp(ctx=None):
-        calls.append(ctx)
-        return real(ctx)
-
-    monkeypatch.setattr(replay, "build_kp", build_kp)
+    builds = _kp_builds(monkeypatch)
     families = classify_n2_le_1(CTX)
-    assert calls == [CTX]
+    assert builds == [CTX]
     assert [(f.kind, f.n2, f.signs, f.catalog_match) for f in families] == [
         ("trivial", 0, None, "k"), ("ga_x", 0, None, "ga_x"),
         ("ga_y", 0, None, "ga_y"), ("ga_xy", 0, None, "ga_xy"),
@@ -639,10 +665,10 @@ def _sign_change(signs):
                      for i, s in enumerate(d)])
 
 
-def _specialized(signs, hopf):
+def _specialized(signs):
     """The specialised algebra A of a full-extension case."""
     system = replay._system("ga_K", 2, signs, CTX)
-    return system.g.specialize(system.elimination(_NORMALISATION).pins, hopf)
+    return system.g.specialize(system.elimination(_NORMALISATION).pins)
 
 
 def _flip_v1(monkeypatch):
@@ -672,7 +698,7 @@ def test_a_cold_full_extension_decides_one_case_in_full(monkeypatch):
 
 def test_the_carried_iso_is_a_colinear_algebra_isomorphism_onto_kp():
     regular = regular_comodule_algebra(build_kp(CTX))
-    alg = _specialized(_MEMBER_SIGNS, regular.hopf)
+    alg = _specialized(_MEMBER_SIGNS)
     f = paper_map_f(regular)
     iso = f @ _sign_change(_MEMBER_SIGNS)
     assert is_colinear_isomorphism(alg, regular, iso)
@@ -693,7 +719,7 @@ def test_each_full_extension_case_keeps_its_iso_onto_kp():
     assert [c.signs for c in report.cases] == [_REP_SIGNS, _MEMBER_SIGNS]
     for case in report.cases:
         a = replay._system("ga_K", 2, case.signs, CTX).g.specialize(
-            case.solution, kp)
+            case.solution)
         assert case.iso == paper_map_f(kp) @ _sign_change(case.signs)
         assert is_colinear_isomorphism(a, regular, case.iso)
         assert is_algebra_isomorphism(a, kp, case.iso)
@@ -807,7 +833,7 @@ def test_an_accepted_map_moves_the_checks_onto_kp(monkeypatch):
     regular = regular_comodule_algebra(build_kp(CTX))
     on_kp = (check_comodule_algebra(regular), check_exactness(regular))
     for signs in (_REP_SIGNS, _MEMBER_SIGNS):
-        a = _specialized(signs, regular.hopf)
+        a = _specialized(signs)
         exact = check_exactness(a)
         assert check_comodule_algebra(a) == on_kp[0] == []
         assert (exact.am_exact, exact.coinvariants_dim) \
@@ -845,7 +871,7 @@ def _dense_specialize(g, values, h):
 
 def test_catalog_coactions_match_the_dense_build():
     kp = build_kp(CTX)
-    cat = catalog(CTX, kp)
+    cat = catalog(CTX)
     e = [basis_vector(CTX, 4, j) for j in range(4)]
     graded = {"k": (0,), "ga_x": (0, 1), "ga_y": (0, 2), "ga_xy": (0, 3),
               "ga_k": (0, 1, 2, 3), "kpsi": (0, 1, 2, 3)}
@@ -871,7 +897,7 @@ def test_specialisations_match_the_dense_build(kind):
             g = generic_extension(kind, n2, signs or None, CTX)
             values = {name: CTX.scalar(rng.randint(-3, 3))
                       for name in g.unknowns + g.action_symbols}
-            a = g.specialize(values, kp)
+            a = g.specialize(values)
             table, coaction = _dense_specialize(g, values, kp)
             assert [[list(vec) for vec in row] for row in a.table] == table
             assert a.coaction == coaction
@@ -1090,6 +1116,7 @@ _ONE_BLOCK = [((1, 1),), ((1, -1),), ((-1, 1),), ((-1, -1),)]
 
 
 def test_classification_runs_every_one_block_sign_case(monkeypatch):
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
     calls = []
     real = replay.generic_extension
 
@@ -1348,7 +1375,7 @@ def test_the_derived_extension_is_the_hand_written_one(kind, ctx):
     assert count == (85 if kind in ("ga_K", "kpsi") else 4)
 
 
-def _coaction_is_multiplicative(kind, kp):
+def _coaction_is_multiplicative(kind):
     """Whether a seeded specialisation of every generic extension of
     ``kind`` with one or two blocks has a multiplicative coaction."""
     rng = random.Random(kind)
@@ -1356,15 +1383,15 @@ def _coaction_is_multiplicative(kind, kp):
         for signs in _sign_cases(kind, n2):
             g = generic_extension(kind, n2, signs, CTX)
             a = g.specialize({name: rng.randint(1, 9) for name
-                              in g.unknowns + g.action_symbols}, kp)
-            if not multiplicative_into_tensor(a.coaction, a, kp, a, None):
+                              in g.unknowns + g.action_symbols})
+            if not multiplicative_into_tensor(a.coaction, a, a.hopf, a, None):
                 return False
     return True
 
 
 @pytest.mark.parametrize("kind", replay.KINDS)
 def test_every_generic_extension_has_a_colinear_product(kind):
-    assert _coaction_is_multiplicative(kind, build_kp(CTX))
+    assert _coaction_is_multiplicative(kind)
 
 
 # the w-side sign of every pattern that a generic extension reads: the
@@ -1379,8 +1406,7 @@ def test_a_flipped_pattern_breaks_the_colinearity(monkeypatch, key):
     w_image = block_patterns(CTX)[key][1]
     _flip_pattern(monkeypatch, key, 1, w_image.index(next(filter(None,
                                                                 w_image))))
-    kp = build_kp(CTX)
-    assert not all(_coaction_is_multiplicative(kind, kp)
+    assert not all(_coaction_is_multiplicative(kind)
                    for kind in replay.KINDS)
 
 
@@ -1475,13 +1501,6 @@ def test_the_full_extension_reads_the_exactness_verdict_of_the_pass(
     assert replay_lemma("group-full-extension").passed
     # the replay's kp is the catalog's, whose verdict is already decided
     assert closures == [16]
-
-
-def test_specialize_over_a_hopf_algebra_that_is_not_kp_is_refused():
-    g = generic_extension("ga_xy", 1, None, CTX)
-    values = dict.fromkeys(g.unknowns + g.action_symbols, 1)
-    with pytest.raises(NotOverKp):
-        g.specialize(values, build_klein4(CTX))
 
 
 # flipping any one entry of the twisted base's cocycle makes the base itself
