@@ -6,7 +6,9 @@ H (x) V, with the Hopf leg on the coarse index.  The comodule laws are
 identities of sparse matrices (:func:`~hopfexact.hopf.coaction_laws`), and
 the multiplicativity of a coaction, a product of two tensor legs, goes
 through :func:`~hopfexact.algebra.tensor_product`, on A's generators once A
-and H are associative.
+and H are associative.  The class :class:`ComoduleAlgebra` is defined in
+:mod:`hopfexact.hopf`, as a Hopf algebra is its own regular comodule
+algebra.
 
 The module also reads off the isotypic parts of a coaction, the vectors v
 with coaction(v) = g (x) v for a fixed g of H.  Last come the map (id (x)
@@ -22,14 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .algebra import (NOT_ASSOCIATIVE, Algebra, algebra_on_span,
+from .algebra import (NOT_ASSOCIATIVE, algebra_on_span,
                       check_algebra, is_algebra_morphism, is_associative,
                       multiplicative_into_tensor)
 from .errors import BadWitness, DimensionMismatch, HopfExactError
 from .field import FieldContext, FieldElement
-from .hopf import Hopf, coaction_laws, rebase_hopf
+from .hopf import ComoduleAlgebra, Hopf, coaction_laws, rebase_hopf
 from .linalg import (
     Mat,
     Row,
@@ -68,27 +70,6 @@ class Comodule:
 
     def __repr__(self):
         return f"Comodule(dim={self.dim} over Hopf dim={self.hopf.dim})"
-
-
-class ComoduleAlgebra(Algebra):
-    """An algebra in the category of left H-comodules."""
-
-    def __init__(self, hopf: Hopf, labels, unit, table, coaction: Mat):
-        super().__init__(hopf.ctx, labels, unit, table)
-        if coaction.nrows != hopf.dim * self.dim or coaction.ncols != self.dim:
-            raise DimensionMismatch(
-                f"coaction must be {hopf.dim * self.dim}x{self.dim}, got "
-                f"{coaction.nrows}x{coaction.ncols}")
-        self.hopf = hopf
-        self.coaction = coaction
-        # the verdicts of check_comodule_algebra and check_exactness, each
-        # decided once per object
-        self._axiom_problems: Optional[tuple[str, ...]] = None
-        self._exactness = None
-
-    def __repr__(self):
-        return (f"ComoduleAlgebra(dim={self.dim}, labels={list(self.labels)}, "
-                f"over Hopf dim={self.hopf.dim})")
 
 
 ComoduleLike = Comodule | ComoduleAlgebra

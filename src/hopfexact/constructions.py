@@ -12,10 +12,11 @@ The recurring cast:
   group algebra of K by an element z with  z**2 = (1 + x + y - xy)/2,
   x*z = z*y,  y*z = z*x, and the mixing coproduct
   2*comult(z) = (z + zx) (x) z + (z - zx) (x) zy.
-* one builder per catalog entry, each over the kp it is given:
-  ``trivial_comodule_algebra_over`` (k), ``group_algebra_comodule_over``
-  (the ga_*), ``a_xy_gamma_over`` (a_i_xy), ``regular_comodule_algebra``
-  (kp) and ``twisted_group_algebra_over`` (kpsi); ``catalog`` calls each.
+* one builder per catalog entry: ``trivial_comodule_algebra_over`` (k),
+  ``group_algebra_comodule_over`` (the ga_*), ``a_xy_gamma_over`` (a_i_xy)
+  and ``twisted_group_algebra_over`` (kpsi), each over the kp it is given,
+  and ``build_kp`` (kp, its own regular comodule algebra); ``catalog``
+  calls each.
 * ``block_patterns`` — the signs that colinearity forces on the products
   of kp's two-dimensional block with grouplikes and with itself.
 """
@@ -31,7 +32,7 @@ from .comodule import (Comodule, ComoduleAlgebra, ComoduleLike,
 from .errors import (DimensionMismatch, GammaNotPrimitiveFourthRoot,
                      NotACocycle, NotOverKp)
 from .field import FieldContext, FieldElement
-from .hopf import Hopf
+from .hopf import Hopf, same_hopf
 from .linalg import (Mat, Scalar, Vec, basis_vector, tensor_vec, vadd, vscale,
                      vsub, vzero)
 
@@ -71,8 +72,9 @@ def build_kp(ctx: Optional[FieldContext] = None) -> Hopf:
     (z g)(z h) = Q phi(g) h  for  Q = (1 + x + y - xy)/2.
 
     It is built once per context per run: every call with an equal context
-    returns the same object, so the verdicts stored on it and on its
-    regular comodule algebra are decided once.
+    returns the same object, so the verdicts stored on it are decided once.
+    It coacts on itself by its coproduct, so it is also the catalog's
+    comodule algebra ``kp``.
     """
     ctx = ctx or FieldContext(4)
     if ctx in _KP:
@@ -127,12 +129,7 @@ def build_kp(ctx: Optional[FieldContext] = None) -> Hopf:
 def _require_over_kp(c: ComoduleLike) -> None:
     """Raise :class:`~hopfexact.errors.NotOverKp` unless ``c`` is over kp
     itself: the structure of :func:`build_kp`, in its basis order."""
-    h = c.hopf
-    reference = build_kp(h.ctx)
-    same = (h.dim == reference.dim and h.table == reference.table
-            and h.comult == reference.comult and h.counit == reference.counit
-            and h.antipode == reference.antipode)
-    if not same:
+    if not same_hopf(c.hopf, build_kp(c.hopf.ctx)):
         raise NotOverKp(
             "this needs the 8-dimensional Hopf algebra kp with its standard "
             "basis order")
@@ -224,17 +221,6 @@ def trivial_comodule_algebra_over(h: Hopf) -> ComoduleAlgebra:
     unit = (h.ctx.one(),)
     return ComoduleAlgebra(h, ("1",), unit, [[unit]],
                            basis_coaction(h, 1, [0]))
-
-
-def regular_comodule_algebra(h: Hopf) -> ComoduleAlgebra:
-    """A Hopf algebra coacting on itself by its own coproduct; over kp this
-    is the eight-dimensional comodule algebra ``kp`` of the catalog.
-
-    It is built once per Hopf algebra per run and stored on ``h``, so every
-    caller over one kp reads the verdicts decided on one object."""
-    if h._regular is None:
-        h._regular = ComoduleAlgebra(h, h.labels, h.unit, h.table, h.comult)
-    return h._regular
 
 
 def group_algebra_comodule_over(h: Hopf, masks: Sequence[int]
@@ -384,7 +370,7 @@ def build_matrix2_trivial(ctx: Optional[FieldContext] = None
 def comodule_direct_sum(a: ComoduleAlgebra, b: ComoduleAlgebra
                         ) -> ComoduleAlgebra:
     """Direct sum of comodule algebras with the block-diagonal coaction."""
-    if a.hopf is not b.hopf and a.hopf.table != b.hopf.table:
+    if not same_hopf(a.hopf, b.hopf):
         raise DimensionMismatch("summands live over different Hopf algebras")
     plain = direct_sum(a, b)
     return ComoduleAlgebra(a.hopf, plain.labels, plain.unit, plain.table,
@@ -437,6 +423,6 @@ def catalog(ctx: Optional[FieldContext] = None) -> dict[str, ComoduleAlgebra]:
         "ga_xy": group_algebra_comodule_over(h, (0, 3)),
         "ga_k": group_algebra_comodule_over(h, (0, 1, 2, 3)),
         "a_i_xy": a_xy_gamma_over(h, h.ctx.i()),
-        "kp": regular_comodule_algebra(h),
+        "kp": h,
         "kpsi": twisted_group_algebra_over(h),
     }

@@ -1,21 +1,25 @@
 """Hopf algebras as exact data: the axiom checks and the antipode inverse.
 
-A :class:`Hopf` extends :class:`~hopfexact.algebra.Algebra` with a
+A :class:`Hopf` is an :class:`~hopfexact.algebra.Algebra` with a
 comultiplication matrix (``dim**2 x dim``, the column for basis vector ``j``
 holding the coordinates of its coproduct with the left tensor leg on the
-coarse index), a counit functional, and an antipode matrix.  Every axiom is
-checked exactly, and an axiom that is not a product of two tensor legs is
-one identity of sparse structure matrices, built with ``kron`` and ``@``,
-or with :func:`~hopfexact.linalg.kron_matmul` where a tensor factor is the
-identity: with ``m`` the multiplication matrix, the antipode law is ``m (S
-(x) id) Delta == unit counit``, and the counit is multiplicative when
-``counit m == counit (x) counit``.  An identity of matrices holds on every
-element.  The multiplicativity of the coproduct, a product of two tensor
-legs, goes through :func:`~hopfexact.algebra.tensor_product`, on H's
-generators once Light's test finds H associative.  The coalgebra laws are
-the comodule laws of H coacting on itself by its coproduct
-(:func:`coaction_laws`, which the comodule checks share), plus the counit
-law on the right tensor leg.
+coarse index), a counit functional, and an antipode matrix.  H coacting on
+itself by its coproduct is its regular comodule algebra (Montgomery, Hopf
+Algebras and Their Actions on Rings, 1993, section 4.1), so a Hopf algebra
+is a :class:`ComoduleAlgebra`, defined here and checked in
+:mod:`hopfexact.comodule`, with ``h.hopf is h`` and ``h.coaction is
+h.comult``.  Every axiom is checked exactly, and an axiom that is not a
+product of two tensor legs is one identity of sparse structure matrices,
+built with ``kron`` and ``@``, or with :func:`~hopfexact.linalg.kron_matmul`
+where a tensor factor is the identity: with ``m`` the multiplication matrix,
+the antipode law is ``m (S (x) id) Delta == unit counit``, and the counit is
+multiplicative when ``counit m == counit (x) counit``.  An identity of
+matrices holds on every element.  The multiplicativity of the coproduct, a
+product of two tensor legs, goes through
+:func:`~hopfexact.algebra.tensor_product`, on H's generators once Light's
+test finds H associative.  The coalgebra laws are the comodule laws of H
+coacting on itself (:func:`coaction_laws`, which the comodule checks share),
+plus the counit law on the right tensor leg.
 """
 
 from __future__ import annotations
@@ -29,29 +33,50 @@ from .field import FieldContext, FieldElement, scal
 from .linalg import Mat, Scalar, Vec, inverse, kron, kron_matmul, tensor_vec
 
 
-class Hopf(Algebra):
-    """A Hopf algebra presented by exact structure matrices."""
+class ComoduleAlgebra(Algebra):
+    """An algebra in the category of left H-comodules."""
+
+    def __init__(self, hopf: Hopf, labels, unit, table, coaction: Mat):
+        super().__init__(hopf.ctx, labels, unit, table)
+        if coaction.nrows != hopf.dim * self.dim or coaction.ncols != self.dim:
+            raise DimensionMismatch(
+                f"coaction must be {hopf.dim * self.dim}x{self.dim}, got "
+                f"{coaction.nrows}x{coaction.ncols}")
+        if coaction.ctx != hopf.ctx:
+            raise DimensionMismatch("coaction and Hopf algebra contexts differ")
+        self.hopf = hopf
+        self.coaction = coaction
+        # the verdicts of check_comodule_algebra and check_exactness, each
+        # decided once per object
+        self._axiom_problems: Optional[tuple[str, ...]] = None
+        self._exactness = None
+
+    def __repr__(self):
+        return (f"ComoduleAlgebra(dim={self.dim}, labels={list(self.labels)}, "
+                f"over Hopf dim={self.hopf.dim})")
+
+
+class Hopf(ComoduleAlgebra):
+    """A Hopf algebra by exact structure matrices, coacting on itself."""
 
     def __init__(self, ctx: FieldContext, labels: Sequence[str],
                  unit: Sequence[Scalar],
                  table: Sequence[Sequence[Sequence[Scalar]]],
                  comult: Mat, counit: Sequence[Scalar], antipode: Mat):
-        super().__init__(ctx, labels, unit, table)
+        # the coacting Hopf algebra is self, whose context is read first
+        self.ctx = ctx
+        super().__init__(self, labels, unit, table, comult)
         n = self.dim
-        if comult.nrows != n * n or comult.ncols != n:
-            raise DimensionMismatch(
-                f"comultiplication must be {n * n}x{n}, got "
-                f"{comult.nrows}x{comult.ncols}")
         if len(counit) != n:
             raise DimensionMismatch(f"counit must have {n} coordinates")
         if antipode.nrows != n or antipode.ncols != n:
             raise DimensionMismatch(f"antipode must be {n}x{n}")
-        self.comult = comult
         self.counit: Vec = tuple(scal(ctx, c) for c in counit)
         self.antipode = antipode
-        # H coacting on itself, built once by
-        # constructions.regular_comodule_algebra
-        self._regular: Optional[Algebra] = None
+
+    @property
+    def comult(self) -> Mat:
+        return self.coaction
 
     def counit_value(self, v: Sequence[FieldElement]) -> FieldElement:
         acc = self.ctx.zero()
@@ -61,6 +86,14 @@ class Hopf(Algebra):
 
     def __repr__(self):
         return f"Hopf(dim={self.dim}, labels={list(self.labels)})"
+
+
+def same_hopf(h: Hopf, k: Hopf) -> bool:
+    """Whether ``h`` and ``k`` are the same Hopf algebra: one object, or
+    equal context, table, coproduct, counit and antipode."""
+    return h is k or (h.ctx == k.ctx and h.table == k.table
+                      and h.comult == k.comult and h.counit == k.counit
+                      and h.antipode == k.antipode)
 
 
 # -- axiom checks -------------------------------------------------------------

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .field import (FieldContext, FieldElement, adjoin_sqrt, polynomial_roots,
                     sqrt_in_context)
-from .hopf import Hopf, antipode_inverse
+from .hopf import Hopf, antipode_inverse, same_hopf
 from .linalg import (
     Mat,
     Row,
@@ -201,7 +201,7 @@ def _commutation_rows(ctx: FieldContext, pairs) -> list[Row]:
 
 
 def _require_same_hopf(a: ComoduleAlgebra, b: ComoduleAlgebra) -> None:
-    if a.hopf.table != b.hopf.table or a.hopf.comult != b.hopf.comult:
+    if not same_hopf(a.hopf, b.hopf):
         raise DimensionMismatch("the two algebras live over different Hopf "
                                 "algebras")
 

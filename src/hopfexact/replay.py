@@ -57,8 +57,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .comodule import ComoduleAlgebra, check_comodule_algebra
 from .constructions import (PSI_STANDARD, basis_coaction, block_patterns,
-                            build_kp, catalog, paper_map_f,
-                            regular_comodule_algebra)
+                            build_kp, catalog, paper_map_f)
 from .errors import HopfExactError, InvalidKind, NonlinearResidue
 from .exactness import check_exactness
 from .field import FieldContext, FieldElement
@@ -785,14 +784,15 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
     each law holds on A exactly when it holds on kp, and a costable subspace
     of one is carried to a costable subspace of the other, as are the
     coinvariants.  So each case whose map passes reads the axioms and
-    exactness of kp, the replay's ``regular``, whose verdicts are stored
-    on it.  A case whose map fails is not exact/iso.
+    exactness of kp (:func:`~hopfexact.constructions.build_kp`) coacting on
+    itself by its coproduct, whose verdicts are stored on it.  A case whose
+    map fails is not exact/iso.
     """
     cases = []
-    # the one kp of the context and its one regular comodule algebra: the
-    # catalog's kp, whose verdicts an earlier stage may have stored
-    regular = regular_comodule_algebra(build_kp(ctx))
-    f = paper_map_f(regular)
+    # the one kp of the context, the catalog's, whose verdicts an earlier
+    # stage may have stored
+    kp = build_kp(ctx)
+    f = paper_map_f(kp)
     paper = ((1, 1), (-1, -1))
     for eps in ((1, 1), (1, -1)):
         signs = tuple((eps[0] * a, eps[1] * b) for a, b in paper)
@@ -824,11 +824,11 @@ def _full_extension_report(ctx: FieldContext) -> ReplayReport:
                 iso = f @ Mat(ctx, [[s if i == j else 0 for j in range(g.dim)]
                                     for i, s in enumerate(d)])
                 problems = []
-                ok = is_colinear_isomorphism(algebra, regular, iso)
+                ok = is_colinear_isomorphism(algebra, kp, iso)
                 if ok:
                     # along the map the verdicts are kp's
-                    problems = check_comodule_algebra(regular)
-                    ok = not problems and check_exactness(regular).am_exact
+                    problems = check_comodule_algebra(kp)
+                    ok = not problems and check_exactness(kp).am_exact
                 detail = ("unique solution: the eight-dimensional extension, "
                           "isomorphic to the ambient Hopf algebra as a "
                           "comodule algebra") if ok else \

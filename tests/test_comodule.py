@@ -29,12 +29,15 @@ from hopfexact.constructions import (
 )
 from hopfexact.errors import (
     BadWitness,
+    DimensionMismatch,
     GammaNotPrimitiveFourthRoot,
     NotACocycle,
     NotOverKp,
 )
 from hopfexact.algebra import is_algebra_isomorphism, tensor_product
+from hopfexact.exactness import check_exactness
 from hopfexact.field import FieldContext, FieldElement, adjoin_sqrt
+from hopfexact.hopf import Hopf
 from hopfexact.linalg import (Mat, Subspace, _checked_row, _insert_row,
                               _sparse, basis_vector, kron, slice_left, vadd,
                               vscale, vsub)
@@ -77,6 +80,33 @@ def test_catalog_builds_every_entry_over_one_kp(monkeypatch):
         assert built.hopf is not kp and built.hopf.table == kp.table
         assert (cat[name].table, cat[name].coaction) \
             == (built.table, built.coaction)
+
+
+def test_kp_coacts_on_itself_as_one_object():
+    for ctx in (QI, FieldContext(8)):
+        kp = build_kp(ctx)
+        assert catalog(ctx)["kp"] is kp and isinstance(kp, ComoduleAlgebra)
+        assert kp.hopf is kp and kp.coaction is kp.comult
+
+
+@pytest.mark.parametrize("build", [build_kp, build_klein4])
+def test_a_hopf_algebra_has_the_verdicts_of_its_coaction_built_apart(build):
+    h = build(QI)
+    regular = ComoduleAlgebra(h, h.labels, h.unit, h.table, h.comult)
+    assert check_comodule_algebra(h) == check_comodule_algebra(regular) == []
+    assert check_exactness(h) == check_exactness(regular)
+    assert check_exactness(h).am_exact
+
+
+def test_a_coaction_over_another_context_is_refused():
+    a, q8 = CATALOG["ga_x"], FieldContext(8)
+    with pytest.raises(DimensionMismatch, match="contexts differ"):
+        ComoduleAlgebra(a.hopf, a.labels, a.unit, a.table,
+                        a.coaction.coerce(q8))
+    # a Hopf algebra coacts on itself, so its coproduct is checked too
+    with pytest.raises(DimensionMismatch, match="contexts differ"):
+        Hopf(QI, KP.labels, KP.unit, KP.table, KP.comult.coerce(q8),
+             KP.counit, KP.antipode)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_DIMS))

@@ -15,6 +15,8 @@ from hopfexact.hopf import (
     check_coalgebra,
     check_hopf,
     hopf_axiom_report,
+    rebase_hopf,
+    same_hopf,
 )
 from hopfexact.linalg import Mat, basis_vector, minimal_polynomial
 
@@ -33,6 +35,21 @@ def test_kp_satisfies_all_axiom_families():
     assert set(report) == set(AXIOM_FAMILIES)
     for fam in AXIOM_FAMILIES:
         assert report[fam] == [], f"family {fam}: {report[fam]}"
+
+
+def test_the_same_hopf_algebra_is_one_object_or_five_equal_fields():
+    kp = build_kp(QI)
+    fields = dict(labels=kp.labels, unit=kp.unit, table=kp.table,
+                  comult=kp.comult, counit=kp.counit, antipode=kp.antipode)
+    assert same_hopf(kp, kp) and same_hopf(kp, Hopf(QI, **fields))
+    half = QI.scalar(Fraction(1, 2))
+    for name, other in [("counit", (1,) * 7 + (-1,)),
+                        ("antipode", Mat.identity(QI, 8)),
+                        ("comult", kp.comult.scale(half)),
+                        ("table", kp.table[::-1])]:
+        assert not same_hopf(kp, Hopf(QI, **{**fields, name: other})), name
+    assert not same_hopf(kp, rebase_hopf(kp, FieldContext(8)))
+    assert not same_hopf(kp, build_klein4(QI))
 
 
 def test_kp_product_relations():

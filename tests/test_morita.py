@@ -92,7 +92,7 @@ def _small_mixed_inputs(seed):
             for name in SMALL}
 
 
-def _regular(a):
+def _left_mults(a):
     return [a.left_mult(a.basis_element(i)) for i in range(a.dim)]
 
 
@@ -343,20 +343,36 @@ def test_fingerprint_refuses_a_coaction_over_klein4():
         fusion_fingerprint(group_algebra_comodule_over(k4, range(4)))
 
 
-def test_fingerprint_refuses_kp_labels_on_another_structure():
-    # kp's labels, with the z (x) z coefficient of Delta(z) negated: the
-    # labels pass, the structure check does not
+def _bent_kp():
+    """kp's labels and table, with the z (x) z coefficient of Delta(z)
+    negated."""
     kp = build_kp(QI)
     rows = [dict(r) for r in kp.comult.entries]
     z = kp.label_index("z")
     rows[z * kp.dim + z][z] = -rows[z * kp.dim + z][z]
-    bent = Hopf(QI, kp.labels, kp.unit, kp.table,
+    return Hopf(QI, kp.labels, kp.unit, kp.table,
                 Mat.from_entries(QI, rows, kp.dim), kp.counit, kp.antipode)
+
+
+def test_fingerprint_refuses_kp_labels_on_another_structure():
+    # the labels pass, the structure check does not
+    kp, bent = build_kp(QI), _bent_kp()
     assert bent.labels == kp.labels and bent.comult != kp.comult
     with pytest.raises(NotOverKp):
         fusion_fingerprint(trivial_comodule_algebra_over(bent))
     assert fusion_fingerprint(trivial_comodule_algebra_over(kp)) \
         == fusion_fingerprint(CATALOG["k"])
+
+
+def test_a_direct_sum_over_kp_and_a_bent_kp_is_refused():
+    # the same table, another coproduct: not the same Hopf algebra, for the
+    # direct sum as for the iso search
+    k = trivial_comodule_algebra_over(build_kp(QI))
+    k_bent = trivial_comodule_algebra_over(_bent_kp())
+    with pytest.raises(DimensionMismatch):
+        comodule_direct_sum(k, k_bent)
+    with pytest.raises(DimensionMismatch):
+        colinear_iso_search(k, k_bent)
 
 
 def test_regular_module_is_split_without_a_commutant_kernel(monkeypatch):
@@ -381,7 +397,7 @@ def test_a_non_commuting_top_level_candidate_is_refused(monkeypatch):
     eigenspaces that are not submodules; restricting to one is refused, so
     a non-associative table cannot give a wrong split."""
     a = CATALOG["ga_x"]
-    regular = _regular(a)
+    regular = _left_mults(a)
     bad = Mat(QI, [[1, 0], [0, -1]])
     assert any(bad @ m != m @ bad for m in regular)
     real = morita._split_once
@@ -961,14 +977,14 @@ def test_sparse_intertwiners_match_the_kron_formulation_on_seeded_actions():
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_commutant_of_regular_module_matches_the_kron_formulation(name):
-    regular = _regular(CATALOG[name])
+    regular = _left_mults(CATALOG[name])
     assert _commutant(regular) == _kron_intertwiners(regular, regular)
 
 
 @pytest.mark.parametrize("seed", [1, 5])
 def test_sparse_intertwiners_match_the_kron_formulation_on_moved_entries(seed):
     for name, moved in _small_mixed_inputs(seed).items():
-        regular, built = _regular(moved), _regular(CATALOG[name])
+        regular, built = _left_mults(moved), _left_mults(CATALOG[name])
         assert _commutant(regular) == _kron_intertwiners(regular, regular)
         assert intertwiners(regular, built) \
             == _kron_intertwiners(regular, built)

@@ -80,8 +80,10 @@ def test_tracer_finds_every_function_it_wraps():
 
 
 # the verdicts an object stores once decided: Light's test, the comodule
-# algebra axioms and exactness
-STORED_VERDICTS = ("_associative", "_axiom_problems", "_exactness")
+# algebra axioms and exactness, with the generators and the multiplication
+# matrix they are read from
+STORED_VERDICTS = ("_associative", "_axiom_problems", "_exactness",
+                   "_generators", "_mult_matrix")
 
 
 def _load_workloads():
@@ -116,9 +118,9 @@ def test_the_benchmark_set_up_decides_no_verdict():
             wl = workloads.build(hx, name, 1)
             held = [*wl.inputs, *(a.hopf for a in wl.inputs
                                   if hasattr(a, "hopf"))]
-            # and every kp built at set-up, with its regular comodule algebra
+            # and every kp built at set-up
             for kp in hx.constructions._KP.values():
-                held += [kp, kp._regular]
+                held.append(kp)
             decided = [(repr(a), v) for a in held if a is not None
                        for v in STORED_VERDICTS
                        if getattr(a, v, None) is not None]

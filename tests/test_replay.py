@@ -11,14 +11,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from hopfexact import algebra, constructions, exactness, morita, replay
-from hopfexact.algebra import (is_algebra_isomorphism,
+from hopfexact import (algebra, comodule, constructions, exactness, morita,
+                       replay)
+from hopfexact.algebra import (Algebra, is_algebra_isomorphism,
                                multiplicative_into_tensor)
 from hopfexact.comodule import check_comodule_algebra
 from hopfexact.constructions import (PSI_STANDARD, block_patterns,
                                      build_bimodule_V, build_kp,
                                      catalog, paper_map_f,
-                                     regular_comodule_algebra,
                                      with_trivial_coaction)
 from hopfexact.errors import HopfExactError, NonlinearResidue
 from hopfexact.exactness import check_exactness
@@ -536,7 +536,7 @@ def test_a_refused_action_builds_every_system_directly(refused_run):
     # the 44 of the vanishing replays and the full extension's two
     assert len(refused_run.eliminations) == 46
     assert _carried_count(refused_run.cache) == 0
-    # one kp is built, the full extension's regular algebra's, and every
+    # one kp is built, the full extension's, and every
     # specialisation is over it
     assert refused_run.kp == [CTX]
 
@@ -697,31 +697,30 @@ def test_a_cold_full_extension_decides_one_case_in_full(monkeypatch):
 
 
 def test_the_carried_iso_is_a_colinear_algebra_isomorphism_onto_kp():
-    regular = regular_comodule_algebra(build_kp(CTX))
+    kp = build_kp(CTX)
     alg = _specialized(_MEMBER_SIGNS)
-    f = paper_map_f(regular)
+    f = paper_map_f(kp)
     iso = f @ _sign_change(_MEMBER_SIGNS)
-    assert is_colinear_isomorphism(alg, regular, iso)
-    assert is_algebra_isomorphism(alg, regular, iso)
-    assert regular.coaction @ iso \
+    assert is_colinear_isomorphism(alg, kp, iso)
+    assert is_algebra_isomorphism(alg, kp, iso)
+    assert kp.coaction @ iso \
         == kron(Mat.identity(CTX, 8), iso) @ alg.coaction
     # the moved case needs its sign change: f alone is not its map, and the
     # map is refused for an algebra whose coaction is not A's
-    assert not is_colinear_isomorphism(alg, regular, f)
+    assert not is_colinear_isomorphism(alg, kp, f)
     not_colinear = with_trivial_coaction(alg.hopf, alg)
-    assert not is_colinear_isomorphism(not_colinear, regular, iso)
+    assert not is_colinear_isomorphism(not_colinear, kp, iso)
 
 
 def test_each_full_extension_case_keeps_its_iso_onto_kp():
-    regular = regular_comodule_algebra(build_kp(CTX))
-    kp = regular.hopf
+    kp = build_kp(CTX)
     report = replay_lemma("group-full-extension", CTX)
     assert [c.signs for c in report.cases] == [_REP_SIGNS, _MEMBER_SIGNS]
     for case in report.cases:
         a = replay._system("ga_K", 2, case.signs, CTX).g.specialize(
             case.solution)
         assert case.iso == paper_map_f(kp) @ _sign_change(case.signs)
-        assert is_colinear_isomorphism(a, regular, case.iso)
+        assert is_colinear_isomorphism(a, kp, case.iso)
         assert is_algebra_isomorphism(a, kp, case.iso)
         assert kp.comult @ case.iso \
             == kron(Mat.identity(CTX, 8), case.iso) @ a.coaction
@@ -804,12 +803,6 @@ def test_a_refused_kp_check_fails_both_cases(monkeypatch, name):
     assert calls == {**_ONE_REPORT, **calls_differing}
 
 
-def _is_kp(a):
-    """Is ``a`` kp coacting on itself by its coproduct?"""
-    h = a.hopf
-    return a.table == h.table and a.unit == h.unit and a.coaction == h.comult
-
-
 def _spy_checked(monkeypatch):
     """The algebras that the full extension checks, in call order."""
     seen = []
@@ -825,13 +818,13 @@ def test_an_accepted_map_moves_the_checks_onto_kp(monkeypatch):
     monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
     seen = _spy_checked(monkeypatch)
     assert replay_lemma("group-full-extension", CTX).passed
-    # once per case, on the replay's regular kp, not on either A
+    # once per case, on the context's one kp, not on either A
     assert [name for name, _ in seen] \
         == ["check_comodule_algebra", "check_exactness"] * 2
-    assert all(_is_kp(a) for _, a in seen)
+    kp = build_kp(CTX)
+    assert all(a is kp for _, a in seen)
     # the verdicts along the map are each case's own
-    regular = regular_comodule_algebra(build_kp(CTX))
-    on_kp = (check_comodule_algebra(regular), check_exactness(regular))
+    on_kp = (check_comodule_algebra(kp), check_exactness(kp))
     for signs in (_REP_SIGNS, _MEMBER_SIGNS):
         a = _specialized(signs)
         exact = check_exactness(a)
@@ -1442,18 +1435,18 @@ def _kp_builds(monkeypatch) -> list:
 
 
 def test_the_block_patterns_use_the_reference_kp(monkeypatch):
-    regular = regular_comodule_algebra(build_kp(CTX))
+    kp = build_kp(CTX)
     builds = _kp_builds(monkeypatch)
-    fusion_fingerprint(regular)
+    fusion_fingerprint(kp)
     patterns = block_patterns(CTX)
-    # regular's kp is not the cached one, so the fingerprint's kp check
+    # this kp is not the cached one, so the fingerprint's kp check
     # builds the kp of the context, and the patterns are solved over it
     assert builds == [CTX]
     assert patterns == block_patterns(FieldContext(4))
     assert {c for table in patterns.values() for row in table
             for c in row} == {-1, 0, 1}
     # the cached kp passes the structural check with no kp built
-    fusion_fingerprint(regular_comodule_algebra(build_kp(FieldContext(4))))
+    fusion_fingerprint(build_kp(FieldContext(4)))
     assert builds == [CTX]
 
 
@@ -1480,6 +1473,39 @@ def test_one_kp_per_context_over_a_kp_dim8_and_a_replay_symbolic_pass(
             assert replay_lemma(name).passed
     classify_n2_le_1()
     assert builds == [CTX]
+
+
+def test_lights_test_and_the_generators_run_once_over_a_kp_dim8_pass(
+        monkeypatch):
+    monkeypatch.setattr(constructions, "_KP", {})
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    kp = catalog(CTX)["kp"]
+    # each computation on an algebra with kp's table, not read from one
+    # stored before
+    runs = []
+    real_associative, real_generators = algebra.is_associative, \
+        Algebra.generators
+
+    def is_associative(alg):
+        if alg._associative is None and alg.table == kp.table:
+            runs.append("is_associative")
+        return real_associative(alg)
+
+    def generators(self):
+        if self._generators is None and self.table == kp.table:
+            runs.append("generators")
+        return real_generators(self)
+
+    for module in (algebra, comodule, morita):
+        monkeypatch.setattr(module, "is_associative", is_associative)
+    monkeypatch.setattr(Algebra, "generators", generators)
+    # the six ops of a kp-dim8 pass
+    assert check_hopf(kp.hopf) == [] and check_comodule_algebra(kp) == []
+    assert check_exactness(kp).am_exact
+    fusion_fingerprint(kp)
+    assert colinear_iso_search(kp, kp) is not None
+    assert replay_lemma("group-full-extension").passed
+    assert sorted(runs) == ["generators", "is_associative"]
 
 
 def test_the_full_extension_reads_the_exactness_verdict_of_the_pass(
