@@ -3,12 +3,13 @@
 A left coaction on V is stored as a ``(dim_H * dim_V) x dim_V`` matrix: the
 column for basis vector ``j`` holds the coordinates of its coaction image in
 H (x) V, with the Hopf leg on the coarse index.  The comodule laws are
-identities of sparse matrices (:func:`~hopfexact.hopf.coaction_laws`), and
-the multiplicativity of a coaction, a product of two tensor legs, goes
-through :func:`~hopfexact.algebra.tensor_product`, on A's generators once A
-and H are associative.  The class :class:`ComoduleAlgebra` is defined in
+identities of sparse matrices (:func:`check_comodule`), and the
+multiplicativity of a coaction, a product of two tensor legs, goes through
+:func:`~hopfexact.algebra.tensor_product`, on A's generators once A and H
+are associative.  The class :class:`ComoduleAlgebra` is defined in
 :mod:`hopfexact.hopf`, as a Hopf algebra is its own regular comodule
-algebra.
+algebra; :func:`~hopfexact.hopf.hopf_axiom_report` reads this module's
+verdict on H for the laws the two structures share.
 
 The module also reads off the isotypic parts of a coaction, the vectors v
 with coaction(v) = g (x) v for a fixed g of H.  Last come the map (id (x)
@@ -29,9 +30,10 @@ from typing import Sequence
 from .algebra import (NOT_ASSOCIATIVE, algebra_on_span,
                       check_algebra, is_algebra_morphism, is_associative,
                       multiplicative_into_tensor)
-from .errors import BadWitness, DimensionMismatch, HopfExactError
+from .errors import BadWitness, HopfExactError
 from .field import FieldContext, FieldElement
-from .hopf import ComoduleAlgebra, Hopf, coaction_laws, rebase_hopf
+from .hopf import (ComoduleAlgebra, Hopf, rebase_hopf,
+                   require_coaction_shape)
 from .linalg import (
     Mat,
     Row,
@@ -54,12 +56,7 @@ class Comodule:
     """A left H-comodule presented by its coaction matrix."""
 
     def __init__(self, hopf: Hopf, dim: int, coaction: Mat):
-        if coaction.nrows != hopf.dim * dim or coaction.ncols != dim:
-            raise DimensionMismatch(
-                f"coaction must be {hopf.dim * dim}x{dim}, got "
-                f"{coaction.nrows}x{coaction.ncols}")
-        if coaction.ctx != hopf.ctx:
-            raise DimensionMismatch("coaction and Hopf algebra contexts differ")
+        require_coaction_shape(hopf, dim, coaction)
         self.hopf = hopf
         self.dim = dim
         self.coaction = coaction
@@ -93,14 +90,27 @@ def direct_sum_coaction(nh: int, first: Mat, second: Mat) -> Mat:
     return Mat.from_entries(first.ctx, rows, n + m)
 
 
+# the messages of the comodule laws and of the coaction as a unital algebra
+# map, which hopf_axiom_report sorts into a Hopf algebra's families
+COMODULE_LAWS = ("coaction is not coassociative",
+                 "coaction fails the counit law")
+MORPHISM_LAWS = ("coaction is not an algebra morphism",
+                 "coaction does not send the unit to 1 (x) 1")
+
+
+def _failed(laws: Sequence[str], holds: Sequence[bool]) -> list[str]:
+    return [law for law, ok in zip(laws, holds) if not ok]
+
+
 def check_comodule(c: ComoduleLike) -> list[str]:
-    problems = []
-    coassoc_ok, counit_ok = coaction_laws(c.hopf, c.dim, c.coaction)
-    if not coassoc_ok:
-        problems.append("coaction is not coassociative")
-    if not counit_ok:
-        problems.append("coaction fails the counit law")
-    return problems
+    """Coassociativity, ``(Delta (x) id) lambda == (id (x) lambda) lambda``,
+    and the counit law, ``(counit (x) id) lambda == id``, of ``lambda``."""
+    h, coaction = c.hopf, c.coaction
+    coassoc_ok = (kron_matmul(h.comult, None, coaction)
+                  == kron_matmul(None, coaction, coaction))
+    counit_ok = (kron_matmul(Mat(h.ctx, [h.counit]), None, coaction)
+                 == Mat.identity(h.ctx, c.dim))
+    return _failed(COMODULE_LAWS, (coassoc_ok, counit_ok))
 
 
 def check_comodule_algebra(a: ComoduleAlgebra) -> list[str]:
@@ -113,12 +123,11 @@ def check_comodule_algebra(a: ComoduleAlgebra) -> list[str]:
         algebra = check_algebra(a)
         problems = algebra + check_comodule(a)
         associative = NOT_ASSOCIATIVE not in algebra and is_associative(a.hopf)
-        if not multiplicative_into_tensor(
-                a.coaction, a, a.hopf, a,
-                a.generators() if associative else None):
-            problems.append("coaction is not an algebra morphism")
-        if a.coaction.apply(a.unit) != tensor_vec(a.hopf.unit, a.unit):
-            problems.append("coaction does not send the unit to 1 (x) 1")
+        problems += _failed(MORPHISM_LAWS, (
+            multiplicative_into_tensor(a.coaction, a, a.hopf, a,
+                                       a.generators() if associative
+                                       else None),
+            a.coaction.apply(a.unit) == tensor_vec(a.hopf.unit, a.unit)))
         a._axiom_problems = tuple(problems)
     return list(a._axiom_problems)
 

@@ -14,23 +14,32 @@ built with ``kron`` and ``@``, or with :func:`~hopfexact.linalg.kron_matmul`
 where a tensor factor is the identity: with ``m`` the multiplication matrix,
 the antipode law is ``m (S (x) id) Delta == unit counit``, and the counit is
 multiplicative when ``counit m == counit (x) counit``.  An identity of
-matrices holds on every element.  The multiplicativity of the coproduct, a
-product of two tensor legs, goes through
-:func:`~hopfexact.algebra.tensor_product`, on H's generators once Light's
-test finds H associative.  The coalgebra laws are the comodule laws of H
-coacting on itself (:func:`coaction_laws`, which the comodule checks share),
-plus the counit law on the right tensor leg.
+matrices holds on every element.  The Hopf axioms are H's regular
+comodule-algebra axioms (:func:`~hopfexact.comodule.check_comodule_algebra`:
+the algebra laws, coassociativity, the left counit law and the coproduct
+as a unital algebra map) plus three laws of H's own: the right counit
+law, the counit as a unital algebra map, and the antipode identities.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .algebra import (NOT_ASSOCIATIVE, Algebra, check_algebra,
-                      multiplicative_into_tensor)
+from .algebra import Algebra
 from .errors import DimensionMismatch, SingularAntipode
 from .field import FieldContext, FieldElement, scal
-from .linalg import Mat, Scalar, Vec, inverse, kron, kron_matmul, tensor_vec
+from .linalg import Mat, Scalar, Vec, inverse, kron, kron_matmul
+
+
+def require_coaction_shape(hopf: Hopf, dim: int, coaction: Mat) -> None:
+    """Refuse a coaction on a space of dimension ``dim`` that is not a
+    ``(hopf.dim * dim) x dim`` matrix over ``hopf``'s context."""
+    if coaction.nrows != hopf.dim * dim or coaction.ncols != dim:
+        raise DimensionMismatch(
+            f"coaction must be {hopf.dim * dim}x{dim}, got "
+            f"{coaction.nrows}x{coaction.ncols}")
+    if coaction.ctx != hopf.ctx:
+        raise DimensionMismatch("coaction and Hopf algebra contexts differ")
 
 
 class ComoduleAlgebra(Algebra):
@@ -38,12 +47,7 @@ class ComoduleAlgebra(Algebra):
 
     def __init__(self, hopf: Hopf, labels, unit, table, coaction: Mat):
         super().__init__(hopf.ctx, labels, unit, table)
-        if coaction.nrows != hopf.dim * self.dim or coaction.ncols != self.dim:
-            raise DimensionMismatch(
-                f"coaction must be {hopf.dim * self.dim}x{self.dim}, got "
-                f"{coaction.nrows}x{coaction.ncols}")
-        if coaction.ctx != hopf.ctx:
-            raise DimensionMismatch("coaction and Hopf algebra contexts differ")
+        require_coaction_shape(hopf, self.dim, coaction)
         self.hopf = hopf
         self.coaction = coaction
         # the verdicts of check_comodule_algebra and check_exactness, each
@@ -99,50 +103,6 @@ def same_hopf(h: Hopf, k: Hopf) -> bool:
 # -- axiom checks -------------------------------------------------------------
 
 
-def coaction_laws(h: Hopf, dim: int, coaction: Mat) -> tuple[bool, bool]:
-    """Whether a left coaction ``lambda`` of ``h`` on a space of dimension
-    ``dim`` (a ``(h.dim * dim) x dim`` matrix) is coassociative,
-    ``(Delta (x) id) lambda == (id (x) lambda) lambda``, and satisfies the
-    counit law, ``(counit (x) id) lambda == id``."""
-    coassoc_ok = (kron_matmul(h.comult, None, coaction)
-                  == kron_matmul(None, coaction, coaction))
-    counit_ok = (kron_matmul(Mat(h.ctx, [h.counit]), None, coaction)
-                 == Mat.identity(h.ctx, dim))
-    return coassoc_ok, counit_ok
-
-
-def check_coalgebra(h: Hopf) -> list[str]:
-    problems = []
-    ident = Mat.identity(h.ctx, h.dim)
-    coassoc_ok, counit_left_ok = coaction_laws(h, h.dim, h.comult)
-    counit_right_ok = kron_matmul(None, Mat(h.ctx, [h.counit]),
-                                  h.comult) == ident
-    if not coassoc_ok:
-        problems.append("comultiplication is not coassociative")
-    if not counit_left_ok:
-        problems.append("counit fails on the left tensor leg")
-    if not counit_right_ok:
-        problems.append("counit fails on the right tensor leg")
-    return problems
-
-
-def check_bialgebra_compat(h: Hopf, first: Optional[Sequence[int]] = None
-                           ) -> list[str]:
-    """The coproduct and counit are unital algebra maps; the coproduct is
-    tested on the indices ``first`` (see ``multiplicative_into_tensor``)."""
-    problems = []
-    counit = Mat(h.ctx, [h.counit])
-    if not multiplicative_into_tensor(h.comult, h, h, h, first):
-        problems.append("comultiplication is not an algebra morphism")
-    if h.comult.apply(h.unit) != tensor_vec(h.unit, h.unit):
-        problems.append("comultiplication does not fix the unit")
-    if counit @ h.mult_matrix() != kron(counit, counit):
-        problems.append("counit is not an algebra morphism")
-    if h.counit_value(h.unit) != h.ctx.one():
-        problems.append("counit does not send the unit to 1")
-    return problems
-
-
 def check_antipode(h: Hopf) -> list[str]:
     """The convolution identities ``m (S (x) id) Delta == unit counit ==
     m (id (x) S) Delta``."""
@@ -161,20 +121,38 @@ AXIOM_FAMILIES = ("algebra", "coalgebra", "comult-morphism", "counit-morphism",
 
 
 def hopf_axiom_report(h: Hopf) -> dict[str, list[str]]:
-    """Violations grouped into the five axiom families (empty lists = pass)."""
-    algebra = check_algebra(h)
-    compat = check_bialgebra_compat(
-        h, None if NOT_ASSOCIATIVE in algebra else h.generators())
+    """Violations grouped into the five axiom families (empty lists = pass).
+
+    The Hopf axioms are H's regular comodule-algebra axioms, whose verdict
+    :func:`~hopfexact.comodule.check_comodule_algebra` stores on H and whose
+    messages are the comodule check's, plus three laws: the right counit
+    law, the counit as a unital algebra map, and the antipode identities.
+    """
+    # comodule.py imports this module
+    from .comodule import COMODULE_LAWS, MORPHISM_LAWS, check_comodule_algebra
+    shared = check_comodule_algebra(h)
+    counit = Mat(h.ctx, [h.counit])
+    coalgebra = [p for p in shared if p in COMODULE_LAWS]
+    if kron_matmul(None, counit, h.comult) != Mat.identity(h.ctx, h.dim):
+        coalgebra.append("counit fails on the right tensor leg")
+    counit_morphism = []
+    if counit @ h.mult_matrix() != kron(counit, counit):
+        counit_morphism.append("counit is not an algebra morphism")
+    if h.counit_value(h.unit) != h.ctx.one():
+        counit_morphism.append("counit does not send the unit to 1")
     return {
-        "algebra": algebra,
-        "coalgebra": check_coalgebra(h),
-        "comult-morphism": [p for p in compat if p.startswith("comultiplication")],
-        "counit-morphism": [p for p in compat if p.startswith("counit")],
+        "algebra": [p for p in shared
+                    if p not in COMODULE_LAWS + MORPHISM_LAWS],
+        "coalgebra": coalgebra,
+        "comult-morphism": [p for p in shared if p in MORPHISM_LAWS],
+        "counit-morphism": counit_morphism,
         "antipode": check_antipode(h),
     }
 
 
 def check_hopf(h: Hopf) -> list[str]:
+    """Every violated Hopf axiom, family by family in the order of
+    :data:`AXIOM_FAMILIES` (see :func:`hopf_axiom_report`)."""
     report = hopf_axiom_report(h)
     return [p for fam in AXIOM_FAMILIES for p in report[fam]]
 

@@ -533,10 +533,11 @@ def _extended_context(ctx: FieldContext, discriminant: FieldElement
         try:
             sqrt_in_context(d)
             return base
-        except NeedsFieldExtension as exc:
-            refusal = exc
+        except NeedsFieldExtension:
+            pass
     if order & (order - 1):
-        raise refusal
+        # the refusal carries the caller's discriminant, over ctx
+        raise NeedsFieldExtension(discriminant)
     return adjoin_sqrt(base, d)
 
 

@@ -768,7 +768,10 @@ def _dependent_pair(ctx: FieldContext) -> tuple[str, MultiPoly]:
 
 def _full_extension_report(ctx: FieldContext) -> ReplayReport:
     """The paper's full extension: two blocks over ga_K, of equal parity,
-    normalised by alpha_11 = 1 and alpha_12 = -1.
+    normalised by alpha_11 = 1 and alpha_12 = -1.  Reaching alpha_11 = 1
+    needs a square root of the scale in the field, so the report holds up
+    to block scaling, which merges forms: over Q(i) the point alpha_11 = 3,
+    alpha_12 = -1 is exact and not colinearly isomorphic to kp.
 
     Each of the two sign cases must pin every structure constant with
     certificates that check again, and its specialised algebra A must be
@@ -951,18 +954,23 @@ class SolutionFamily:
 
 def classify_n2_le_1(ctx: Optional[FieldContext] = None
                      ) -> tuple[SolutionFamily, ...]:
-    """All exact extensions with at most one block, solved symbolically.
+    """The exact extensions with at most one block, solved symbolically, up
+    to colinear isomorphism and block scaling.
 
     For every base kind and n2 in {0, 1} the associativity constraints are
     solved exactly, under the scale normalization alpha_11 = 1 (one block
     generator can always be rescaled; families differing only by that scale
-    are identified).  Over ga_K and kpsi the four one-block sign cases are
-    one orbit, of which :func:`_system` builds one and carries three.
-    Solutions related by a colinear isomorphism are merged into a single
-    family.  The result is checked two ways before returning: every family
-    specializes to an algebra that passes the comodule-algebra axioms and is
-    exact, and the families are in bijection with the built-in catalog
-    entries of dimension below eight.
+    are identified).  The rescaling multiplies alpha_11 by a square, so over
+    a field that is not quadratically closed it merges forms: over Q(i),
+    ``a_i_xy`` with its block products times 1 + i is exact and not
+    colinearly isomorphic to ``a_i_xy``, as it is over Q(zeta_8)(sqrt(1+i)).
+    Over ga_K and kpsi the four one-block sign cases are one orbit, of which
+    :func:`_system` builds one and carries three.  Solutions related by a
+    colinear isomorphism are merged into a single family.  The result is
+    checked two ways before returning: every family specializes to an
+    algebra that passes the comodule-algebra axioms and is exact, and the
+    families are in bijection with the built-in catalog entries of
+    dimension below eight.
     """
     ctx = ctx or FieldContext(4)
     scale = MultiPoly.var(ctx, "alpha_11") - 1

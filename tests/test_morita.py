@@ -184,9 +184,24 @@ def test_no_formal_root_is_adjoined_where_the_root_may_exist():
         with pytest.raises(NeedsFieldExtension) as info:
             morita._extended_context(ctx, ctx.scalar(d))
         assert info.value.discriminant == ctx.scalar(d)
+        assert info.value.discriminant.ctx == ctx
     # over a power-of-two order the refusal is a proof, and the root is
     # adjoined
     assert morita._extended_context(QI, QI.scalar(3)).has_layer
+
+
+@pytest.mark.parametrize("order", [12, 20])
+def test_a_fingerprint_refusal_can_be_retried_over_the_callers_context(order):
+    # the refusal is raised over the raised order 24 or 40, where the root
+    # of 4 - 4i is still missing; it carries the discriminant over ctx, so
+    # the documented retry adjoins its root to ctx
+    ctx = FieldContext(order)
+    with pytest.raises(NeedsFieldExtension) as info:
+        fusion_fingerprint(catalog(ctx)["a_i_xy"])
+    assert info.value.discriminant.ctx == ctx
+    assert str(info.value) == "no square root in context: 4 - 4*i"
+    bigger = adjoin_sqrt(ctx, info.value.discriminant)
+    assert bigger.has_layer and bigger.order == order
 
 
 def test_leaves_are_sorted_into_classes_without_an_intertwiner_kernel(

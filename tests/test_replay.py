@@ -11,11 +11,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from hopfexact import (algebra, comodule, constructions, exactness, morita,
-                       replay)
+from hopfexact import (algebra, comodule, constructions, exactness, hopf,
+                       linalg, morita, replay)
 from hopfexact.algebra import (Algebra, is_algebra_isomorphism,
                                multiplicative_into_tensor)
-from hopfexact.comodule import check_comodule_algebra
+from hopfexact.comodule import (ComoduleAlgebra, check_comodule_algebra,
+                                rebase_comodule_algebra)
 from hopfexact.constructions import (PSI_STANDARD, block_patterns,
                                      build_bimodule_V, build_kp,
                                      catalog, paper_map_f,
@@ -30,7 +31,7 @@ from hopfexact.morita import (colinear_iso_search, fusion_fingerprint,
                             is_colinear_isomorphism)
 from hopfexact.poly import (Elimination, MultiPoly, _addmul, _addterms,
                             _linear_quotient, _poly, _product_terms,
-                            eliminate)
+                            concrete_solutions, eliminate)
 from hopfexact.replay import (_sign_cases, _vanishing_report,
                               associativity_constraints, classify_n2_le_1,
                               generic_extension, replay_lemma, replay_names)
@@ -1105,6 +1106,41 @@ def test_classification_of_at_most_one_block():
     assert {f.catalog_match for f in families} == small
 
 
+def test_a_scaled_form_of_a_i_xy_is_another_algebra_over_q_i():
+    # the four block products of a_i_xy times c = 1 + i: exact over Q(i),
+    # merged with a_i_xy by the scale normalization, and isomorphic to it
+    # only once the square root of c is adjoined
+    a = catalog(CTX)["a_i_xy"]
+    c = CTX.one() + CTX.i()
+    table = [list(row) for row in a.table]
+    for i in (2, 3):
+        for j in (2, 3):
+            table[i][j] = vscale(c, table[i][j])
+    form = ComoduleAlgebra(a.hopf, a.labels, a.unit, table, a.coaction)
+    assert check_comodule_algebra(form) == []
+    assert check_exactness(form).am_exact
+    assert colinear_iso_search(form, a) is None
+    q8 = FieldContext(8)
+    for ctx, found in ((q8, False), (adjoin_sqrt(q8, c.coerce(q8)), True)):
+        iso = colinear_iso_search(rebase_comodule_algebra(form, ctx),
+                                  rebase_comodule_algebra(a, ctx))
+        assert (iso is not None) == found, ctx
+
+
+def test_the_full_extension_at_alpha_11_three_is_exact_and_not_kp():
+    # the paper's signs with alpha_11 = 3 in place of 1: one solution, an
+    # exact algebra that the normalization alpha_11 = 1 merges with kp
+    system = replay._system("ga_K", 2, ((1, 1), (-1, -1)), CTX)
+    hyps = [MultiPoly.var(CTX, "alpha_11") - 3,
+            MultiPoly.var(CTX, "alpha_12") + 1]
+    solutions = concrete_solutions(system.constraints + hyps, CTX)
+    assert len(solutions) == 1
+    algebra = system.g.specialize(solutions[0])
+    assert check_comodule_algebra(algebra) == []
+    assert check_exactness(algebra).am_exact
+    assert colinear_iso_search(algebra, build_kp(CTX)) is None
+
+
 _ONE_BLOCK = [((1, 1),), ((1, -1),), ((-1, 1),), ((-1, -1),)]
 
 
@@ -1506,6 +1542,47 @@ def test_lights_test_and_the_generators_run_once_over_a_kp_dim8_pass(
     assert colinear_iso_search(kp, kp) is not None
     assert replay_lemma("group-full-extension").passed
     assert sorted(runs) == ["generators", "is_associative"]
+
+
+def test_the_shared_hopf_laws_run_once_on_kps_coproduct_over_a_kp_dim8_pass(
+        monkeypatch):
+    monkeypatch.setattr(constructions, "_KP", {})
+    monkeypatch.setattr(replay, "_REPLAY_CACHE", {})
+    kp = catalog(CTX)["kp"]
+    counit = Mat(CTX, [kp.counit])
+    # the left sides of coassociativity, (Delta (x) id) Delta, and of the
+    # left counit law, (counit (x) id) Delta, and the multiplicativity of
+    # Delta, each on a coproduct equal to kp's
+    runs = []
+    real_kron_matmul = linalg.kron_matmul
+    real_multiplicative = algebra.multiplicative_into_tensor
+
+    def kron_matmul(a, b, m):
+        if b is None and m == kp.comult:
+            if a == kp.comult:
+                runs.append("coassociativity")
+            elif a == counit:
+                runs.append("counit")
+        return real_kron_matmul(a, b, m)
+
+    def multiplicative_into_tensor(phi, *args):
+        if phi == kp.comult:
+            runs.append("multiplicative")
+        return real_multiplicative(phi, *args)
+
+    for module in (algebra, comodule, hopf, morita):
+        for name, spy in (("kron_matmul", kron_matmul),
+                          ("multiplicative_into_tensor",
+                           multiplicative_into_tensor)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    # the six ops of a kp-dim8 pass
+    assert check_hopf(kp.hopf) == [] and check_comodule_algebra(kp) == []
+    assert check_exactness(kp).am_exact
+    fusion_fingerprint(kp)
+    assert colinear_iso_search(kp, kp) is not None
+    assert replay_lemma("group-full-extension").passed
+    assert sorted(runs) == ["coassociativity", "counit", "multiplicative"]
 
 
 def test_the_full_extension_reads_the_exactness_verdict_of_the_pass(
