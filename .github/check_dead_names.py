@@ -3,8 +3,9 @@
 Fails on three things:
 
 * a module-level import that its module never references, in a module of
-  ``src/hopfexact`` or of ``tests``; a name kept on purpose, such as a
-  re-export, carries ``# noqa: F401`` on its line;
+  ``src/hopfexact`` or of ``tests``; an import in a module-level
+  ``if TYPE_CHECKING:`` block counts as module-level, and a name kept on
+  purpose, such as a re-export, carries ``# noqa: F401`` on its line;
 * an error class of ``errors.py`` that no ``raise`` in the package names;
 * a top-level function, class or assigned name, or a method, of the
   package, other than a dunder, whose name is read by no name, attribute,
@@ -15,8 +16,9 @@ Fails on three things:
   ``:meth:``, ``:data:``, ``:exc:`` or ``:mod:``, with or without ``~``)
   whose target does not exist.  A target under ``hopfexact.`` names its
   module; a bare one, such as ``Algebra.multiply``, is looked up among the
-  names that the docstring's module defines or imports, and a name
-  imported from another module of the package is followed there.  A
+  names that the docstring's module defines or imports at module level
+  (``if TYPE_CHECKING:`` included), and a name imported from another
+  module of the package is followed there.  A
   target under a standard-library module, such as ``fractions.Fraction``,
   is left alone.
 
@@ -34,15 +36,26 @@ USERS = ("src", "tests", "perfbench", ".github")
 NOQA = "# noqa: F401"
 
 
+def _module_imports(tree: ast.Module):
+    """The import statements at module level, and in a module-level
+    ``if TYPE_CHECKING:`` block."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.If) and "TYPE_CHECKING" in {
+                getattr(stmt.test, "id", None),
+                getattr(stmt.test, "attr", None)}:
+            yield from _module_imports(stmt)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            yield stmt
+
+
 def unused_imports(path: Path) -> list[str]:
     source = path.read_text()
     lines = source.splitlines()
     tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     problems = []
-    for stmt in tree.body:
-        if (not isinstance(stmt, (ast.Import, ast.ImportFrom))
-                or getattr(stmt, "module", None) == "__future__"):
+    for stmt in _module_imports(tree):
+        if getattr(stmt, "module", None) == "__future__":
             continue
         for alias in stmt.names:
             bound = alias.asname or alias.name.split(".")[0]
@@ -132,9 +145,9 @@ XREF = re.compile(r":(func|class|meth|data|exc|mod):`~?([\w.]+)`")
 
 def _module_names(tree: ast.Module):
     """The top-level names of a module, each class with the names its body
-    binds and every other name with None, and the names that its imports
-    bind anywhere, each with ``(module, name)`` of its source; the module
-    is relative to the package, or None outside it."""
+    binds and every other name with None, and the names that its
+    module-level imports bind, each with ``(module, name)`` of its source;
+    the module is relative to the package, or None outside it."""
     tops = {}
     for stmt in tree.body:
         members = None
@@ -144,7 +157,7 @@ def _module_names(tree: ast.Module):
         for name in _bound_names(stmt):
             tops[name] = members
     imported = {}
-    for node in ast.walk(tree):
+    for node in _module_imports(tree):
         if isinstance(node, ast.ImportFrom):
             source = node.module if node.level else None
             for alias in node.names:

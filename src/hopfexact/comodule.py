@@ -2,14 +2,18 @@
 
 A left coaction on V is stored as a ``(dim_H * dim_V) x dim_V`` matrix: the
 column for basis vector ``j`` holds the coordinates of its coaction image in
-H (x) V, with the Hopf leg on the coarse index.  The comodule laws are
-identities of sparse matrices (:func:`check_comodule`), and the
-multiplicativity of a coaction, a product of two tensor legs, goes through
+H (x) V, with the Hopf leg on the coarse index.  :class:`Comodule` is the one
+class of a coaction, and its constructor the one check of its shape and
+context; a :class:`ComoduleAlgebra` is an algebra and a comodule, and a
+:class:`RightComodModule` a comodule with a colinear right action.  A Hopf
+algebra is its own regular comodule algebra, so :class:`~hopfexact.hopf.Hopf`
+is defined above this module, in :mod:`hopfexact.hopf`, whose
+:func:`~hopfexact.hopf.hopf_axiom_report` reads this module's verdict on H
+for the laws the two structures share.  The comodule laws are identities of
+sparse matrices (:func:`check_comodule`), and the multiplicativity of a
+coaction, a product of two tensor legs, goes through
 :func:`~hopfexact.algebra.tensor_product`, on A's generators once A and H
-are associative.  The class :class:`ComoduleAlgebra` is defined in
-:mod:`hopfexact.hopf`, as a Hopf algebra is its own regular comodule
-algebra; :func:`~hopfexact.hopf.hopf_axiom_report` reads this module's
-verdict on H for the laws the two structures share.
+are associative.
 
 The module also reads off the isotypic parts of a coaction, the vectors v
 with coaction(v) = g (x) v for a fixed g of H.  Last come the map (id (x)
@@ -25,15 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .algebra import (NOT_ASSOCIATIVE, algebra_on_span,
+from .algebra import (NOT_ASSOCIATIVE, Algebra, algebra_on_span,
                       check_algebra, is_algebra_morphism, is_associative,
                       multiplicative_into_tensor)
-from .errors import BadWitness, HopfExactError
-from .field import FieldContext, FieldElement
-from .hopf import (ComoduleAlgebra, Hopf, rebase_hopf,
-                   require_coaction_shape)
+from .errors import BadWitness, DimensionMismatch, HopfExactError
+from .field import FieldElement
 from .linalg import (
     Mat,
     Row,
@@ -44,6 +46,7 @@ from .linalg import (
     kernel,
     kron,
     kron_matmul,
+    linear_combination,
     rank,
     slice_left,
     solve,
@@ -51,28 +54,70 @@ from .linalg import (
     tensor_vec,
 )
 
+if TYPE_CHECKING:
+    from .hopf import Hopf
+
 
 class Comodule:
-    """A left H-comodule presented by its coaction matrix."""
+    """A left H-comodule presented by its coaction matrix, a
+    ``(hopf.dim * dim) x dim`` matrix over ``hopf``'s context."""
 
     def __init__(self, hopf: Hopf, dim: int, coaction: Mat):
-        require_coaction_shape(hopf, dim, coaction)
+        if coaction.nrows != hopf.dim * dim or coaction.ncols != dim:
+            raise DimensionMismatch(
+                f"coaction must be {hopf.dim * dim}x{dim}, got "
+                f"{coaction.nrows}x{coaction.ncols}")
+        if coaction.ctx != hopf.ctx:
+            raise DimensionMismatch("coaction and Hopf algebra contexts differ")
+        self.ctx = hopf.ctx
         self.hopf = hopf
-        self.dim = dim
         self.coaction = coaction
 
     @property
-    def ctx(self) -> FieldContext:
-        return self.hopf.ctx
+    def dim(self) -> int:
+        return self.coaction.ncols
 
     def __repr__(self):
         return f"Comodule(dim={self.dim} over Hopf dim={self.hopf.dim})"
 
 
-ComoduleLike = Comodule | ComoduleAlgebra
+class ComoduleAlgebra(Algebra, Comodule):
+    """An algebra in the category of left H-comodules."""
+
+    def __init__(self, hopf: Hopf, labels, unit, table, coaction: Mat):
+        Algebra.__init__(self, hopf.ctx, labels, unit, table)
+        Comodule.__init__(self, hopf, self.dim, coaction)
+        # the verdicts of check_comodule_algebra and check_exactness, each
+        # decided once per object
+        self._axiom_problems: Optional[tuple[str, ...]] = None
+        self._exactness = None
+
+    def __repr__(self):
+        return (f"ComoduleAlgebra(dim={self.dim}, labels={list(self.labels)}, "
+                f"over Hopf dim={self.hopf.dim})")
 
 
-def coaction_slice(c: ComoduleLike, h_index: int) -> Mat:
+class RightComodModule(Comodule):
+    """A right B-module with an H-coaction making the action colinear."""
+
+    def __init__(self, algebra: ComoduleAlgebra, dim: int, coaction: Mat,
+                 action: Sequence[Mat]):
+        super().__init__(algebra.hopf, dim, coaction)
+        self.algebra = algebra
+        self.action = list(action)
+        if len(self.action) != algebra.dim:
+            raise DimensionMismatch("need one action matrix per basis element")
+        for m in self.action:
+            if m.nrows != dim or m.ncols != dim:
+                raise DimensionMismatch("action matrices must be square of "
+                                        "the module dimension")
+
+    def act(self, b: Vec) -> Mat:
+        """The matrix of right multiplication by the algebra element b."""
+        return linear_combination(b, self.action)
+
+
+def coaction_slice(c: Comodule, h_index: int) -> Mat:
     """The operator (h-th coordinate functional (x) id) o coaction on V."""
     return slice_left(c.coaction, c.hopf.dim, c.dim, h_index)
 
@@ -102,7 +147,7 @@ def _failed(laws: Sequence[str], holds: Sequence[bool]) -> list[str]:
     return [law for law, ok in zip(laws, holds) if not ok]
 
 
-def check_comodule(c: ComoduleLike) -> list[str]:
+def check_comodule(c: Comodule) -> list[str]:
     """Coassociativity, ``(Delta (x) id) lambda == (id (x) lambda) lambda``,
     and the counit law, ``(counit (x) id) lambda == id``, of ``lambda``."""
     h, coaction = c.hopf, c.coaction
@@ -135,7 +180,7 @@ def check_comodule_algebra(a: ComoduleAlgebra) -> list[str]:
 # -- invariants and isotypic parts -------------------------------------------
 
 
-def isotypic_part(c: ComoduleLike, g: Sequence[FieldElement]) -> Subspace:
+def isotypic_part(c: Comodule, g: Sequence[FieldElement]) -> Subspace:
     """The subspace {v : coaction(v) = g (x) v} for a fixed element g of H:
     the kernel of ``coaction - g (x) id``."""
     ctx, n = c.ctx, c.dim
@@ -144,7 +189,7 @@ def isotypic_part(c: ComoduleLike, g: Sequence[FieldElement]) -> Subspace:
     return Subspace.from_vectors(ctx, n, kernel(shifted))
 
 
-def coinvariants(c: ComoduleLike) -> Subspace:
+def coinvariants(c: Comodule) -> Subspace:
     """Vectors on which the coaction is trivial."""
     return isotypic_part(c, c.hopf.unit)
 
@@ -239,13 +284,3 @@ def comodule_algebra_from_subspace(h: Hopf, space: Subspace
     return ComoduleAlgebra(h, [f"b{i}" for i in range(d)], unit, table,
                            Mat.from_columns(ctx, cols))
 
-
-def rebase_comodule_algebra(a: ComoduleAlgebra,
-                            ctx: FieldContext) -> ComoduleAlgebra:
-    """The same comodule algebra with every scalar coerced into ctx, the
-    Hopf algebra included."""
-    h = rebase_hopf(a.hopf, ctx)
-    unit = [c.coerce(ctx) for c in a.unit]
-    table = [[[c.coerce(ctx) for c in cell] for cell in row]
-             for row in a.table]
-    return ComoduleAlgebra(h, a.labels, unit, table, a.coaction.coerce(ctx))

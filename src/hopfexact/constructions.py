@@ -17,8 +17,10 @@ The recurring cast:
   and ``twisted_group_algebra_over`` (kpsi), each over the kp it is given,
   and ``build_kp`` (kp, its own regular comodule algebra); ``catalog``
   calls each.
-* ``block_patterns`` — the signs that colinearity forces on the products
-  of kp's two-dimensional block with grouplikes and with itself.
+* ``basis_coaction`` — the coaction of a basis of grouplike lines and
+  copies of kp's two-dimensional block, from which
+  :func:`~hopfexact.morita.block_patterns` derives the signs that
+  colinearity forces on the block's products.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .algebra import Algebra, direct_sum, tensor_product
-from .comodule import (Comodule, ComoduleAlgebra, ComoduleLike,
+from .algebra import Algebra, direct_sum
+from .comodule import (Comodule, ComoduleAlgebra, RightComodModule,
                        direct_sum_coaction)
 from .errors import (DimensionMismatch, GammaNotPrimitiveFourthRoot,
                      NotACocycle, NotOverKp)
@@ -126,7 +128,7 @@ def build_kp(ctx: Optional[FieldContext] = None) -> Hopf:
     return h
 
 
-def _require_over_kp(c: ComoduleLike) -> None:
+def _require_over_kp(c: Comodule) -> None:
     """Raise :class:`~hopfexact.errors.NotOverKp` unless ``c`` is over kp
     itself: the structure of :func:`build_kp`, in its basis order."""
     if not same_hopf(c.hopf, build_kp(c.hopf.ctx)):
@@ -166,54 +168,6 @@ def basis_coaction(h: Hopf, dim: int, grouplikes: Sequence[int],
             cols[w] = {zy + v: half, zxy + v: -half, zy + w: half,
                        zxy + w: half}
     return Mat.from_entries(ctx, cols, h.dim * dim).transpose()
-
-
-def _tensor_comodule(a: Comodule, b: Comodule) -> Comodule:
-    """A (x) B, coacted on by a (x) b -> a_(-1) b_(-1) (x) a_(0) (x) b_(0)."""
-    h, n, one = a.hopf, a.dim * b.dim, a.ctx.one()
-    # pairs[k][l] is the basis element a_k (x) b_l
-    pairs = [[{k * b.dim + l: one} for l in range(b.dim)]
-             for k in range(a.dim)]
-    cols = [tensor_product(h.terms, pairs, x, y, n)
-            for x in a.coaction.transpose().entries
-            for y in b.coaction.transpose().entries]
-    return Comodule(h, n, Mat.from_entries(h.ctx, cols, h.dim * n).transpose())
-
-
-def block_patterns(ctx: Optional[FieldContext] = None
-                   ) -> dict[tuple[str, int], tuple[tuple[int, int], ...]]:
-    """The sign patterns that colinearity forces on products with the block
-    V = span{v, w} of :func:`basis_coaction`, solved over one kp.
-
-    For each grouplike mask g, with C_g the line coacted on by g, the
-    colinear maps C_g (x) V -> V (key ``("l", g)``: e_g acting on the left),
-    V (x) C_g -> V (``("r", g)``) and V (x) V -> C_g (``("p", g)``: the e_g
-    component of a block product) each form a line.  Its spanning map is
-    given as the table P, P[s][t] the coefficient of leg t in the image of
-    leg s, or of e_g in the product of legs s and t (leg 0 is v, leg 1 is
-    w), scaled so that the image of v, or of v (x) v, has first nonzero
-    coordinate 1: every entry is then 1, -1 or 0.  Only these integers
-    leave the function, so it solves over the kp of the context
-    (:func:`build_kp`)."""
-    from .morita import colinear_maps
-    h = build_kp(ctx)
-    one = h.ctx.one()
-    as_int = {one: 1, -one: -1, h.ctx.zero(): 0}
-    block = Comodule(h, 2, basis_coaction(h, 2, [], [(0, 1)]))
-    square = _tensor_comodule(block, block)
-    out = {}
-    for g in range(4):
-        line = Comodule(h, 1, basis_coaction(h, 1, [g]))
-        for key, src, dst in (("l", _tensor_comodule(line, block), block),
-                              ("r", _tensor_comodule(block, line), block),
-                              ("p", square, line)):
-            (t,) = colinear_maps(src, dst)
-            # the images of the source's basis, one after the other
-            cells = t.transpose().vec()
-            lead = next(c for c in cells if not c.is_zero()).inverse()
-            ints = [as_int[c * lead] for c in cells]
-            out[key, g] = (tuple(ints[:2]), tuple(ints[2:]))
-    return out
 
 
 def trivial_comodule_algebra_over(h: Hopf) -> ComoduleAlgebra:
@@ -379,7 +333,7 @@ def comodule_direct_sum(a: ComoduleAlgebra, b: ComoduleAlgebra
 
 
 def build_bimodule_V(target: str, ctx: Optional[FieldContext] = None
-                     ) -> "RightComodModule":
+                     ) -> RightComodModule:
     """The two-dimensional comodule whose endomorphism algebras realize the
     catalog equivalences.
 
@@ -391,7 +345,6 @@ def build_bimodule_V(target: str, ctx: Optional[FieldContext] = None
     and ``target="ga_x"`` restricts it to the subgroup algebra on {1, x}
     acting through x -> ex.
     """
-    from .morita import RightComodModule
     if target == "kpsi":
         b = twisted_group_algebra_over(build_kp(ctx))
     elif target == "ga_x":

@@ -6,9 +6,10 @@ holding the coordinates of its coproduct with the left tensor leg on the
 coarse index), a counit functional, and an antipode matrix.  H coacting on
 itself by its coproduct is its regular comodule algebra (Montgomery, Hopf
 Algebras and Their Actions on Rings, 1993, section 4.1), so a Hopf algebra
-is a :class:`ComoduleAlgebra`, defined here and checked in
-:mod:`hopfexact.comodule`, with ``h.hopf is h`` and ``h.coaction is
-h.comult``.  Every axiom is checked exactly, and an axiom that is not a
+is a :class:`~hopfexact.comodule.ComoduleAlgebra`, with ``h.hopf is h`` and
+``h.coaction is h.comult``.  The comodules sit in the module below, which
+this one imports: :mod:`hopfexact.comodule` defines and checks them, and
+names H only in annotations.  Every axiom is checked exactly, and an axiom that is not a
 product of two tensor legs is one identity of sparse structure matrices,
 built with ``kron`` and ``@``, or with :func:`~hopfexact.linalg.kron_matmul`
 where a tensor factor is the identity: with ``m`` the multiplication matrix,
@@ -23,41 +24,13 @@ law, the counit as a unital algebra map, and the antipode identities.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .algebra import Algebra
+from .comodule import (COMODULE_LAWS, MORPHISM_LAWS, ComoduleAlgebra,
+                       check_comodule_algebra)
 from .errors import DimensionMismatch, SingularAntipode
 from .field import FieldContext, FieldElement, scal
 from .linalg import Mat, Scalar, Vec, inverse, kron, kron_matmul
-
-
-def require_coaction_shape(hopf: Hopf, dim: int, coaction: Mat) -> None:
-    """Refuse a coaction on a space of dimension ``dim`` that is not a
-    ``(hopf.dim * dim) x dim`` matrix over ``hopf``'s context."""
-    if coaction.nrows != hopf.dim * dim or coaction.ncols != dim:
-        raise DimensionMismatch(
-            f"coaction must be {hopf.dim * dim}x{dim}, got "
-            f"{coaction.nrows}x{coaction.ncols}")
-    if coaction.ctx != hopf.ctx:
-        raise DimensionMismatch("coaction and Hopf algebra contexts differ")
-
-
-class ComoduleAlgebra(Algebra):
-    """An algebra in the category of left H-comodules."""
-
-    def __init__(self, hopf: Hopf, labels, unit, table, coaction: Mat):
-        super().__init__(hopf.ctx, labels, unit, table)
-        require_coaction_shape(hopf, self.dim, coaction)
-        self.hopf = hopf
-        self.coaction = coaction
-        # the verdicts of check_comodule_algebra and check_exactness, each
-        # decided once per object
-        self._axiom_problems: Optional[tuple[str, ...]] = None
-        self._exactness = None
-
-    def __repr__(self):
-        return (f"ComoduleAlgebra(dim={self.dim}, labels={list(self.labels)}, "
-                f"over Hopf dim={self.hopf.dim})")
 
 
 class Hopf(ComoduleAlgebra):
@@ -75,6 +48,8 @@ class Hopf(ComoduleAlgebra):
             raise DimensionMismatch(f"counit must have {n} coordinates")
         if antipode.nrows != n or antipode.ncols != n:
             raise DimensionMismatch(f"antipode must be {n}x{n}")
+        if antipode.ctx != ctx:
+            raise DimensionMismatch("antipode and Hopf algebra contexts differ")
         self.counit: Vec = tuple(scal(ctx, c) for c in counit)
         self.antipode = antipode
 
@@ -128,8 +103,6 @@ def hopf_axiom_report(h: Hopf) -> dict[str, list[str]]:
     messages are the comodule check's, plus three laws: the right counit
     law, the counit as a unital algebra map, and the antipode identities.
     """
-    # comodule.py imports this module
-    from .comodule import COMODULE_LAWS, MORPHISM_LAWS, check_comodule_algebra
     shared = check_comodule_algebra(h)
     counit = Mat(h.ctx, [h.counit])
     coalgebra = [p for p in shared if p in COMODULE_LAWS]
@@ -164,15 +137,21 @@ def antipode_inverse(h: Hopf) -> Mat:
         raise SingularAntipode("the antipode matrix is singular")
 
 
-def rebase_hopf(h: Hopf, ctx: FieldContext) -> Hopf:
-    """The same Hopf algebra with every structure constant coerced into ctx.
+def rebase_comodule_algebra(a: ComoduleAlgebra,
+                            ctx: FieldContext) -> ComoduleAlgebra:
+    """The same comodule algebra with every scalar coerced into ctx, the
+    Hopf algebra included: a Hopf algebra, its own regular comodule
+    algebra, rebases to a :class:`Hopf`, and any other comodule algebra
+    over its rebased Hopf algebra.
 
     The target context must contain the original one (larger cyclotomic
     order, or an extra adjoined square root); coercion failures propagate
-    from the scalar layer.
+    from the scalar layer, which coerces the unit, table and counit as the
+    structures are built.
     """
-    unit = [c.coerce(ctx) for c in h.unit]
-    table = [[[c.coerce(ctx) for c in cell] for cell in row] for row in h.table]
-    counit = [c.coerce(ctx) for c in h.counit]
-    return Hopf(ctx, h.labels, unit, table, h.comult.coerce(ctx), counit,
-                h.antipode.coerce(ctx))
+    coaction = a.coaction.coerce(ctx)
+    if a.hopf is a:
+        return Hopf(ctx, a.labels, a.unit, a.table, coaction, a.counit,
+                    a.antipode.coerce(ctx))
+    return ComoduleAlgebra(rebase_comodule_algebra(a.hopf, ctx), a.labels,
+                           a.unit, a.table, coaction)

@@ -10,7 +10,12 @@ fingerprint table.
 All module actions here are left actions: ``action[i]`` is the matrix of the
 i-th basis element, and ``action`` of a product composes left-to-right
 (``rho(ab) = rho(a) @ rho(b)``).  The one exception is
-:class:`RightComodModule`, whose name says it all.
+:class:`~hopfexact.comodule.RightComodModule`, defined with the other
+comodules in :mod:`hopfexact.comodule`, whose name says it all.
+
+The colinear maps between two comodules also give the sign patterns of
+kp's two-dimensional block (:func:`block_patterns`), which the replays of
+:mod:`hopfexact.replay` read.
 """
 
 from __future__ import annotations
@@ -25,12 +30,12 @@ from .algebra import (algebra_on_span, is_algebra_isomorphism, is_associative,
 from .comodule import (
     Comodule,
     ComoduleAlgebra,
+    RightComodModule,
     check_comodule,
     check_comodule_algebra,
     isotypic_part,
-    rebase_comodule_algebra,
 )
-from .constructions import _require_over_kp
+from .constructions import _require_over_kp, basis_coaction, build_kp
 from .errors import (
     CoactionUnsolvable,
     DimensionMismatch,
@@ -41,7 +46,7 @@ from .errors import (
 )
 from .field import (FieldContext, FieldElement, adjoin_sqrt, polynomial_roots,
                     sqrt_in_context)
-from .hopf import Hopf, antipode_inverse, same_hopf
+from .hopf import Hopf, antipode_inverse, rebase_comodule_algebra, same_hopf
 from .linalg import (
     Mat,
     Row,
@@ -71,32 +76,6 @@ from .poly import MultiPoly, _addmul, _poly, concrete_solutions
 # -- modules in the category of comodules --------------------------------------
 
 
-class RightComodModule:
-    """A right B-module with an H-coaction making the action colinear."""
-
-    def __init__(self, algebra: ComoduleAlgebra, dim: int, coaction: Mat,
-                 action: Sequence[Mat]):
-        self.algebra = algebra
-        self.hopf = algebra.hopf
-        self.dim = dim
-        self.coaction = coaction
-        self.action = list(action)
-        if len(self.action) != algebra.dim:
-            raise DimensionMismatch("need one action matrix per basis element")
-        for m in self.action:
-            if m.nrows != dim or m.ncols != dim:
-                raise DimensionMismatch("action matrices must be square of "
-                                        "the module dimension")
-
-    @property
-    def ctx(self) -> FieldContext:
-        return self.algebra.ctx
-
-    def act(self, b: Vec) -> Mat:
-        """The matrix of right multiplication by the algebra element b."""
-        return linear_combination(b, self.action)
-
-
 def check_module_comodule(v: RightComodModule) -> list[str]:
     problems = []
     ctx = v.ctx
@@ -108,7 +87,7 @@ def check_module_comodule(v: RightComodModule) -> list[str]:
         for i in range(b.dim) for j in range(b.dim))
     if not assoc_ok:
         problems.append("right action does not respect products")
-    problems += check_comodule(Comodule(v.hopf, v.dim, v.coaction))
+    problems += check_comodule(v)
     # rho(p . b) = rho(p) rho(b): the H legs multiply in H, the module leg
     # of rho(p) is acted on by the algebra leg of rho(b)
     # acting[m][i]: the stored column m of action[i]
@@ -200,13 +179,13 @@ def _commutation_rows(ctx: FieldContext, pairs) -> list[Row]:
     return rows
 
 
-def _require_same_hopf(a: ComoduleAlgebra, b: ComoduleAlgebra) -> None:
+def _require_same_hopf(a: Comodule, b: Comodule) -> None:
     if not same_hopf(a.hopf, b.hopf):
         raise DimensionMismatch("the two algebras live over different Hopf "
                                 "algebras")
 
 
-def _colinear_system(a: ComoduleAlgebra, b: ComoduleAlgebra) -> list[Row]:
+def _colinear_system(a: Comodule, b: Comodule) -> list[Row]:
     """The sparse rows of vec(T) -> lambda_b T - (id (x) T) lambda_a.
 
     Row ``(h*nb + m)*na + j`` holds ``+b.coaction[h*nb + m, m']`` at column
@@ -228,11 +207,58 @@ def _colinear_system(a: ComoduleAlgebra, b: ComoduleAlgebra) -> list[Row]:
     return _commutation_rows(a.ctx, pairs)
 
 
-def colinear_maps(a: ComoduleAlgebra, b: ComoduleAlgebra) -> list[Mat]:
+def colinear_maps(a: Comodule, b: Comodule) -> list[Mat]:
     """Basis of the space of linear maps T with lambda_b T = (id (x) T) lambda_a."""
     return [Mat.unvec(a.ctx, t, b.dim, a.dim)
             for t in _kernel_rows(a.ctx, _colinear_system(a, b),
                                   a.dim * b.dim)]
+
+
+def _tensor_comodule(a: Comodule, b: Comodule) -> Comodule:
+    """A (x) B, coacted on by a (x) b -> a_(-1) b_(-1) (x) a_(0) (x) b_(0)."""
+    h, n, one = a.hopf, a.dim * b.dim, a.ctx.one()
+    # pairs[k][l] is the basis element a_k (x) b_l
+    pairs = [[{k * b.dim + l: one} for l in range(b.dim)]
+             for k in range(a.dim)]
+    cols = [tensor_product(h.terms, pairs, x, y, n)
+            for x in a.coaction.transpose().entries
+            for y in b.coaction.transpose().entries]
+    return Comodule(h, n, Mat.from_entries(h.ctx, cols, h.dim * n).transpose())
+
+
+def block_patterns(ctx: Optional[FieldContext] = None
+                   ) -> dict[tuple[str, int], tuple[tuple[int, int], ...]]:
+    """The sign patterns that colinearity forces on products with the block
+    V = span{v, w} of :func:`basis_coaction`, solved over one kp.
+
+    For each grouplike mask g, with C_g the line coacted on by g, the
+    colinear maps C_g (x) V -> V (key ``("l", g)``: e_g acting on the left),
+    V (x) C_g -> V (``("r", g)``) and V (x) V -> C_g (``("p", g)``: the e_g
+    component of a block product) each form a line.  Its spanning map is
+    given as the table P, P[s][t] the coefficient of leg t in the image of
+    leg s, or of e_g in the product of legs s and t (leg 0 is v, leg 1 is
+    w), scaled so that the image of v, or of v (x) v, has first nonzero
+    coordinate 1: every entry is then 1, -1 or 0.  Only these integers
+    leave the function, so it solves over the kp of the context
+    (:func:`build_kp`)."""
+    h = build_kp(ctx)
+    one = h.ctx.one()
+    as_int = {one: 1, -one: -1, h.ctx.zero(): 0}
+    block = Comodule(h, 2, basis_coaction(h, 2, [], [(0, 1)]))
+    square = _tensor_comodule(block, block)
+    out = {}
+    for g in range(4):
+        line = Comodule(h, 1, basis_coaction(h, 1, [g]))
+        for key, src, dst in (("l", _tensor_comodule(line, block), block),
+                              ("r", _tensor_comodule(block, line), block),
+                              ("p", square, line)):
+            (t,) = colinear_maps(src, dst)
+            # the images of the source's basis, one after the other
+            cells = t.transpose().vec()
+            lead = next(c for c in cells if not c.is_zero()).inverse()
+            ints = [as_int[c * lead] for c in cells]
+            out[key, g] = (tuple(ints[:2]), tuple(ints[2:]))
+    return out
 
 
 def colinear_iso_search(a: ComoduleAlgebra, b: ComoduleAlgebra

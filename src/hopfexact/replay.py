@@ -6,7 +6,7 @@ corepresentation, spanned by pairs ``v_i, w_i``.  This module builds the
 *generic* such algebra: a multiplication table whose block products carry
 indeterminate structure constants, with every coefficient pattern derived
 from ``basis_coaction``, by colinearity of the standard block coaction
-(:func:`~hopfexact.constructions.block_patterns`).  Associativity then becomes
+(:func:`~hopfexact.morita.block_patterns`).  Associativity then becomes
 a system of polynomial constraints, and the classification arguments reduce
 to exact linear eliminations over those constraints.
 
@@ -56,13 +56,14 @@ from functools import cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .comodule import ComoduleAlgebra, check_comodule_algebra
-from .constructions import (PSI_STANDARD, basis_coaction, block_patterns,
-                            build_kp, catalog, paper_map_f)
+from .constructions import (PSI_STANDARD, basis_coaction, build_kp, catalog,
+                            paper_map_f)
 from .errors import HopfExactError, InvalidKind, NonlinearResidue
 from .exactness import check_exactness
 from .field import FieldContext, FieldElement
 from .linalg import Mat, basis_vector
-from .morita import colinear_iso_search, is_colinear_isomorphism
+from .morita import (block_patterns, colinear_iso_search,
+                     is_colinear_isomorphism)
 from .poly import (Certificate, Elimination, MultiPoly, _addmul, _addterms,
                    _column_key, _mono_degree, _poly, _product_terms,
                    concrete_solutions, eliminate)
@@ -173,7 +174,7 @@ def generic_extension(kind: str, n2: int,
     (``ga_K``, ``kpsi``) with ``n2 > 0`` and must be omitted otherwise.
 
     The signs of every product with a block element are derived from
-    ``basis_coaction`` (:func:`~hopfexact.constructions.block_patterns`,
+    ``basis_coaction`` (:func:`~hopfexact.morita.block_patterns`,
     once per run); the kind enters only through its base masks, its
     cocycle and, over ga_K and kpsi, the sign pairs.
     """

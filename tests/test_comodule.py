@@ -7,6 +7,7 @@ from hopfexact import constructions
 from hopfexact.comodule import (
     Comodule,
     ComoduleAlgebra,
+    RightComodModule,
     check_comodule,
     check_comodule_algebra,
     coaction_slice,
@@ -14,12 +15,12 @@ from hopfexact.comodule import (
     coinvariants,
     isotypic_part,
     phi_embed,
-    rebase_comodule_algebra,
 )
 from hopfexact.constructions import (
     PSI_STANDARD,
     a_xy_gamma_over,
     basis_coaction,
+    build_bimodule_V,
     build_klein4,
     build_kp,
     catalog,
@@ -37,7 +38,7 @@ from hopfexact.errors import (
 from hopfexact.algebra import is_algebra_isomorphism, tensor_product
 from hopfexact.exactness import check_exactness
 from hopfexact.field import FieldContext, FieldElement, adjoin_sqrt
-from hopfexact.hopf import Hopf
+from hopfexact.hopf import Hopf, rebase_comodule_algebra
 from hopfexact.linalg import (Mat, Subspace, _checked_row, _insert_row,
                               _sparse, basis_vector, kron, slice_left, vadd,
                               vscale, vsub)
@@ -107,6 +108,22 @@ def test_a_coaction_over_another_context_is_refused():
     with pytest.raises(DimensionMismatch, match="contexts differ"):
         Hopf(QI, KP.labels, KP.unit, KP.table, KP.comult.coerce(q8),
              KP.counit, KP.antipode)
+
+
+def test_every_structure_with_a_coaction_is_a_comodule():
+    v = build_bimodule_V("kpsi", QI)
+    for c in (CATALOG["ga_x"], KP, v):
+        assert isinstance(c, Comodule)
+        assert c.ctx == QI and c.dim == c.coaction.ncols
+
+
+def test_a_module_refuses_a_coaction_of_another_shape_or_context():
+    b = CATALOG["ga_x"]
+    action = [b.right_mult(b.basis_element(i)) for i in range(b.dim)]
+    with pytest.raises(DimensionMismatch, match="coaction must be 16x2"):
+        RightComodModule(b, 2, Mat.identity(QI, 2), action)
+    with pytest.raises(DimensionMismatch, match="contexts differ"):
+        RightComodModule(b, 2, b.coaction.coerce(FieldContext(8)), action)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_DIMS))

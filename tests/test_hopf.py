@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from hopfexact.constructions import build_klein4, build_kp
-from hopfexact.errors import SingularAntipode
+from hopfexact.comodule import ComoduleAlgebra, check_comodule_algebra
+from hopfexact.constructions import a_xy_gamma_over, build_klein4, build_kp
+from hopfexact.errors import DimensionMismatch, SingularAntipode
 from hopfexact.field import FieldContext, polynomial_roots
 from hopfexact.hopf import (
     AXIOM_FAMILIES,
@@ -13,7 +14,7 @@ from hopfexact.hopf import (
     antipode_inverse,
     check_hopf,
     hopf_axiom_report,
-    rebase_hopf,
+    rebase_comodule_algebra,
     same_hopf,
 )
 from hopfexact.linalg import Mat, basis_vector, minimal_polynomial
@@ -46,8 +47,28 @@ def test_the_same_hopf_algebra_is_one_object_or_five_equal_fields():
                         ("comult", kp.comult.scale(half)),
                         ("table", kp.table[::-1])]:
         assert not same_hopf(kp, Hopf(QI, **{**fields, name: other})), name
-    assert not same_hopf(kp, rebase_hopf(kp, FieldContext(8)))
+    assert not same_hopf(kp, rebase_comodule_algebra(kp, FieldContext(8)))
     assert not same_hopf(kp, build_klein4(QI))
+
+
+def test_an_antipode_over_another_context_is_refused():
+    kp = build_kp(QI)
+    with pytest.raises(DimensionMismatch,
+                       match="antipode and Hopf algebra contexts differ"):
+        Hopf(QI, kp.labels, kp.unit, kp.table, kp.comult, kp.counit,
+             kp.antipode.coerce(FieldContext(8)))
+
+
+def test_a_hopf_algebra_rebases_to_a_hopf_algebra():
+    q8 = FieldContext(8)
+    r = rebase_comodule_algebra(build_kp(QI), q8)
+    assert isinstance(r, Hopf) and r.hopf is r and r.ctx == q8
+    assert check_hopf(r) == [] and same_hopf(r, build_kp(q8))
+    # any other comodule algebra rebases over its rebased Hopf algebra
+    a = rebase_comodule_algebra(a_xy_gamma_over(build_kp(QI), QI.i()), q8)
+    assert type(a) is ComoduleAlgebra and a.ctx == q8
+    assert same_hopf(a.hopf, build_kp(q8))
+    assert check_comodule_algebra(a) == []
 
 
 def test_kp_product_relations():

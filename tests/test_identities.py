@@ -15,11 +15,11 @@ import pytest
 from hopfexact.algebra import (NOT_ASSOCIATIVE, Algebra, _combine,
                                check_algebra, multiplicative_into_tensor)
 from hopfexact.comodule import (ComoduleAlgebra, check_comodule,
-                                check_comodule_algebra, phi_embed,
-                                rebase_comodule_algebra)
+                                check_comodule_algebra, phi_embed)
 from hopfexact.constructions import catalog
 from hopfexact.field import FieldContext, adjoin_sqrt
-from hopfexact.hopf import AXIOM_FAMILIES, Hopf, hopf_axiom_report
+from hopfexact.hopf import (AXIOM_FAMILIES, Hopf, hopf_axiom_report,
+                            rebase_comodule_algebra)
 from hopfexact.linalg import (Mat, Subspace, basis_vector, linear_combination,
                               slice_left, tensor_vec, vadd, vscale)
 from hopfexact.morita import colinear_iso_search

@@ -15,6 +15,7 @@ from hopfexact.algebra import (is_algebra_isomorphism, is_associative, trace,
                                trace_radical)
 from hopfexact.comodule import (
     ComoduleAlgebra,
+    RightComodModule,
     check_comodule_algebra,
     coideal_generated,
     comodule_algebra_from_subspace,
@@ -44,13 +45,12 @@ from hopfexact.errors import (
 )
 from hopfexact.exactness import check_exactness
 from hopfexact.field import FieldContext, adjoin_sqrt
-from hopfexact.hopf import Hopf
+from hopfexact.hopf import Hopf, same_hopf
 from hopfexact.linalg import (Mat, _dense, _sparse, basis_vector, kernel, kron,
                               linear_combination, rank, solve, tensor_vec,
                               vadd, vscale)
 from hopfexact.morita import (
     FusionFingerprint,
-    RightComodModule,
     _character_solver,
     _colinear_system,
     _commutant,
@@ -270,6 +270,13 @@ def test_split_peels_a_rational_eigenspace_and_keeps_the_rest_as_a_block():
     assert rebased.ctx == FieldContext(4)
     assert [m.dim for m in dec.simples] == [1, 1, 1]
     assert dec.multiplicities == [1, 1, 1] and dec.split
+
+
+def test_a_hopf_algebra_split_over_a_larger_field_stays_a_hopf_algebra():
+    used, dec = simple_modules_split(build_kp(FieldContext(1)))
+    assert used.ctx == QI and dec.split
+    assert isinstance(used, Hopf) and used.hopf is used
+    assert same_hopf(used, build_kp(QI))
 
 
 # -- the five built-in simple modules of the eight-dimensional Hopf algebra -----

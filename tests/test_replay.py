@@ -15,10 +15,8 @@ from hopfexact import (algebra, comodule, constructions, exactness, hopf,
                        linalg, morita, replay)
 from hopfexact.algebra import (Algebra, is_algebra_isomorphism,
                                multiplicative_into_tensor)
-from hopfexact.comodule import (ComoduleAlgebra, check_comodule_algebra,
-                                rebase_comodule_algebra)
-from hopfexact.constructions import (PSI_STANDARD, block_patterns,
-                                     build_bimodule_V, build_kp,
+from hopfexact.comodule import ComoduleAlgebra, check_comodule_algebra
+from hopfexact.constructions import (PSI_STANDARD, build_bimodule_V, build_kp,
                                      catalog, paper_map_f,
                                      with_trivial_coaction)
 from hopfexact.errors import HopfExactError, NonlinearResidue
@@ -26,9 +24,9 @@ from hopfexact.exactness import check_exactness
 from hopfexact.field import FieldContext, adjoin_sqrt
 from hopfexact.linalg import (Mat, basis_vector, kron, tensor_vec, vadd, vscale,
                               vsub)
-from hopfexact.hopf import check_hopf
-from hopfexact.morita import (colinear_iso_search, fusion_fingerprint,
-                            is_colinear_isomorphism)
+from hopfexact.hopf import check_hopf, rebase_comodule_algebra
+from hopfexact.morita import (block_patterns, colinear_iso_search,
+                             fusion_fingerprint, is_colinear_isomorphism)
 from hopfexact.poly import (Elimination, MultiPoly, _addmul, _addterms,
                             _linear_quotient, _poly, _product_terms,
                             concrete_solutions, eliminate)
