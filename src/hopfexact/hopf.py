@@ -9,10 +9,11 @@ Algebras and Their Actions on Rings, 1993, section 4.1), so a Hopf algebra
 is a :class:`~hopfexact.comodule.ComoduleAlgebra`, with ``h.hopf is h`` and
 ``h.coaction is h.comult``.  The comodules sit in the module below, which
 this one imports: :mod:`hopfexact.comodule` defines and checks them, and
-names H only in annotations.  Every axiom is checked exactly, and an axiom that is not a
-product of two tensor legs is one identity of sparse structure matrices,
-built with ``kron`` and ``@``, or with :func:`~hopfexact.linalg.kron_matmul`
-where a tensor factor is the identity: with ``m`` the multiplication matrix,
+names H only in annotations.  Every axiom is checked exactly, and an axiom
+that is not a product of two tensor legs is one identity of sparse
+structure matrices, built with ``kron`` and ``@``, or with
+:func:`~hopfexact.linalg.kron_matmul` where a tensor factor is the
+identity: with ``m`` the multiplication matrix,
 the antipode law is ``m (S (x) id) Delta == unit counit``, and the counit is
 multiplicative when ``counit m == counit (x) counit``.  An identity of
 matrices holds on every element.  The Hopf axioms are H's regular
